@@ -80,13 +80,14 @@ serve:
 	$(GO) run ./cmd/ibrd -r hashmap -d tagibr -shards 4 -workers 2
 
 # End-to-end smoke: start ibrd, hammer it with ibrload for 2s, show the
-# /debug/vars gauges mid-run, and drain the daemon with SIGTERM.
+# per-shard ops/unreclaimed/epoch-lag series from /metrics mid-run, and drain
+# the daemon with SIGTERM.
 loadtest:
 	$(GO) build -o bin/ibrd ./cmd/ibrd
 	$(GO) build -o bin/ibrload ./cmd/ibrload
 	@./bin/ibrd -addr 127.0.0.1:4100 -http 127.0.0.1:4101 -r hashmap -d tagibr -shards 4 -workers 2 & \
 	pid=$$!; sleep 0.5; \
-	( sleep 1; curl -s http://127.0.0.1:4101/debug/vars | tr ',' '\n' | grep -E '"(ops|unreclaimed|max_epoch_lag)"' || true ) & \
+	( sleep 1; curl -s http://127.0.0.1:4101/metrics | grep -E '^ibr_(ops_total|unreclaimed|epoch_lag)[{]' || true ) & \
 	./bin/ibrload -addr 127.0.0.1:4100 -c 8 -p 4 -i 2; rc=$$?; \
 	kill -TERM $$pid; wait $$pid; exit $$rc
 
@@ -189,11 +190,13 @@ tracesmoke:
 # interval scheme and drive the mixed range workload with TTL'd writes.
 # Asserts: (a) every scan validated client-side — sorted, in-bounds, no
 # duplicates; ibrload exits nonzero otherwise — (b) TTL expirations occurred
-# and retired through the normal scheme path (retired_expiry > 0 on
-# /debug/vars, i.e. the expiry wheel feeds Scheme.Retire, not a side
-# channel), (c) retired-but-unreclaimed stayed bounded while scans were in
-# flight (the under-scan high-water mark), and (d) the SIGTERM drain still
-# reaches 0 blocks unreclaimed with expiry traffic in the mix.
+# and retired through the normal scheme path (ibr_retired_total{source=
+# "expiry"} > 0 on /metrics, i.e. the expiry wheel feeds Scheme.Retire, not a
+# side channel), (c) retired-but-unreclaimed stayed bounded while scans were
+# in flight (max ibr_unreclaimed_under_scan <= 8192), and (d) the SIGTERM
+# drain still reaches 0 blocks unreclaimed with expiry traffic in the mix.
+# The scrape is mid-run, so in-flight scans have only some legs counted: the
+# leg count is checked for > 0, not for scans x shards.
 rangesmoke:
 	$(GO) build -o bin/ibrd ./cmd/ibrd
 	$(GO) build -o bin/ibrload ./cmd/ibrload
@@ -202,12 +205,18 @@ rangesmoke:
 	pid=$$!; sleep 0.5; \
 	./bin/ibrload -addr 127.0.0.1:4500 -c 8 -p 4 -i 3 -m range -span 4096 \
 	  -ttl 300ms > /tmp/rangesmoke_load.txt & load=$$!; \
-	sleep 2.5; curl -sf http://127.0.0.1:4501/debug/vars > /tmp/rangesmoke_vars.json; \
+	sleep 2.5; curl -sf http://127.0.0.1:4501/metrics > /tmp/rangesmoke_metrics.txt; \
 	wait $$load; rc=$$?; kill -TERM $$pid; wait $$pid; \
 	test $$rc -eq 0 && \
 	grep -q 'ranges: .* scans validated' /tmp/rangesmoke_load.txt && \
 	grep -q ' 0 blocks unreclaimed after final scan' /tmp/rangesmoke_ibrd.txt && \
-	python3 scripts/check_rangesmoke.py /tmp/rangesmoke_vars.json 8192 && \
+	awk '/^ibr_range_legs_total[{]/ { legs += $$2 } \
+	  /^ibr_expired_total[{]/ { expired += $$2 } \
+	  /^ibr_retired_total[{].*source="user"/ { user += $$2 } \
+	  /^ibr_retired_total[{].*source="expiry"/ { expiry += $$2 } \
+	  /^ibr_unreclaimed_under_scan[{]/ { if ($$2 > hw) hw = $$2 } \
+	  END { printf "rangesmoke: %d range legs, %d expired, retired user/expiry %d/%d, under-scan max %d (bound 8192)\n", legs, expired, user, expiry, hw; \
+	    exit (legs > 0 && expired > 0 && user > 0 && expiry > 0 && hw <= 8192) ? 0 : 1 }' /tmp/rangesmoke_metrics.txt && \
 	echo "rangesmoke: scans validated, expiry retires through the scheme, unreclaimed bounded"
 
 examples:

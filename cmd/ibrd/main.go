@@ -12,13 +12,13 @@
 // written to stderr, then the process exits. SIGQUIT dumps the flight
 // recorder as JSONL to stderr without pausing or stopping the daemon.
 //
-// The HTTP side serves /debug/vars (JSON gauges under "ibrd"/"ibrd_server"),
-// /metrics (Prometheus text format: per-shard throughput, queue depth,
-// retired-but-unreclaimed, epoch lag, retire→free age histograms, op
-// latency, stall-watchdog alerts, scan-phase breakdown, pinned-memory
-// blame), /debug/flightrecorder (SMR lifecycle event dump), /debug/trace
-// (the same events as a Perfetto/chrome://tracing JSON timeline), and
-// net/http/pprof under /debug/pprof/.
+// The HTTP side serves /metrics (Prometheus text format, the one metrics
+// surface: per-shard throughput, queue depth, retired-but-unreclaimed, epoch
+// lag, range and TTL activity, retire→free age histograms, op latency,
+// stall-watchdog alerts, scan-phase breakdown, pinned-memory blame,
+// connection counters), /debug/flightrecorder (SMR lifecycle event dump),
+// /debug/trace (the same events as a Perfetto/chrome://tracing JSON
+// timeline), and net/http/pprof under /debug/pprof/.
 package main
 
 import (
@@ -41,7 +41,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":4100", "TCP listen address for the KV protocol")
-		httpAddr  = flag.String("http", ":4101", "HTTP listen address for /debug/vars, /metrics, /debug/flightrecorder, /debug/pprof (empty disables)")
+		httpAddr  = flag.String("http", ":4101", "HTTP listen address for /metrics, /debug/flightrecorder, /debug/trace, /debug/pprof (empty disables)")
 		structure = flag.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
 		scheme    = flag.String("d", "tagibr", "reclamation scheme: "+strings.Join(core.Schemes(), ", "))
 		shards    = flag.Int("shards", 8, "independent structure instances the key space is hashed across")
@@ -121,14 +121,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ibrd:", err)
 		os.Exit(1)
 	}
-	server.PublishVars("ibrd", eng)
 	srv := server.NewServer(eng, server.ServerConfig{MaxInflight: *inflight, IdleTimeout: *idle})
-	server.PublishServerVars("ibrd_server", srv)
 
 	if *httpAddr != "" {
-		// Importing expvar (via internal/server) and net/http/pprof registers
-		// /debug/vars and /debug/pprof on the default mux; /metrics and the
-		// flight-recorder dump ride alongside.
+		// Importing net/http/pprof registers /debug/pprof on the default mux;
+		// /metrics and the flight-recorder and trace dumps ride alongside.
 		http.Handle("/metrics", server.MetricsHandler(eng, srv))
 		http.Handle("/debug/flightrecorder", server.FlightRecorderHandler(eng))
 		http.Handle("/debug/trace", server.TraceHandler(eng))

@@ -112,10 +112,9 @@ func render(w io.Writer, cur, prev metricSet, dt time.Duration, hasPrev bool) {
 	}
 
 	if cur.has("ibr_stall_alerts_total") {
-		fmt.Fprintf(w, "\nwatchdog: %.0f alerts, %.0f stalled now, max epoch lag %.0f\n",
+		fmt.Fprintf(w, "\nwatchdog: %.0f alerts, %.0f stalled now\n",
 			cur.value("ibr_stall_alerts_total", nil),
-			cur.value("ibr_stalled_reservations", nil),
-			cur.value("ibr_max_epoch_lag", nil))
+			cur.value("ibr_stalled_reservations", nil))
 	}
 	if cur.has("ibr_flight_events_total") {
 		fmt.Fprintf(w, "flight recorder: %.0f events, %.0f overwritten\n",

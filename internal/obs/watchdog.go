@@ -31,7 +31,7 @@ type heldState struct {
 // leaked operation pinning reclamation. Alerts are edge-triggered per stall
 // episode: one alert when the threshold is crossed, re-armed when the
 // reservation changes or clears. A held slot also drives the stalled-now
-// gauge and the max-epoch-lag gauge, the /metrics view of Fig. 9's x-axis.
+// gauge.
 type Watchdog struct {
 	sources   []Source
 	threshold uint64 // ns
@@ -44,7 +44,6 @@ type Watchdog struct {
 
 	alerts     atomic.Uint64
 	stalledNow atomic.Int64
-	maxLag     atomic.Uint64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -104,16 +103,11 @@ func (w *Watchdog) Alerts() uint64 { return w.alerts.Load() }
 // Stalled returns the number of reservations currently past the threshold.
 func (w *Watchdog) Stalled() int64 { return w.stalledNow.Load() }
 
-// MaxEpochLag returns the largest (epoch − reserved lower) observed across
-// sources at the last tick, 0 when every slot is idle.
-func (w *Watchdog) MaxEpochLag() uint64 { return w.maxLag.Load() }
-
 // Tick runs one poll pass. It is called by the Start goroutine; tests may
 // call it directly instead of starting the goroutine (never both at once).
 func (w *Watchdog) Tick() {
 	now := nowNanos()
 	var stalled int64
-	var maxLag uint64
 	for si := range w.sources {
 		src := &w.sources[si]
 		epoch := src.Epoch()
@@ -133,9 +127,6 @@ func (w *Watchdog) Tick() {
 				// stuck StartOp keeps the same lower across ticks.
 				h.lower, h.since, h.alerted = lo, now, false
 			}
-			if lag := epoch - lo; lo <= epoch && lag > maxLag {
-				maxLag = lag
-			}
 			if now-h.since >= w.threshold {
 				stalled++
 				if !h.alerted {
@@ -149,5 +140,4 @@ func (w *Watchdog) Tick() {
 		}
 	}
 	w.stalledNow.Store(stalled)
-	w.maxLag.Store(maxLag)
 }

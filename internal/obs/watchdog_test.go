@@ -42,9 +42,6 @@ func TestWatchdogStallAlert(t *testing.T) {
 	if w.Stalled() != 1 {
 		t.Fatalf("Stalled = %d, want 1", w.Stalled())
 	}
-	if lag := w.MaxEpochLag(); lag != 60 {
-		t.Fatalf("MaxEpochLag = %d, want 60", lag)
-	}
 	w.Tick() // still stalled: edge-triggered, no second alert
 	if w.Alerts() != 1 {
 		t.Fatalf("Alerts = %d after repeat tick, want still 1", w.Alerts())

@@ -350,23 +350,6 @@ func (c *Client) Range(ctx context.Context, from, hi uint64, limit uint32) (Resp
 	return c.DoContext(ctx, Request{Op: OpRange, Key: from, KeyHi: hi, Limit: limit})
 }
 
-// Do issues one positional operation with no deadline.
-//
-// Deprecated: use DoContext with a typed Request (or the Get/Put/Del/Range
-// helpers), which bounds the wait and keeps the client usable when a
-// caller gives up.
-func (c *Client) Do(op Op, key, val uint64) (Resp, error) {
-	return c.DoContext(context.Background(), Request{Op: op, Key: key, Val: val})
-}
-
-// DoRetry issues one positional operation, retrying StatusBusy under p.
-//
-// Deprecated: dial with WithRetry(p) instead; DoContext then retries
-// transparently.
-func (c *Client) DoRetry(ctx context.Context, op Op, key, val uint64, p RetryPolicy) (Resp, error) {
-	return c.doRetry(ctx, Request{Op: op, Key: key, Val: val, TraceID: TraceIDFrom(ctx)}, p.withDefaults())
-}
-
 // Retries returns how many busy re-submissions the client's retry policy
 // has made over its lifetime — the load generator's retry-rate counter.
 func (c *Client) Retries() uint64 { return c.retries.Load() }
@@ -382,11 +365,6 @@ func (c *Client) PingContext(ctx context.Context) error {
 	}
 	return nil
 }
-
-// Ping round-trips a no-op frame with no deadline.
-//
-// Deprecated: use PingContext.
-func (c *Client) Ping() error { return c.PingContext(context.Background()) }
 
 // Close tears the connection down immediately; in-flight calls fail with an
 // error wrapping ErrClosed.

@@ -16,7 +16,7 @@ import (
 	"ibr/internal/obs"
 )
 
-// Errors returned by Engine.Submit. In every case the request was NOT
+// Errors returned by Engine.SubmitRequest. In every case the request was NOT
 // accepted and its done callback will never run. All three are distinct
 // sentinels (errors.Is-comparable) so callers can tell transient overload
 // (ErrBusy, ErrShedding — retry with backoff) from shutdown (ErrClosed).
@@ -24,15 +24,16 @@ var (
 	errClosed = errors.New("server: engine is draining")
 	errBusy   = errors.New("server: shard queue full")
 
-	// ErrClosed is returned by Submit once Close has begun.
+	// ErrClosed is returned by SubmitRequest once Close has begun.
 	ErrClosed = errClosed
-	// ErrBusy is returned by Submit when the target shard's queue is full.
+	// ErrBusy is returned by SubmitRequest when the target shard's queue is
+	// full.
 	ErrBusy = errBusy
-	// ErrShedding is returned by Submit while the target shard's unreclaimed
-	// backlog sits above its hard watermark: the shard refuses new work until
-	// reclamation catches up, instead of letting a stalled reservation grow
-	// the heap without bound. The wire layer reports it as StatusBusy, so
-	// clients treat it exactly like queue backpressure.
+	// ErrShedding is returned by SubmitRequest while the target shard's
+	// unreclaimed backlog sits above its hard watermark: the shard refuses new
+	// work until reclamation catches up, instead of letting a stalled
+	// reservation grow the heap without bound. The wire layer reports it as
+	// StatusBusy, so clients treat it exactly like queue backpressure.
 	ErrShedding = errors.New("server: shard shedding load (unreclaimed backlog above hard watermark)")
 )
 
@@ -72,7 +73,7 @@ type EngineConfig struct {
 	// shard (default 2).
 	WorkersPerShard int
 	// QueueDepth bounds each shard's request backlog (default 4096);
-	// beyond it Submit returns ErrBusy.
+	// beyond it SubmitRequest returns ErrBusy.
 	QueueDepth int
 
 	// EpochFreq, EmptyFreq, Slots tune each shard's scheme (see
@@ -100,8 +101,8 @@ type EngineConfig struct {
 	// SoftWatermark and HardWatermark are fractions of the shard pool's slot
 	// capacity (defaults 0.5 and 0.85). Above soft, the remediator forces
 	// retire-list scans on the shard's workers every tick. Above hard, the
-	// shard sheds: Submit returns ErrShedding until the backlog falls back
-	// below 90% of the hard cap.
+	// shard sheds: SubmitRequest returns ErrShedding until the backlog falls
+	// back below 90% of the hard cap.
 	SoftWatermark, HardWatermark float64
 	// QuarantineAfter is how long a leased tid's holder may stay parked with
 	// an unchanged heartbeat before the remediator quarantines the tid —
@@ -259,8 +260,8 @@ type Engine struct {
 }
 
 // NewEngine builds the shards and starts every worker, staller, and the
-// remediator. The workers idle on their queues until Submit feeds them;
-// Close stops them.
+// remediator. The workers idle on their queues until SubmitRequest feeds
+// them; Close stops them.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if !ds.SchemeSupports(cfg.Scheme, cfg.Structure) {
@@ -575,27 +576,6 @@ func (e *Engine) DoContext(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// Submit enqueues one positional operation.
-//
-// Deprecated: use SubmitRequest, which carries the full typed Request.
-func (e *Engine) Submit(op Op, key, val uint64, done func(Resp)) error {
-	return e.SubmitRequest(Request{Op: op, Key: key, Val: val}, done)
-}
-
-// SubmitTraced enqueues one positional operation with a causal trace ID.
-//
-// Deprecated: use SubmitRequest with Request.TraceID set.
-func (e *Engine) SubmitTraced(op Op, key, val, trace uint64, done func(Resp)) error {
-	return e.SubmitRequest(Request{Op: op, Key: key, Val: val, TraceID: trace}, done)
-}
-
-// Do runs one positional operation synchronously.
-//
-// Deprecated: use DoContext with a typed Request.
-func (e *Engine) Do(op Op, key, val uint64) (Resp, error) {
-	return e.DoContext(context.Background(), Request{Op: op, Key: key, Val: val})
-}
-
 // maxSpillCap bounds the batch buffer a worker keeps between queue pops.
 // Without it one backlog burst pins a backlog-peak-sized backing array per
 // worker for the engine's lifetime; oversized buffers are dropped and the
@@ -810,7 +790,8 @@ func (e *Engine) execCtl(sh *shard, tid int, r *request) {
 // Close drains the engine: new Submits fail with ErrClosed, every already
 // accepted request is executed and completed, the remediator, stallers and
 // workers exit, and each shard's retire lists are scanned one last time at
-// quiescence. It is idempotent and safe to call concurrently with Submit.
+// quiescence. It is idempotent and safe to call concurrently with
+// SubmitRequest.
 func (e *Engine) Close() {
 	// sync.Once blocks concurrent callers until the drain completes, so
 	// every Close returns only once the engine is fully quiescent.

@@ -1,8 +1,11 @@
 package server
 
 import (
-	"fmt"
+	"bytes"
+	"context"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,34 +14,35 @@ import (
 )
 
 func TestEngineBasicOps(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{Shards: 4, WorkersPerShard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 
-	if r, _ := eng.Do(OpGet, 1, 0); r.Status != StatusNotFound {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpGet, Key: 1}); r.Status != StatusNotFound {
 		t.Fatalf("Get(empty) = %v", r.Status)
 	}
-	if r, _ := eng.Do(OpPut, 1, 100); r.Status != StatusOK {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpPut, Key: 1, Val: 100}); r.Status != StatusOK {
 		t.Fatalf("Put = %v", r.Status)
 	}
-	if r, _ := eng.Do(OpPut, 1, 200); r.Status != StatusExists {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpPut, Key: 1, Val: 200}); r.Status != StatusExists {
 		t.Fatalf("second Put = %v", r.Status)
 	}
-	if r, _ := eng.Do(OpGet, 1, 0); r.Status != StatusOK || r.Val != 100 {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpGet, Key: 1}); r.Status != StatusOK || r.Val != 100 {
 		t.Fatalf("Get = %v/%d", r.Status, r.Val)
 	}
-	if r, _ := eng.Do(OpDel, 1, 0); r.Status != StatusOK {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpDel, Key: 1}); r.Status != StatusOK {
 		t.Fatalf("Del = %v", r.Status)
 	}
-	if r, _ := eng.Do(OpDel, 1, 0); r.Status != StatusNotFound {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpDel, Key: 1}); r.Status != StatusNotFound {
 		t.Fatalf("second Del = %v", r.Status)
 	}
-	if r, _ := eng.Do(OpPing, 0, 7); r.Status != StatusOK || r.Val != 7 {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpPing, Val: 7}); r.Status != StatusOK || r.Val != 7 {
 		t.Fatalf("Ping = %v/%d", r.Status, r.Val)
 	}
-	if r, _ := eng.Do(OpGet, ds.KeyLimit, 0); r.Status != StatusBadRequest {
+	if r, _ := eng.DoContext(ctx, Request{Op: OpGet, Key: ds.KeyLimit}); r.Status != StatusBadRequest {
 		t.Fatalf("Get(KeyLimit) = %v, want BAD_REQUEST", r.Status)
 	}
 }
@@ -46,12 +50,13 @@ func TestEngineBasicOps(t *testing.T) {
 // TestEngineShardDistribution checks every shard sees traffic for a dense
 // key range — i.e. the shard hash actually spreads the key space.
 func TestEngineShardDistribution(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{Shards: 8, WorkersPerShard: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 4096; k++ {
-		if _, err := eng.Do(OpPut, k, k); err != nil {
+		if _, err := eng.DoContext(ctx, Request{Op: OpPut, Key: k, Val: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +70,7 @@ func TestEngineShardDistribution(t *testing.T) {
 
 // TestEngineDrainLosesNothing is the shutdown/drain race test of the
 // issue: submitters race Close, and every operation the engine accepted
-// (Submit returned nil) must complete exactly once — none lost, none
+// (SubmitRequest returned nil) must complete exactly once — none lost, none
 // double-completed — even though Close lands mid-stream. Run with -race.
 func TestEngineDrainLosesNothing(t *testing.T) {
 	for round := 0; round < 8; round++ {
@@ -96,7 +101,7 @@ func TestEngineDrainLosesNothing(t *testing.T) {
 						op = OpDel
 					}
 					var fired atomic.Bool
-					err := eng.Submit(op, key, key, func(Resp) {
+					err := eng.SubmitRequest(Request{Op: op, Key: key, Val: key}, func(Response) {
 						if !fired.CompareAndSwap(false, true) {
 							t.Error("request completed twice")
 						}
@@ -110,7 +115,7 @@ func TestEngineDrainLosesNothing(t *testing.T) {
 					case ErrClosed:
 						return
 					default:
-						t.Errorf("Submit: %v", err)
+						t.Errorf("SubmitRequest: %v", err)
 						return
 					}
 				}
@@ -133,7 +138,7 @@ func TestEngineDrainLosesNothing(t *testing.T) {
 }
 
 // TestEngineBusyBackpressure fills a tiny queue from a stalled shard and
-// checks Submit surfaces ErrBusy rather than buffering without bound.
+// checks SubmitRequest surfaces ErrBusy rather than buffering without bound.
 func TestEngineBusyBackpressure(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{Shards: 1, WorkersPerShard: 1, QueueDepth: 4})
 	if err != nil {
@@ -143,13 +148,13 @@ func TestEngineBusyBackpressure(t *testing.T) {
 	// Park the single worker on a request that blocks until we say so.
 	gate := make(chan struct{})
 	blocked := make(chan struct{})
-	if err := eng.Submit(OpPing, 0, 0, func(Resp) { close(blocked); <-gate }); err != nil {
+	if err := eng.SubmitRequest(Request{Op: OpPing}, func(Response) { close(blocked); <-gate }); err != nil {
 		t.Fatal(err)
 	}
 	<-blocked // the worker is now inside a done callback, not popping
 	sawBusy := false
 	for i := 0; i < 64; i++ {
-		err := eng.Submit(OpPing, uint64(i), 0, func(Resp) {})
+		err := eng.SubmitRequest(Request{Op: OpPing, Key: uint64(i)}, func(Response) {})
 		if err == ErrBusy {
 			sawBusy = true
 			break
@@ -165,8 +170,9 @@ func TestEngineBusyBackpressure(t *testing.T) {
 }
 
 // TestEngineStats checks the metrics snapshot exposes work and epoch
-// movement for an epoch-based scheme.
+// movement for an epoch-based scheme, and that /metrics agrees with it.
 func TestEngineStats(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{
 		Structure: "hashmap", Scheme: "tagibr",
 		Shards: 2, WorkersPerShard: 1, EpochFreq: 4, EmptyFreq: 4,
@@ -175,38 +181,73 @@ func TestEngineStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 2000; k++ {
-		eng.Do(OpPut, k, k)
+		eng.DoContext(ctx, Request{Op: OpPut, Key: k, Val: k})
 		if k%2 == 0 {
-			eng.Do(OpDel, k, 0)
+			eng.DoContext(ctx, Request{Op: OpDel, Key: k})
 		}
 	}
-	snap := eng.snapshot()
-	if snap.Ops == 0 || snap.Live == 0 {
-		t.Fatalf("snapshot shows no work: %+v", snap)
+	stats := eng.Stats()
+	if len(stats) != 2 {
+		t.Fatalf("Stats() has %d shards, want 2", len(stats))
 	}
-	if snap.PerShard[0].Epoch == 0 || snap.PerShard[1].Epoch == 0 {
-		t.Fatalf("epoch clock did not advance: %+v", snap.PerShard)
+	var ops, live, scans, examined, freed uint64
+	for i, st := range stats {
+		if st.Epoch == 0 {
+			t.Fatalf("shard %d: epoch clock did not advance: %+v", i, st)
+		}
+		ops, live = ops+st.Ops, live+st.Live
+		scans, examined, freed = scans+st.Scan.Scans, examined+st.Scan.Scanned, freed+st.Scan.Freed
 	}
-	if got := fmt.Sprintf("%d", snap.Shards); got != "2" {
-		t.Fatalf("shards = %s", got)
+	if ops == 0 || live == 0 {
+		t.Fatalf("stats show no work: %+v", stats)
 	}
 	// A delete-heavy run with EmptyFreq 4 must have scanned retire lists and
-	// freed blocks; the scan counters ride ShardStats into the snapshot.
-	if snap.Scans == 0 || snap.ScanFreed == 0 {
-		t.Fatalf("scan stats missing from snapshot: %+v", snap)
+	// freed blocks; the scan counters ride ShardStats.
+	if scans == 0 || freed == 0 {
+		t.Fatalf("scan stats missing: %+v", stats)
 	}
-	if snap.ScanExamined < snap.ScanFreed {
-		t.Fatalf("examined %d < freed %d: scans cannot free more than they examine",
-			snap.ScanExamined, snap.ScanFreed)
+	if examined < freed {
+		t.Fatalf("examined %d < freed %d: scans cannot free more than they examine", examined, freed)
 	}
-	var perShardScans uint64
-	for _, sh := range snap.PerShard {
-		perShardScans += sh.Scans
-	}
-	if perShardScans != snap.Scans {
-		t.Fatalf("per-shard scans %d do not sum to total %d", perShardScans, snap.Scans)
+	// /metrics is built from the same snapshot: its per-shard scan series
+	// sum to the Stats totals.
+	text := scrapeMetrics(t, eng)
+	if got, _ := seriesSum(text, "ibr_scans_total", ""); got != float64(scans) {
+		t.Fatalf("Σ ibr_scans_total = %v, want %d", got, scans)
 	}
 	eng.Close()
+}
+
+// scrapeMetrics renders the engine's /metrics exposition.
+func scrapeMetrics(t *testing.T, eng *Engine) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.WriteMetrics(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// seriesSum sums every sample of the named series whose label set contains
+// match (e.g. `source="expiry"`; "" matches all) and counts the samples.
+func seriesSum(text, name, match string) (total float64, n int) {
+	for _, line := range strings.Split(text, "\n") {
+		series, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		base, labels, _ := strings.Cut(series, "{")
+		if base != name || !strings.Contains(labels, match) {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			continue
+		}
+		total += v
+		n++
+	}
+	return total, n
 }
 
 // TestTrimSpill checks the worker's batch-buffer recycling stays bounded: a

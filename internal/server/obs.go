@@ -195,22 +195,6 @@ func (eo *EngineObs) OpLatency(i int) obs.HistSnapshot {
 	return eo.opLat[i].Snapshot()
 }
 
-// RangeLen snapshots the merged result-size histogram of completed Ranges.
-func (eo *EngineObs) RangeLen() obs.HistSnapshot {
-	if eo == nil {
-		return obs.HistSnapshot{}
-	}
-	return eo.rangeLen.Snapshot()
-}
-
-// RetireAge snapshots shard i's retire→free age histogram (epochs).
-func (eo *EngineObs) RetireAge(i int) obs.HistSnapshot {
-	if eo == nil {
-		return obs.HistSnapshot{}
-	}
-	return eo.retireAge[i].Snapshot()
-}
-
 // ScanPhase snapshots phase p of the engine-wide scan-phase timing
 // breakdown (obs.Phase* order, matching obs.PhaseNames).
 func (eo *EngineObs) ScanPhase(p int) obs.HistSnapshot {
@@ -218,22 +202,4 @@ func (eo *EngineObs) ScanPhase(p int) obs.HistSnapshot {
 		return obs.HistSnapshot{}
 	}
 	return eo.phases[p].Snapshot()
-}
-
-// PinnedBlame returns shard i's pinned-memory blame attribution, most
-// pinned first (empty when observability is off).
-func (eo *EngineObs) PinnedBlame(i int) []obs.PinStat {
-	if eo == nil {
-		return nil
-	}
-	return eo.scheme[i].PinnedBlame()
-}
-
-// Shards returns the number of shard observers (0 when observability is
-// off); the per-shard accessors accept indices below it.
-func (eo *EngineObs) Shards() int {
-	if eo == nil {
-		return 0
-	}
-	return len(eo.scheme)
 }

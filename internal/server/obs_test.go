@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +19,7 @@ import (
 // concurrently with the serving workers. Run with -race — the scrape paths
 // must never synchronize with, pause, or corrupt the hot path.
 func TestEngineObsConcurrentScrape(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{
 		Shards: 2, WorkersPerShard: 2, QueueDepth: 1024,
 		EpochFreq: 8, EmptyFreq: 8,
@@ -67,9 +69,9 @@ func TestEngineObsConcurrentScrape(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				key := uint64(pr*1000 + i%512)
-				eng.Do(OpPut, key, key)
-				eng.Do(OpGet, key, 0)
-				eng.Do(OpDel, key, 0)
+				eng.DoContext(ctx, Request{Op: OpPut, Key: key, Val: key})
+				eng.DoContext(ctx, Request{Op: OpGet, Key: key})
+				eng.DoContext(ctx, Request{Op: OpDel, Key: key})
 			}
 		}(pr)
 	}
@@ -146,12 +148,13 @@ func TestEngineObsConcurrentScrape(t *testing.T) {
 // TestEngineObsDisabled checks the nil path: no obs config, handlers still
 // serve the stats-derived series, and the flight recorder 404s.
 func TestEngineObsDisabled(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{Shards: 1, WorkersPerShard: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	eng.Do(OpPut, 1, 1)
+	eng.DoContext(ctx, Request{Op: OpPut, Key: 1, Val: 1})
 
 	var buf bytes.Buffer
 	if err := eng.WriteMetrics(&buf, nil); err != nil {

@@ -196,8 +196,6 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 			p.Uint("ibr_stall_alerts_total", nil, wd.Alerts())
 			p.Header("ibr_stalled_reservations", "gauge", "Reservations currently held past the stall threshold.")
 			p.Int("ibr_stalled_reservations", nil, wd.Stalled())
-			p.Header("ibr_max_epoch_lag", "gauge", "Largest epoch minus reserved lower endpoint at the last watchdog tick.")
-			p.Uint("ibr_max_epoch_lag", nil, wd.MaxEpochLag())
 		}
 
 		p.Header("ibr_flight_events_total", "counter", "Flight-recorder events written across all rings.")

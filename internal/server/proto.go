@@ -155,12 +155,6 @@ type Response struct {
 	Pairs  []Pair
 }
 
-// Resp is the former name of Response, kept as an alias so pre-v2 callers
-// compile unchanged.
-//
-// Deprecated: use Response.
-type Resp = Response
-
 // Frame layout. Every frame is a 4-byte big-endian payload length followed
 // by the payload:
 //

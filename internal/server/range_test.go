@@ -108,6 +108,9 @@ func TestEngineTTLExpiry(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{
 		Structure: "skiplist", Scheme: "tagibr",
 		Shards: 2, WorkersPerShard: 1,
+		// Never scan: the retired nodes stay unreclaimed, so the closing
+		// Range samples a non-zero backlog.
+		EmptyFreq:         1 << 20,
 		RemedyInterval:    2 * time.Millisecond,
 		ExpiryGranularity: time.Millisecond,
 	})
@@ -196,6 +199,26 @@ func TestEngineTTLExpiry(t *testing.T) {
 	}
 	if retiredUser == 0 {
 		t.Fatal("no retirements attributed to SourceUser (the Del above retired)")
+	}
+
+	// One scan over the expired interval, then the /metrics view of the
+	// range and TTL families: present and non-zero, one leg per shard.
+	if r, err := eng.DoContext(ctx, Request{Op: OpRange, Key: 0, KeyHi: n - 1}); err != nil || r.Status != StatusOK {
+		t.Fatalf("Range = %v/%v", r.Status, err)
+	}
+	text := scrapeMetrics(t, eng)
+	for _, s := range []struct{ name, match string }{
+		{"ibr_range_legs_total", ""},
+		{"ibr_expired_total", ""},
+		{"ibr_retired_total", `source="expiry"`},
+		{"ibr_unreclaimed_under_scan", ""},
+	} {
+		if v, samples := seriesSum(text, s.name, s.match); samples == 0 || v == 0 {
+			t.Errorf("/metrics %s{%s}: %d samples summing to %v, want present and non-zero", s.name, s.match, samples, v)
+		}
+	}
+	if legs, _ := seriesSum(text, "ibr_range_legs_total", ""); legs != 2 {
+		t.Errorf("Σ ibr_range_legs_total = %v, want 2 (one scan × 2 shards)", legs)
 	}
 }
 

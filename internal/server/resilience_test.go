@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -47,6 +48,7 @@ func unreclaimed(stats []ShardStats) int {
 // withdraws) and hyaline (a stuck active slot whose batch references the
 // clear force-drops).
 func TestQuarantineDrainsStalledBacklog(t *testing.T) {
+	ctx := context.Background()
 	for _, scheme := range []string{"ebr", "hyaline"} {
 		t.Run(scheme, func(t *testing.T) {
 			eng, err := NewEngine(EngineConfig{
@@ -67,10 +69,10 @@ func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 			churn := func(rounds int) {
 				for i := 0; i < rounds; i++ {
 					k := uint64(i % 512)
-					if _, err := eng.Do(OpPut, k, k+1); err != nil {
+					if _, err := eng.DoContext(ctx, Request{Op: OpPut, Key: k, Val: k + 1}); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := eng.Do(OpDel, k, 0); err != nil {
+					if _, err := eng.DoContext(ctx, Request{Op: OpDel, Key: k}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -109,6 +111,7 @@ func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 // backlog must drain while the stall keeps running — the lease watchdog
 // standing in for DEBRA+'s POSIX signal.
 func TestQuarantineNeutralizesDEBRA(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{
 		Scheme: "debra", Shards: 1, WorkersPerShard: 1,
 		EpochFreq: 4, EmptyFreq: 4,
@@ -125,10 +128,10 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 	churn := func(rounds int) {
 		for i := 0; i < rounds; i++ {
 			k := uint64(i % 512)
-			if _, err := eng.Do(OpPut, k, k+1); err != nil {
+			if _, err := eng.DoContext(ctx, Request{Op: OpPut, Key: k, Val: k + 1}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.Do(OpDel, k, 0); err != nil {
+			if _, err := eng.DoContext(ctx, Request{Op: OpDel, Key: k}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,6 +168,7 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 // crashing, (2) get the dead tid quarantined and its retired backlog
 // adopted, (3) keep the shard serving via a replacement worker.
 func TestWorkerDeathReplacement(t *testing.T) {
+	ctx := context.Background()
 	const poison = uint64(7777)
 	eng, err := NewEngine(EngineConfig{
 		Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
@@ -184,16 +188,16 @@ func TestWorkerDeathReplacement(t *testing.T) {
 
 	// Build a retire backlog on the doomed worker's tid.
 	for i := uint64(0); i < 64; i++ {
-		if _, err := eng.Do(OpPut, i, i); err != nil {
+		if _, err := eng.DoContext(ctx, Request{Op: OpPut, Key: i, Val: i}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Do(OpDel, i, 0); err != nil {
+		if _, err := eng.DoContext(ctx, Request{Op: OpDel, Key: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	resp, err := eng.Do(OpGet, poison, 0)
+	resp, err := eng.DoContext(ctx, Request{Op: OpGet, Key: poison})
 	if err != nil {
-		t.Fatalf("Submit of the poisoned request failed: %v", err)
+		t.Fatalf("DoContext of the poisoned request failed: %v", err)
 	}
 	if resp.Status != StatusInternal {
 		t.Fatalf("poisoned request answered %v, want StatusInternal", resp.Status)
@@ -202,7 +206,7 @@ func TestWorkerDeathReplacement(t *testing.T) {
 	// The shard must come back: a replacement worker leases a spare tid and
 	// serves, and the dead tid's backlog is adopted.
 	if !waitFor(2*time.Second, func() bool {
-		r, err := eng.Do(OpPut, 9999, 1)
+		r, err := eng.DoContext(ctx, Request{Op: OpPut, Key: 9999, Val: 1})
 		return err == nil && r.Status == StatusOK
 	}) {
 		t.Fatal("shard never resumed serving after the worker death")
@@ -225,9 +229,10 @@ func TestWorkerDeathReplacement(t *testing.T) {
 
 // TestSheddingAboveHardWatermark: with a staller pinning reclamation
 // indefinitely and watermarks scaled down to a tiny pool, churn must push
-// the shard over its hard cap and turn Submit into ErrShedding — admission
+// the shard over its hard cap and turn SubmitRequest into ErrShedding — admission
 // control instead of unbounded backlog growth.
 func TestSheddingAboveHardWatermark(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{
 		Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
 		EpochFreq: 4, EmptyFreq: 4,
@@ -247,14 +252,14 @@ func TestSheddingAboveHardWatermark(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; time.Now().Before(deadline); i++ {
 		k := uint64(i % 1024)
-		if _, err := eng.Do(OpPut, k, k+1); err != nil {
+		if _, err := eng.DoContext(ctx, Request{Op: OpPut, Key: k, Val: k + 1}); err != nil {
 			if errors.Is(err, ErrShedding) {
 				sawShedding = true
 				break
 			}
 			t.Fatal(err)
 		}
-		if _, err := eng.Do(OpDel, k, 0); err != nil {
+		if _, err := eng.DoContext(ctx, Request{Op: OpDel, Key: k}); err != nil {
 			if errors.Is(err, ErrShedding) {
 				sawShedding = true
 				break
@@ -275,6 +280,7 @@ func TestSheddingAboveHardWatermark(t *testing.T) {
 // dry; Puts must answer StatusBusy — typed backpressure — rather than
 // panicking or misreporting StatusExists.
 func TestPoolExhaustionBecomesBusy(t *testing.T) {
+	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{
 		Scheme: "none", Shards: 1, WorkersPerShard: 1,
 		PoolSlots: 256,
@@ -288,7 +294,7 @@ func TestPoolExhaustionBecomesBusy(t *testing.T) {
 
 	var sawBusy bool
 	for i := uint64(0); i < 1024; i++ {
-		resp, err := eng.Do(OpPut, i, i+1)
+		resp, err := eng.DoContext(ctx, Request{Op: OpPut, Key: i, Val: i + 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +316,7 @@ func TestPoolExhaustionBecomesBusy(t *testing.T) {
 		t.Fatal("PoolExhausted counter did not move")
 	}
 	// And the engine is still alive: reads keep working on the full pool.
-	if r, err := eng.Do(OpGet, 0, 0); err != nil || r.Status != StatusOK {
+	if r, err := eng.DoContext(ctx, Request{Op: OpGet, Key: 0}); err != nil || r.Status != StatusOK {
 		t.Fatalf("Get after exhaustion = %v, %v; want OK", r, err)
 	}
 }

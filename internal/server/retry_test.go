@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -73,9 +75,9 @@ func TestBackoffDelayBounds(t *testing.T) {
 	}
 }
 
-// TestDoRetryExhaustion: a server that never stops answering BUSY makes
-// DoRetry spend its attempts, sleep between them, count the retries, and
-// return an error wrapping ErrBusy alongside the last busy Resp.
+// TestDoRetryExhaustion: a server that never stops answering BUSY makes the
+// retry loop spend its attempts, count the retries, and return an error
+// wrapping ErrBusy alongside the last busy Response.
 func TestDoRetryExhaustion(t *testing.T) {
 	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
 		return Response{Status: StatusBusy}, 0
@@ -86,26 +88,47 @@ func TestDoRetryExhaustion(t *testing.T) {
 	}
 	defer cl.Close()
 	p := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-	resp, err := cl.DoRetry(context.Background(), OpPut, 1, 2, p)
+	resp, err := cl.doRetry(context.Background(), Request{Op: OpPut, Key: 1, Val: 2}, p)
 	if !errors.Is(err, ErrBusy) {
-		t.Fatalf("DoRetry error = %v, want errors.Is ErrBusy", err)
+		t.Fatalf("doRetry error = %v, want errors.Is ErrBusy", err)
 	}
 	if resp.Status != StatusBusy {
-		t.Fatalf("DoRetry resp = %v, want the last busy response", resp)
+		t.Fatalf("doRetry resp = %v, want the last busy response", resp)
 	}
 	if got := cl.Retries(); got != uint64(p.MaxAttempts-1) {
 		t.Fatalf("Retries() = %d, want %d", got, p.MaxAttempts-1)
 	}
 }
 
+// TestDoRetryEventualSuccess: busy responses stop after two tries; the
+// third succeeds with no error.
+func TestDoRetryEventualSuccess(t *testing.T) {
+	var calls atomic.Int32
+	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
+		if calls.Add(1) <= 2 {
+			return Response{Status: StatusBusy}, 0
+		}
+		return Response{Status: StatusOK, Val: req.Val}, 0
+	})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}.withDefaults()
+	resp, err := cl.doRetry(context.Background(), Request{Op: OpPut, Key: 1, Val: 7}, p)
+	if err != nil || resp.Status != StatusOK || resp.Val != 7 {
+		t.Fatalf("doRetry = %v, %v; want OK/7", resp, err)
+	}
+}
+
 // TestWithRetryClient: a WithRetry client retries transparently inside
-// DoContext — no DoRetry call, no per-call policy — and succeeds once the
+// DoContext — no per-call policy — and succeeds with no error once the
 // server stops answering busy.
 func TestWithRetryClient(t *testing.T) {
-	var calls int
+	var calls atomic.Int32
 	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
-		calls++
-		if calls <= 2 {
+		if calls.Add(1) <= 2 {
 			return Response{Status: StatusBusy}, 0
 		}
 		return Response{Status: StatusOK, Val: req.Val}, 0
@@ -122,15 +145,27 @@ func TestWithRetryClient(t *testing.T) {
 	if got := cl.Retries(); got != 2 {
 		t.Fatalf("Retries() = %d, want 2", got)
 	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("server saw %d attempts, want 3", got)
+	}
 }
 
-// TestWithRetryExhaustion: the WithRetry client's exhaustion surface matches
-// DoRetry's — the last busy Response plus an ErrBusy-wrapping error.
+// TestWithRetryExhaustion: a server that never stops answering BUSY makes a
+// WithRetry client spend every attempt, back off between them, count the
+// retries, and return the last busy Response with an error wrapping ErrBusy.
 func TestWithRetryExhaustion(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		arrivals []time.Time
+	)
 	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
+		mu.Lock()
+		arrivals = append(arrivals, time.Now())
+		mu.Unlock()
 		return Response{Status: StatusBusy}, 0
 	})
-	cl, err := Dial(addr, WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}))
+	p := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
+	cl, err := Dial(addr, WithRetry(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,28 +177,20 @@ func TestWithRetryExhaustion(t *testing.T) {
 	if resp.Status != StatusBusy {
 		t.Fatalf("Get resp = %v, want the last busy response", resp)
 	}
-}
-
-// TestDoRetryEventualSuccess: busy responses stop after two tries; the
-// third succeeds with no error.
-func TestDoRetryEventualSuccess(t *testing.T) {
-	var calls int
-	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
-		calls++
-		if calls <= 2 {
-			return Response{Status: StatusBusy}, 0
-		}
-		return Response{Status: StatusOK, Val: req.Val}, 0
-	})
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	if got := cl.Retries(); got != uint64(p.MaxAttempts-1) {
+		t.Fatalf("Retries() = %d, want %d", got, p.MaxAttempts-1)
 	}
-	defer cl.Close()
-	resp, err := cl.DoRetry(context.Background(), OpPut, 1, 7,
-		RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
-	if err != nil || resp.Status != StatusOK || resp.Val != 7 {
-		t.Fatalf("DoRetry = %v, %v; want OK/7", resp, err)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(arrivals) != p.MaxAttempts {
+		t.Fatalf("server saw %d attempts, want %d", len(arrivals), p.MaxAttempts)
+	}
+	// Attempt n+1 waits at least the jitter floor of backoffDelay(p, n).
+	for n := 0; n+1 < len(arrivals); n++ {
+		floor := min(p.BaseDelay<<n, p.MaxDelay) / 2
+		if gap := arrivals[n+1].Sub(arrivals[n]); gap < floor {
+			t.Fatalf("attempt %d followed attempt %d after %v, want a backoff of at least %v", n+2, n+1, gap, floor)
+		}
 	}
 }
 
@@ -216,6 +243,7 @@ func TestDoContextAbandonInFlight(t *testing.T) {
 // TestCloseWrapsErrClosed: calls failed by Close report an error callers
 // can match with errors.Is(err, ErrClosed).
 func TestCloseWrapsErrClosed(t *testing.T) {
+	ctx := context.Background()
 	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
 		return Response{Status: StatusOK, Val: req.Val}, time.Second // park the call until Close
 	})
@@ -225,19 +253,20 @@ func TestCloseWrapsErrClosed(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cl.Do(OpGet, 1, 0)
+		_, err := cl.DoContext(ctx, Request{Op: OpGet, Key: 1})
 		errc <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // let the call get on the wire
 	cl.Close()
 	if err := <-errc; !errors.Is(err, ErrClosed) {
-		t.Fatalf("in-flight Do after Close = %v, want errors.Is ErrClosed", err)
+		t.Fatalf("in-flight DoContext after Close = %v, want errors.Is ErrClosed", err)
 	}
 }
 
 // TestCloseContextGraceful: CloseContext waits out in-flight calls instead
 // of failing them.
 func TestCloseContextGraceful(t *testing.T) {
+	ctx := context.Background()
 	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
 		return Response{Status: StatusOK, Val: req.Val}, 50 * time.Millisecond
 	})
@@ -247,7 +276,7 @@ func TestCloseContextGraceful(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := cl.Do(OpPut, 1, 5)
+		_, err := cl.DoContext(ctx, Request{Op: OpPut, Key: 1, Val: 5})
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -255,6 +284,6 @@ func TestCloseContextGraceful(t *testing.T) {
 		t.Fatalf("CloseContext: %v", err)
 	}
 	if err := <-errc; err != nil {
-		t.Fatalf("in-flight Do during graceful close: %v", err)
+		t.Fatalf("in-flight DoContext during graceful close: %v", err)
 	}
 }

@@ -78,12 +78,6 @@ func (s *Server) ProtoDropped() uint64 { return s.protoDropped.Load() }
 // connections.
 func (s *Server) ProtoRejected() uint64 { return s.protoRejected.Load() }
 
-// ProtoErrors returns ProtoDropped() + ProtoRejected().
-//
-// Deprecated: the two counts mean different things (a lost connection vs a
-// survivable bad frame); use the split counters.
-func (s *Server) ProtoErrors() uint64 { return s.protoDropped.Load() + s.protoRejected.Load() }
-
 // Serve runs the accept loop on ln until Shutdown. It returns nil on
 // graceful shutdown and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
@@ -149,8 +143,10 @@ func (s *Server) Shutdown() {
 		s.ln.Close()
 	}
 	for c := range s.conns {
-		// Wake blocked readers immediately; handle() sees draining and
-		// stops reading new frames instead of treating this as idleness.
+		// Wake blocked readers immediately. A reader between frames may
+		// overwrite this deadline with its own idle deadline, but it checks
+		// draining right after doing so (see handle): it either sees the
+		// flag stored above or has its reset overwritten by this kick.
 		c.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
@@ -256,6 +252,9 @@ func (s *Server) handle(c net.Conn) {
 	frame := make([]byte, maxReqFrame)
 	for !dead.Load() {
 		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		if s.draining.Load() {
+			break // Shutdown began; its kick may predate the reset above
+		}
 		payload, err := readFrame(br, maxReqFrame, frame)
 		if err != nil {
 			var ne net.Error

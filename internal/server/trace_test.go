@@ -65,13 +65,13 @@ func TestTraceHandlerConcurrentScrape(t *testing.T) {
 			if testing.Short() {
 				n = 1000
 			}
-			ch := make(chan Resp, 1)
-			done := func(r Resp) { ch <- r }
+			ch := make(chan Response, 1)
+			done := func(r Response) { ch <- r }
 			for i := 0; i < n; i++ {
 				key := uint64(pr*1000 + i%512)
 				trace := uint64(pr+1)<<32 | uint64(i+1)
 				for _, op := range []Op{OpPut, OpDel} {
-					if err := eng.SubmitTraced(op, key, key, trace, done); err == nil {
+					if err := eng.SubmitRequest(Request{Op: op, Key: key, Val: key, TraceID: trace}, done); err == nil {
 						<-ch
 					}
 				}

@@ -55,11 +55,6 @@ type (
 	Status = server.Status
 )
 
-// Resp is the former name of Response.
-//
-// Deprecated: use Response.
-type Resp = server.Resp
-
 // ObsOptions tunes the engine's observability layer (EngineConfig.Obs).
 type ObsOptions = obs.Options
 
