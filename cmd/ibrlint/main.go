@@ -8,10 +8,9 @@
 //
 // (That is exactly what `make lint` does.) The suite:
 //
-//	derefguard   shared-memory accesses in internal/ds stay inside the
-//	             StartOp/EndOp reservation bracket; handing a handle to an
-//	             opaque visitor callback (the ds.Ranger idiom) counts as
-//	             such an access
+//	derefguard   internal/ds reaches the protocol only through the
+//	             internal/guard facade: no raw core.Scheme method calls
+//	             and no mem.Pool.Get, so every access is bracketed by Do
 //	endop        every StartOp is matched by EndOp on all return paths
 //	retirefree   only internal/core and internal/mem may Free directly;
 //	             data structures must Scheme.Retire

@@ -66,9 +66,12 @@ func main() {
 			defer wg.Done()
 			defer xformDone.Add(1)
 			for {
+				// Load the done flag before the attempt: a Dequeue that
+				// fails after every producer finished proves q1 is drained.
+				done := prodDone.Load() == producers
 				v, ok := q1.Dequeue(tid)
 				if !ok {
-					if prodDone.Load() == producers && q1.Len() == 0 {
+					if done {
 						return
 					}
 					continue
@@ -84,13 +87,14 @@ func main() {
 		go func(tid int) {
 			defer wg.Done()
 			for {
+				done := xformDone.Load() == stage2ers
 				v, ok := q2.Dequeue(tid)
 				if ok {
 					stage3Sum.Add(v)
 					consumed.Add(1)
 					continue
 				}
-				if xformDone.Load() == stage2ers && q2.Len() == 0 {
+				if done {
 					return
 				}
 			}

@@ -60,12 +60,15 @@ func main() {
 		go func(tid int) {
 			defer wg.Done()
 			for {
+				// Load the done flag before the attempt: a Pop that fails
+				// after every producer finished proves the stack is drained.
+				done := prodDone.Load() == producers
 				if v, ok := st.Pop(tid); ok {
 					popped.Add(1)
 					sumOut.Add(v)
 					continue
 				}
-				if prodDone.Load() == producers && st.Len() == 0 {
+				if done {
 					return
 				}
 			}

@@ -1,250 +1,70 @@
-// Package derefguard enforces the read-side reservation discipline of the
-// IBR protocol (paper Fig. 1, §2–§3) inside the data-structure layer: every
-// access to shared pool memory — mem.Pool.Get, core.Ptr loads, and the
-// Scheme pointer operations — must happen inside a StartOp/EndOp bracket.
+// Package derefguard keeps the data-structure layer on the guard facade,
+// which is how it enforces the read-side reservation discipline of the IBR
+// protocol (paper Fig. 1, §2–§3: a block is safe to touch only inside a
+// reservation). In non-test files of a package ending in internal/ds, every
+// core.Scheme method call and every mem.Pool.Get call is a finding: a
+// structure opens its bracket with guard.Guarded.Do and touches handles only
+// through the Guard that Do passes, so no access can sit outside a bracket.
 //
-// Concretely, for every function in a package ending in internal/ds:
-//
-//   - if the function calls StartOp, every protected operation must be
-//     dominated by a StartOp call and must not follow a plain (non-deferred)
-//     EndOp on any control-flow path;
-//   - if the function is exported and performs protected operations without
-//     any StartOp, every such operation is flagged: an API entry point must
-//     establish a reservation or be annotated as quiescence-only with
-//     //ibrlint:ignore <reason>;
-//   - unexported functions with no StartOp of their own are assumed to be
-//     traversal helpers running under their caller's bracket and are skipped
-//     (the bracket is checked at the exported entry points).
-//
-// Passing a mem.Handle to an opaque visitor callback (a function-typed
-// parameter or field — the ds.Ranger idiom) counts as a protected operation
-// too: the callback may dereference the handle, so the exposure must happen
-// inside the bracket. Locally bound closures (the recursive-walk idiom) are
-// exempt — their bodies are visible and checked on their own.
+// Ptr.Raw and Ptr.FetchOrMarks stay legal. They are compare-only loads, and
+// the handles they return can only be dereferenced through a Guard.
 //
 // Test files are exempt: tests deliberately stage quiescent inspections.
 package derefguard
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/cfg"
 
 	"ibr/internal/analysis/ibrlint"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "derefguard",
-	Doc:      "check that shared-memory accesses in internal/ds are bracketed by StartOp/EndOp",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, ibrlint.Directives},
+	Doc:      "check that internal/ds reaches the reservation protocol only through internal/guard",
+	Requires: []*analysis.Analyzer{ibrlint.Directives},
 	Run:      run,
 }
-
-// event kinds recognized inside a CFG block.
-type evKind int
-
-const (
-	evStart evKind = iota // StartOp: opens the bracket
-	evEnd                 // plain EndOp: closes the bracket
-	evOp                  // protected operation: must be inside the bracket
-)
-
-type event struct {
-	kind evKind
-	pos  token.Pos
-	what string // display name for evOp, e.g. "Pool.Get"
-}
-
-// state is the may-analysis lattice: unprot = some path reaches here with no
-// dominating StartOp; ended = some path reaches here after a plain EndOp.
-type state struct{ unprot, ended bool }
-
-func (s state) join(o state) state { return state{s.unprot || o.unprot, s.ended || o.ended} }
 
 func run(pass *analysis.Pass) (any, error) {
 	if !ibrlint.PkgIs(pass.Pkg.Path(), "internal/ds") {
 		return nil, nil
 	}
 	rep := ibrlint.NewReporter(pass)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
 	for _, f := range pass.Files {
 		if ibrlint.TestFile(pass, f.Pos()) {
 			continue
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			if !hasStartOp(pass, fd.Body) && !fd.Name.IsExported() {
-				continue // helper running under the caller's bracket
+			fn := ibrlint.MethodCallee(pass.TypesInfo, call)
+			if fn == nil || fn.Pkg() == nil {
+				return true
 			}
-			if g := cfgs.FuncDecl(fd); g != nil {
-				locals := ibrlint.FuncLitBindings(pass.TypesInfo, fd.Body)
-				checkFunc(pass, rep, g, locals)
+			recv := recvName(fn)
+			if ibrlint.PkgIs(fn.Pkg().Path(), ibrlint.CorePkg) && recv != "Ptr" ||
+				ibrlint.IsMethod(fn, ibrlint.MemPkg, "Get") && recv == "Pool" {
+				rep.Reportf(call.Pos(), "raw %s.%s in internal/ds: go through internal/guard (bracket with Guarded.Do, touch handles through its Guard)", recv, fn.Name())
 			}
-		}
+			return true
+		})
 	}
 	return nil, nil
 }
 
-// hasStartOp reports whether body calls StartOp outside nested closures.
-func hasStartOp(pass *analysis.Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if ibrlint.CoreCall(pass.TypesInfo, n, "StartOp") != nil {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// checkFunc runs the bracket dataflow over one function's CFG.
-func checkFunc(pass *analysis.Pass, rep *ibrlint.Reporter, g *cfg.CFG, locals map[types.Object]bool) {
-	blocks := g.Blocks
-	events := make([][]event, len(blocks))
-	index := make(map[*cfg.Block]int, len(blocks))
-	for i, b := range blocks {
-		index[b] = i
-		for _, n := range b.Nodes {
-			events[i] = append(events[i], blockEvents(pass, n, locals)...)
-		}
-	}
-
-	in := make([]state, len(blocks))
-	seen := make([]bool, len(blocks))
-	in[0] = state{unprot: true}
-	seen[0] = true
-	work := []int{0}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := transfer(in[i], events[i])
-		for _, succ := range blocks[i].Succs {
-			j := index[succ]
-			next := out
-			if seen[j] {
-				next = in[j].join(out)
-				if next == in[j] {
-					continue
-				}
-			}
-			in[j] = next
-			seen[j] = true
-			work = append(work, j)
-		}
-	}
-
-	reported := make(map[token.Pos]bool)
-	for i := range blocks {
-		if !seen[i] {
-			continue
-		}
-		s := in[i]
-		for _, ev := range events[i] {
-			switch ev.kind {
-			case evStart:
-				s = state{}
-			case evEnd:
-				s.ended = true
-			case evOp:
-				if reported[ev.pos] {
-					continue
-				}
-				if s.unprot {
-					reported[ev.pos] = true
-					rep.Reportf(ev.pos, "%s outside the reservation bracket: no StartOp dominates this access (IBR read protocol)", ev.what)
-				} else if s.ended {
-					reported[ev.pos] = true
-					rep.Reportf(ev.pos, "%s may follow EndOp: the reservation bracket is already closed on some path", ev.what)
-				}
-			}
-		}
-	}
-}
-
-func transfer(s state, evs []event) state {
-	for _, ev := range evs {
-		switch ev.kind {
-		case evStart:
-			s = state{}
-		case evEnd:
-			s.ended = true
-		}
-	}
-	return s
-}
-
-// blockEvents extracts bracket events from one CFG node in source order,
-// skipping nested closures and defer statements (a deferred EndOp runs at
-// return and does not close the bracket mid-function).
-func blockEvents(pass *analysis.Pass, node ast.Node, locals map[types.Object]bool) []event {
-	var evs []event
-	ast.Inspect(node, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.DeferStmt:
-			return false
-		case *ast.CallExpr:
-			info := pass.TypesInfo
-			if ibrlint.CoreCall(info, n, "StartOp") != nil {
-				evs = append(evs, event{kind: evStart, pos: n.Pos()})
-				return true
-			}
-			if ibrlint.CoreCall(info, n, "EndOp") != nil {
-				evs = append(evs, event{kind: evEnd, pos: n.Pos()})
-				return true
-			}
-			if fn := ibrlint.CoreCall(info, n, "Raw", "FetchOrMarks", "Read", "ReadRoot", "Write", "CompareAndSwap", "Retire", "RestartOp"); fn != nil {
-				evs = append(evs, event{kind: evOp, pos: n.Pos(), what: methodName(fn)})
-				return true
-			}
-			if fn := ibrlint.MemCall(info, n, "Get"); fn != nil {
-				evs = append(evs, event{kind: evOp, pos: n.Pos(), what: methodName(fn)})
-				return true
-			}
-			// Scheme.Alloc (one result). The raw two-result allocator Alloc
-			// is epochstamp's concern, not a bracket violation.
-			if fn := ibrlint.CoreCall(info, n, "Alloc"); fn != nil && fn.Signature().Results().Len() == 1 {
-				evs = append(evs, event{kind: evOp, pos: n.Pos(), what: methodName(fn)})
-				return true
-			}
-			// A handle crossing into an opaque visitor callback (the
-			// ds.Ranger idiom): the callback may dereference it, so the
-			// exposure is a protected operation.
-			if ibrlint.VisitorCall(info, n, locals) {
-				for _, a := range n.Args {
-					if t := info.TypeOf(a); t != nil && ibrlint.IsHandleType(t) {
-						evs = append(evs, event{kind: evOp, pos: n.Pos(), what: "visitor callback receiving a handle"})
-						break
-					}
-				}
-			}
-		}
-		return true
-	})
-	return evs
-}
-
-// methodName renders fn as "Recv.Name" for diagnostics.
-func methodName(fn *types.Func) string {
+// recvName is the name of fn's receiver type, e.g. "Scheme" or "Pool".
+func recvName(fn *types.Func) string {
 	recv := fn.Signature().Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
-	name := recv.String()
 	if n, ok := recv.(interface{ Obj() *types.TypeName }); ok {
-		name = n.Obj().Name()
+		return n.Obj().Name()
 	}
-	return fmt.Sprintf("%s.%s", name, fn.Name())
+	return recv.String()
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ibr/internal/analysis/checktest"
-	"ibr/internal/analysis/derefguard"
 	"ibr/internal/analysis/lifecycle"
 )
 
@@ -39,10 +38,9 @@ func TestClean(t *testing.T) {
 }
 
 // TestRangeCallback: the range-scan visitor idiom — handles exposed to an
-// opaque callback must not escape the StartOp/EndOp bracket. Both owners of
-// the rule run together: derefguard polices WHERE the exposure happens
-// (inside the bracket), lifecycle polices WHAT crosses (values, or handles
-// whose lifetime no longer hangs on the reservation).
+// opaque callback must not escape the StartOp/EndOp bracket, so only
+// values, or handles whose lifetime no longer hangs on the reservation, may
+// cross.
 func TestRangeCallback(t *testing.T) {
-	checktest.Run(t, "liferange/internal/ds", derefguard.Analyzer, lifecycle.Analyzer)
+	checktest.Run(t, "liferange/internal/ds", lifecycle.Analyzer)
 }

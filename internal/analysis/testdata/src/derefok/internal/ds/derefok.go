@@ -1,53 +1,53 @@
-// Package ds holds the clean derefguard cases: properly bracketed
-// operations, caller-bracketed helpers, and test-file exemptions.
+// Package ds holds the clean derefguard cases: every protocol touch goes
+// through the guard facade, compare-only Ptr loads stay legal, and test
+// files are exempt.
 package ds
 
 import (
 	"stub/internal/core"
+	"stub/internal/guard"
 	"stub/internal/mem"
 )
 
 type Q struct {
-	pool *mem.Pool
-	s    core.Scheme
+	w    *guard.Guarded
 	head core.Ptr
 }
 
-// Quarantine adopts a victim's retire list without touching pool memory:
-// pure bookkeeping needs no reservation bracket, only the transfer
-// directive.
+// Get brackets the traversal with Do and touches nodes through the Guard.
+func (q *Q) Get(tid int) (val uint64) {
+	q.w.Do(tid, func(g *guard.Guard) {
+		for h := g.LoadRoot(0, &q.head); !h.IsNil(); h = mem.Nil {
+			if n := g.Deref(h); n.Key != 0 {
+				val = n.Val
+			}
+		}
+	})
+	return val
+}
+
+// Push allocates, links, and publishes through the Guard; a failed CAS
+// discards the still-private node.
+func (q *Q) Push(tid int) {
+	q.w.Do(tid, func(g *guard.Guard) {
+		h := g.Alloc()
+		g.Deref(h).Key = 1
+		if !g.CompareAndSwap(&q.head, mem.Nil, h) {
+			g.Discard(h)
+		}
+	})
+}
+
+// changed is a helper: Ptr.Raw and Ptr.FetchOrMarks are compare-only loads,
+// legal anywhere (their handles can only be dereferenced through a Guard).
+func (q *Q) changed(h mem.Handle) bool {
+	q.head.FetchOrMarks(0)
+	return q.head.Raw() != h
+}
+
+// Quarantine calls a core package function, not a Scheme method: pure
+// bookkeeping is not derefguard's concern.
 func (q *Q) Quarantine(victim, tid int) int {
 	//ibrlint:ignore quarantine: victim verified parked or dead via lease table
-	return core.AdoptRetired(q.s, victim, tid)
-}
-
-// Get brackets the traversal; nothing to report.
-func (q *Q) Get(tid int) uint64 {
-	q.s.StartOp(tid)
-	defer q.s.EndOp(tid)
-	h := q.s.ReadRoot(tid, 0, &q.head)
-	for !h.IsNil() {
-		n := q.pool.Get(h)
-		if n.Key != 0 {
-			return n.Val
-		}
-		h = mem.Nil
-	}
-	return 0
-}
-
-// find is an unexported helper with no StartOp of its own: it runs under
-// its caller's bracket and is skipped.
-func (q *Q) find(tid int) *mem.Node {
-	return q.pool.Get(q.head.Raw())
-}
-
-// Drain reopens the bracket after a plain EndOp; the accesses after the
-// second StartOp are dominated again.
-func (q *Q) Drain(tid int) uint64 {
-	q.s.StartOp(tid)
-	q.s.EndOp(tid)
-	q.s.StartOp(tid)
-	defer q.s.EndOp(tid)
-	return q.pool.Get(q.s.ReadRoot(tid, 0, &q.head)).Val
+	return core.AdoptRetired(q.w.Scheme(), victim, tid)
 }

@@ -1,16 +1,17 @@
 // Package ds exercises the range-callback idiom: a visitor callback passed
 // into an exported scan entry point is opaque code, so a handle exposed to
 // it can be retained past the StartOp/EndOp bracket that protects it. The
-// ds.Ranger contract therefore requires visitors to receive values — this
-// suite checks both sides: derefguard demands the exposure itself happen
-// inside the bracket, and lifecycle rejects protected-read handles (and
-// worse, retired or expired ones) crossing the callback boundary at all.
-// Locally bound closures (the recursive-walk idiom) and unexported helpers
-// taking package-internal builders stay exempt.
+// ds.Ranger contract therefore requires visitors to receive values, and
+// lifecycle rejects protected-read handles (and worse, retired or expired
+// ones) crossing the callback boundary at all — in hand-bracketed scans and
+// in Guarded.Do closures alike. Locally bound closures (the recursive-walk
+// idiom) and unexported helpers taking package-internal builders stay
+// exempt.
 package ds
 
 import (
 	"stub/internal/core"
+	"stub/internal/guard"
 	"stub/internal/mem"
 )
 
@@ -43,28 +44,31 @@ func ScanHandles(s core.Scheme, head *core.Ptr, tid int, fn func(h mem.Handle) b
 	}
 }
 
+// ScanGuarded is ScanHandles on the facade: the Do closure inherits its
+// exported scan's exposure context, so the leak is caught there too.
+func ScanGuarded(w *guard.Guarded, head *core.Ptr, tid int, fn func(h mem.Handle) bool) {
+	w.Do(tid, func(g *guard.Guard) {
+		curr := g.LoadRoot(0, head)
+		fn(curr) // want "protected read handle is exposed to a visitor callback"
+	})
+}
+
 // ScanRetired hands the visitor a handle this op already retired.
 func ScanRetired(s core.Scheme, head *core.Ptr, tid int, fn func(h mem.Handle) bool) {
 	s.StartOp(tid)
 	defer s.EndOp(tid)
 	curr := s.ReadRoot(tid, 0, head)
 	s.Retire(tid, curr)
-	fn(curr) // want "handle retired at line 51 is exposed to a visitor callback"
+	fn(curr) // want "handle retired at line 61 is exposed to a visitor callback"
 }
 
-// ScanAfterEnd closes the bracket first: the exposure happens outside it
-// (derefguard) and the handle's protection has already lapsed (lifecycle).
+// ScanAfterEnd closes the bracket first: the handle's protection has
+// already lapsed when the visitor sees it.
 func ScanAfterEnd(s core.Scheme, head *core.Ptr, tid int, fn func(h mem.Handle) bool) {
 	s.StartOp(tid)
 	curr := s.ReadRoot(tid, 0, head)
 	s.EndOp(tid)
-	fn(curr) // want "visitor callback receiving a handle may follow EndOp" "after EndOp at line 60"
-}
-
-// ScanUnbracketed never opens a bracket at all; exposing the caller's
-// handle to the visitor is a protected operation like any other.
-func ScanUnbracketed(h mem.Handle, fn func(h mem.Handle) bool) {
-	fn(h) // want "visitor callback receiving a handle outside the reservation bracket"
+	fn(curr) // want "after EndOp at line 70"
 }
 
 // ScanAlloc is clean: the exposed handle is privately allocated this op,

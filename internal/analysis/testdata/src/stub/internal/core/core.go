@@ -8,6 +8,8 @@ type Ptr struct{ v uint64 }
 
 func (p *Ptr) Raw() mem.Handle { return mem.Handle(p.v) }
 
+func (p *Ptr) FetchOrMarks(m uint64) mem.Handle { return mem.Handle(p.v) }
+
 // Scheme is the reservation API surface the analyzers key on.
 type Scheme interface {
 	StartOp(tid int)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ibr/internal/core"
+	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
 
@@ -21,8 +22,7 @@ import (
 // Balancing follows Adams' weight-balanced algorithm with the proven
 // integer parameters ⟨Δ=3, Γ=2⟩ over weights w(t) = size(t)+1.
 type Bonsai struct {
-	pool *mem.Pool[bonsaiNode]
-	s    core.Scheme
+	w    *guard.Guarded[bonsaiNode]
 	root core.Ptr
 	ops  []*bonsaiOp
 }
@@ -56,10 +56,9 @@ func NewBonsai(cfg Config) (*Bonsai, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Bonsai{pool: pool, s: s}
-	t.ops = make([]*bonsaiOp, cfg.Core.Threads)
+	t := &Bonsai{w: guard.New(s, pool), ops: make([]*bonsaiOp, cfg.Core.Threads)}
 	for i := range t.ops {
-		t.ops[i] = &bonsaiOp{t: t, tid: i}
+		t.ops[i] = &bonsaiOp{}
 	}
 	return t, nil
 }
@@ -67,10 +66,10 @@ func NewBonsai(cfg Config) (*Bonsai, error) {
 // bonsaiOp is one thread's scratch state for building a new version:
 // created tracks private nodes (freed wholesale if the publish CAS fails),
 // replaced tracks published nodes copied out of the new version (retired
-// wholesale if the publish succeeds).
+// wholesale if the publish succeeds). g is the bracket of the operation
+// currently using the scratch state.
 type bonsaiOp struct {
-	t        *Bonsai
-	tid      int
+	g        *guard.Guard[bonsaiNode]
 	created  []mem.Handle
 	replaced []mem.Handle
 	failed   bool // allocator exhausted mid-build
@@ -83,30 +82,30 @@ func (op *bonsaiOp) reset() {
 }
 
 func (op *bonsaiOp) read(p *core.Ptr) mem.Handle {
-	return op.t.s.Read(op.tid, 0, p)
+	return op.g.Load(0, p)
 }
 
 func (op *bonsaiOp) wt(h mem.Handle) uint64 {
 	if h.IsNil() {
 		return 1
 	}
-	return op.t.pool.Get(h).size + 1
+	return op.g.Deref(h).size + 1
 }
 
 // mk builds a private node. On allocator exhaustion it sets failed and
 // returns Nil; callers propagate outward and the operation fails cleanly.
 func (op *bonsaiOp) mk(key, val uint64, l, r mem.Handle) mem.Handle {
-	h := op.t.s.Alloc(op.tid)
+	h := op.g.Alloc()
 	if h.IsNil() {
 		op.failed = true
 		return mem.Nil
 	}
-	n := op.t.pool.Get(h)
+	n := op.g.Deref(h)
 	n.key, n.val = key, val
 	n.size = op.wt(l) + op.wt(r) - 1 // = size(l)+size(r)+1
 	n.temp = uint64(len(op.created)) + 1
-	op.t.s.Write(op.tid, &n.left, l)
-	op.t.s.Write(op.tid, &n.right, r)
+	op.g.Publish(&n.left, l)
+	op.g.Publish(&n.right, r)
 	op.created = append(op.created, h)
 	return h
 }
@@ -115,17 +114,16 @@ func (op *bonsaiOp) mk(key, val uint64, l, r mem.Handle) mem.Handle {
 // freed on the spot — it was never reachable; a published node is recorded
 // for retirement after a successful publish.
 func (op *bonsaiOp) open(h mem.Handle) (key, val uint64, l, r mem.Handle) {
-	n := op.t.pool.Get(h)
+	n := op.g.Deref(h)
 	key, val = n.key, n.val
 	l, r = op.read(&n.left), op.read(&n.right)
 	if n.temp != 0 {
 		idx := n.temp - 1
 		last := len(op.created) - 1
 		op.created[idx] = op.created[last]
-		op.t.pool.Get(op.created[idx]).temp = idx + 1
+		op.g.Deref(op.created[idx]).temp = idx + 1
 		op.created = op.created[:last]
-		//ibrlint:ignore never published; h is a private build-time node of this op's version
-		op.t.pool.Free(op.tid, h)
+		op.g.Discard(h)
 	} else {
 		op.replaced = append(op.replaced, h)
 	}
@@ -136,14 +134,13 @@ func (op *bonsaiOp) open(h mem.Handle) (key, val uint64, l, r mem.Handle) {
 // so readers of the new version never observe build-time state.
 func (op *bonsaiOp) seal() {
 	for _, h := range op.created {
-		op.t.pool.Get(h).temp = 0
+		op.g.Deref(h).temp = 0
 	}
 }
 
 func (op *bonsaiOp) freeCreated() {
 	for _, h := range op.created {
-		//ibrlint:ignore never published; the op's publish CAS failed, its created nodes stayed private
-		op.t.pool.Free(op.tid, h)
+		op.g.Discard(h) // the publish CAS failed: every created node stayed private
 	}
 	op.created = op.created[:0]
 	op.replaced = op.replaced[:0]
@@ -151,7 +148,7 @@ func (op *bonsaiOp) freeCreated() {
 
 func (op *bonsaiOp) retireReplaced() {
 	for _, h := range op.replaced {
-		op.t.s.Retire(op.tid, h)
+		op.g.Retire(h)
 	}
 	op.replaced = op.replaced[:0]
 }
@@ -193,7 +190,7 @@ func (op *bonsaiOp) insert(h mem.Handle, key, val uint64) (mem.Handle, bool) {
 	if h.IsNil() {
 		return op.mk(key, val, mem.Nil, mem.Nil), true
 	}
-	n := op.t.pool.Get(h)
+	n := op.g.Deref(h)
 	switch {
 	case key == n.key:
 		return h, false
@@ -220,7 +217,7 @@ func (op *bonsaiOp) remove(h mem.Handle, key uint64) (mem.Handle, bool) {
 	if h.IsNil() {
 		return h, false
 	}
-	n := op.t.pool.Get(h)
+	n := op.g.Deref(h)
 	switch {
 	case key < n.key:
 		nl, ok := op.remove(op.read(&n.left), key)
@@ -276,36 +273,36 @@ func (t *Bonsai) Name() string { return "bonsai" }
 
 // update runs one copy-and-publish round trip per attempt until the root
 // CAS lands (or the operation is a no-op).
-func (t *Bonsai) update(tid int, build func(op *bonsaiOp, root mem.Handle) (mem.Handle, bool)) bool {
-	s := t.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	op := t.ops[tid]
-	fails := 0
-	for {
-		op.reset()
-		oldRoot := s.ReadRoot(tid, 0, &t.root)
-		newRoot, changed := build(op, oldRoot)
-		if op.failed {
+func (t *Bonsai) update(tid int, build func(op *bonsaiOp, root mem.Handle) (mem.Handle, bool)) (ok bool) {
+	t.w.Do(tid, func(g *guard.Guard[bonsaiNode]) {
+		op := t.ops[tid]
+		op.g = g
+		fails := 0
+		for {
+			op.reset()
+			oldRoot := g.LoadRoot(0, &t.root)
+			newRoot, changed := build(op, oldRoot)
+			if op.failed || !changed {
+				// Allocator exhausted (fail the operation) or a no-op, where
+				// freeing is defensive: build leaves nothing behind.
+				op.freeCreated()
+				return
+			}
+			op.seal()
+			if g.CompareAndSwap(&t.root, oldRoot, newRoot) {
+				op.retireReplaced()
+				ok = true
+				return
+			}
 			op.freeCreated()
-			return false // allocator exhausted: fail the operation
+			fails++
+			if fails >= restartThreshold {
+				fails = 0
+				g.Restart() // no shared references held here
+			}
 		}
-		if !changed {
-			op.freeCreated() // defensive; build leaves nothing on a no-op
-			return false
-		}
-		op.seal()
-		if s.CompareAndSwap(tid, &t.root, oldRoot, newRoot) {
-			op.retireReplaced()
-			return true
-		}
-		op.freeCreated()
-		fails++
-		if fails >= restartThreshold {
-			fails = 0
-			s.RestartOp(tid) // no shared references held here
-		}
-	}
+	})
+	return ok
 }
 
 // Insert adds key→val; false if present.
@@ -325,24 +322,24 @@ func (t *Bonsai) Remove(tid int, key uint64) bool {
 }
 
 // Get returns the value bound to key by traversing one immutable snapshot.
-func (t *Bonsai) Get(tid int, key uint64) (uint64, bool) {
+func (t *Bonsai) Get(tid int, key uint64) (val uint64, found bool) {
 	checkKey(key)
-	s := t.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	h := s.ReadRoot(tid, 0, &t.root)
-	for !h.IsNil() {
-		n := t.pool.Get(h)
-		switch {
-		case key == n.key:
-			return n.val, true
-		case key < n.key:
-			h = s.Read(tid, 0, &n.left)
-		default:
-			h = s.Read(tid, 0, &n.right)
+	t.w.Do(tid, func(g *guard.Guard[bonsaiNode]) {
+		h := g.LoadRoot(0, &t.root)
+		for !h.IsNil() {
+			n := g.Deref(h)
+			switch {
+			case key == n.key:
+				val, found = n.val, true
+				return
+			case key < n.key:
+				h = g.Load(0, &n.left)
+			default:
+				h = g.Load(0, &n.right)
+			}
 		}
-	}
-	return 0, false
+	})
+	return val, found
 }
 
 // Fill bulk-loads pairs (single-threaded) through the normal insert path.
@@ -353,65 +350,64 @@ func (t *Bonsai) Fill(pairs []KV) {
 }
 
 // Keys returns the ascending key set (quiescence only).
-//
-//ibrlint:ignore quiescence-only: documented to run with no concurrent operations
-func (t *Bonsai) Keys() []uint64 {
-	var out []uint64
-	var walk func(h mem.Handle)
-	walk = func(h mem.Handle) {
-		if h.IsNil() {
-			return
+func (t *Bonsai) Keys() (out []uint64) {
+	t.w.Do(0, func(g *guard.Guard[bonsaiNode]) {
+		var walk func(h mem.Handle)
+		walk = func(h mem.Handle) {
+			if h.IsNil() {
+				return
+			}
+			n := g.Deref(h)
+			walk(n.left.Raw())
+			out = append(out, n.key)
+			walk(n.right.Raw())
 		}
-		n := t.pool.Get(h)
-		walk(n.left.Raw())
-		out = append(out, n.key)
-		walk(n.right.Raw())
-	}
-	walk(t.root.Raw())
+		walk(t.root.Raw())
+	})
 	return out
 }
 
 // Validate checks the structural invariants at quiescence: BST order,
 // accurate sizes, and the ⟨Δ,Γ⟩ weight-balance bound. Tests call it after
 // concurrent stress.
-//
-//ibrlint:ignore quiescence-only: documented to run with no concurrent operations
-func (t *Bonsai) Validate() error {
-	var walk func(h mem.Handle, lo, hi uint64) (uint64, error)
-	walk = func(h mem.Handle, lo, hi uint64) (uint64, error) {
-		if h.IsNil() {
-			return 0, nil
+func (t *Bonsai) Validate() (err error) {
+	t.w.Do(0, func(g *guard.Guard[bonsaiNode]) {
+		var walk func(h mem.Handle, lo, hi uint64) (uint64, error)
+		walk = func(h mem.Handle, lo, hi uint64) (uint64, error) {
+			if h.IsNil() {
+				return 0, nil
+			}
+			n := g.Deref(h)
+			if n.key < lo || n.key >= hi {
+				return 0, fmt.Errorf("bonsai: key %d outside (%d,%d)", n.key, lo, hi)
+			}
+			ls, err := walk(n.left.Raw(), lo, n.key)
+			if err != nil {
+				return 0, err
+			}
+			rs, err := walk(n.right.Raw(), n.key+1, hi)
+			if err != nil {
+				return 0, err
+			}
+			if n.size != ls+rs+1 {
+				return 0, fmt.Errorf("bonsai: node %d size %d, want %d", n.key, n.size, ls+rs+1)
+			}
+			lw, rw := ls+1, rs+1
+			if lw+rw > 4 && (lw > wbDelta*rw || rw > wbDelta*lw) {
+				return 0, fmt.Errorf("bonsai: node %d unbalanced (weights %d/%d)", n.key, lw, rw)
+			}
+			return ls + rs + 1, nil
 		}
-		n := t.pool.Get(h)
-		if n.key < lo || n.key >= hi {
-			return 0, fmt.Errorf("bonsai: key %d outside (%d,%d)", n.key, lo, hi)
-		}
-		ls, err := walk(n.left.Raw(), lo, n.key)
-		if err != nil {
-			return 0, err
-		}
-		rs, err := walk(n.right.Raw(), n.key+1, hi)
-		if err != nil {
-			return 0, err
-		}
-		if n.size != ls+rs+1 {
-			return 0, fmt.Errorf("bonsai: node %d size %d, want %d", n.key, n.size, ls+rs+1)
-		}
-		lw, rw := ls+1, rs+1
-		if lw+rw > 4 && (lw > wbDelta*rw || rw > wbDelta*lw) {
-			return 0, fmt.Errorf("bonsai: node %d unbalanced (weights %d/%d)", n.key, lw, rw)
-		}
-		return ls + rs + 1, nil
-	}
-	_, err := walk(t.root.Raw(), 0, ^uint64(0))
+		_, err = walk(t.root.Raw(), 0, ^uint64(0))
+	})
 	return err
 }
 
 // Scheme exposes the reclamation scheme.
-func (t *Bonsai) Scheme() core.Scheme { return t.s }
+func (t *Bonsai) Scheme() core.Scheme { return t.w.Scheme() }
 
 // PoolStats exposes allocator counters.
-func (t *Bonsai) PoolStats() mem.Stats { return t.pool.Stats() }
+func (t *Bonsai) PoolStats() mem.Stats { return t.w.Pool().Stats() }
 
 // Range calls fn in ascending key order for every pair with from <= key <=
 // to, over one immutable snapshot of the tree: the traversal observes a
@@ -420,30 +416,28 @@ func (t *Bonsai) PoolStats() mem.Stats { return t.pool.Stats() }
 // interval-based reclamation, impossible to get this cheaply from the
 // mutable rideables. fn returning false stops the scan.
 func (t *Bonsai) Range(tid int, from, to uint64, fn func(key, val uint64) bool) {
-	s := t.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	root := s.ReadRoot(tid, 0, &t.root)
-	var walk func(h mem.Handle) bool
-	walk = func(h mem.Handle) bool {
-		if h.IsNil() {
+	t.w.Do(tid, func(g *guard.Guard[bonsaiNode]) {
+		var walk func(h mem.Handle) bool
+		walk = func(h mem.Handle) bool {
+			if h.IsNil() {
+				return true
+			}
+			n := g.Deref(h)
+			if n.key > from {
+				if !walk(g.Load(0, &n.left)) {
+					return false
+				}
+			}
+			if n.key >= from && n.key <= to {
+				if !fn(n.key, n.val) {
+					return false
+				}
+			}
+			if n.key < to {
+				return walk(g.Load(0, &n.right))
+			}
 			return true
 		}
-		n := t.pool.Get(h)
-		if n.key > from {
-			if !walk(s.Read(tid, 0, &n.left)) {
-				return false
-			}
-		}
-		if n.key >= from && n.key <= to {
-			if !fn(n.key, n.val) {
-				return false
-			}
-		}
-		if n.key < to {
-			return walk(s.Read(tid, 0, &n.right))
-		}
-		return true
-	}
-	walk(root)
+		walk(g.LoadRoot(0, &t.root))
+	})
 }

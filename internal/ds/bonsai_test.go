@@ -160,7 +160,7 @@ func TestBonsaiDepthIsLogarithmic(t *testing.T) {
 		if d > depth {
 			depth = d
 		}
-		n := b.pool.Get(h)
+		n := b.w.Pool().Get(h)
 		walk(n.left.Raw(), d+1)
 		walk(n.right.Raw(), d+1)
 	}

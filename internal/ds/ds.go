@@ -6,11 +6,15 @@
 // and a Michael–Scott queue round out the collection as additional
 // persistent / FIFO workloads.
 //
-// Every structure stores its nodes in a mem.Pool and accesses every shared
-// pointer through a core.Scheme, so each can be run under any reclamation
-// scheme (subject to the paper's restrictions: POIBR requires a persistent
-// structure; HP/HE cannot run the Bonsai tree, whose rebalancing needs an
-// unbounded number of protections).
+// Every structure is written one way: it stores its nodes in a mem.Pool,
+// wraps pool and core.Scheme in an internal/guard Guarded[T], and runs each
+// operation inside Guarded.Do, touching handles only through the Guard it
+// passes (quiescence-only walks like Keys and Len open a tid-0 bracket
+// too). So each can be run under any reclamation scheme (subject to the
+// paper's restrictions: POIBR requires a persistent structure; HP/HE cannot
+// run the Bonsai tree, whose rebalancing needs an unbounded number of
+// protections). ibrlint's derefguard rejects any raw Scheme or Pool.Get
+// call here.
 package ds
 
 import (

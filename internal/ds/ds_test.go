@@ -423,10 +423,10 @@ func TestNMTreeSentinelsUntouchable(t *testing.T) {
 	m.Insert(0, 1, 1)
 	m.Remove(0, 1)
 	// The sentinel internals must still be wired after churn.
-	if m.pool.Get(m.rootR).key != nmInf2 || m.pool.Get(m.rootS).key != nmInf1 {
+	if m.w.Pool().Get(m.rootR).key != nmInf2 || m.w.Pool().Get(m.rootS).key != nmInf1 {
 		t.Fatal("sentinel keys corrupted")
 	}
-	if !m.pool.Get(m.rootR).left.Raw().SameAddr(m.rootS) {
+	if !m.w.Pool().Get(m.rootR).left.Raw().SameAddr(m.rootS) {
 		t.Fatal("R.left no longer points at S")
 	}
 }

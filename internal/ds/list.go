@@ -190,35 +190,36 @@ func (lc *listCore) get(tid int, head *core.Ptr, key uint64) (val uint64, found 
 
 // fill bulk-loads sorted unique pairs into an empty chain at head,
 // single-threaded. Links are written through the scheme so TagIBR tags and
-// WCAS packed epochs are consistent. It runs at quiescence, outside any
-// bracket, so it uses the facade's raw Scheme/Pool accessors.
+// WCAS packed epochs are consistent.
 func (lc *listCore) fill(head *core.Ptr, pairs []KV) {
-	s, pool := lc.w.Scheme(), lc.w.Pool()
-	prev := head
-	for _, kv := range pairs {
-		h := s.Alloc(0)
-		if h.IsNil() {
-			panic("ds: pool exhausted during Fill")
+	lc.w.Do(0, func(g *guard.Guard[listNode]) {
+		prev := head
+		for _, kv := range pairs {
+			h := g.Alloc()
+			if h.IsNil() {
+				panic("ds: pool exhausted during Fill")
+			}
+			n := g.Deref(h)
+			n.key, n.val = kv.Key, kv.Val
+			g.Publish(&n.next, mem.Nil)
+			g.Publish(prev, h)
+			prev = &n.next
 		}
-		n := pool.Get(h)
-		n.key, n.val = kv.Key, kv.Val
-		s.Write(0, &n.next, mem.Nil)
-		s.Write(0, prev, h)
-		prev = &n.next
-	}
+	})
 }
 
 // keys walks the chain at quiescence, returning unmarked keys in order.
 func (lc *listCore) keys(head *core.Ptr, out []uint64) []uint64 {
-	pool := lc.w.Pool()
-	for h := head.Raw().ClearMarks(); !h.IsNil(); {
-		n := pool.Get(h)
-		next := n.next.Raw()
-		if !next.Mark0() { // skip logically deleted stragglers
-			out = append(out, n.key)
+	lc.w.Do(0, func(g *guard.Guard[listNode]) {
+		for h := head.Raw().ClearMarks(); !h.IsNil(); {
+			n := g.Deref(h)
+			next := n.next.Raw()
+			if !next.Mark0() { // skip logically deleted stragglers
+				out = append(out, n.key)
+			}
+			h = next.ClearMarks()
 		}
-		h = next.ClearMarks()
-	}
+	})
 	return out
 }
 

@@ -2,6 +2,7 @@ package ds
 
 import (
 	"ibr/internal/core"
+	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
 
@@ -12,8 +13,7 @@ import (
 // Not persistent (the tail node's next field mutates), so POIBR does not
 // apply.
 type Queue struct {
-	pool *mem.Pool[queueNode]
-	s    core.Scheme
+	w    *guard.Guarded[queueNode]
 	head core.Ptr // dummy node
 	tail core.Ptr
 }
@@ -34,17 +34,18 @@ func NewQueue(cfg Config) (*Queue, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &Queue{pool: pool, s: s}
+	q := &Queue{w: guard.New(s, pool)}
 	// Bracket the dummy-node setup like any operation: construction is
 	// single-threaded, but a uniform reservation discipline is what ibrlint
 	// can check.
-	s.StartOp(0)
-	defer s.EndOp(0)
-	dummy := s.Alloc(0)
-	pool.Get(dummy).val = 0
-	s.Write(0, &pool.Get(dummy).next, mem.Nil)
-	s.Write(0, &q.head, dummy)
-	s.Write(0, &q.tail, dummy)
+	q.w.Do(0, func(g *guard.Guard[queueNode]) {
+		dummy := g.Alloc()
+		n := g.Deref(dummy)
+		n.val = 0
+		g.Publish(&n.next, mem.Nil)
+		g.Publish(&q.head, dummy)
+		g.Publish(&q.tail, dummy)
+	})
 	return q, nil
 }
 
@@ -52,78 +53,79 @@ func NewQueue(cfg Config) (*Queue, error) {
 func (q *Queue) Name() string { return "msqueue" }
 
 // Enqueue appends val. It returns false only on pool exhaustion.
-func (q *Queue) Enqueue(tid int, val uint64) bool {
-	s := q.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	h := s.Alloc(tid)
-	if h.IsNil() {
-		return false
-	}
-	n := q.pool.Get(h)
-	n.val = val
-	s.Write(tid, &n.next, mem.Nil)
-	for {
-		tail := s.Read(tid, 0, &q.tail)
-		tn := q.pool.Get(tail)
-		next := s.Read(tid, 1, &tn.next)
-		if q.tail.Raw() != tail {
-			continue // tail moved while we looked
+func (q *Queue) Enqueue(tid int, val uint64) (ok bool) {
+	q.w.Do(tid, func(g *guard.Guard[queueNode]) {
+		h := g.Alloc()
+		if h.IsNil() {
+			return
 		}
-		if !next.IsNil() {
-			// Tail lags: help swing it, then retry.
-			s.CompareAndSwap(tid, &q.tail, tail, next)
-			continue
+		n := g.Deref(h)
+		n.val = val
+		g.Publish(&n.next, mem.Nil)
+		for {
+			tail := g.Load(0, &q.tail)
+			tn := g.Deref(tail)
+			next := g.Load(1, &tn.next)
+			if q.tail.Raw() != tail {
+				continue // tail moved while we looked
+			}
+			if !next.IsNil() {
+				// Tail lags: help swing it, then retry.
+				g.CompareAndSwap(&q.tail, tail, next)
+				continue
+			}
+			if g.CompareAndSwap(&tn.next, mem.Nil, h) {
+				g.CompareAndSwap(&q.tail, tail, h) // ok to fail: someone helped
+				ok = true
+				return
+			}
 		}
-		if s.CompareAndSwap(tid, &tn.next, mem.Nil, h) {
-			s.CompareAndSwap(tid, &q.tail, tail, h) // ok to fail: someone helped
-			return true
-		}
-	}
+	})
+	return ok
 }
 
 // Dequeue removes and returns the oldest value.
-func (q *Queue) Dequeue(tid int) (uint64, bool) {
-	s := q.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	for {
-		head := s.Read(tid, 0, &q.head)
-		tail := s.Read(tid, 2, &q.tail)
-		hn := q.pool.Get(head)
-		next := s.Read(tid, 1, &hn.next)
-		if q.head.Raw() != head {
-			continue // head moved; re-read the triple
-		}
-		if head.SameAddr(tail) {
-			if next.IsNil() {
-				return 0, false // empty
+func (q *Queue) Dequeue(tid int) (val uint64, ok bool) {
+	q.w.Do(tid, func(g *guard.Guard[queueNode]) {
+		for {
+			head := g.Load(0, &q.head)
+			tail := g.Load(2, &q.tail)
+			hn := g.Deref(head)
+			next := g.Load(1, &hn.next)
+			if q.head.Raw() != head {
+				continue // head moved; re-read the triple
 			}
-			// Tail lags behind a half-finished enqueue: help it.
-			s.CompareAndSwap(tid, &q.tail, tail, next)
-			continue
+			if head.SameAddr(tail) {
+				if next.IsNil() {
+					return // empty
+				}
+				// Tail lags behind a half-finished enqueue: help it.
+				g.CompareAndSwap(&q.tail, tail, next)
+				continue
+			}
+			v := g.Deref(next).val
+			if g.CompareAndSwap(&q.head, head, next) {
+				g.Retire(head) // old dummy
+				val, ok = v, true
+				return
+			}
 		}
-		val := q.pool.Get(next).val
-		if s.CompareAndSwap(tid, &q.head, head, next) {
-			s.Retire(tid, head) // old dummy
-			return val, true
-		}
-	}
+	})
+	return val, ok
 }
 
 // Len counts queued values (quiescence only).
-//
-//ibrlint:ignore quiescence-only: documented to run with no concurrent operations
-func (q *Queue) Len() int {
-	n := 0
-	for h := q.pool.Get(q.head.Raw()).next.Raw(); !h.IsNil(); h = q.pool.Get(h).next.Raw() {
-		n++
-	}
+func (q *Queue) Len() (n int) {
+	q.w.Do(0, func(g *guard.Guard[queueNode]) {
+		for h := g.Deref(q.head.Raw()).next.Raw(); !h.IsNil(); h = g.Deref(h).next.Raw() {
+			n++
+		}
+	})
 	return n
 }
 
 // Scheme exposes the reclamation scheme.
-func (q *Queue) Scheme() core.Scheme { return q.s }
+func (q *Queue) Scheme() core.Scheme { return q.w.Scheme() }
 
 // PoolStats exposes allocator counters.
-func (q *Queue) PoolStats() mem.Stats { return q.pool.Stats() }
+func (q *Queue) PoolStats() mem.Stats { return q.w.Pool().Stats() }

@@ -2,6 +2,7 @@ package ds
 
 import (
 	"ibr/internal/core"
+	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
 
@@ -21,8 +22,7 @@ import (
 // every edge inside it is tagged or flagged, so no other CAS can succeed
 // there (the winner has exclusive custody).
 type NMTree struct {
-	pool *mem.Pool[nmNode]
-	s    core.Scheme
+	w *guard.Guarded[nmNode]
 	// Sentinel internals R (key infinity2) and S (key infinity1); fixed,
 	// never retired. All application keys are < infinity1, so every seek
 	// descends R -> S -> S.left subtree.
@@ -68,31 +68,23 @@ func NewNMTree(cfg Config) (*NMTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &NMTree{pool: pool, s: s}
+	t := &NMTree{w: guard.New(s, pool)}
 
 	// Initial shape (single-threaded): R(inf2){S, leaf(inf2)},
 	// S(inf1){leaf(inf1), leaf(inf2)}. Bracketed like any operation so the
 	// setup follows the same reservation discipline ibrlint checks.
-	s.StartOp(0)
-	defer s.EndOp(0)
-	leaf := func(key uint64) mem.Handle {
-		h := s.Alloc(0)
-		n := pool.Get(h)
-		n.key, n.val, n.isLeaf = key, 0, 1
-		s.Write(0, &n.left, mem.Nil)
-		s.Write(0, &n.right, mem.Nil)
-		return h
-	}
-	t.rootS = s.Alloc(0)
-	sn := pool.Get(t.rootS)
-	sn.key, sn.isLeaf = nmInf1, 0
-	s.Write(0, &sn.left, leaf(nmInf1))
-	s.Write(0, &sn.right, leaf(nmInf2))
-	t.rootR = s.Alloc(0)
-	rn := pool.Get(t.rootR)
-	rn.key, rn.isLeaf = nmInf2, 0
-	s.Write(0, &rn.left, t.rootS)
-	s.Write(0, &rn.right, leaf(nmInf2))
+	t.w.Do(0, func(g *guard.Guard[nmNode]) {
+		node := func(key uint64, isLeaf uint32, l, r mem.Handle) mem.Handle {
+			h := g.Alloc()
+			n := g.Deref(h)
+			n.key, n.val, n.isLeaf = key, 0, isLeaf
+			g.Publish(&n.left, l)
+			g.Publish(&n.right, r)
+			return h
+		}
+		t.rootS = node(nmInf1, 0, node(nmInf1, 1, mem.Nil, mem.Nil), node(nmInf2, 1, mem.Nil, mem.Nil))
+		t.rootR = node(nmInf2, 0, t.rootS, node(nmInf2, 1, mem.Nil, mem.Nil))
+	})
 	return t, nil
 }
 
@@ -116,31 +108,30 @@ func childOf(n *nmNode, key uint64) *core.Ptr {
 // deepest clean (untagged) edge seen on the path, and parent is leaf's
 // parent. Protection slots are transferred as roles shift, so every
 // recorded node stays protected.
-func (t *NMTree) seek(tid int, key uint64) nmSeek {
-	s := t.s
+func (t *NMTree) seek(g *guard.Guard[nmNode], key uint64) nmSeek {
 	r := nmSeek{ancestor: t.rootR, successor: t.rootS, parent: t.rootS}
-	sn := t.pool.Get(t.rootS)
+	sn := g.Deref(t.rootS)
 	// Edge S -> S.left: sentinel edges are never tagged or flagged.
-	parentField := s.Read(tid, nmSlotLeaf, &sn.left)
+	parentField := g.Load(nmSlotLeaf, &sn.left)
 	r.leaf = parentField.ClearMarks()
 	for {
-		node := t.pool.Get(r.leaf)
+		node := g.Deref(r.leaf)
 		if node.isLeaf == 1 {
 			return r
 		}
-		cf := s.Read(tid, nmSlotCur, childOf(node, key))
+		cf := g.Load(nmSlotCur, childOf(node, key))
 		// Advance: leaf becomes parent; if the edge into it was untagged it
 		// also becomes the successor (with its parent as ancestor).
 		if !parentField.Mark1() {
 			r.ancestor = r.parent
-			s.TransferSlot(tid, nmSlotPar, nmSlotAnc)
+			g.TransferSlot(nmSlotPar, nmSlotAnc)
 			r.successor = r.leaf
-			s.TransferSlot(tid, nmSlotLeaf, nmSlotSuc)
+			g.TransferSlot(nmSlotLeaf, nmSlotSuc)
 		}
 		r.parent = r.leaf
-		s.TransferSlot(tid, nmSlotLeaf, nmSlotPar)
+		g.TransferSlot(nmSlotLeaf, nmSlotPar)
 		r.leaf = cf.ClearMarks()
-		s.TransferSlot(tid, nmSlotCur, nmSlotLeaf)
+		g.TransferSlot(nmSlotCur, nmSlotLeaf)
 		parentField = cf
 	}
 }
@@ -148,10 +139,9 @@ func (t *NMTree) seek(tid int, key uint64) nmSeek {
 // cleanup attempts to physically remove the delete operation injected at
 // sr's parent/leaf window (ours or another thread's — callers use it to
 // help). It returns true iff this call's CAS performed the removal.
-func (t *NMTree) cleanup(tid int, key uint64, sr nmSeek) bool {
-	s := t.s
-	anc := t.pool.Get(sr.ancestor)
-	par := t.pool.Get(sr.parent)
+func (t *NMTree) cleanup(g *guard.Guard[nmNode], key uint64, sr nmSeek) bool {
+	anc := g.Deref(sr.ancestor)
+	par := g.Deref(sr.parent)
 	succField := childOf(anc, key)
 	childAddr := childOf(par, key)
 	sibAddr := &par.left
@@ -175,10 +165,10 @@ func (t *NMTree) cleanup(tid int, key uint64, sr nmSeek) bool {
 	// sibling is relinked in place of successor. The sibling edge's FLAG
 	// (if its leaf is itself under deletion) is preserved; the TAG is not
 	// copied — the new edge is a fresh, mutable one.
-	if !s.CompareAndSwap(tid, succField, sr.successor, sv.ClearMark1()) {
+	if !g.CompareAndSwap(succField, sr.successor, sv.ClearMark1()) {
 		return false
 	}
-	t.retireFragment(tid, key, sr, childAddr)
+	t.retireFragment(g, key, sr, childAddr)
 	return true
 }
 
@@ -203,11 +193,10 @@ func (t *NMTree) cleanup(tid int, key uint64, sr nmSeek) bool {
 // simply resumes its descent through live edges (an implicit restart), and
 // the tag bit on the redirect makes every clean-expecting CAS against a
 // detached edge fail, so no update can be lost into a dead fragment.
-func (t *NMTree) retireFragment(tid int, key uint64, sr nmSeek, victimAddr *core.Ptr) {
-	s := t.s
+func (t *NMTree) retireFragment(g *guard.Guard[nmNode], key uint64, sr nmSeek, victimAddr *core.Ptr) {
 	cur := sr.successor // incoming pointer already gone: the swing removed it
 	for !cur.SameAddr(sr.parent) {
-		n := t.pool.Get(cur)
+		n := g.Deref(cur)
 		onPath := childOf(n, key)
 		offPath := &n.left
 		if onPath == &n.left {
@@ -219,25 +208,25 @@ func (t *NMTree) retireFragment(tid int, key uint64, sr nmSeek, victimAddr *core
 		off := offPath.Raw()
 		// Route readers to the immortal sentinel, then retire; children
 		// follow once their incoming edge is overwritten.
-		s.Write(tid, &n.left, t.rootS.WithMark1())
-		s.Write(tid, &n.right, t.rootS.WithMark1())
-		s.Retire(tid, cur)
+		g.Publish(&n.left, t.rootS.WithMark1())
+		g.Publish(&n.right, t.rootS.WithMark1())
+		g.Retire(cur)
 		if !off.IsNil() {
-			s.Retire(tid, off)
+			g.Retire(off)
 		}
 		cur = next
 	}
 	// cur == parent: same dance; its children are the victim leaf and the
 	// sibling (which was just relinked — never retired).
 	v := victimAddr.Raw()
-	n := t.pool.Get(cur)
-	s.Write(tid, &n.left, t.rootS.WithMark1())
-	s.Write(tid, &n.right, t.rootS.WithMark1())
+	n := g.Deref(cur)
+	g.Publish(&n.left, t.rootS.WithMark1())
+	g.Publish(&n.right, t.rootS.WithMark1())
 	if !cur.SameAddr(t.rootS) { // never retire sentinels (defensive)
-		s.Retire(tid, cur)
+		g.Retire(cur)
 	}
 	if !v.IsNil() {
-		s.Retire(tid, v)
+		g.Retire(v)
 	}
 }
 
@@ -245,136 +234,129 @@ func (t *NMTree) retireFragment(tid int, key uint64, sr nmSeek, victimAddr *core
 func (t *NMTree) Name() string { return "nmtree" }
 
 // Get returns the value bound to key.
-func (t *NMTree) Get(tid int, key uint64) (uint64, bool) {
+func (t *NMTree) Get(tid int, key uint64) (val uint64, found bool) {
 	checkKey(key)
-	s := t.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	sr := t.seek(tid, key)
-	n := t.pool.Get(sr.leaf)
-	if n.key != key {
-		return 0, false
-	}
-	return n.val, true
+	t.w.Do(tid, func(g *guard.Guard[nmNode]) {
+		if n := g.Deref(t.seek(g, key).leaf); n.key == key {
+			val, found = n.val, true
+		}
+	})
+	return val, found
 }
 
 // Insert adds key→val; false if present.
-func (t *NMTree) Insert(tid int, key, val uint64) bool {
+func (t *NMTree) Insert(tid int, key, val uint64) (ok bool) {
 	checkKey(key)
-	s := t.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	newLeaf := mem.Nil
-	fails := 0
-	for {
-		if fails >= restartThreshold {
-			fails = 0
-			s.RestartOp(tid) // holds only private (unpublished) nodes
-		}
-		sr := t.seek(tid, key)
-		leafNode := t.pool.Get(sr.leaf)
-		if leafNode.key == key {
-			if !newLeaf.IsNil() {
-				//ibrlint:ignore never published; no CAS linked the leaf, so no other thread can hold it
-				t.pool.Free(tid, newLeaf)
+	t.w.Do(tid, func(g *guard.Guard[nmNode]) {
+		newLeaf := mem.Nil
+		fails := 0
+		for {
+			if fails >= restartThreshold {
+				fails = 0
+				g.Restart() // holds only private (unpublished) nodes
 			}
-			return false
-		}
-		if newLeaf.IsNil() {
-			newLeaf = s.Alloc(tid)
+			sr := t.seek(g, key)
+			leafNode := g.Deref(sr.leaf)
+			if leafNode.key == key {
+				if !newLeaf.IsNil() {
+					// A failed attempt linked the leaf into an internal node it
+					// then discarded. No other thread can hold it, but it was
+					// stored into a node, so take the conservative path: retire.
+					g.Retire(newLeaf)
+				}
+				return
+			}
 			if newLeaf.IsNil() {
-				return false
+				newLeaf = g.Alloc()
+				if newLeaf.IsNil() {
+					return
+				}
+				ln := g.Deref(newLeaf)
+				ln.key, ln.val, ln.isLeaf = key, val, 1
+				g.Publish(&ln.left, mem.Nil)
+				g.Publish(&ln.right, mem.Nil)
 			}
-			ln := t.pool.Get(newLeaf)
-			ln.key, ln.val, ln.isLeaf = key, val, 1
-			s.Write(tid, &ln.left, mem.Nil)
-			s.Write(tid, &ln.right, mem.Nil)
+			// Replace the leaf with internal{max(key, leaf.key)} routing to
+			// {new leaf, old leaf} in key order.
+			newInt := g.Alloc()
+			if newInt.IsNil() {
+				g.Retire(newLeaf) // allocator exhausted; retired as above
+				return
+			}
+			in := g.Deref(newInt)
+			in.isLeaf = 0
+			if key < leafNode.key {
+				in.key = leafNode.key
+				g.Publish(&in.left, newLeaf)
+				g.Publish(&in.right, sr.leaf)
+			} else {
+				in.key = key
+				g.Publish(&in.left, sr.leaf)
+				g.Publish(&in.right, newLeaf)
+			}
+			childAddr := childOf(g.Deref(sr.parent), key)
+			if g.CompareAndSwap(childAddr, sr.leaf, newInt) {
+				ok = true
+				return
+			}
+			// Failed: discard the internal (never published), help any delete
+			// stuck on this edge, retry.
+			g.Discard(newInt)
+			fails++
+			if cf := childAddr.Raw(); cf.SameAddr(sr.leaf) && cf.Marks() != 0 {
+				t.cleanup(g, key, sr)
+			}
 		}
-		// Replace the leaf with internal{max(key, leaf.key)} routing to
-		// {new leaf, old leaf} in key order.
-		newInt := s.Alloc(tid)
-		if newInt.IsNil() {
-			//ibrlint:ignore never published; the private leaf is discarded on allocator exhaustion
-			t.pool.Free(tid, newLeaf)
-			return false
-		}
-		in := t.pool.Get(newInt)
-		in.isLeaf = 0
-		if key < leafNode.key {
-			in.key = leafNode.key
-			s.Write(tid, &in.left, newLeaf)
-			s.Write(tid, &in.right, sr.leaf)
-		} else {
-			in.key = key
-			s.Write(tid, &in.left, sr.leaf)
-			s.Write(tid, &in.right, newLeaf)
-		}
-		parNode := t.pool.Get(sr.parent)
-		childAddr := childOf(parNode, key)
-		if s.CompareAndSwap(tid, childAddr, sr.leaf, newInt) {
-			return true
-		}
-		// Failed: discard the internal (never published), help any delete
-		// stuck on this edge, retry.
-		//ibrlint:ignore never published; the publish CAS failed, the internal node stayed private
-		t.pool.Free(tid, newInt)
-		fails++
-		if cf := childAddr.Raw(); cf.SameAddr(sr.leaf) && cf.Marks() != 0 {
-			t.cleanup(tid, key, sr)
-		}
-	}
+	})
+	return ok
 }
 
 // Remove deletes key; false if absent. It follows the paper's two-phase
 // protocol: INJECTION (flag the victim edge — the delete's linearization)
 // then CLEANUP (swing the ancestor edge; retried, with helping, until the
 // victim is observed gone).
-func (t *NMTree) Remove(tid int, key uint64) bool {
+func (t *NMTree) Remove(tid int, key uint64) (ok bool) {
 	checkKey(key)
-	s := t.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	injecting := true
-	victim := mem.Nil
-	fails := 0
-	for {
-		sr := t.seek(tid, key)
-		if injecting {
-			if fails >= restartThreshold {
-				fails = 0
-				s.RestartOp(tid) // no references held in injection mode
-				continue
-			}
-			if t.pool.Get(sr.leaf).key != key {
-				return false
-			}
-			parNode := t.pool.Get(sr.parent)
-			childAddr := childOf(parNode, key)
-			if s.CompareAndSwap(tid, childAddr, sr.leaf, sr.leaf.WithMark0()) {
-				victim = sr.leaf
-				// Keep the victim protected across cleanup's re-seeks.
-				s.TransferSlot(tid, nmSlotLeaf, nmSlotHold)
-				injecting = false
-				if t.cleanup(tid, key, sr) {
-					return true
+	t.w.Do(tid, func(g *guard.Guard[nmNode]) {
+		injecting := true
+		victim := mem.Nil
+		fails := 0
+		for {
+			sr := t.seek(g, key)
+			if injecting {
+				if fails >= restartThreshold {
+					fails = 0
+					g.Restart() // no references held in injection mode
+					continue
 				}
-			} else {
-				fails++
-				if cf := childAddr.Raw(); cf.SameAddr(sr.leaf) && cf.Marks() != 0 {
-					t.cleanup(tid, key, sr)
+				if g.Deref(sr.leaf).key != key {
+					return
 				}
-			}
-		} else {
-			// Our flag is planted; the delete has logically happened. Keep
-			// cleaning until we win or someone else removed the victim.
-			if !sr.leaf.SameAddr(victim) {
-				return true
-			}
-			if t.cleanup(tid, key, sr) {
-				return true
+				childAddr := childOf(g.Deref(sr.parent), key)
+				if g.CompareAndSwap(childAddr, sr.leaf, sr.leaf.WithMark0()) {
+					victim = sr.leaf
+					// Keep the victim protected across cleanup's re-seeks.
+					g.TransferSlot(nmSlotLeaf, nmSlotHold)
+					injecting = false
+					if t.cleanup(g, key, sr) {
+						ok = true
+						return
+					}
+				} else {
+					fails++
+					if cf := childAddr.Raw(); cf.SameAddr(sr.leaf) && cf.Marks() != 0 {
+						t.cleanup(g, key, sr)
+					}
+				}
+			} else if !sr.leaf.SameAddr(victim) || t.cleanup(g, key, sr) {
+				// Our flag is planted; the delete has logically happened. Keep
+				// cleaning until we win or someone else removed the victim.
+				ok = true
+				return
 			}
 		}
-	}
+	})
+	return ok
 }
 
 // Fill bulk-loads pairs (single-threaded) through the normal insert path.
@@ -385,35 +367,34 @@ func (t *NMTree) Fill(pairs []KV) {
 }
 
 // Keys returns the ascending application key set (quiescence only).
-//
-//ibrlint:ignore quiescence-only: documented to run with no concurrent operations
-func (t *NMTree) Keys() []uint64 {
-	var out []uint64
-	var walk func(h mem.Handle)
-	walk = func(h mem.Handle) {
-		h = h.ClearMarks()
-		if h.IsNil() {
-			return
-		}
-		n := t.pool.Get(h)
-		if n.isLeaf == 1 {
-			if n.key < KeyLimit {
-				out = append(out, n.key)
+func (t *NMTree) Keys() (out []uint64) {
+	t.w.Do(0, func(g *guard.Guard[nmNode]) {
+		var walk func(h mem.Handle)
+		walk = func(h mem.Handle) {
+			h = h.ClearMarks()
+			if h.IsNil() {
+				return
 			}
-			return
+			n := g.Deref(h)
+			if n.isLeaf == 1 {
+				if n.key < KeyLimit {
+					out = append(out, n.key)
+				}
+				return
+			}
+			walk(n.left.Raw())
+			walk(n.right.Raw())
 		}
-		walk(n.left.Raw())
-		walk(n.right.Raw())
-	}
-	walk(t.pool.Get(t.rootS).left.Raw())
+		walk(g.Deref(t.rootS).left.Raw())
+	})
 	return out
 }
 
 // Scheme exposes the reclamation scheme.
-func (t *NMTree) Scheme() core.Scheme { return t.s }
+func (t *NMTree) Scheme() core.Scheme { return t.w.Scheme() }
 
 // PoolStats exposes allocator counters.
-func (t *NMTree) PoolStats() mem.Stats { return t.pool.Stats() }
+func (t *NMTree) PoolStats() mem.Stats { return t.w.Pool().Stats() }
 
 func checkKey(key uint64) {
 	if key >= KeyLimit {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ibr/internal/core"
+	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
 
@@ -19,8 +20,8 @@ func newTestNMTree(t *testing.T, scheme string, threads int) *NMTree {
 
 func TestNMTreeInitialShape(t *testing.T) {
 	tr := newTestNMTree(t, "ebr", 1)
-	r := tr.pool.Get(tr.rootR)
-	s := tr.pool.Get(tr.rootS)
+	r := tr.w.Pool().Get(tr.rootR)
+	s := tr.w.Pool().Get(tr.rootS)
 	if r.key != nmInf2 || r.isLeaf != 0 {
 		t.Fatalf("R = {key %d, leaf %d}", r.key, r.isLeaf)
 	}
@@ -35,7 +36,7 @@ func TestNMTreeInitialShape(t *testing.T) {
 		p    *core.Ptr
 		want uint64
 	}{{&s.left, nmInf1}, {&s.right, nmInf2}, {&r.right, nmInf2}} {
-		leaf := tr.pool.Get(probe.p.Raw())
+		leaf := tr.w.Pool().Get(probe.p.Raw())
 		if leaf.isLeaf != 1 || leaf.key != probe.want {
 			t.Fatalf("sentinel leaf = {key %d, leaf %d}, want key %d", leaf.key, leaf.isLeaf, probe.want)
 		}
@@ -56,7 +57,7 @@ func TestNMTreeExternalProperty(t *testing.T) {
 	var check func(h mem.Handle, lo, hi uint64)
 	check = func(h mem.Handle, lo, hi uint64) {
 		h = h.ClearMarks()
-		n := tr.pool.Get(h)
+		n := tr.w.Pool().Get(h)
 		if n.isLeaf == 1 {
 			if n.key < lo || n.key >= hi {
 				t.Fatalf("leaf %d outside [%d,%d)", n.key, lo, hi)
@@ -68,7 +69,7 @@ func TestNMTreeExternalProperty(t *testing.T) {
 	}
 	// The subtree's rightmost leaf is the inf1 sentinel, so the exclusive
 	// bound is nmInf1+1.
-	check(tr.pool.Get(tr.rootS).left.Raw(), 0, nmInf1+1)
+	check(tr.w.Pool().Get(tr.rootS).left.Raw(), 0, nmInf1+1)
 }
 
 func TestNMTreeEmptyToFullCycle(t *testing.T) {
@@ -102,12 +103,11 @@ func TestNMTreeCleanupGuard(t *testing.T) {
 	tr := newTestNMTree(t, "ebr", 1)
 	tr.Insert(0, 10, 1)
 	tr.Insert(0, 20, 2)
-	tr.s.StartOp(0)
-	sr := tr.seek(0, 10)
-	if tr.cleanup(0, 10, sr) {
-		t.Fatal("cleanup succeeded with no flag planted")
-	}
-	tr.s.EndOp(0)
+	tr.w.Do(0, func(g *guard.Guard[nmNode]) {
+		if tr.cleanup(g, 10, tr.seek(g, 10)) {
+			t.Fatal("cleanup succeeded with no flag planted")
+		}
+	})
 	if _, ok := tr.Get(0, 10); !ok {
 		t.Fatal("spurious cleanup removed a live key")
 	}
@@ -124,21 +124,19 @@ func TestNMTreeHelpCompletesInjectedDelete(t *testing.T) {
 	tr.Insert(0, 20, 2)
 
 	// Inject a delete of 10 by hand: flag the edge parent→leaf(10).
-	tr.s.StartOp(0)
-	sr := tr.seek(0, 10)
-	parNode := tr.pool.Get(sr.parent)
-	childAddr := childOf(parNode, 10)
-	if !tr.s.CompareAndSwap(0, childAddr, sr.leaf, sr.leaf.WithMark0()) {
-		t.Fatal("injection CAS failed")
-	}
-	// A second thread helps: its cleanup must finish the removal.
-	tr.s.StartOp(1)
-	sr1 := tr.seek(1, 10)
-	if !tr.cleanup(1, 10, sr1) {
-		t.Fatal("helper cleanup did not complete the injected delete")
-	}
-	tr.s.EndOp(1)
-	tr.s.EndOp(0)
+	tr.w.Do(0, func(g *guard.Guard[nmNode]) {
+		sr := tr.seek(g, 10)
+		childAddr := childOf(g.Deref(sr.parent), 10)
+		if !g.CompareAndSwap(childAddr, sr.leaf, sr.leaf.WithMark0()) {
+			t.Fatal("injection CAS failed")
+		}
+		// A second thread helps: its cleanup must finish the removal.
+		tr.w.Do(1, func(g *guard.Guard[nmNode]) {
+			if !tr.cleanup(g, 10, tr.seek(g, 10)) {
+				t.Fatal("helper cleanup did not complete the injected delete")
+			}
+		})
+	})
 	if _, ok := tr.Get(0, 10); ok {
 		t.Fatal("key 10 still present after helped delete")
 	}
@@ -160,26 +158,24 @@ func TestNMTreeFragmentRedirects(t *testing.T) {
 	tr.Insert(0, 20, 2)
 
 	// Capture the parent internal node that Remove(10) will detach.
-	tr.s.StartOp(1)
-	srBefore := tr.seek(1, 10)
-	parent := srBefore.parent
-	tr.s.EndOp(1)
+	var parent mem.Handle
+	tr.w.Do(1, func(g *guard.Guard[nmNode]) { parent = tr.seek(g, 10).parent })
 
 	// A live operation on tid 1 pins the epoch so the detached fragment
 	// stays unreclaimed and inspectable after Remove returns.
-	tr.s.StartOp(1)
-	if !tr.Remove(0, 10) {
-		t.Fatal("Remove failed")
-	}
-	pn := tr.pool.Get(parent)
-	l, r := pn.left.Raw(), pn.right.Raw()
-	if !l.SameAddr(tr.rootS) || !r.SameAddr(tr.rootS) {
-		t.Fatalf("fragment edges = %v/%v, want sentinel redirects", l, r)
-	}
-	if !l.Mark1() || !r.Mark1() {
-		t.Fatal("redirect edges must be tagged")
-	}
-	tr.s.EndOp(1)
+	tr.w.Do(1, func(g *guard.Guard[nmNode]) {
+		if !tr.Remove(0, 10) {
+			t.Fatal("Remove failed")
+		}
+		pn := g.Deref(parent)
+		l, r := pn.left.Raw(), pn.right.Raw()
+		if !l.SameAddr(tr.rootS) || !r.SameAddr(tr.rootS) {
+			t.Fatalf("fragment edges = %v/%v, want sentinel redirects", l, r)
+		}
+		if !l.Mark1() || !r.Mark1() {
+			t.Fatal("redirect edges must be tagged")
+		}
+	})
 }
 
 // TestNMTreeConcurrentSameKeyDelete: N threads remove one key; exactly one

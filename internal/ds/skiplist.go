@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"ibr/internal/core"
+	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
 
@@ -30,8 +31,7 @@ import (
 // simple "level-0 snipper retires" rule has already handed to the
 // allocator.
 type SkipList struct {
-	pool *mem.Pool[slNode]
-	s    core.Scheme
+	w    *guard.Guarded[slNode]
 	head slNode // sentinel tower; its Ptr cells are the roots
 	rnd  []slRand
 }
@@ -75,7 +75,7 @@ func NewSkipList(cfg Config) (*SkipList, error) {
 	if err != nil {
 		return nil, err
 	}
-	sl := &SkipList{pool: pool, s: s, rnd: make([]slRand, cfg.Core.Threads)}
+	sl := &SkipList{w: guard.New(s, pool), rnd: make([]slRand, cfg.Core.Threads)}
 	for i := range sl.rnd {
 		sl.rnd[i].s = uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	}
@@ -97,50 +97,49 @@ const linksRetired = -(1 << 20)
 
 // unlink records that one incoming link to h was removed; whoever wins the
 // unique zero-crossing CAS retires the node.
-func (sl *SkipList) unlink(tid int, h mem.Handle) {
-	n := sl.pool.Get(h)
+func unlink(g *guard.Guard[slNode], h mem.Handle) {
+	n := g.Deref(h)
 	if n.links.Add(-1) == 0 && n.links.CompareAndSwap(0, linksRetired) {
-		sl.s.Retire(tid, h)
+		g.Retire(h)
 	}
 }
 
 // find locates key's window at every level, snipping marked nodes as it
 // descends. preds[L] is the Ptr cell whose level-L target is succs[L];
 // found reports whether succs[0] holds key.
-func (sl *SkipList) find(tid int, key uint64, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int) bool {
-	return sl.findRestart(tid, key, preds, succs, fails, true)
+func (sl *SkipList) find(g *guard.Guard[slNode], key uint64, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int) bool {
+	return sl.findRestart(g, key, preds, succs, fails, true)
 }
 
 // findRestart is find with the §4.3.1 reservation renewal made optional:
 // callers that hold references across the call (Insert's upper-level
 // linking keeps its just-published node) MUST pass allowRestart=false —
-// RestartOp would renew the reservation and let a concurrent removal
+// Restart would renew the reservation and let a concurrent removal
 // retire-and-recycle the held node under them, whose stale writes would
 // then corrupt the slot's next occupant.
-func (sl *SkipList) findRestart(tid int, key uint64, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int, allowRestart bool) bool {
-	s := sl.s
+func (sl *SkipList) findRestart(g *guard.Guard[slNode], key uint64, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int, allowRestart bool) bool {
 retry:
 	if allowRestart && *fails >= restartThreshold {
 		*fails = 0
-		s.RestartOp(tid)
+		g.Restart()
 	}
 	pred := &sl.head
 	for level := MaxLevel - 1; level >= 0; level-- {
 		predPtr := &pred.next[level]
-		curr := s.Read(tid, 0, predPtr).ClearMarks()
+		curr := g.Load(0, predPtr).ClearMarks()
 		for {
 			if curr.IsNil() {
 				break
 			}
-			currNode := sl.pool.Get(curr)
-			succ := s.Read(tid, 1, &currNode.next[level])
+			currNode := g.Deref(curr)
+			succ := g.Load(1, &currNode.next[level])
 			if succ.Mark0() {
 				// curr is logically deleted at this level: snip it.
-				if !s.CompareAndSwap(tid, predPtr, curr, succ.ClearMarks()) {
+				if !g.CompareAndSwap(predPtr, curr, succ.ClearMarks()) {
 					*fails++
 					goto retry
 				}
-				sl.unlink(tid, curr)
+				unlink(g, curr)
 				curr = succ.ClearMarks()
 				continue
 			}
@@ -155,63 +154,63 @@ retry:
 		preds[level] = predPtr
 		succs[level] = curr
 	}
-	return !succs[0].IsNil() && sl.pool.Get(succs[0]).key == key
+	return !succs[0].IsNil() && g.Deref(succs[0]).key == key
 }
 
 // Name returns "skiplist".
 func (sl *SkipList) Name() string { return "skiplist" }
 
 // Insert adds key→val; false if present.
-func (sl *SkipList) Insert(tid int, key, val uint64) bool {
+func (sl *SkipList) Insert(tid int, key, val uint64) (ok bool) {
 	checkKey(key)
-	s := sl.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	var preds [MaxLevel]*core.Ptr
-	var succs [MaxLevel]mem.Handle
-	node := mem.Nil
-	top := sl.randomLevel(tid)
-	fails := 0
-	for {
-		if sl.find(tid, key, &preds, &succs, &fails) {
-			if !node.IsNil() {
-				//ibrlint:ignore never published; no CAS linked the node, so no other thread can hold it
-				sl.pool.Free(tid, node)
+	sl.w.Do(tid, func(g *guard.Guard[slNode]) {
+		var preds [MaxLevel]*core.Ptr
+		var succs [MaxLevel]mem.Handle
+		node := mem.Nil
+		top := sl.randomLevel(tid)
+		fails := 0
+		for {
+			if sl.find(g, key, &preds, &succs, &fails) {
+				if !node.IsNil() {
+					g.Discard(node) // no CAS linked it, so no other thread can hold it
+				}
+				return
 			}
-			return false
-		}
-		if node.IsNil() {
-			node = s.Alloc(tid)
 			if node.IsNil() {
-				return false
+				node = g.Alloc()
+				if node.IsNil() {
+					return
+				}
+				n := g.Deref(node)
+				n.key, n.val, n.topLevel = key, val, uint32(top)
+				n.links.Store(0)
+				for l := 0; l < MaxLevel; l++ {
+					g.Publish(&n.next[l], mem.Nil)
+				}
 			}
-			n := sl.pool.Get(node)
-			n.key, n.val, n.topLevel = key, val, uint32(top)
-			n.links.Store(0)
-			for l := 0; l < MaxLevel; l++ {
-				s.Write(tid, &n.next[l], mem.Nil)
+			n := g.Deref(node)
+			// Point the private tower at the window, then publish level 0.
+			for l := 0; l < top; l++ {
+				g.Publish(&n.next[l], succs[l])
 			}
+			n.links.Store(1) // the level-0 link we are about to make
+			if !g.CompareAndSwap(preds[0], succs[0], node) {
+				fails++
+				continue
+			}
+			// Cover our own node with our reservation before touching it
+			// again: interval schemes raise `upper` only on reads, and the
+			// published node can already be under concurrent removal.
+			// Re-reading the cell we just CASed raises upper past the node's
+			// birth (the CAS raised the cell's born tag), so no scan can free
+			// the node while the linking phase still holds it.
+			g.Load(0, preds[0])
+			sl.linkUpper(g, key, node, top, &preds, &succs, &fails)
+			ok = true
+			return
 		}
-		n := sl.pool.Get(node)
-		// Point the private tower at the window, then publish level 0.
-		for l := 0; l < top; l++ {
-			s.Write(tid, &n.next[l], succs[l])
-		}
-		n.links.Store(1) // the level-0 link we are about to make
-		if !s.CompareAndSwap(tid, preds[0], succs[0], node) {
-			fails++
-			continue
-		}
-		// Cover our own node with our reservation before touching it again:
-		// interval schemes raise `upper` only on reads, and the published
-		// node can already be under concurrent removal. Re-reading the cell
-		// we just CASed raises upper past the node's birth (the CAS raised
-		// the cell's born tag), so no scan can free the node while the
-		// linking phase still holds it.
-		s.Read(tid, 0, preds[0])
-		sl.linkUpper(tid, key, node, top, &preds, &succs, &fails)
-		return true
-	}
+	})
+	return ok
 }
 
 // linkUpper links node's levels 1..top-1 after a successful level-0
@@ -219,18 +218,17 @@ func (sl *SkipList) Insert(tid int, key, val uint64) bool {
 // full removal cannot retire the node under a link that is about to land)
 // and rolls it back on failure; a rollback that hits zero means we were
 // the last link holder and we retire.
-func (sl *SkipList) linkUpper(tid int, key uint64, node mem.Handle, top int, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int) {
-	s := sl.s
-	n := sl.pool.Get(node)
+func (sl *SkipList) linkUpper(g *guard.Guard[slNode], key uint64, node mem.Handle, top int, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int) {
+	n := g.Deref(node)
 	for l := 1; l < top; l++ {
 		for {
-			cur := s.Read(tid, 0, &n.next[l])
+			cur := g.Load(0, &n.next[l])
 			if cur.Mark0() {
 				return // a deleter owns the remaining levels
 			}
 			// Keep our forward pointer current with the window.
 			if !cur.SameAddr(succs[l]) {
-				if !s.CompareAndSwap(tid, &n.next[l], cur, succs[l]) {
+				if !g.CompareAndSwap(&n.next[l], cur, succs[l]) {
 					continue // marked or raced: re-examine
 				}
 			}
@@ -241,20 +239,20 @@ func (sl *SkipList) linkUpper(tid int, key uint64, node mem.Handle, top int, pre
 				n.links.Add(-1)
 				return
 			}
-			if s.CompareAndSwap(tid, preds[l], succs[l], node) {
+			if g.CompareAndSwap(preds[l], succs[l], node) {
 				break // linked at level l
 			}
 			if n.links.Add(-1) == 0 {
 				if n.links.CompareAndSwap(0, linksRetired) {
-					s.Retire(tid, node) // removal completed under us
+					g.Retire(node) // removal completed under us
 				}
 				return
 			}
 			*fails++
-			// Window moved: recompute it (without RestartOp — we hold
-			// node). If our node is gone from level 0 (removed, possibly
-			// replaced by a same-key successor), stop.
-			if !sl.findRestart(tid, key, preds, succs, fails, false) || !succs[0].SameAddr(node) {
+			// Window moved: recompute it (without Restart — we hold node).
+			// If our node is gone from level 0 (removed, possibly replaced
+			// by a same-key successor), stop.
+			if !sl.findRestart(g, key, preds, succs, fails, false) || !succs[0].SameAddr(node) {
 				return
 			}
 			if succs[l].SameAddr(node) {
@@ -267,61 +265,56 @@ func (sl *SkipList) linkUpper(tid int, key uint64, node mem.Handle, top int, pre
 // Remove deletes key; false if absent. Upper levels are marked first, the
 // level-0 mark is the linearization point, and a final find snips the
 // levels (decrementing the link count; the last snipper retires).
-func (sl *SkipList) Remove(tid int, key uint64) bool {
+func (sl *SkipList) Remove(tid int, key uint64) (ok bool) {
 	checkKey(key)
-	s := sl.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	var preds [MaxLevel]*core.Ptr
-	var succs [MaxLevel]mem.Handle
-	fails := 0
-	if !sl.find(tid, key, &preds, &succs, &fails) {
-		return false
-	}
-	node := succs[0]
-	n := sl.pool.Get(node)
-	top := int(n.topLevel)
-	// Mark levels top-1..1 (idempotent across racing removers).
-	for l := top - 1; l >= 1; l-- {
-		for {
-			cur := s.Read(tid, 0, &n.next[l])
-			if cur.Mark0() {
-				break
+	sl.w.Do(tid, func(g *guard.Guard[slNode]) {
+		var preds [MaxLevel]*core.Ptr
+		var succs [MaxLevel]mem.Handle
+		fails := 0
+		if !sl.find(g, key, &preds, &succs, &fails) {
+			return
+		}
+		n := g.Deref(succs[0])
+		// Mark levels top-1..1 (idempotent across racing removers).
+		for l := int(n.topLevel) - 1; l >= 1; l-- {
+			for {
+				cur := g.Load(0, &n.next[l])
+				if cur.Mark0() || g.CompareAndSwap(&n.next[l], cur, cur.WithMark0()) {
+					break
+				}
+				fails++
 			}
-			if s.CompareAndSwap(tid, &n.next[l], cur, cur.WithMark0()) {
-				break
+		}
+		// Level-0 mark: exactly one remover wins the linearization.
+		for {
+			cur := g.Load(0, &n.next[0])
+			if cur.Mark0() {
+				return // another remover linearized first
+			}
+			if g.CompareAndSwap(&n.next[0], cur, cur.WithMark0()) {
+				// Snip eagerly; the last unlink (here or elsewhere) retires.
+				sl.find(g, key, &preds, &succs, &fails)
+				ok = true
+				return
 			}
 			fails++
 		}
-	}
-	// Level-0 mark: exactly one remover wins the linearization.
-	for {
-		cur := s.Read(tid, 0, &n.next[0])
-		if cur.Mark0() {
-			return false // another remover linearized first
-		}
-		if s.CompareAndSwap(tid, &n.next[0], cur, cur.WithMark0()) {
-			// Snip eagerly; the last unlink (here or elsewhere) retires.
-			sl.find(tid, key, &preds, &succs, &fails)
-			return true
-		}
-		fails++
-	}
+	})
+	return ok
 }
 
 // Get returns the value bound to key.
-func (sl *SkipList) Get(tid int, key uint64) (uint64, bool) {
+func (sl *SkipList) Get(tid int, key uint64) (val uint64, found bool) {
 	checkKey(key)
-	s := sl.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	var preds [MaxLevel]*core.Ptr
-	var succs [MaxLevel]mem.Handle
-	fails := 0
-	if !sl.find(tid, key, &preds, &succs, &fails) {
-		return 0, false
-	}
-	return sl.pool.Get(succs[0]).val, true
+	sl.w.Do(tid, func(g *guard.Guard[slNode]) {
+		var preds [MaxLevel]*core.Ptr
+		var succs [MaxLevel]mem.Handle
+		fails := 0
+		if sl.find(g, key, &preds, &succs, &fails) {
+			val, found = g.Deref(succs[0]).val, true
+		}
+	})
+	return val, found
 }
 
 // Range calls fn in ascending key order for every pair with from <= key <=
@@ -338,43 +331,42 @@ func (sl *SkipList) Get(tid int, key uint64) (uint64, bool) {
 // is weakly consistent: logically deleted nodes are skipped, and the
 // resume cursor guarantees no key is ever emitted twice.
 func (sl *SkipList) Range(tid int, from, to uint64, fn func(key, val uint64) bool) {
-	s := sl.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	lo := from
-	pred := &sl.head
-	for level := MaxLevel - 1; level >= 1; level-- {
-		curr := s.Read(tid, 0, &pred.next[level]).ClearMarks()
-		for !curr.IsNil() {
-			n := sl.pool.Get(curr)
-			if n.key >= from {
-				break
+	sl.w.Do(tid, func(g *guard.Guard[slNode]) {
+		lo := from
+		pred := &sl.head
+		for level := MaxLevel - 1; level >= 1; level-- {
+			curr := g.Load(0, &pred.next[level]).ClearMarks()
+			for !curr.IsNil() {
+				n := g.Deref(curr)
+				if n.key >= from {
+					break
+				}
+				// Advancing through (possibly marked) nodes without snipping:
+				// keys are immutable while reserved, so the order holds even
+				// on a frozen chain.
+				pred = n
+				curr = g.Load(1, &n.next[level]).ClearMarks()
 			}
-			// Advancing through (possibly marked) nodes without snipping:
-			// keys are immutable while reserved, so the order holds even on
-			// a frozen chain.
-			pred = n
-			curr = s.Read(tid, 1, &n.next[level]).ClearMarks()
 		}
-	}
-	curr := s.Read(tid, 0, &pred.next[0]).ClearMarks()
-	for !curr.IsNil() {
-		n := sl.pool.Get(curr)
-		next := s.Read(tid, 1, &n.next[0])
-		if !next.Mark0() { // skip logically deleted nodes
-			k := n.key
-			if k > to {
-				return
-			}
-			if k >= lo {
-				if !fn(k, n.val) {
+		curr := g.Load(0, &pred.next[0]).ClearMarks()
+		for !curr.IsNil() {
+			n := g.Deref(curr)
+			next := g.Load(1, &n.next[0])
+			if !next.Mark0() { // skip logically deleted nodes
+				k := n.key
+				if k > to {
 					return
 				}
-				lo = k + 1
+				if k >= lo {
+					if !fn(k, n.val) {
+						return
+					}
+					lo = k + 1
+				}
 			}
+			curr = next.ClearMarks()
 		}
-		curr = next.ClearMarks()
-	}
+	})
 }
 
 // Fill bulk-loads pairs (single-threaded) through the insert path.
@@ -390,80 +382,78 @@ func (sl *SkipList) Fill(pairs []KV) {
 // Safe to run concurrently with operations; long-running applications can
 // call it periodically, and tests call it before exact leak accounting.
 func (sl *SkipList) Sweep(tid int) {
-	s := sl.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	for level := MaxLevel - 1; level >= 0; level-- {
-	restart:
-		pred := &sl.head
-		predPtr := &pred.next[level]
-		curr := s.Read(tid, 0, predPtr).ClearMarks()
-		for !curr.IsNil() {
-			currNode := sl.pool.Get(curr)
-			succ := s.Read(tid, 1, &currNode.next[level])
-			if succ.Mark0() {
-				if !s.CompareAndSwap(tid, predPtr, curr, succ.ClearMarks()) {
-					goto restart
+	sl.w.Do(tid, func(g *guard.Guard[slNode]) {
+		for level := MaxLevel - 1; level >= 0; level-- {
+		restart:
+			predPtr := &sl.head.next[level]
+			curr := g.Load(0, predPtr).ClearMarks()
+			for !curr.IsNil() {
+				currNode := g.Deref(curr)
+				succ := g.Load(1, &currNode.next[level])
+				if succ.Mark0() {
+					if !g.CompareAndSwap(predPtr, curr, succ.ClearMarks()) {
+						goto restart
+					}
+					unlink(g, curr)
+					curr = succ.ClearMarks()
+					continue
 				}
-				sl.unlink(tid, curr)
+				predPtr = &currNode.next[level]
 				curr = succ.ClearMarks()
-				continue
 			}
-			predPtr = &currNode.next[level]
-			curr = succ.ClearMarks()
 		}
-	}
+	})
 }
 
 // Keys returns the ascending key set (quiescence only).
-//
-//ibrlint:ignore quiescence-only: documented to run with no concurrent operations
-func (sl *SkipList) Keys() []uint64 {
-	var out []uint64
-	h := sl.head.next[0].Raw().ClearMarks()
-	for !h.IsNil() {
-		n := sl.pool.Get(h)
-		nxt := n.next[0].Raw()
-		if !nxt.Mark0() {
-			out = append(out, n.key)
+func (sl *SkipList) Keys() (out []uint64) {
+	sl.w.Do(0, func(g *guard.Guard[slNode]) {
+		for h := sl.head.next[0].Raw().ClearMarks(); !h.IsNil(); {
+			n := g.Deref(h)
+			nxt := n.next[0].Raw()
+			if !nxt.Mark0() {
+				out = append(out, n.key)
+			}
+			h = nxt.ClearMarks()
 		}
-		h = nxt.ClearMarks()
-	}
+	})
 	return out
 }
 
 // Validate checks level coherence at quiescence: every level's chain is
 // strictly sorted, and every unmarked upper-level occupant is present
 // below (ghost routers — marked upper levels not yet snipped — are legal).
-//
-//ibrlint:ignore quiescence-only: documented to run with no concurrent operations
-func (sl *SkipList) Validate() error {
-	var below map[uint64]bool
-	for level := 0; level < MaxLevel; level++ {
-		seen := map[uint64]bool{}
-		last := int64(-1)
-		for h := sl.head.next[level].Raw().ClearMarks(); !h.IsNil(); {
-			n := sl.pool.Get(h)
-			if int64(n.key) <= last {
-				return fmt.Errorf("skiplist: level %d not strictly sorted at key %d", level, n.key)
-			}
-			last = int64(n.key)
-			nxt := n.next[level].Raw()
-			if !nxt.Mark0() {
-				seen[n.key] = true
-				if level > 0 && !below[n.key] {
-					return fmt.Errorf("skiplist: key %d at level %d missing from level %d", n.key, level, level-1)
+func (sl *SkipList) Validate() (err error) {
+	sl.w.Do(0, func(g *guard.Guard[slNode]) {
+		var below map[uint64]bool
+		for level := 0; level < MaxLevel; level++ {
+			seen := map[uint64]bool{}
+			last := int64(-1)
+			for h := sl.head.next[level].Raw().ClearMarks(); !h.IsNil(); {
+				n := g.Deref(h)
+				if int64(n.key) <= last {
+					err = fmt.Errorf("skiplist: level %d not strictly sorted at key %d", level, n.key)
+					return
 				}
+				last = int64(n.key)
+				nxt := n.next[level].Raw()
+				if !nxt.Mark0() {
+					seen[n.key] = true
+					if level > 0 && !below[n.key] {
+						err = fmt.Errorf("skiplist: key %d at level %d missing from level %d", n.key, level, level-1)
+						return
+					}
+				}
+				h = nxt.ClearMarks()
 			}
-			h = nxt.ClearMarks()
+			below = seen
 		}
-		below = seen
-	}
-	return nil
+	})
+	return err
 }
 
 // Scheme exposes the reclamation scheme.
-func (sl *SkipList) Scheme() core.Scheme { return sl.s }
+func (sl *SkipList) Scheme() core.Scheme { return sl.w.Scheme() }
 
 // PoolStats exposes allocator counters.
-func (sl *SkipList) PoolStats() mem.Stats { return sl.pool.Stats() }
+func (sl *SkipList) PoolStats() mem.Stats { return sl.w.Pool().Stats() }

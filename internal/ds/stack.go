@@ -2,6 +2,7 @@ package ds
 
 import (
 	"ibr/internal/core"
+	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
 
@@ -10,9 +11,8 @@ import (
 // immutable, and the only mutable pointer is the top-of-stack — so POIBR's
 // root-snapshot reservation protects everything a pop can touch.
 type Stack struct {
-	pool *mem.Pool[stackNode]
-	s    core.Scheme
-	top  core.Ptr
+	w   *guard.Guarded[stackNode]
+	top core.Ptr
 }
 
 type stackNode struct {
@@ -31,75 +31,76 @@ func NewStack(cfg Config) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stack{pool: pool, s: s}, nil
+	return &Stack{w: guard.New(s, pool)}, nil
 }
 
 // Name returns "stack".
 func (st *Stack) Name() string { return "stack" }
 
 // Push adds val to the top. It returns false only on pool exhaustion.
-func (st *Stack) Push(tid int, val uint64) bool {
-	s := st.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	h := s.Alloc(tid)
-	if h.IsNil() {
-		return false
-	}
-	n := st.pool.Get(h)
-	n.val = val
-	fails := 0
-	for {
-		top := s.ReadRoot(tid, 0, &st.top)
-		s.Write(tid, &n.next, top)
-		if s.CompareAndSwap(tid, &st.top, top, h) {
-			return true
+func (st *Stack) Push(tid int, val uint64) (ok bool) {
+	st.w.Do(tid, func(g *guard.Guard[stackNode]) {
+		h := g.Alloc()
+		if h.IsNil() {
+			return
 		}
-		if fails++; fails >= restartThreshold {
-			fails = 0
-			s.RestartOp(tid) // only the private node is held
+		n := g.Deref(h)
+		n.val = val
+		fails := 0
+		for {
+			top := g.LoadRoot(0, &st.top)
+			g.Publish(&n.next, top)
+			if g.CompareAndSwap(&st.top, top, h) {
+				ok = true
+				return
+			}
+			if fails++; fails >= restartThreshold {
+				fails = 0
+				g.Restart() // only the private node is held
+			}
 		}
-	}
+	})
+	return ok
 }
 
 // Pop removes and returns the top value.
-func (st *Stack) Pop(tid int) (uint64, bool) {
-	s := st.s
-	s.StartOp(tid)
-	defer s.EndOp(tid)
-	fails := 0
-	for {
-		top := s.ReadRoot(tid, 0, &st.top)
-		if top.IsNil() {
-			return 0, false
+func (st *Stack) Pop(tid int) (val uint64, ok bool) {
+	st.w.Do(tid, func(g *guard.Guard[stackNode]) {
+		fails := 0
+		for {
+			top := g.LoadRoot(0, &st.top)
+			if top.IsNil() {
+				return
+			}
+			n := g.Deref(top)
+			next := g.Load(1, &n.next)
+			v := n.val
+			if g.CompareAndSwap(&st.top, top, next) {
+				g.Retire(top)
+				val, ok = v, true
+				return
+			}
+			if fails++; fails >= restartThreshold {
+				fails = 0
+				g.Restart()
+			}
 		}
-		n := st.pool.Get(top)
-		next := s.Read(tid, 1, &n.next)
-		val := n.val
-		if s.CompareAndSwap(tid, &st.top, top, next) {
-			s.Retire(tid, top)
-			return val, true
-		}
-		if fails++; fails >= restartThreshold {
-			fails = 0
-			s.RestartOp(tid)
-		}
-	}
+	})
+	return val, ok
 }
 
 // Len counts nodes (quiescence only).
-//
-//ibrlint:ignore quiescence-only: documented to run with no concurrent operations
-func (st *Stack) Len() int {
-	n := 0
-	for h := st.top.Raw(); !h.IsNil(); h = st.pool.Get(h).next.Raw() {
-		n++
-	}
+func (st *Stack) Len() (n int) {
+	st.w.Do(0, func(g *guard.Guard[stackNode]) {
+		for h := st.top.Raw(); !h.IsNil(); h = g.Deref(h).next.Raw() {
+			n++
+		}
+	})
 	return n
 }
 
 // Scheme exposes the reclamation scheme.
-func (st *Stack) Scheme() core.Scheme { return st.s }
+func (st *Stack) Scheme() core.Scheme { return st.w.Scheme() }
 
 // PoolStats exposes allocator counters.
-func (st *Stack) PoolStats() mem.Stats { return st.pool.Stats() }
+func (st *Stack) PoolStats() mem.Stats { return st.w.Pool().Stats() }

@@ -7,20 +7,13 @@ import (
 
 	"ibr/internal/core"
 	"ibr/internal/guard"
-	"ibr/internal/mem"
 )
 
 // TestGuardEscapePanics proves the ibrdebug liveness check: a Guard
 // retained past its Do bracket panics on the next touch point instead of
 // issuing an unprotected read.
 func TestGuardEscapePanics(t *testing.T) {
-	pool := mem.New[node](mem.Options[node]{Threads: 1})
-	s, err := core.New("2geibr", pool, core.Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := guard.New(s, pool)
-
+	w := newGuarded(t, "2geibr")
 	var leaked *guard.Guard[node]
 	var root core.Ptr
 	w.Do(0, func(g *guard.Guard[node]) { leaked = g })
@@ -28,6 +21,25 @@ func TestGuardEscapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Load on a Guard outside its Do bracket did not panic")
+		}
+	}()
+	leaked.Load(0, &root)
+}
+
+// TestGuardEscapeAfterLaterBracketPanics: Do hands out the tid's one
+// preallocated Guard, so a leaked Guard is the same object a later bracket
+// of its tid re-arms. Once that bracket closes too, the leaked Guard must
+// panic again.
+func TestGuardEscapeAfterLaterBracketPanics(t *testing.T) {
+	w := newGuarded(t, "2geibr")
+	var leaked *guard.Guard[node]
+	var root core.Ptr
+	w.Do(0, func(g *guard.Guard[node]) { leaked = g })
+	w.Do(0, func(g *guard.Guard[node]) { g.Load(0, &root) })
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Load on a leaked Guard after a later bracket of its tid closed did not panic")
 		}
 	}()
 	leaked.Load(0, &root)

@@ -157,7 +157,7 @@ func (e *Engine) execRange(sh *shard, tid int, r *request) {
 	var part []Pair
 	// The visitor receives values, not handles, so nothing escapes the
 	// bracket — the ds-side Range implementations are held to that contract
-	// by ibrlint's range-callback rule (derefguard + lifecycle).
+	// by ibrlint's range-callback rule (lifecycle, over their Do closures).
 	sh.m.(ds.Ranger).Range(tid, ro.from, ro.to, func(k, v uint64) bool {
 		part = append(part, Pair{Key: k, Val: v})
 		return len(part) < ro.limit

@@ -39,6 +39,23 @@ func unreclaimed(stats []ShardStats) int {
 	return t
 }
 
+// pinnedBacklog runs churn in steps and returns the largest backlog seen
+// while no tid was quarantined yet: the evidence that the stall pinned it.
+// Sampling only after the whole churn is not enough — under -race the churn
+// alone can outlast QuarantineAfter, and a quarantine that fired first has
+// already drained the backlog.
+func pinnedBacklog(eng *Engine, churn func(rounds int), rounds int) int {
+	pinned := 0
+	for r := 0; r < rounds; r += 100 {
+		churn(100)
+		st := eng.Stats()
+		if sum(st, func(s ShardStats) uint64 { return s.Quarantines }) == 0 {
+			pinned = max(pinned, unreclaimed(st))
+		}
+	}
+	return pinned
+}
+
 // TestQuarantineDrainsStalledBacklog is the acceptance scenario: an
 // injected staller pins reclamation for 30s (far beyond the test), churn
 // builds an unreclaimed backlog behind it, and the remediator must
@@ -77,8 +94,7 @@ func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 					}
 				}
 			}
-			churn(2000)
-			if got := unreclaimed(eng.Stats()); got == 0 {
+			if pinnedBacklog(eng, churn, 2000) == 0 {
 				t.Fatal("stall did not pin a backlog; the scenario is vacuous")
 			}
 
@@ -136,8 +152,7 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 			}
 		}
 	}
-	churn(2000)
-	if got := unreclaimed(eng.Stats()); got == 0 {
+	if pinnedBacklog(eng, churn, 2000) == 0 {
 		t.Fatal("stall did not pin a backlog; the scenario is vacuous")
 	}
 
@@ -150,7 +165,9 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 	if !ok {
 		t.Fatalf("shard scheme is %T, want *core.DEBRA", eng.shards[0].inst.Scheme())
 	}
-	if sig, _ := d.NeutralizeStats(); sig == 0 {
+	// The quarantine counter moves when the lease is revoked; the signal is
+	// delivered later, by the cleanup op a worker runs.
+	if !waitFor(time.Second, func() bool { sig, _ := d.NeutralizeStats(); return sig > 0 }) {
 		t.Fatal("quarantine delivered no neutralization signal")
 	}
 	ok = waitFor(time.Second, func() bool {
