@@ -103,27 +103,6 @@ func IsHandleType(t types.Type) bool {
 	return obj.Name() == "Handle" && obj.Pkg() != nil && PkgIs(obj.Pkg().Path(), MemPkg)
 }
 
-// PkgFuncCall returns the invoked function if call invokes a PACKAGE-LEVEL
-// function (no receiver) with one of the given names declared in a package
-// whose import path ends in pkgSuffix, else nil. The transfer helpers
-// (core.AdoptRetired, core.ClearReservation) are package functions, which
-// MethodCallee deliberately ignores.
-func PkgFuncCall(info *types.Info, call *ast.CallExpr, pkgSuffix string, names ...string) *types.Func {
-	fn, ok := typeutil.Callee(info, call).(*types.Func)
-	if !ok || fn.Signature().Recv() != nil {
-		return nil
-	}
-	if fn.Pkg() == nil || !PkgIs(fn.Pkg().Path(), pkgSuffix) {
-		return nil
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return fn
-		}
-	}
-	return nil
-}
-
 // AllocCall reports whether call is the allocator-level Alloc — the
 // two-result (Handle, bool) form of mem.Pool / core.Memory — as opposed to
 // the one-result Scheme.Alloc that stamps the birth epoch.

@@ -12,10 +12,10 @@
 // allocated but never published, e.g. discarded after a failed insert —
 // must be annotated: //ibrlint:ignore never published.
 //
-// The cross-tid transfer primitives (core.AdoptRetired and
-// core.ClearReservation, both the package-function and method forms) are
-// held to the same standard: clearing another tid's reservation unpins
-// whatever its holder was reading, and adopting a retire list reads it
+// The cross-tid transfer methods (Scheme.AdoptRetired and
+// Scheme.ClearReservation) are held to the same standard: clearing another
+// tid's reservation unpins whatever its holder was reading, and adopting a
+// retire list reads it
 // unsynchronized — sound only when that tid's holder is provably parked
 // holding no node references, or dead. Each call site must state that
 // evidence in an //ibrlint:ignore directive (the engine's quarantine path
@@ -64,11 +64,7 @@ func run(pass *analysis.Pass) (any, error) {
 			rep.Reportf(call.Pos(), "direct %s bypasses reclamation: detached blocks must go through Scheme.Retire (retire-before-free, paper §2.1)", fn.Name())
 			return
 		}
-		fn = ibrlint.CoreCall(pass.TypesInfo, call, "AdoptRetired", "ClearReservation")
-		if fn == nil {
-			fn = ibrlint.PkgFuncCall(pass.TypesInfo, call, ibrlint.CorePkg, "AdoptRetired", "ClearReservation")
-		}
-		if fn != nil {
+		if fn = ibrlint.CoreCall(pass.TypesInfo, call, "AdoptRetired", "ClearReservation"); fn != nil {
 			rep.Reportf(call.Pos(), "cross-tid %s acts on another thread's reservation state: annotate the parked-or-dead evidence with //ibrlint:ignore", fn.Name())
 		}
 	})

@@ -45,9 +45,8 @@ func (q *Q) changed(h mem.Handle) bool {
 	return q.head.Raw() != h
 }
 
-// Quarantine calls a core package function, not a Scheme method: pure
+// Backlog calls a core package function, not a Scheme method: pure
 // bookkeeping is not derefguard's concern.
-func (q *Q) Quarantine(victim, tid int) int {
-	//ibrlint:ignore quarantine: victim verified parked or dead via lease table
-	return core.AdoptRetired(q.w.Scheme(), victim, tid)
+func (q *Q) Backlog(threads int) int {
+	return core.TotalUnreclaimed(q.w.Scheme(), threads)
 }

@@ -22,10 +22,8 @@ func (t *T) DropBatch(tid int, hs []mem.Handle) {
 }
 
 // Steal transfers another tid's state with no evidence its holder is parked
-// or dead — both the package-function and the method forms must be flagged.
-func Steal(s core.Scheme, tr core.Transferer, victim, tid int) {
-	core.ClearReservation(s, victim) // want "cross-tid ClearReservation acts on another thread's reservation state"
-	core.AdoptRetired(s, victim, tid) // want "cross-tid AdoptRetired acts on another thread's reservation state"
-	tr.ClearReservation(victim)       // want "cross-tid ClearReservation acts on another thread's reservation state"
-	tr.AdoptRetired(victim, tid)      // want "cross-tid AdoptRetired acts on another thread's reservation state"
+// or dead — both cross-tid Scheme methods must be flagged.
+func Steal(s core.Scheme, victim, tid int) {
+	s.ClearReservation(victim)  // want "cross-tid ClearReservation acts on another thread's reservation state"
+	s.AdoptRetired(victim, tid) // want "cross-tid AdoptRetired acts on another thread's reservation state"
 }

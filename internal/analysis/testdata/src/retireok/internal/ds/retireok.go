@@ -20,7 +20,7 @@ func (t *T) Unlink(tid int, h mem.Handle) {
 // an //ibrlint:ignore directive stating the parked-or-dead evidence.
 func (t *T) Quarantine(victim, tid int) {
 	//ibrlint:ignore quarantine: holder verified parked or dead via lease table
-	core.ClearReservation(t.s, victim)
+	t.s.ClearReservation(victim)
 	//ibrlint:ignore quarantine: victim revoked, this goroutine owns the adopting tid
-	core.AdoptRetired(t.s, victim, tid)
+	t.s.AdoptRetired(victim, tid)
 }

@@ -10,7 +10,8 @@ func (p *Ptr) Raw() mem.Handle { return mem.Handle(p.v) }
 
 func (p *Ptr) FetchOrMarks(m uint64) mem.Handle { return mem.Handle(p.v) }
 
-// Scheme is the reservation API surface the analyzers key on.
+// Scheme is the reservation API surface the analyzers key on, including the
+// cross-tid transfer methods of its control block.
 type Scheme interface {
 	StartOp(tid int)
 	EndOp(tid int)
@@ -21,26 +22,16 @@ type Scheme interface {
 	Write(tid int, p *Ptr, h mem.Handle)
 	CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool
 	Retire(tid int, h mem.Handle)
-}
-
-// Transferer mirrors the cross-tid transfer surface.
-type Transferer interface {
+	Unreclaimed(tid int) int
 	AdoptRetired(from, to int) int
 	ClearReservation(tid int)
 }
 
-// AdoptRetired mirrors the package-function form of retire-list adoption.
-func AdoptRetired(s Scheme, from, to int) int {
-	if t, ok := s.(Transferer); ok {
-		return t.AdoptRetired(from, to)
+// TotalUnreclaimed mirrors the package-level bookkeeping helper.
+func TotalUnreclaimed(s Scheme, threads int) int {
+	total := 0
+	for tid := 0; tid < threads; tid++ {
+		total += s.Unreclaimed(tid)
 	}
-	return 0
-}
-
-// ClearReservation mirrors the package-function form of the cross-tid
-// reservation clear.
-func ClearReservation(s Scheme, tid int) {
-	if t, ok := s.(Transferer); ok {
-		t.ClearReservation(tid)
-	}
+	return total
 }

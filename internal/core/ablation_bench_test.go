@@ -28,7 +28,7 @@ func BenchmarkAblationReadRevalidation(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if advanceEvery > 0 && i%advanceEvery == 0 {
-						epochOf(s).Advance()
+						s.Clock().Advance()
 					}
 					s.Read(0, 0, &p)
 				}
@@ -52,7 +52,7 @@ func BenchmarkAblationScanCost(b *testing.B) {
 			pool := mem.New[tnode](mem.Options[tnode]{Threads: 2, MaxSlots: 1 << 17})
 			s, _ := New("tagibr", pool, Options{Threads: 2, EpochFreq: 64, EmptyFreq: 1 << 30})
 			// Pin everything with a wide reservation on thread 1.
-			resOf(s).At(1).Set(1, 1<<60)
+			s.Reservations().At(1).Set(1, 1<<60)
 			for i := 0; i < listLen; i++ {
 				s.Retire(0, s.Alloc(0))
 			}
@@ -62,7 +62,7 @@ func BenchmarkAblationScanCost(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(listLen), "list-len")
-			resOf(s).At(1).Clear()
+			s.Reservations().At(1).Clear()
 			s.Drain(0)
 		})
 	}

@@ -154,6 +154,21 @@ type Scheme interface {
 	// Robust reports whether a stalled thread can block only a bounded
 	// number of reclamations under this scheme (Fig. 7 summary).
 	Robust() bool
+
+	// The control block: diagnostics and the serving layer's levers. base
+	// implements all of it; only ClearReservation is overridden (HP, HE,
+	// Hyaline, DEBRA). AdoptRetired and ClearReservation act on another
+	// tid's state and are sound only when that tid's holder is provably
+	// parked or dead (see api_transfer.go).
+	ScanStats() ScanStats
+	Clock() *epoch.Clock
+	Reservations() *epoch.Table
+	TakeAllocFailed(tid int) bool
+	SetDrainPressure(on bool)
+	SetRetireSource(tid int, src RetireSource)
+	RetireSources() [NumRetireSources]uint64
+	AdoptRetired(from, to int) int
+	ClearReservation(tid int)
 }
 
 // Options tunes a scheme; zero values select the paper's settings.
@@ -233,22 +248,22 @@ type threadState struct {
 	_            [64]byte
 	allocCount   uint64
 	retireCount  uint64
-	sinceAdvance uint64 // retirements since the last epoch advance seen by this tid
-	allocFailed  bool   // last Alloc returned Nil for pool exhaustion
+	sinceAdvance uint64       // retirements since the last epoch advance seen by this tid
+	allocFailed  bool         // last Alloc returned Nil for pool exhaustion
 	retireSrc    RetireSource // current retirement cause (owned by tid's goroutine)
 	store        retireStore
-	drainAt      int // adaptive watermark: scan when store.count reaches it
-	drainStep    int // current watermark step (EmptyFreq, doubling when futile)
-	unreclaimed  atomic.Int64 // store.count, readable by samplers
-	scratch      []uint64      // scan scratch (HP address / HE era snapshot)
-	sum          resSummary    // scan scratch (reservation summary)
-	freeScratch  []mem.Handle  // scan scratch (blocks to free in one batch)
-	blame        []uint64      // scan scratch (kept blocks per witness tid, obs only)
-	scans        atomic.Uint64 // retire-list scans executed
-	scanned      atomic.Uint64 // conflict tests run across all scans
-	freed        atomic.Uint64 // blocks reclaimed by scans
-	bucketSkips  atomic.Uint64 // whole buckets kept by one corner test
-	bucketFrees  atomic.Uint64 // whole buckets freed by one corner test
+	drainAt      int                             // adaptive watermark: scan when store.count reaches it
+	drainStep    int                             // current watermark step (EmptyFreq, doubling when futile)
+	unreclaimed  atomic.Int64                    // store.count, readable by samplers
+	scratch      []uint64                        // scan scratch (HP address / HE era snapshot)
+	sum          resSummary                      // scan scratch (reservation summary)
+	freeScratch  []mem.Handle                    // scan scratch (blocks to free in one batch)
+	blame        []uint64                        // scan scratch (kept blocks per witness tid, obs only)
+	scans        atomic.Uint64                   // retire-list scans executed
+	scanned      atomic.Uint64                   // conflict tests run across all scans
+	freed        atomic.Uint64                   // blocks reclaimed by scans
+	bucketSkips  atomic.Uint64                   // whole buckets kept by one corner test
+	bucketFrees  atomic.Uint64                   // whole buckets freed by one corner test
 	retiredBy    [NumRetireSources]atomic.Uint64 // retirements by cause
 	_            [64]byte
 }
@@ -298,6 +313,46 @@ func newBase(name string, m Memory, o Options) base {
 
 func (b *base) Name() string            { return b.name }
 func (b *base) Unreclaimed(tid int) int { return int(b.ts[tid].unreclaimed.Load()) }
+func (b *base) Unreserve(tid, idx int)  {}
+func (b *base) checkTid(tid int)        { _ = &b.ts[tid] }
+
+// StartOp posts the current epoch as both endpoints of tid's reservation:
+// start_op of Figs. 2, 4, 5 and 6 (EBR, POIBR, TagIBR, 2GEIBR). HP, HE,
+// NoMM, Hyaline and DEBRA override it.
+func (b *base) StartOp(tid int) {
+	e := b.clock.Now()
+	b.res.At(tid).Set(e, e)
+}
+
+// EndOp withdraws tid's reservation (end_op of Figs. 2, 4, 5 and 6).
+func (b *base) EndOp(tid int) { b.res.At(tid).Clear() }
+
+// RestartOp renews the reservation with a fresh start epoch — the §4.3.1
+// remedy that bounds what a starving thread can reserve. Go embedding does
+// not dispatch: this calls base.StartOp, never the embedding scheme's, so a
+// scheme that overrides StartOp must override RestartOp too (DEBRA does).
+func (b *base) RestartOp(tid int) { b.StartOp(tid) }
+
+// Write is Fig. 1's default, uninstrumented store, plus the traced-span
+// publish hook. TagIBR alone overrides it (protected_write).
+func (b *base) Write(tid int, p *Ptr, h mem.Handle) {
+	p.setRaw(h)
+	if b.obs != nil {
+		b.publishSpan(tid, h)
+	}
+}
+
+// CompareAndSwap is Fig. 1's default, uninstrumented CAS. TagIBR alone
+// overrides it (protected_CAS).
+func (b *base) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
+	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
+		if b.obs != nil {
+			b.publishSpan(tid, new)
+		}
+		return true
+	}
+	return false
+}
 
 // TakeAllocFailed reports whether tid's most recent Scheme.Alloc returned
 // Nil because the pool was exhausted, clearing the flag. It distinguishes
@@ -313,16 +368,9 @@ func (b *base) TakeAllocFailed(tid int) bool {
 	return f
 }
 
-// AllocFailed invokes TakeAllocFailed on schemes that track exhaustion
-// (every registered scheme does, via base).
-func AllocFailed(s Scheme, tid int) bool {
-	if a, ok := s.(interface{ TakeAllocFailed(int) bool }); ok {
-		return a.TakeAllocFailed(tid)
-	}
-	return false
-}
-func (b *base) Unreserve(tid, idx int)  {}
-func (b *base) checkTid(tid int)        { _ = &b.ts[tid] }
+// AllocFailed is s.TakeAllocFailed(tid), kept as a package function for the
+// benchmark module.
+func AllocFailed(s Scheme, tid int) bool { return s.TakeAllocFailed(tid) }
 
 // Clock exposes the scheme's epoch clock (tests and diagnostics).
 func (b *base) Clock() *epoch.Clock { return b.clock }
@@ -388,14 +436,6 @@ func (b *base) ScanStats() ScanStats {
 // scan cost, is the binding constraint — and clears it below.
 func (b *base) SetDrainPressure(on bool) { b.pressure.Store(on) }
 
-// SetDrainPressure invokes the scheme's drain-pressure flag if it has one
-// (every registered scheme does, via base).
-func SetDrainPressure(s Scheme, on bool) {
-	if p, ok := s.(interface{ SetDrainPressure(bool) }); ok {
-		p.SetDrainPressure(on)
-	}
-}
-
 // SetRetireSource tags tid's subsequent retirements with src until changed.
 // Like every per-tid mutator it may only be called by the goroutine owning
 // tid; the serving worker brackets expiry batches with it.
@@ -418,22 +458,9 @@ func (b *base) RetireSources() [NumRetireSources]uint64 {
 	return out
 }
 
-// SetRetireSource tags tid's subsequent retirements on schemes that account
-// by cause (every registered scheme does, via base).
-func SetRetireSource(s Scheme, tid int, src RetireSource) {
-	if r, ok := s.(interface{ SetRetireSource(int, RetireSource) }); ok {
-		r.SetRetireSource(tid, src)
-	}
-}
-
-// RetireSources returns the scheme's retirement counts by cause (zeros when
-// the scheme does not account).
-func RetireSources(s Scheme) [NumRetireSources]uint64 {
-	if r, ok := s.(interface{ RetireSources() [NumRetireSources]uint64 }); ok {
-		return r.RetireSources()
-	}
-	return [NumRetireSources]uint64{}
-}
+// RetireSources is s.RetireSources(), kept as a package function for the
+// benchmark module.
+func RetireSources(s Scheme) [NumRetireSources]uint64 { return s.RetireSources() }
 
 // Reservations exposes the reservation table (tests and diagnostics).
 func (b *base) Reservations() *epoch.Table { return b.res }

@@ -54,27 +54,3 @@ func (b *base) AdoptRetired(from, to int) int {
 func (b *base) ClearReservation(tid int) {
 	b.res.At(tid).Clear()
 }
-
-// Transferer is the cross-tid transfer surface, implemented by every scheme
-// via base (HP/HE override ClearReservation).
-type Transferer interface {
-	AdoptRetired(from, to int) int
-	ClearReservation(tid int)
-}
-
-// AdoptRetired invokes the scheme's retire-list adoption if it supports the
-// transfer surface (every registered scheme does), else reports 0.
-func AdoptRetired(s Scheme, from, to int) int {
-	if t, ok := s.(Transferer); ok {
-		return t.AdoptRetired(from, to)
-	}
-	return 0
-}
-
-// ClearReservation invokes the scheme's cross-tid reservation clear if it
-// supports the transfer surface.
-func ClearReservation(s Scheme, tid int) {
-	if t, ok := s.(Transferer); ok {
-		t.ClearReservation(tid)
-	}
-}

@@ -187,29 +187,18 @@ func TestNoMMNeverFrees(t *testing.T) {
 	}
 }
 
-// epochOf digs out the scheme's clock; all real schemes embed base.
-func epochOf(s Scheme) *epoch.Clock {
-	type clocked interface{ Clock() *epoch.Clock }
-	return s.(clocked).Clock()
-}
-
-func resOf(s Scheme) *epoch.Table {
-	type reserved interface{ Reservations() *epoch.Table }
-	return s.(reserved).Reservations()
-}
-
 func TestAllocAdvancesEpochEveryFreq(t *testing.T) {
 	for _, name := range []string{"he", "poibr", "tagibr", "tagibr-faa", "tagibr-wcas", "tagibr-tpa", "2geibr"} {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, name, 1) // EpochFreq = 4
 			s := r.scheme
-			e0 := epochOf(s).Now()
+			e0 := s.Clock().Now()
 			for i := 0; i < 8; i++ {
 				if s.Alloc(0).IsNil() {
 					t.Fatal("alloc failed")
 				}
 			}
-			if got := epochOf(s).Now(); got != e0+2 {
+			if got := s.Clock().Now(); got != e0+2 {
 				t.Fatalf("epoch advanced %d times in 8 allocs with freq 4, want 2", got-e0)
 			}
 		})
@@ -219,11 +208,11 @@ func TestAllocAdvancesEpochEveryFreq(t *testing.T) {
 func TestEBRAdvancesEpochOnRetire(t *testing.T) {
 	r := newRig(t, "ebr", 1) // EpochFreq = 4 retirements
 	s := r.scheme
-	e0 := epochOf(s).Now()
+	e0 := s.Clock().Now()
 	for i := 0; i < 8; i++ {
 		s.Retire(0, s.Alloc(0))
 	}
-	if got := epochOf(s).Now(); got != e0+2 {
+	if got := s.Clock().Now(); got != e0+2 {
 		t.Fatalf("epoch advanced %d times in 8 retires with freq 4, want 2", got-e0)
 	}
 }
@@ -234,8 +223,8 @@ func TestBirthEpochStamped(t *testing.T) {
 			r := newRig(t, name, 1)
 			s := r.scheme
 			h := s.Alloc(0)
-			if b := r.pool.Birth(h); b != epochOf(s).Now() {
-				t.Fatalf("birth = %d, epoch = %d", b, epochOf(s).Now())
+			if b := r.pool.Birth(h); b != s.Clock().Now() {
+				t.Fatalf("birth = %d, epoch = %d", b, s.Clock().Now())
 			}
 		})
 	}
@@ -282,7 +271,7 @@ func TestIntervalReclamationPrecision(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, name, 2)
 			s := r.scheme
-			clk := epochOf(s)
+			clk := s.Clock()
 
 			// Block A: lifetime [1, 2]. Block B: lifetime [4, 5].
 			a := s.Alloc(0) // birth 1
@@ -295,7 +284,7 @@ func TestIntervalReclamationPrecision(t *testing.T) {
 			s.Retire(0, b)  // retire 5
 
 			// Reservation [3,3]: intersects neither lifetime, so both must go.
-			resOf(s).At(1).Set(3, 3)
+			s.Reservations().At(1).Set(3, 3)
 			s.Drain(0)
 			if r.pool.State(a) != mem.StateFree || r.pool.State(b) != mem.StateFree {
 				t.Fatal("reservation [3,3] should protect neither [1,2] nor [4,5]")
@@ -323,7 +312,7 @@ func TestIntervalConflictTable(t *testing.T) {
 			for _, c := range cases {
 				r := newRig(t, name, 2)
 				s := r.scheme
-				clk := epochOf(s)
+				clk := s.Clock()
 				for clk.Now() < 3 {
 					clk.Advance()
 				}
@@ -333,7 +322,7 @@ func TestIntervalConflictTable(t *testing.T) {
 				}
 				s.Retire(0, h) // retire 5
 				if c.lo != epoch.None {
-					resOf(s).At(1).Set(c.lo, c.hi)
+					s.Reservations().At(1).Set(c.lo, c.hi)
 				}
 				s.Drain(0)
 				gotFree := r.pool.State(h) == mem.StateFree
@@ -351,7 +340,7 @@ func TestIntervalConflictTable(t *testing.T) {
 func TestEBRReclaimBoundary(t *testing.T) {
 	r := newRig(t, "ebr", 2)
 	s := r.scheme
-	clk := epochOf(s)
+	clk := s.Clock()
 
 	early := s.Alloc(0)
 	s.Retire(0, early) // retired at epoch 1
@@ -359,7 +348,7 @@ func TestEBRReclaimBoundary(t *testing.T) {
 	late := s.Alloc(0)
 	s.Retire(0, late) // retired at epoch 2
 
-	resOf(s).At(1).Set(2, 2) // reader started in epoch 2
+	s.Reservations().At(1).Set(2, 2) // reader started in epoch 2
 	s.Drain(0)
 	if r.pool.State(early) != mem.StateFree {
 		t.Fatal("block retired before reserved epoch not freed")
@@ -519,7 +508,7 @@ func TestTagIBRBornBeforeMonotone(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, name, 1)
 			s := r.scheme
-			clk := epochOf(s)
+			clk := s.Clock()
 			var p Ptr
 			newer := s.Alloc(0) // birth 1
 			clk.Advance()
@@ -543,7 +532,7 @@ func TestTagIBRReadRaisesUpper(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, name, 1)
 			s := r.scheme
-			clk := epochOf(s)
+			clk := s.Clock()
 			var p Ptr
 			s.StartOp(0) // reservation [1,1]
 			for clk.Now() < 5 {
@@ -552,10 +541,10 @@ func TestTagIBRReadRaisesUpper(t *testing.T) {
 			h := s.Alloc(0) // birth 5
 			s.Write(0, &p, h)
 			s.Read(0, 0, &p)
-			if up := resOf(s).At(0).Upper(); up < 5 {
+			if up := s.Reservations().At(0).Upper(); up < 5 {
 				t.Fatalf("upper = %d after reading a birth-5 block, want >= 5", up)
 			}
-			if lo := resOf(s).At(0).Lower(); lo != 1 {
+			if lo := s.Reservations().At(0).Lower(); lo != 1 {
 				t.Fatalf("lower = %d, want 1 (pinned at start)", lo)
 			}
 			s.EndOp(0)
@@ -566,7 +555,7 @@ func TestTagIBRReadRaisesUpper(t *testing.T) {
 func Test2GEReadRaisesUpperToCurrentEpoch(t *testing.T) {
 	r := newRig(t, "2geibr", 1)
 	s := r.scheme
-	clk := epochOf(s)
+	clk := s.Clock()
 	var p Ptr
 	h := s.Alloc(0)
 	s.Write(0, &p, h)
@@ -575,25 +564,142 @@ func Test2GEReadRaisesUpperToCurrentEpoch(t *testing.T) {
 		clk.Advance()
 	}
 	s.Read(0, 0, &p)
-	if up := resOf(s).At(0).Upper(); up != 7 {
+	if up := s.Reservations().At(0).Upper(); up != 7 {
 		t.Fatalf("upper = %d, want current epoch 7", up)
 	}
 	s.EndOp(0)
 }
 
-func TestRestartOpRenewsReservation(t *testing.T) {
-	for _, name := range []string{"ebr", "poibr", "tagibr", "2geibr"} {
+// fig1Default records, per registered scheme, which of Fig. 1's defaults
+// it takes from base. Go embedding does not dispatch, so an override that
+// goes missing — or a base method that silently calls base's own StartOp
+// under a scheme that overrides it — compiles cleanly; this table is the
+// check.
+type fig1Default struct {
+	// reserves: StartOp publishes a reservation-table entry (base's epoch
+	// reservation, or DEBRA's override of it). HP, HE, NoMM and Hyaline
+	// override StartOp with their own protection and leave the table idle.
+	reserves bool
+	// write is what Write and CompareAndSwap store: the bare handle (base's
+	// uninstrumented default), or TagIBR's protected_write — born_before
+	// raised alongside (tagibr, tagibr-faa) or the birth epoch packed into
+	// the word (tagibr-wcas).
+	write writeForm
+}
+
+type writeForm int
+
+const (
+	writeBare writeForm = iota
+	writeBorn
+	writePacked
+)
+
+var fig1Defaults = map[string]fig1Default{
+	"none":        {false, writeBare},
+	"ebr":         {true, writeBare},
+	"hp":          {false, writeBare},
+	"he":          {false, writeBare},
+	"poibr":       {true, writeBare},
+	"tagibr":      {true, writeBorn},
+	"tagibr-faa":  {true, writeBorn},
+	"tagibr-wcas": {true, writePacked},
+	"tagibr-tpa":  {true, writeBare},
+	"2geibr":      {true, writeBare},
+	"hyaline":     {false, writeBare},
+	"debra":       {true, writeBare},
+}
+
+// reserving lists the schemes whose StartOp publishes a table entry.
+func reserving() []string {
+	var out []string
+	for _, n := range Names() {
+		if fig1Defaults[n].reserves {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestFig1DefaultsPerScheme pins which schemes override which Fig. 1
+// defaults: whether StartOp publishes a reservation, and what Write and
+// CompareAndSwap store.
+func TestFig1DefaultsPerScheme(t *testing.T) {
+	for _, name := range Names() {
+		want, ok := fig1Defaults[name]
+		if !ok {
+			t.Fatalf("scheme %q missing from the Fig. 1 defaults table", name)
+		}
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, name, 1)
 			s := r.scheme
-			clk := epochOf(s)
 			s.StartOp(0)
-			lo0 := resOf(s).At(0).Lower()
+			if got := s.Reservations().At(0).Lower() != epoch.None; got != want.reserves {
+				t.Errorf("StartOp published a reservation = %v, want %v", got, want.reserves)
+			}
+			s.EndOp(0)
+
+			s.Clock().Advance()
+			s.Clock().Advance()
+			h := s.Alloc(0)
+			birth := r.pool.Birth(h)
+			var wp, cp Ptr
+			s.Write(0, &wp, h)
+			if !s.CompareAndSwap(0, &cp, mem.Nil, h) {
+				t.Fatal("CAS from nil failed")
+			}
+			for op, p := range map[string]*Ptr{"Write": &wp, "CompareAndSwap": &cp} {
+				if raised := p.born.Load() != 0; raised != (want.write == writeBorn) {
+					t.Errorf("%s raised born_before = %v, want %v", op, raised, want.write == writeBorn)
+				}
+				switch w := p.Raw(); want.write {
+				case writePacked:
+					if !w.SameAddr(h) || w.Epoch() != birth || birth == 0 {
+						t.Errorf("%s stored %v, want %v packed with birth %d", op, w, h, birth)
+					}
+				default:
+					if w != h {
+						t.Errorf("%s stored %v, want the bare handle %v", op, w, h)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDEBRARestartOpConsumesNeutralization: DEBRA must override RestartOp
+// as well as StartOp — base.RestartOp calls base.StartOp and would publish
+// a fresh epoch without consuming the pending neutralization.
+func TestDEBRARestartOpConsumesNeutralization(t *testing.T) {
+	s := newRig(t, "debra", 1).scheme.(*DEBRA)
+	s.StartOp(0)
+	s.ClearReservation(0)
+	s.RestartOp(0)
+	if s.Neutralized(0) {
+		t.Fatal("RestartOp left the neutralization pending")
+	}
+	if sig, obs := s.NeutralizeStats(); sig != 1 || obs != 1 {
+		t.Fatalf("stats = (%d signaled, %d observed), want (1, 1)", sig, obs)
+	}
+	if lo := s.Reservations().At(0).Lower(); lo == epoch.None {
+		t.Fatal("RestartOp published no reservation")
+	}
+	s.EndOp(0)
+}
+
+func TestRestartOpRenewsReservation(t *testing.T) {
+	for _, name := range reserving() {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, name, 1)
+			s := r.scheme
+			clk := s.Clock()
+			s.StartOp(0)
+			lo0 := s.Reservations().At(0).Lower()
 			for clk.Now() < lo0+5 {
 				clk.Advance()
 			}
 			s.RestartOp(0)
-			if lo := resOf(s).At(0).Lower(); lo != lo0+5 {
+			if lo := s.Reservations().At(0).Lower(); lo != lo0+5 {
 				t.Fatalf("lower = %d after restart, want %d", lo, lo0+5)
 			}
 			s.EndOp(0)
@@ -602,13 +708,13 @@ func TestRestartOpRenewsReservation(t *testing.T) {
 }
 
 func TestEndOpClearsReservation(t *testing.T) {
-	for _, name := range []string{"ebr", "poibr", "tagibr", "tagibr-wcas", "2geibr"} {
+	for _, name := range reserving() {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, name, 1)
 			s := r.scheme
 			s.StartOp(0)
 			s.EndOp(0)
-			res := resOf(s).At(0)
+			res := s.Reservations().At(0)
 			if res.Lower() != epoch.None || res.Upper() != epoch.None {
 				t.Fatalf("reservation [%d,%d] not cleared", res.Lower(), res.Upper())
 			}

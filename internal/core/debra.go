@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"ibr/internal/mem"
-)
+import "sync/atomic"
 
 // DEBRA is a neutralization-based EBR in the style of Brown's DEBRA+
 // ("Reclaiming memory for lock-free data structures: there has to be a
@@ -38,8 +34,10 @@ import (
 // equal retire epochs is one bag, rotation is the epoch advance inside the
 // shared retire helper, and the prefix scan (free everything retired before
 // the minimum reservation) frees exactly the sequence of expired bags
-// without examining the live ones. BagRotations counts the boundaries for
-// the telemetry.
+// without examining the live ones.
+//
+// The data path is EBR's by embedding: Alloc, Retire, Read, ReadRoot,
+// Drain and Robust are promoted from it unchanged.
 //
 // Robust() is false by the paper's own accounting: neutralization needs an
 // external stall detector (the signal there, the lease watchdog here), so
@@ -48,9 +46,8 @@ import (
 // bound end to end: a quarantined DEBRA staller's backlog drains to zero
 // while the stall is still running.
 type DEBRA struct {
-	base
+	EBR
 	neut []neutFlag
-	bags []bagState
 	// signaled counts ClearReservation neutralizations delivered; observed
 	// counts those consumed by a later StartOp on the same tid. observed ≤
 	// signaled always; they converge as neutralized tids are re-leased.
@@ -66,22 +63,12 @@ type neutFlag struct {
 	_ [63]byte
 }
 
-// bagState tracks tid's current limbo-bag epoch to count rotations. Only
-// tid's own goroutine touches it (Retire path), hence no atomics.
-type bagState struct {
-	_         [64]byte
-	cur       uint64 // retire epoch of the open bag; 0 = none yet
-	rotations uint64
-	_         [48]byte
-}
-
 // NewDEBRA builds a neutralization-based epoch reclaimer.
 func NewDEBRA(m Memory, o Options) *DEBRA {
 	o = o.withDefaults()
 	return &DEBRA{
-		base: newBase("debra", m, o),
+		EBR:  EBR{base: newBase("debra", m, o)},
 		neut: make([]neutFlag, o.Threads),
-		bags: make([]bagState, o.Threads),
 	}
 }
 
@@ -94,15 +81,12 @@ func (s *DEBRA) StartOp(tid int) {
 	if s.neut[tid].v.Swap(false) {
 		s.observed.Add(1)
 	}
-	e := s.clock.Now()
-	s.res.At(tid).Set(e, e)
+	s.base.StartOp(tid)
 }
 
-// EndOp clears the reservation.
-func (s *DEBRA) EndOp(tid int) { s.res.At(tid).Clear() }
-
-// RestartOp renews the reservation (and, like StartOp, consumes a pending
-// neutralization — a restart is an operation boundary).
+// RestartOp renews the reservation and, like StartOp, consumes a pending
+// neutralization — a restart is an operation boundary. The override must
+// stay: base.RestartOp calls base.StartOp and would skip the check.
 func (s *DEBRA) RestartOp(tid int) { s.StartOp(tid) }
 
 // Neutralized reports whether tid has a delivered-but-unconsumed
@@ -114,76 +98,6 @@ func (s *DEBRA) Neutralized(tid int) bool { return s.neut[tid].v.Load() }
 func (s *DEBRA) NeutralizeStats() (signaled, observed uint64) {
 	return s.signaled.Load(), s.observed.Load()
 }
-
-// BagRotations returns the number of limbo-bag boundaries crossed: retires
-// that opened a new epoch's bag. It is the telemetry face of the rotation —
-// the reclamation itself rides the ordered retire list's prefix scans.
-func (s *DEBRA) BagRotations() uint64 {
-	var n uint64
-	for i := range s.bags {
-		n += s.bags[i].rotations
-	}
-	return n
-}
-
-// Alloc allocates without epoch stamping: like EBR, DEBRA keeps no birth
-// epochs (the reservation covers everything reachable in the operation).
-func (s *DEBRA) Alloc(tid int) mem.Handle { return s.allocPlain(tid, s.Drain) }
-
-// Retire drops the block into tid's current limbo bag: the shared retire
-// helper stamps the retire epoch and appends in epoch order, so the bag is
-// the maximal run of equal stamps; a stamp differing from the open bag's is
-// a rotation.
-func (s *DEBRA) Retire(tid int, h mem.Handle) {
-	b := &s.bags[tid]
-	if e := s.clock.Now(); e != b.cur {
-		if b.cur != 0 {
-			b.rotations++
-		}
-		b.cur = e
-	}
-	s.retire(tid, h, s.Drain)
-}
-
-// Read is an uninstrumented load, exactly EBR: the epoch reservation (or,
-// after neutralization, the StartOp restart) is the whole protocol.
-func (s *DEBRA) Read(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
-
-// ReadRoot is Read.
-func (s *DEBRA) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
-
-// Write is an uninstrumented store (plus the traced-span publish hook).
-func (s *DEBRA) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *DEBRA) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
-}
-
-// Drain frees the expired limbo bags: every block retired strictly before
-// the minimum reservation. The bags are consecutive runs of the ordered
-// retire list, so the prefix scan frees whole bags and stops at the first
-// one still covered — O(freed+1), never a re-walk of the backlog.
-func (s *DEBRA) Drain(tid int) {
-	s.scanRetiredBefore(tid, s.res.MinLower())
-}
-
-// Robust is false for the scheme in isolation: neutralization requires an
-// external stall detector. Paired with the serving layer's lease watchdog
-// the bound is recovered operationally — see the resilience and chaos
-// suites.
-func (s *DEBRA) Robust() bool { return false }
 
 // ClearReservation is the neutralization signal: clear tid's reservation
 // so reclamation stops waiting on it, and latch the flag the next StartOp

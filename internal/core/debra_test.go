@@ -20,7 +20,7 @@ func TestDEBRANeutralizeLifecycle(t *testing.T) {
 	if s.Neutralized(0) {
 		t.Fatal("fresh tid reports a pending neutralization")
 	}
-	ClearReservation(s, 0)
+	s.ClearReservation(0)
 	if !s.Neutralized(0) {
 		t.Fatal("ClearReservation did not latch the neutralize flag")
 	}
@@ -62,7 +62,7 @@ func TestDEBRANeutralizationDrainsWithoutResume(t *testing.T) {
 	if got := s.Unreclaimed(1); got == 0 {
 		t.Fatal("stalled reservation did not pin the backlog; test is vacuous")
 	}
-	ClearReservation(s, 0)
+	s.ClearReservation(0)
 	s.Drain(1)
 	if got := s.Unreclaimed(1); got != 0 {
 		t.Fatalf("%d blocks unreclaimed after neutralizing the staller", got)
@@ -75,13 +75,13 @@ func TestDEBRANeutralizationDrainsWithoutResume(t *testing.T) {
 	s.EndOp(0)
 }
 
-// TestDEBRABagRotations: each epoch boundary crossed by a retirement opens
-// a new limbo bag. With a quiet cadence and a manually advanced clock, the
-// rotation count is exactly the number of distinct later-epoch stamps.
-func TestDEBRABagRotations(t *testing.T) {
+// TestDEBRABagsDrainAsPrefix: each run of equal retire stamps is one limbo
+// bag; with nobody reserved, one drain frees every expired bag as a whole
+// prefix of the ordered retire list.
+func TestDEBRABagsDrainAsPrefix(t *testing.T) {
 	pool, qs := quietScheme(t, "debra", 1)
 	s := qs.(*DEBRA)
-	clk := epochOf(qs)
+	clk := qs.Clock()
 	alloc := func() mem.Handle {
 		h := s.Alloc(0)
 		if h.IsNil() {
@@ -89,24 +89,16 @@ func TestDEBRABagRotations(t *testing.T) {
 		}
 		return h
 	}
-	// Three retirements in epoch e: one bag, zero rotations.
+	// Three bags: three retirements in the first epoch, two in each of the
+	// next two.
 	for i := 0; i < 3; i++ {
 		s.Retire(0, alloc())
 	}
-	if got := s.BagRotations(); got != 0 {
-		t.Fatalf("rotations = %d within one epoch, want 0", got)
-	}
-	// Two more epochs, two retirements each: two rotations.
 	for e := 0; e < 2; e++ {
 		clk.Advance()
 		s.Retire(0, alloc())
 		s.Retire(0, alloc())
 	}
-	if got := s.BagRotations(); got != 2 {
-		t.Fatalf("rotations = %d across three epochs, want 2", got)
-	}
-	// The bags free as whole prefixes: nobody is reserved, one drain takes
-	// every expired bag (here: all of them).
 	clk.Advance()
 	s.Drain(0)
 	if got := s.Unreclaimed(0); got != 0 {
@@ -144,7 +136,7 @@ func TestDEBRADrainMatchesEBR(t *testing.T) {
 				}
 			case 1: // the clock advances (same drift on both)
 				for _, s := range both {
-					epochOf(s).Advance()
+					s.Clock().Advance()
 				}
 			case 2, 3: // retire a few blocks on tid 0
 				n := 1 + rng.Intn(4)
@@ -166,8 +158,7 @@ func TestDEBRADrainMatchesEBR(t *testing.T) {
 				t.Fatalf("seed %d step %d: debra keeps %d, ebr keeps %d", seed, step, du, eu)
 			}
 		}
-		dst := d.(*DEBRA).ScanStats()
-		est := e.(*EBR).ScanStats()
+		dst, est := d.ScanStats(), e.ScanStats()
 		if dst.Freed != est.Freed || dst.Scanned != est.Scanned {
 			t.Fatalf("seed %d: scan stats diverge: debra %+v, ebr %+v", seed, dst, est)
 		}

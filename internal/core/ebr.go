@@ -9,6 +9,9 @@ import (
 // block not retired before that epoch. It is the fastest scheme and the
 // usability baseline IBR matches — but it is not robust: one stalled thread
 // pins every block retired at or after its start epoch, without bound.
+//
+// StartOp/EndOp/RestartOp (Fig. 2 lines 21–23) and the uninstrumented
+// Write/CompareAndSwap are base's defaults.
 type EBR struct {
 	base
 }
@@ -17,19 +20,6 @@ type EBR struct {
 func NewEBR(m Memory, o Options) *EBR {
 	return &EBR{base: newBase("ebr", m, o)}
 }
-
-// StartOp posts the current epoch as the thread's reservation (Fig. 2
-// line 21).
-func (s *EBR) StartOp(tid int) {
-	e := s.clock.Now()
-	s.res.At(tid).Set(e, e)
-}
-
-// EndOp clears the reservation to MAX (Fig. 2 line 23).
-func (s *EBR) EndOp(tid int) { s.res.At(tid).Clear() }
-
-// RestartOp renews the reservation with the current epoch.
-func (s *EBR) RestartOp(tid int) { s.StartOp(tid) }
 
 // Alloc allocates a block. Fig. 2's EBR advances the epoch in retire, not
 // alloc, and keeps no birth epochs; Alloc is therefore uninstrumented.
@@ -48,25 +38,6 @@ func (s *EBR) Read(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
 
 // ReadRoot is Read.
 func (s *EBR) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
-
-// Write is an uninstrumented store (plus the traced-span publish hook).
-func (s *EBR) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *EBR) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
-}
 
 // Drain runs Fig. 2's empty(): free every block retired strictly before
 // the earliest reserved epoch. The freeable blocks form a prefix of the

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"ibr/internal/epoch"
 	"ibr/internal/mem"
 )
 
@@ -36,7 +35,7 @@ func stageFig6(t *testing.T) (r *testRig, s *TwoGE, p *Ptr, b mem.Handle) {
 	p = &Ptr{}
 
 	s.StartOp(0) // reader reserves [e1, e1]
-	e1 := resOf(s).At(0).Upper()
+	e1 := s.Reservations().At(0).Upper()
 
 	// Writer: advance the epoch, then create and link B (birth e2 > e1).
 	s.Clock().Advance()
@@ -71,8 +70,8 @@ func TestFig6LiteralOrderIsUnsafe(t *testing.T) {
 	// -- literal Fig. 6 steps 2-3: raise upper to the current epoch,
 	//    verify the epoch is unchanged, and "return" ret.
 	e := s.Clock().Now()
-	if up := resOf(s).At(0).Upper(); e > up {
-		resOf(s).At(0).SetUpper(e)
+	if up := s.Reservations().At(0).Upper(); e > up {
+		s.Reservations().At(0).SetUpper(e)
 	}
 	if s.Clock().Now() == e {
 		// The literal protocol accepts ret here. ret is dangling:
@@ -119,7 +118,7 @@ func TestFig5LiteralOrderIsUnsafe(t *testing.T) {
 	p := &Ptr{}
 
 	s.StartOp(0)
-	e1 := resOf(s).At(0).Upper()
+	e1 := s.Reservations().At(0).Upper()
 	s.Clock().Advance()
 	b := s.Alloc(1) // birth e2 > e1
 	s.Write(1, p, b)
@@ -138,8 +137,8 @@ func TestFig5LiteralOrderIsUnsafe(t *testing.T) {
 	// -- literal Fig. 5 continues: upper = max(upper, born_before); the
 	//    check "upper >= born_before" passes, and ret is returned. Dangling.
 	bb := p.born.Load()
-	if up := resOf(s).At(0).Upper(); bb > up {
-		resOf(s).At(0).SetUpper(bb)
+	if up := s.Reservations().At(0).Upper(); bb > up {
+		s.Reservations().At(0).SetUpper(bb)
 	}
 	if rig.pool.State(ret) != mem.StateFree {
 		t.Fatal("expected the literal protocol to hand back freed memory")
@@ -166,14 +165,14 @@ func TestPublishFirstCoversBeforeReturn(t *testing.T) {
 			p := &Ptr{}
 			s.StartOp(0)
 			for i := 0; i < 50; i++ {
-				rig.scheme.(interface{ Clock() *epoch.Clock }).Clock().Advance()
+				s.Clock().Advance()
 				b := s.Alloc(1)
 				s.Write(1, p, b)
 				got := s.Read(0, 0, p)
 				if got.IsNil() {
 					t.Fatal("read lost the block")
 				}
-				if up := resOf(s).At(0).Upper(); up < rig.pool.Birth(got.Addr()) {
+				if up := s.Reservations().At(0).Upper(); up < rig.pool.Birth(got.Addr()) {
 					t.Fatalf("returned a block born at %d with published upper %d",
 						rig.pool.Birth(got.Addr()), up)
 				}

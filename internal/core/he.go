@@ -74,25 +74,6 @@ func (s *HE) Read(tid, idx int, p *Ptr) mem.Handle {
 // ReadRoot is Read.
 func (s *HE) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return s.Read(tid, idx, p) }
 
-// Write is an uninstrumented store (plus the traced-span publish hook).
-func (s *HE) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *HE) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
-}
-
 // Unreserve clears era slot idx.
 func (s *HE) Unreserve(tid, idx int) { s.eras[tid][idx].v.Store(0) }
 

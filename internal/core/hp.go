@@ -85,25 +85,6 @@ func (s *HP) Read(tid, idx int, p *Ptr) mem.Handle {
 // ReadRoot is Read.
 func (s *HP) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return s.Read(tid, idx, p) }
 
-// Write is an uninstrumented store (plus the traced-span publish hook).
-func (s *HP) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *HP) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
-}
-
 // Unreserve clears hazard slot idx — the explicit "last use" annotation the
 // paper's Fig. 1 lists as optional and IBR exists to remove.
 func (s *HP) Unreserve(tid, idx int) { s.haz[tid][idx].v.Store(0) }

@@ -163,25 +163,6 @@ func (s *Hyaline) Read(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
 // ReadRoot is Read.
 func (s *Hyaline) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
 
-// Write is an uninstrumented store (plus the traced-span publish hook).
-func (s *Hyaline) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *Hyaline) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
-}
-
 // Drain seals tid's open batch and hands it off regardless of the EmptyFreq
 // cadence. When no thread is active the batch frees immediately (the
 // quiescent DrainAll path); otherwise the blocks free as the active threads

@@ -57,25 +57,6 @@ func (s *NoMM) Read(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
 // ReadRoot is an uninstrumented load.
 func (s *NoMM) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
 
-// Write is an uninstrumented store (plus the traced-span publish hook).
-func (s *NoMM) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *NoMM) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
-}
-
 // Drain is a no-op; there is no retire list.
 func (s *NoMM) Drain(tid int) {}
 

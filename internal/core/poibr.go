@@ -14,6 +14,11 @@ import "ibr/internal/mem"
 // hazard pointer); every interior read is a plain load. This is the
 // cheapest robust scheme in the paper, bought by the immutability
 // restriction.
+//
+// StartOp/EndOp/RestartOp are base's epoch reservation (Fig. 4 lines
+// 22–24): the StartOp post covers allocations made before the root read,
+// and ReadRoot re-posts it. Write/CompareAndSwap are base's uninstrumented
+// defaults.
 type POIBR struct {
 	base
 }
@@ -22,19 +27,6 @@ type POIBR struct {
 func NewPOIBR(m Memory, o Options) *POIBR {
 	return &POIBR{base: newBase("poibr", m, o)}
 }
-
-// StartOp posts the current epoch (Fig. 4 line 22). ReadRoot will re-post;
-// this initial reservation covers allocations made before the root read.
-func (s *POIBR) StartOp(tid int) {
-	e := s.clock.Now()
-	s.res.At(tid).Set(e, e)
-}
-
-// EndOp withdraws the reservation (Fig. 4 line 24).
-func (s *POIBR) EndOp(tid int) { s.res.At(tid).Clear() }
-
-// RestartOp renews the reservation; the operation must re-read the root.
-func (s *POIBR) RestartOp(tid int) { s.StartOp(tid) }
 
 // Alloc allocates, stamps the birth epoch, and advances the epoch every
 // EpochFreq allocations (Fig. 4 lines 9–15).
@@ -61,25 +53,6 @@ func (s *POIBR) ReadRoot(tid, idx int, p *Ptr) mem.Handle {
 			return h
 		}
 	}
-}
-
-// Write is an uninstrumented store (plus the traced-span publish hook).
-func (s *POIBR) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *POIBR) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
 }
 
 // Drain runs Fig. 4's empty(): free every block whose lifetime interval

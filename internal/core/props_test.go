@@ -81,7 +81,7 @@ func TestSortedContains_Quick(t *testing.T) {
 func TestWCASPackIdempotent_Quick(t *testing.T) {
 	r := newRig(t, "tagibr-wcas", 1)
 	s := r.scheme.(*TagIBR)
-	clk := epochOf(r.scheme)
+	clk := r.scheme.Clock()
 	var handles []mem.Handle
 	for i := 0; i < 50; i++ {
 		handles = append(handles, s.Alloc(0))
@@ -163,7 +163,7 @@ func TestHEReadFastPathNoStore(t *testing.T) {
 		t.Fatalf("era slot changed (%d -> %d) without an epoch advance", era, got)
 	}
 	// After an advance, the next read re-publishes.
-	epochOf(s).Advance()
+	s.Clock().Advance()
 	s.Read(0, 0, &p)
 	if got := s.eras[0][0].v.Load(); got != era+1 {
 		t.Fatalf("era slot = %d after advance, want %d", got, era+1)
@@ -208,7 +208,7 @@ func TestTransferSlotKeepsProtection(t *testing.T) {
 func TestTagTPAReadDetectsReuse(t *testing.T) {
 	r := newRig(t, "tagibr-tpa", 2)
 	s := r.scheme
-	clk := epochOf(s)
+	clk := s.Clock()
 	var p Ptr
 	h := s.Alloc(0)
 	s.Write(0, &p, h)
@@ -218,7 +218,7 @@ func TestTagTPAReadDetectsReuse(t *testing.T) {
 		t.Fatalf("read %v want %v", got, h)
 	}
 	// Upper must cover the block's birth.
-	if up := resOf(s).At(0).Upper(); up < r.pool.Birth(h) {
+	if up := s.Reservations().At(0).Upper(); up < r.pool.Birth(h) {
 		t.Fatalf("upper %d < birth %d", up, r.pool.Birth(h))
 	}
 	s.EndOp(0)
@@ -235,7 +235,7 @@ func TestTagTPAReadDetectsReuse(t *testing.T) {
 	s.Write(1, &p, h2)
 	s.StartOp(0)
 	got = s.Read(0, 0, &p)
-	if up := resOf(s).At(0).Upper(); up < r.pool.Birth(h2) {
+	if up := s.Reservations().At(0).Upper(); up < r.pool.Birth(h2) {
 		t.Fatalf("upper %d does not cover recycled birth %d", up, r.pool.Birth(h2))
 	}
 	s.EndOp(0)
@@ -267,12 +267,12 @@ func TestReservationIsolation(t *testing.T) {
 			s := r.scheme
 			s.StartOp(0)
 			s.StartOp(1)
-			lo0 := resOf(s).At(0).Lower()
+			lo0 := s.Reservations().At(0).Lower()
 			s.EndOp(1)
-			if resOf(s).At(0).Lower() != lo0 {
+			if s.Reservations().At(0).Lower() != lo0 {
 				t.Fatal("EndOp(1) disturbed reservation of thread 0")
 			}
-			if resOf(s).At(1).Lower() != epoch.None {
+			if s.Reservations().At(1).Lower() != epoch.None {
 				t.Fatal("EndOp(1) did not clear its own reservation")
 			}
 			s.EndOp(0)
@@ -285,14 +285,14 @@ func TestReservationIsolation(t *testing.T) {
 func TestUnreclaimedTracksListLength(t *testing.T) {
 	r := newRig(t, "tagibr", 2)
 	s := r.scheme
-	resOf(s).At(1).Set(1, math.MaxUint64-1) // pin everything
+	s.Reservations().At(1).Set(1, math.MaxUint64-1) // pin everything
 	for i := 1; i <= 10; i++ {
 		s.Retire(0, s.Alloc(0))
 		if got := s.Unreclaimed(0); got != i {
 			t.Fatalf("after %d retires: Unreclaimed = %d", i, got)
 		}
 	}
-	resOf(s).At(1).Clear()
+	s.Reservations().At(1).Clear()
 	s.Drain(0)
 	if got := s.Unreclaimed(0); got != 0 {
 		t.Fatalf("after drain: Unreclaimed = %d", got)

@@ -18,15 +18,15 @@ func TestRetireSources(t *testing.T) {
 				s.Retire(0, h)
 				s.EndOp(0)
 			}
-			SetRetireSource(s, 0, SourceExpiry)
+			s.SetRetireSource(0, SourceExpiry)
 			for i := 0; i < expN; i++ {
 				s.StartOp(0)
 				h := s.Alloc(0)
 				s.Retire(0, h)
 				s.EndOp(0)
 			}
-			SetRetireSource(s, 0, SourceUser)
-			got := RetireSources(s)
+			s.SetRetireSource(0, SourceUser)
+			got := s.RetireSources()
 			if got[SourceUser] != userN || got[SourceExpiry] != expN {
 				t.Fatalf("RetireSources = %v, want [%d %d]", got, userN, expN)
 			}
@@ -43,5 +43,5 @@ func TestRetireSourcesUnknownPanics(t *testing.T) {
 			t.Fatal("SetRetireSource with unknown source did not panic")
 		}
 	}()
-	SetRetireSource(r.scheme, 0, NumRetireSources)
+	r.scheme.SetRetireSource(0, NumRetireSources)
 }

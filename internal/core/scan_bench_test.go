@@ -27,7 +27,7 @@ func BenchmarkScan(b *testing.B) {
 				b.Run(name+"/"+byLen(listLen), func(b *testing.B) {
 					pool := mem.New[tnode](mem.Options[tnode]{Threads: 2, MaxSlots: 1 << 17})
 					s, _ := New(name, pool, Options{Threads: 2, EpochFreq: 64, EmptyFreq: 1 << 30})
-					resOf(s).At(1).Set(1, 1<<60)
+					s.Reservations().At(1).Set(1, 1<<60)
 					for i := 0; i < listLen; i++ {
 						s.Retire(0, s.Alloc(0))
 					}
@@ -36,7 +36,7 @@ func BenchmarkScan(b *testing.B) {
 						s.Drain(0) // skips listLen pinned blocks, frees none
 					}
 					b.StopTimer()
-					resOf(s).At(1).Clear()
+					s.Reservations().At(1).Clear()
 					s.Drain(0)
 				})
 			}
@@ -49,7 +49,7 @@ func BenchmarkScan(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				pool := mem.New[tnode](mem.Options[tnode]{Threads: 1, MaxSlots: 1 << 16})
 				s, _ := New(name, pool, Options{Threads: 1, EpochFreq: 1 << 30, EmptyFreq: 1 << 30})
-				clk := epochOf(s)
+				clk := s.Clock()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for k := 0; k < batch; k++ {
@@ -70,13 +70,13 @@ func BenchmarkScan(b *testing.B) {
 	b.Run("general", func(b *testing.B) {
 		pool := mem.New[tnode](mem.Options[tnode]{Threads: 9, MaxSlots: 1 << 16})
 		s, _ := New("tagibr", pool, Options{Threads: 9, EpochFreq: 1 << 30, EmptyFreq: 1 << 30})
-		clk := epochOf(s)
+		clk := s.Clock()
 		// Eight stale single-epoch reservations below every birth this loop
 		// produces: retire ≥ minLower rules out the fast path, retire > winHi
 		// rules out the window skip, and birth > every upper endpoint means
 		// the prefix-max test frees each block after doing real work.
 		for tid := 1; tid <= 8; tid++ {
-			resOf(s).At(tid).Set(uint64(tid)+1, uint64(tid)+1)
+			s.Reservations().At(tid).Set(uint64(tid)+1, uint64(tid)+1)
 			clk.Advance()
 		}
 		clk.Advance()

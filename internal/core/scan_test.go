@@ -95,7 +95,7 @@ func TestScanSummarizedMatchesNaiveFullScan(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				pool, s := quietScheme(t, name, 4)
 				rng := rand.New(rand.NewSource(seed))
-				clk := epochOf(s)
+				clk := s.Clock()
 
 				// Pin reservations for tids 1..3 over a band of the epochs
 				// the blocks will live in; tid 0 (the scanner) stays idle.
@@ -106,7 +106,7 @@ func TestScanSummarizedMatchesNaiveFullScan(t *testing.T) {
 					}
 					lo := 1 + rng.Uint64()%200
 					hi := lo + rng.Uint64()%100
-					resOf(s).At(tid).Set(lo, hi)
+					s.Reservations().At(tid).Set(lo, hi)
 					ivs = append(ivs, interval{lo, hi, 0})
 				}
 
@@ -137,7 +137,7 @@ func TestScanSummarizedMatchesNaiveFullScan(t *testing.T) {
 				}
 
 				s.Drain(0)
-				st := s.(interface{ ScanStats() ScanStats }).ScanStats()
+				st := s.ScanStats()
 				if got := s.Unreclaimed(0); got != wantKept {
 					t.Fatalf("seed %d: scan kept %d blocks, naive predicts %d (reservations %v)",
 						seed, got, wantKept, ivs)
@@ -148,7 +148,7 @@ func TestScanSummarizedMatchesNaiveFullScan(t *testing.T) {
 
 				// Release every reservation: a second scan must free the rest.
 				for tid := 1; tid < 4; tid++ {
-					resOf(s).At(tid).Clear()
+					s.Reservations().At(tid).Clear()
 				}
 				clk.Advance()
 				s.Drain(0)
@@ -173,10 +173,10 @@ func TestScanExaminedDropsWhenPinned(t *testing.T) {
 	for _, name := range []string{"ebr", "poibr", "tagibr", "2geibr"} {
 		t.Run(name, func(t *testing.T) {
 			_, s := quietScheme(t, name, 2)
-			clk := epochOf(s)
+			clk := s.Clock()
 
 			// tid 1 is a stalled reader covering every epoch this test uses.
-			resOf(s).At(1).Set(1, 1<<60)
+			s.Reservations().At(1).Set(1, 1<<60)
 
 			const blocks = 400
 			for i := 0; i < blocks; i++ {
@@ -193,7 +193,7 @@ func TestScanExaminedDropsWhenPinned(t *testing.T) {
 				}
 			}
 
-			st := s.(interface{ ScanStats() ScanStats }).ScanStats()
+			st := s.ScanStats()
 			if st.Scans < uint64(blocks/4) {
 				t.Fatalf("only %d scans ran; the test lost its explicit drains", st.Scans)
 			}
@@ -213,7 +213,7 @@ func TestScanExaminedDropsWhenPinned(t *testing.T) {
 			}
 
 			// Unpin: the whole backlog reclaims in one scan.
-			resOf(s).At(1).Clear()
+			s.Reservations().At(1).Clear()
 			clk.Advance()
 			s.Drain(0)
 			if got := s.Unreclaimed(0); got != 0 {
@@ -233,7 +233,7 @@ func TestAdaptiveDrainBacksOffWhenFutile(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, name, 2) // EmptyFreq 4
 			s := r.scheme
-			resOf(s).At(1).Set(1, 1<<60)
+			s.Reservations().At(1).Set(1, 1<<60)
 
 			const blocks = 400
 			for i := 0; i < blocks; i++ {
@@ -243,7 +243,7 @@ func TestAdaptiveDrainBacksOffWhenFutile(t *testing.T) {
 				}
 				s.Retire(0, h)
 			}
-			st := s.(interface{ ScanStats() ScanStats }).ScanStats()
+			st := s.ScanStats()
 			if st.Scans == 0 {
 				t.Fatal("no scan ran at all; the watermark never fired")
 			}
@@ -256,13 +256,13 @@ func TestAdaptiveDrainBacksOffWhenFutile(t *testing.T) {
 			// Unpin; the next cadence-triggered scan is productive and the
 			// step resets: retiring another 2×EmptyFreq blocks must scan at
 			// least once and leave at most a cadence-worth unreclaimed.
-			resOf(s).At(1).Clear()
-			epochOf(s).Advance()
+			s.Reservations().At(1).Clear()
+			s.Clock().Advance()
 			s.Drain(0)
 			if got := s.Unreclaimed(0); got != 0 {
 				t.Fatalf("%d blocks survive after the reservation cleared", got)
 			}
-			before := s.(interface{ ScanStats() ScanStats }).ScanStats().Scans
+			before := s.ScanStats().Scans
 			for i := 0; i < 8; i++ {
 				h := s.Alloc(0)
 				if h.IsNil() {
@@ -270,7 +270,7 @@ func TestAdaptiveDrainBacksOffWhenFutile(t *testing.T) {
 				}
 				s.Retire(0, h)
 			}
-			after := s.(interface{ ScanStats() ScanStats }).ScanStats().Scans
+			after := s.ScanStats().Scans
 			if after == before {
 				t.Fatal("no scan within 2×EmptyFreq retirements after a productive drain; the step did not reset")
 			}
@@ -288,7 +288,7 @@ func TestAdaptiveDrainBacksOffWhenFutile(t *testing.T) {
 			}
 			s.Retire(0, h)
 		}
-		st := s.(interface{ ScanStats() ScanStats }).ScanStats()
+		st := s.ScanStats()
 		if want := uint64(blocks / 4); st.Scans != want {
 			t.Fatalf("hyaline sealed %d times over %d retires, want the fixed cadence %d", st.Scans, blocks, want)
 		}
@@ -305,7 +305,7 @@ func TestAdaptiveDrainBacksOffWhenFutile(t *testing.T) {
 func TestDrainPressureOverridesBackoff(t *testing.T) {
 	r := newRig(t, "tagibr", 2) // EmptyFreq 4
 	s := r.scheme
-	resOf(s).At(1).Set(1, 1<<60)
+	s.Reservations().At(1).Set(1, 1<<60)
 
 	const blocks = 400
 	retireN := func(n int) {
@@ -318,13 +318,13 @@ func TestDrainPressureOverridesBackoff(t *testing.T) {
 		}
 	}
 	retireN(blocks)
-	stats := func() ScanStats { return s.(interface{ ScanStats() ScanStats }).ScanStats() }
+	stats := func() ScanStats { return s.ScanStats() }
 	backedOff := stats().Scans
 	if backedOff > uint64(blocks/8) {
 		t.Fatalf("%d scans before pressure; backoff is broken", backedOff)
 	}
 
-	SetDrainPressure(s, true)
+	s.SetDrainPressure(true)
 	retireN(blocks)
 	underPressure := stats().Scans - backedOff
 	// Every EmptyFreq retirements must now scan: 400/4 = 100 scans.
@@ -332,7 +332,7 @@ func TestDrainPressureOverridesBackoff(t *testing.T) {
 		t.Fatalf("only %d scans under drain pressure over %d retires, want ~%d", underPressure, blocks, blocks/4)
 	}
 
-	SetDrainPressure(s, false)
+	s.SetDrainPressure(false)
 	prev := stats().Scans
 	retireN(blocks)
 	relaxed := stats().Scans - prev
@@ -340,8 +340,8 @@ func TestDrainPressureOverridesBackoff(t *testing.T) {
 		t.Fatalf("%d scans after pressure cleared; the backoff did not resume", relaxed)
 	}
 
-	resOf(s).At(1).Clear()
-	epochOf(s).Advance()
+	s.Reservations().At(1).Clear()
+	s.Clock().Advance()
 	s.Drain(0)
 	if got := s.Unreclaimed(0); got != 0 {
 		t.Fatalf("%d blocks survive after the reservation cleared", got)

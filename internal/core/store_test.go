@@ -126,7 +126,7 @@ func TestRetireStoreTakeAllSorted(t *testing.T) {
 // drain exercises the partial-free compaction path.
 func TestStoreCompactionReleasesStallBacklog(t *testing.T) {
 	_, s := quietScheme(t, "ebr", 2)
-	clk := epochOf(s)
+	clk := s.Clock()
 
 	const blocks = 40000
 	for i := 0; i < blocks; i++ {
@@ -147,7 +147,7 @@ func TestStoreCompactionReleasesStallBacklog(t *testing.T) {
 
 	// A reader pins only the most recent epochs: the drain frees the huge
 	// prefix and keeps a small tail.
-	resOf(s).At(1).Set(clk.Now(), 1<<60)
+	s.Reservations().At(1).Set(clk.Now(), 1<<60)
 	s.Drain(0)
 	kept := s.Unreclaimed(0)
 	if kept == 0 || kept > 64 {
@@ -160,7 +160,7 @@ func TestStoreCompactionReleasesStallBacklog(t *testing.T) {
 
 	// Full drain: with the whole bucket freed, the spare-array bound keeps
 	// retained capacity at most storeCompactMin.
-	resOf(s).At(1).Clear()
+	s.Reservations().At(1).Clear()
 	clk.Advance()
 	s.Drain(0)
 	if got := s.Unreclaimed(0); got != 0 {
@@ -184,7 +184,7 @@ func TestEpochAdvanceOneSourcePerOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clk := epochOf(s)
+			clk := s.Clock()
 
 			// Phase 1: 8 alloc+retire pairs = 8 ops → exactly 2 advances.
 			e0 := clk.Now()
@@ -233,7 +233,7 @@ func TestScanBucketedMatchesNaiveAcrossAdoption(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				pool, s := quietScheme(t, name, 5)
 				rng := rand.New(rand.NewSource(seed))
-				clk := epochOf(s)
+				clk := s.Clock()
 
 				// tids 2..4 pin reservations; tid 4's will be cleared before
 				// the drain, so it must NOT count toward the prediction.
@@ -241,7 +241,7 @@ func TestScanBucketedMatchesNaiveAcrossAdoption(t *testing.T) {
 				for tid := 2; tid <= 4; tid++ {
 					lo := 1 + rng.Uint64()%150
 					hi := lo + rng.Uint64()%80
-					resOf(s).At(tid).Set(lo, hi)
+					s.Reservations().At(tid).Set(lo, hi)
 					if tid != 4 {
 						ivs = append(ivs, interval{lo, hi, 0})
 					}
@@ -266,11 +266,11 @@ func TestScanBucketedMatchesNaiveAcrossAdoption(t *testing.T) {
 
 				// Quarantine tid 0: adopt its backlog into tid 1, then clear
 				// tid 4's reservation (drain-without-resume).
-				AdoptRetired(s, 0, 1)
+				s.AdoptRetired(0, 1)
 				if got := s.Unreclaimed(0); got != 0 {
 					t.Fatalf("seed %d: source kept %d blocks after adoption", seed, got)
 				}
-				ClearReservation(s, 4)
+				s.ClearReservation(4)
 
 				// Predict per block from the merged store's own records.
 				st := s.(interface{ threadStore(int) *retireStore }).threadStore(1)
@@ -302,7 +302,7 @@ func TestScanBucketedMatchesNaiveAcrossAdoption(t *testing.T) {
 
 				// Clear the rest: everything frees.
 				for tid := 2; tid <= 3; tid++ {
-					resOf(s).At(tid).Clear()
+					s.Reservations().At(tid).Clear()
 				}
 				clk.Advance()
 				s.Drain(1)

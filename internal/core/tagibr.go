@@ -50,6 +50,10 @@ func (v TagVariant) String() string {
 // Compared to hazard pointers, TagIBR needs no per-slot bookkeeping and no
 // unreserve; compared to EBR, a stalled thread reserves only the blocks
 // born up to its (frozen) upper endpoint — a bounded set (Theorem 2).
+//
+// StartOp/EndOp/RestartOp are base's (Fig. 5 lines 43–45: both endpoints
+// set to the current epoch, then withdrawn). TagIBR is the one scheme that
+// overrides base's Write/CompareAndSwap.
 type TagIBR struct {
 	base
 	variant TagVariant
@@ -59,20 +63,6 @@ type TagIBR struct {
 func NewTagIBR(m Memory, o Options, v TagVariant) *TagIBR {
 	return &TagIBR{base: newBase(v.String(), m, o), variant: v}
 }
-
-// StartOp sets both interval endpoints to the current epoch (Fig. 5
-// line 43).
-func (s *TagIBR) StartOp(tid int) {
-	e := s.clock.Now()
-	s.res.At(tid).Set(e, e)
-}
-
-// EndOp withdraws the interval (Fig. 5 line 45).
-func (s *TagIBR) EndOp(tid int) { s.res.At(tid).Clear() }
-
-// RestartOp renews the interval with a fresh start epoch — the §4.3.1
-// remedy that bounds the reservation of a starving thread.
-func (s *TagIBR) RestartOp(tid int) { s.StartOp(tid) }
 
 // Alloc allocates, stamps the birth epoch, and advances the epoch every
 // EpochFreq allocations (Fig. 5 lines 30–36). Under TagWCAS it also checks

@@ -76,7 +76,7 @@ func TestAdoptRetiredMergesByRetireEpoch(t *testing.T) {
 			}
 			before := s.Unreclaimed(1)
 
-			n := AdoptRetired(s, 0, 1)
+			n := s.AdoptRetired(0, 1)
 			if n != from {
 				t.Fatalf("AdoptRetired moved %d blocks, want %d", n, from)
 			}
@@ -89,9 +89,6 @@ func TestAdoptRetiredMergesByRetireEpoch(t *testing.T) {
 			// The merged store must preserve the per-bucket invariants the
 			// scans rely on: every bucket's live retire epochs monotone,
 			// birth bounds covering its blocks, keys matching the births.
-			if _, ok := s.(Transferer); !ok {
-				t.Fatal("scheme does not implement Transferer")
-			}
 			st := s.(interface{ threadStore(int) *retireStore }).threadStore(1)
 			assertStoreInvariants(t, st)
 			// With the pin withdrawn, one drain of the adopter must reclaim
@@ -134,7 +131,7 @@ func TestAdoptRetiredHyalineUnsealed(t *testing.T) {
 	}
 	beforeUnsealed := s.ts[1].store.count
 
-	n := AdoptRetired(s, 0, 1)
+	n := s.AdoptRetired(0, 1)
 	if n != unsealed {
 		t.Fatalf("AdoptRetired moved %d blocks, want the %d unsealed", n, unsealed)
 	}
@@ -177,11 +174,9 @@ func TestClearReservationUnpins(t *testing.T) {
 			if got := s.Unreclaimed(1); got == 0 {
 				t.Fatal("reservation did not pin the backlog; test is vacuous")
 			}
-			ClearReservation(s, 0)
-			if r, ok := s.(interface{ Reservations() *epoch.Table }); ok {
-				if lo := r.Reservations().At(0).Lower(); lo != epoch.None {
-					t.Fatalf("reservation lower = %d after clear, want None", lo)
-				}
+			s.ClearReservation(0)
+			if lo := s.Reservations().At(0).Lower(); lo != epoch.None {
+				t.Fatalf("reservation lower = %d after clear, want None", lo)
 			}
 			s.Drain(1)
 			if got := s.Unreclaimed(1); got != 0 {
@@ -203,7 +198,7 @@ func TestClearReservationHazardSlots(t *testing.T) {
 	if got := s.Read(0, 0, &p); got.Addr() != h.Addr() {
 		t.Fatalf("Read = %v, want %v", got, h)
 	}
-	ClearReservation(rig.scheme, 0)
+	rig.scheme.ClearReservation(0)
 	for i := range s.haz[0] {
 		if v := s.haz[0][i].v.Load(); v != 0 {
 			t.Fatalf("hazard slot %d still holds %#x after clear", i, v)
@@ -220,7 +215,7 @@ func TestTakeAllocFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AllocFailed(s, 0) {
+	if s.TakeAllocFailed(0) {
 		t.Fatal("flag set before any Alloc")
 	}
 	for i := 0; i < 8; i++ {
@@ -231,10 +226,10 @@ func TestTakeAllocFailed(t *testing.T) {
 	if !s.Alloc(0).IsNil() {
 		t.Fatal("expected exhaustion")
 	}
-	if !AllocFailed(s, 0) {
+	if !s.TakeAllocFailed(0) {
 		t.Fatal("exhausted Alloc did not set the flag")
 	}
-	if AllocFailed(s, 0) {
+	if s.TakeAllocFailed(0) {
 		t.Fatal("flag not cleared on read")
 	}
 }

@@ -14,6 +14,10 @@ import "ibr/internal/mem"
 // WCAS, no type-preserving allocator, and no extra CAS per write. The
 // paper's results show it within noise of the other IBRs in time, with
 // slightly larger space.
+//
+// StartOp/EndOp/RestartOp (the interval [e, e] posted at start_op) and the
+// uninstrumented Write/CompareAndSwap (Fig. 6: "write and CAS same as in
+// default (no instrumentation)") are base's defaults.
 type TwoGE struct {
 	base
 }
@@ -22,18 +26,6 @@ type TwoGE struct {
 func NewTwoGE(m Memory, o Options) *TwoGE {
 	return &TwoGE{base: newBase("2geibr", m, o)}
 }
-
-// StartOp sets both endpoints to the current epoch.
-func (s *TwoGE) StartOp(tid int) {
-	e := s.clock.Now()
-	s.res.At(tid).Set(e, e)
-}
-
-// EndOp withdraws the interval.
-func (s *TwoGE) EndOp(tid int) { s.res.At(tid).Clear() }
-
-// RestartOp renews the interval with a fresh start epoch (§4.3.1).
-func (s *TwoGE) RestartOp(tid int) { s.StartOp(tid) }
 
 // Alloc allocates, stamps the birth epoch, and advances the epoch every
 // EpochFreq allocations (shared with TagIBR, Fig. 5 lines 30–36).
@@ -61,26 +53,6 @@ func (s *TwoGE) Read(tid, idx int, p *Ptr) mem.Handle {
 
 // ReadRoot is Read.
 func (s *TwoGE) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return s.Read(tid, idx, p) }
-
-// Write is an uninstrumented store (Fig. 6: "write and CAS same as in
-// default (no instrumentation)"), plus the traced-span publish hook.
-func (s *TwoGE) Write(tid int, p *Ptr, h mem.Handle) {
-	p.setRaw(h)
-	if s.obs != nil {
-		s.publishSpan(tid, h)
-	}
-}
-
-// CompareAndSwap is an uninstrumented CAS.
-func (s *TwoGE) CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool {
-	if p.bits.CompareAndSwap(uint64(old), uint64(new)) {
-		if s.obs != nil {
-			s.publishSpan(tid, new)
-		}
-		return true
-	}
-	return false
-}
 
 // Drain runs empty() (shared with TagIBR): free every block whose lifetime
 // intersects no reserved interval, via the per-scan reservation summary.

@@ -284,7 +284,8 @@ func (l *List) PoolStats() mem.Stats { return l.lc.w.Pool().Stats() }
 // a weakly consistent scan: keys inserted or removed while the scan runs
 // may or may not be observed, but every key untouched during the scan is
 // reported exactly once, and the traversal is reclamation-safe under any
-// scheme. fn returning false stops the scan.
+// scheme. Like find, it unlinks and retires the logically deleted nodes it
+// meets. fn returning false stops the scan.
 func (l *List) Range(tid int, from, to uint64, fn func(key, val uint64) bool) {
 	l.lc.w.Do(tid, func(g *guard.Guard[listNode]) {
 		lo := from // resume cursor: never re-emit a key after a restart
@@ -303,17 +304,31 @@ func (l *List) Range(tid int, from, to uint64, fn func(key, val uint64) bool) {
 				curr = g.LoadRoot(cc, prev).ClearMarks()
 				continue
 			}
-			if !next.Mark0() { // skip logically deleted nodes
-				k := node.key
-				if k > to {
+			if next.Mark0() {
+				// curr is logically deleted: unlink it as find does. Stepping
+				// over it instead would leave prev at a marked word, and with
+				// no later find to clean up the validation above would
+				// restart the scan forever.
+				if !g.CompareAndSwap(prev, curr, next.ClearMarks()) {
+					pp, cc, nn = slotPrev, slotCurr, slotNext
+					prev = &l.head
+					curr = g.LoadRoot(cc, prev).ClearMarks()
+					continue
+				}
+				g.Retire(curr)
+				curr = next.ClearMarks()
+				cc, nn = nn, cc
+				continue
+			}
+			k := node.key
+			if k > to {
+				return
+			}
+			if k >= lo {
+				if !fn(k, node.val) {
 					return
 				}
-				if k >= lo {
-					if !fn(k, node.val) {
-						return
-					}
-					lo = k + 1
-				}
+				lo = k + 1
 			}
 			prev = &node.next
 			pp, cc, nn = cc, nn, pp

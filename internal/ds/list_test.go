@@ -3,6 +3,7 @@ package ds
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"ibr/internal/core"
 	"ibr/internal/mem"
@@ -103,6 +104,40 @@ func TestListHelperRetiresExactlyOnce(t *testing.T) {
 	core.DrainAll(l.Scheme(), 2)
 	if l.lc.w.Pool().State(h2) != mem.StateFree {
 		t.Fatal("helped node not reclaimed at quiescence")
+	}
+}
+
+// TestListRangeUnlinksMarkedNode: a remover whose unlink CAS failed leaves
+// a marked node for a later traversal to clean up. With no other traffic,
+// Range must be that traversal: it unlinks and retires the node and
+// finishes, rather than restarting at the marked word forever.
+func TestListRangeUnlinksMarkedNode(t *testing.T) {
+	l := newTestList(t, "ebr", 1)
+	for k := uint64(1); k <= 3; k++ {
+		l.Insert(0, k, k)
+	}
+	h1 := l.head.Raw().ClearMarks()
+	h2 := l.lc.w.Pool().Get(h1).next.Raw().ClearMarks()
+	l.lc.w.Pool().Get(h2).next.FetchOrMarks(mem.Mark0Bit)
+	done := make(chan []uint64, 1)
+	go func() {
+		var got []uint64
+		l.Range(0, 0, 10, func(k, _ uint64) bool {
+			got = append(got, k)
+			return true
+		})
+		done <- got
+	}()
+	select {
+	case got := <-done:
+		if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+			t.Fatalf("Range = %v, want [1 3]", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Range did not finish past a marked node")
+	}
+	if l.lc.w.Pool().State(h2) == mem.StateLive {
+		t.Fatal("Range stepped over the marked node without retiring it")
 	}
 }
 

@@ -322,15 +322,13 @@ func Run(cfg Config) (Result, error) {
 	}
 	res.Elapsed = elapsed
 	res.Mops = float64(res.Ops) / elapsed.Seconds() / 1e6
-	if ss, ok := scheme.(interface{ ScanStats() core.ScanStats }); ok {
-		stats := ss.ScanStats()
-		res.Scans = stats.Scans
-		res.ScanExamined = stats.Scanned
-		res.ScanMeanLen = stats.MeanListLen()
-		res.ScanFreed = stats.Freed
-		res.ScanBucketSkips = stats.BucketSkips
-		res.ScanBucketFrees = stats.BucketFrees
-	}
+	scan := scheme.ScanStats()
+	res.Scans = scan.Scans
+	res.ScanExamined = scan.Scanned
+	res.ScanMeanLen = scan.MeanListLen()
+	res.ScanFreed = scan.Freed
+	res.ScanBucketSkips = scan.BucketSkips
+	res.ScanBucketFrees = scan.BucketFrees
 	st := inst.PoolStats()
 	res.Allocs, res.Frees, res.Live = st.Allocs, st.Frees, st.Live()
 	return res, nil

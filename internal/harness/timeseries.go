@@ -18,6 +18,9 @@ type SpacePoint struct {
 type SpaceSeries struct {
 	Config Config
 	Points []SpacePoint
+	// Result is the run's own summary (elapsed time, op and outcome counts),
+	// set when the run completes without error.
+	Result Result
 }
 
 // RunSpaceSeries runs one benchmark cell while a sampler goroutine records
@@ -41,11 +44,12 @@ func RunSpaceSeries(cfg Config, sampleEvery time.Duration) (SpaceSeries, error) 
 	// Reuse Run's machinery by sampling from a sibling goroutine: Run owns
 	// the workload; we poll the scheme through the structure it exposes.
 	// To coordinate, we inline a reduced copy of Run's setup.
+	var res Result
 	done := make(chan error, 1)
 	ready := make(chan ds.Instrumented, 1)
 	go func() {
-		res, err := runWithHook(cfg, func(inst ds.Instrumented) { ready <- inst })
-		_ = res
+		var err error
+		res, err = runWithHook(cfg, func(inst ds.Instrumented) { ready <- inst })
 		done <- err
 	}()
 	inst := <-ready
@@ -56,6 +60,7 @@ func RunSpaceSeries(cfg Config, sampleEvery time.Duration) (SpaceSeries, error) 
 	for {
 		select {
 		case err := <-done:
+			out.Result = res
 			return out, err
 		case <-ticker.C:
 			total := 0

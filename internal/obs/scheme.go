@@ -144,14 +144,6 @@ func NewSchemeObs(cfg SchemeObsConfig) *SchemeObs {
 	return o
 }
 
-// RetireAgeHist returns the retire→free age histogram (nil when unset).
-func (o *SchemeObs) RetireAgeHist() *Hist {
-	if o == nil {
-		return nil
-	}
-	return o.retireAge
-}
-
 // Alloc records a block allocation (sampled). epoch is the birth epoch, 0
 // for schemes that do not stamp births.
 func (o *SchemeObs) Alloc(tid int, epoch uint64) {
@@ -231,14 +223,6 @@ func (o *SchemeObs) ScanBuckets(tid int, skipped, freed uint64) {
 		return
 	}
 	o.rec.Record(o.ringBase+tid, KindBucketScan, tid, skipped, freed)
-}
-
-// FreeAge records one reclaimed block's retire→free age in epochs.
-func (o *SchemeObs) FreeAge(age uint64) {
-	if o == nil || o.retireAge == nil {
-		return
-	}
-	o.retireAge.Record(age)
 }
 
 // FreeAgeBatch folds one scan's locally bucketed retire→free ages into the

@@ -446,9 +446,9 @@ func (e *Engine) remediator() {
 				// above the soft watermark, space is the binding constraint,
 				// so workers stop backing off futile scans and probe at the
 				// base EmptyFreq cadence until the backlog recedes.
-				core.SetDrainPressure(s, true)
+				s.SetDrainPressure(true)
 			} else {
-				core.SetDrainPressure(s, false)
+				s.SetDrainPressure(false)
 			}
 
 			// TTL expiry: collect the keys whose deadline passed and hand
@@ -718,7 +718,7 @@ func (e *Engine) exec(sh *shard, tid int, r *request) Response {
 		// A failed insert is ambiguous: the key may exist, or the node
 		// allocation may have failed on an exhausted pool. The scheme
 		// records which; exhaustion is overload, not a data answer.
-		if core.AllocFailed(sh.inst.Scheme(), tid) {
+		if sh.inst.Scheme().TakeAllocFailed(tid) {
 			sh.poolExhausted.Add(1)
 			return Response{Status: StatusBusy}
 		}
@@ -753,13 +753,13 @@ func (e *Engine) execCtl(sh *shard, tid int, r *request) {
 		// the ordinary structure path: each removal retires its node into
 		// this worker's retire list exactly as a client delete would, so
 		// expirations and user deletes compete for the same scan capacity.
-		core.SetRetireSource(s, tid, core.SourceExpiry)
+		s.SetRetireSource(tid, core.SourceExpiry)
 		for _, en := range r.exp {
 			if en.key < ds.KeyLimit && sh.m.Remove(tid, en.key) {
 				sh.expired.Add(1)
 			}
 		}
-		core.SetRetireSource(s, tid, core.SourceUser)
+		s.SetRetireSource(tid, core.SourceUser)
 	case opCtlQuarantine:
 		qt := int(r.req.Key)
 		// Re-verify under the lease lock: a concurrent cleanup of the same
@@ -771,19 +771,15 @@ func (e *Engine) execCtl(sh *shard, tid int, r *request) {
 		// references) or dead before revoking the lease, and revocation
 		// means the holder will never act under qt again.
 		//ibrlint:ignore quarantine: holder verified parked or dead via lease table before revocation
-		core.ClearReservation(s, qt)
+		s.ClearReservation(qt)
 		//ibrlint:ignore quarantine: qt is revoked and this worker owns tid, the adopting side
-		n := core.AdoptRetired(s, qt, tid)
+		n := s.AdoptRetired(qt, tid)
 		sh.adopted.Add(uint64(n))
 		sh.leases.finishQuarantine(qt)
 		// The adopted backlog was pinned by qt's own reservation; with that
 		// cleared, one scan usually returns it to the pool wholesale.
 		s.Drain(tid)
-		var ep uint64
-		if c, ok := s.(interface{ Clock() *epoch.Clock }); ok {
-			ep = c.Clock().Now()
-		}
-		e.obs.quarantineEvent(sh.idx, tid, qt, ep, uint64(n))
+		e.obs.quarantineEvent(sh.idx, tid, qt, s.Clock().Now(), uint64(n))
 	}
 }
 
@@ -821,9 +817,9 @@ func (e *Engine) Close() {
 					continue
 				}
 				//ibrlint:ignore quarantine: engine is quiescent, no goroutine owns any tid
-				core.ClearReservation(s, tid)
+				s.ClearReservation(tid)
 				//ibrlint:ignore quarantine: engine is quiescent, no goroutine owns any tid
-				n := core.AdoptRetired(s, tid, 0)
+				n := s.AdoptRetired(tid, 0)
 				sh.adopted.Add(uint64(n))
 				sh.leases.finishQuarantine(tid)
 			}
@@ -838,7 +834,7 @@ type ShardStats struct {
 	Ops         uint64 // operations completed
 	QueueDepth  int    // current backlog
 	Unreclaimed int    // retired-but-unreclaimed blocks (Fig. 9's metric)
-	Epoch       uint64 // the shard scheme's current epoch (0 if epoch-free)
+	Epoch       uint64 // the shard scheme's current epoch
 	EpochLag    uint64 // epoch - oldest reserved lower endpoint, 0 when idle
 	Live        uint64 // live slots in the shard's node pool
 
@@ -889,18 +885,12 @@ func (e *Engine) Stats() []ShardStats {
 			ExpiryPending: sh.wheel.pending(),
 		}
 		s := sh.inst.Scheme()
-		src := core.RetireSources(s)
+		src := s.RetireSources()
 		st.RetiredUser, st.RetiredExpiry = src[core.SourceUser], src[core.SourceExpiry]
-		if sc, ok := s.(interface{ ScanStats() core.ScanStats }); ok {
-			st.Scan = sc.ScanStats()
-		}
-		if c, ok := s.(interface{ Clock() *epoch.Clock }); ok {
-			st.Epoch = c.Clock().Now()
-			if r, ok := s.(interface{ Reservations() *epoch.Table }); ok {
-				if lo := r.Reservations().MinLower(); lo != epoch.None && lo <= st.Epoch {
-					st.EpochLag = st.Epoch - lo
-				}
-			}
+		st.Scan = s.ScanStats()
+		st.Epoch = s.Clock().Now()
+		if lo := s.Reservations().MinLower(); lo != epoch.None && lo <= st.Epoch {
+			st.EpochLag = st.Epoch - lo
 		}
 		out[i] = st
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"strconv"
 
-	"ibr/internal/epoch"
 	"ibr/internal/obs"
 )
 
@@ -103,39 +102,29 @@ func (eo *EngineObs) schemeObs(i int) *obs.SchemeObs {
 	return eo.scheme[i]
 }
 
-// startWatchdog builds stall sources from every shard scheme that exposes an
-// epoch clock and a reservation table (the epoch-based schemes; HP and NoMM
-// have no interval reservations to go stale) and starts polling. The system
-// ring — the recorder's last — takes the stall events.
+// startWatchdog builds one stall source per shard — its scheme's epoch clock
+// and reservation-table lowers — and starts polling. Schemes that publish no
+// table entries (HP, HE, NoMM, Hyaline) leave every lower idle, so their
+// sources never alert. The system ring — the recorder's last — takes the
+// stall events.
 func (eo *EngineObs) startWatchdog(e *Engine) {
 	if eo == nil {
 		return
 	}
-	var sources []obs.Source
+	sources := make([]obs.Source, len(e.shards))
 	for i, sh := range e.shards {
 		s := sh.inst.Scheme()
-		c, ok := s.(interface{ Clock() *epoch.Clock })
-		if !ok {
-			continue
-		}
-		r, ok := s.(interface{ Reservations() *epoch.Table })
-		if !ok {
-			continue
-		}
-		clock, table := c.Clock(), r.Reservations()
-		sources = append(sources, obs.Source{
+		table := s.Reservations()
+		sources[i] = obs.Source{
 			Label: "shard" + strconv.Itoa(i),
-			Epoch: clock.Now,
+			Epoch: s.Clock().Now,
 			Lowers: func(buf []uint64) []uint64 {
 				for slot := 0; slot < table.Len(); slot++ {
 					buf = append(buf, table.At(slot).Lower())
 				}
 				return buf
 			},
-		})
-	}
-	if len(sources) == 0 {
-		return
+		}
 	}
 	eo.watchdog = obs.NewWatchdog(sources, eo.opts.StallThreshold, eo.opts.WatchInterval, eo.rec, eo.rec.Rings()-1)
 	eo.watchdog.Start()

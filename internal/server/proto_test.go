@@ -8,25 +8,30 @@ import (
 	"time"
 )
 
+// seedRequests are the v2 request frames the round-trip test and the fuzz
+// targets start from.
+var seedRequests = []struct {
+	id  uint32
+	req Request
+}{
+	{0, Request{Op: OpPing, Val: 42}},
+	{1, Request{Op: OpGet, Key: 7, TraceID: 0xDEADBEEF}},
+	{2, Request{Op: OpPut, Key: ^uint64(0), Val: ^uint64(0), TTL: 250 * time.Millisecond, TraceID: ^uint64(0)}},
+	{3, Request{Op: OpRange, Key: 10, KeyHi: 1 << 61, Limit: 4096}},
+	{4294967295, Request{Op: OpDel, Key: 1 << 61, TraceID: 1}},
+}
+
+// seedV1Request is the legacy 29-byte frame the v1-compat test parses.
+func seedV1Request() []byte { return appendRequestV1(nil, 17, OpPut, 5, 99, 0xABC) }
+
 func TestProtoRequestRoundTrip(t *testing.T) {
 	var wire []byte
-	type fr struct {
-		id  uint32
-		req Request
-	}
-	frames := []fr{
-		{0, Request{Op: OpPing, Val: 42}},
-		{1, Request{Op: OpGet, Key: 7, TraceID: 0xDEADBEEF}},
-		{2, Request{Op: OpPut, Key: ^uint64(0), Val: ^uint64(0), TTL: 250 * time.Millisecond, TraceID: ^uint64(0)}},
-		{3, Request{Op: OpRange, Key: 10, KeyHi: 1 << 61, Limit: 4096}},
-		{4294967295, Request{Op: OpDel, Key: 1 << 61, TraceID: 1}},
-	}
-	for _, f := range frames {
+	for _, f := range seedRequests {
 		wire = appendRequest(wire, f.id, f.req)
 	}
 	br := bufio.NewReader(bytes.NewReader(wire))
 	buf := make([]byte, reqPayloadV2Len)
-	for _, want := range frames {
+	for _, want := range seedRequests {
 		p, err := readFrame(br, maxReqFrame, buf)
 		if err != nil {
 			t.Fatalf("readFrame: %v", err)
@@ -47,8 +52,7 @@ func TestProtoRequestRoundTrip(t *testing.T) {
 // TestProtoRequestV1Compat pins the evolvability promise: a 29-byte legacy
 // frame still parses, with the v2-only fields zero.
 func TestProtoRequestV1Compat(t *testing.T) {
-	wire := appendRequestV1(nil, 17, OpPut, 5, 99, 0xABC)
-	br := bufio.NewReader(bytes.NewReader(wire))
+	br := bufio.NewReader(bytes.NewReader(seedV1Request()))
 	p, err := readFrame(br, maxReqFrame, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
@@ -190,4 +194,69 @@ func TestProtoRejectsBadLengths(t *testing.T) {
 	if _, _, perr := parseResponse(p); perr == nil {
 		t.Fatal("pair-count mismatch accepted")
 	}
+}
+
+// FuzzParseRequest: every request payload either fails to parse or
+// re-encodes byte-for-byte through the encoder of the dialect it arrived
+// in, so the server never acts on a request it would describe differently.
+func FuzzParseRequest(f *testing.F) {
+	for _, s := range seedRequests {
+		f.Add(appendRequest(nil, s.id, s.req)[4:])
+	}
+	f.Add(seedV1Request()[4:])
+	f.Add(make([]byte, 31))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		id, req, legacy, err := parseRequest(p)
+		if err != nil {
+			return
+		}
+		var wire []byte
+		if legacy {
+			if req.KeyHi != 0 || req.TTL != 0 || req.Limit != 0 {
+				t.Fatalf("v1 payload parsed with v2-only fields: %+v", req)
+			}
+			wire = appendRequestV1(nil, id, req.Op, req.Key, req.Val, req.TraceID)
+		} else {
+			wire = appendRequest(nil, id, req)
+		}
+		if n := binary.BigEndian.Uint32(wire); int(n) != len(p) {
+			t.Fatalf("re-encoded length prefix %d, payload was %d bytes", n, len(p))
+		}
+		if !bytes.Equal(wire[4:], p) {
+			t.Fatalf("re-encoding differs:\n in  %x\n out %x", p, wire[4:])
+		}
+	})
+}
+
+// FuzzReadFrame: readFrame never panics on an arbitrary stream, never
+// returns a payload longer than its bound, and returns exactly the bytes the
+// length prefix announced.
+func FuzzReadFrame(f *testing.F) {
+	var wire []byte
+	for _, s := range seedRequests {
+		wire = appendRequest(wire, s.id, s.req)
+	}
+	f.Add(wire, uint32(maxReqFrame))
+	f.Add(seedV1Request(), uint32(respPayloadV1Len))
+	f.Add(appendResponse(nil, 11, Response{Pairs: []Pair{{1, 100}, {2, 200}}}), uint32(maxRespFrame))
+	f.Add(binary.BigEndian.AppendUint32(nil, maxRespFrame+1), uint32(maxRespFrame))
+	f.Fuzz(func(t *testing.T, data []byte, bound uint32) {
+		limit := int(bound % (maxRespFrame + 1))
+		br := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
+		for off := 0; ; {
+			p, err := readFrame(br, limit, buf)
+			if err != nil {
+				return
+			}
+			if len(p) > limit {
+				t.Fatalf("payload of %d bytes exceeds bound %d", len(p), limit)
+			}
+			if n := int(binary.BigEndian.Uint32(data[off:])); n != len(p) || !bytes.Equal(p, data[off+4:off+4+n]) {
+				t.Fatalf("frame at %d: got %d bytes, prefix announced %d", off, len(p), n)
+			}
+			off += 4 + len(p)
+			buf = p[:0]
+		}
+	})
 }
