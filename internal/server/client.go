@@ -6,17 +6,23 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Client is a pipelined connection to an ibrd server. It is safe for
-// concurrent use: many goroutines may call DoContext on one Client,
-// requests are coalesced into batched writes by a dedicated writer
-// goroutine, and ids match responses back to callers — so N concurrent
-// callers give a natural pipeline depth of N without any per-request
-// connection state.
+// concurrent use: many goroutines may call DoContext on one Client, a
+// dedicated writer goroutine puts their requests on the wire, and ids match
+// responses back to callers — so N concurrent callers give a natural
+// pipeline depth of N without any per-request connection state.
+//
+// Requests share a write when they are queued together: the writer takes
+// every request already waiting (up to a 16 KiB batch), and when other
+// calls on this Client are still in flight it yields once and takes the
+// requests they queued meanwhile before writing. A lone caller never
+// waits: its request is written at once.
 //
 // Every blocking call takes a context. Cancellation abandons the CALL, not
 // the connection: a request already on the wire still gets its response,
@@ -124,6 +130,11 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn, opts...), nil
+}
+
+// newClient runs the client protocol over an established connection.
+func newClient(conn net.Conn, opts ...ClientOption) *Client {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
@@ -138,36 +149,54 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	}
 	go cl.writeLoop()
 	go cl.readLoop()
-	return cl, nil
+	return cl
 }
 
 // writeLoop encodes requests and writes them in batches: one syscall
-// covers every request that arrived while the previous write was in
-// flight, which is where the pipeline's throughput comes from.
+// covers every request queued while the previous write was in flight,
+// which is where the pipeline's throughput comes from. Before a batch that
+// leaves other calls in flight it yields once (see writeBatchBytes): a
+// caller's send hands this goroutine the P before the other callers woken
+// by the same burst of responses have queued their requests.
 func (c *Client) writeLoop() {
 	var buf []byte
+	n := 0 // requests in buf
+	drain := func() {
+		for len(buf) < writeBatchBytes {
+			select {
+			case r := <-c.reqs:
+				buf = appendRequest(buf, r.id, r.req)
+				n++
+			default:
+				return
+			}
+		}
+	}
 	for {
-		var r reqFrame
 		select {
-		case r = <-c.reqs:
+		case r := <-c.reqs:
+			buf, n = appendRequest(buf[:0], r.id, r.req), 1
 		case <-c.done:
 			return
 		}
-		buf = appendRequest(buf[:0], r.id, r.req)
-	coalesce:
-		for len(buf) < 16*1024 {
-			select {
-			case r = <-c.reqs:
-				buf = appendRequest(buf, r.id, r.req)
-			default:
-				break coalesce
-			}
+		drain()
+		if len(buf) < writeBatchBytes && c.inFlight() > n {
+			runtime.Gosched()
+			drain()
 		}
 		if _, err := c.conn.Write(buf); err != nil {
 			c.fail(fmt.Errorf("server: write: %w", err))
 			return
 		}
 	}
+}
+
+// inFlight is the number of calls that have an id and await a response:
+// those already on the wire and those still queued for the writer.
+func (c *Client) inFlight() int {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return len(c.pending)
 }
 
 // readLoop dispatches responses to waiting callers by id. On any transport

@@ -211,6 +211,10 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 		p.Uint("ibrd_conns_dropped_proto_total", nil, srv.ProtoDropped())
 		p.Header("ibrd_frames_rejected_total", "counter", "Frames rejected with an error status but the connection kept.")
 		p.Uint("ibrd_frames_rejected_total", nil, srv.ProtoRejected())
+		p.Header("ibrd_response_writes_total", "counter", "Socket writes made by connection writers, one per batch of responses.")
+		p.Uint("ibrd_response_writes_total", nil, srv.ResponseWrites())
+		p.Header("ibrd_responses_written_total", "counter", "Response frames carried by those writes.")
+		p.Uint("ibrd_responses_written_total", nil, srv.ResponsesWritten())
 	}
 	return p.Err()
 }

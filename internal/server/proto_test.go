@@ -121,22 +121,26 @@ func TestProtoTTLWire(t *testing.T) {
 	}
 }
 
+// seedResponses are the v2 response frames the round-trip test and the
+// response fuzz target start from: no pairs, one pair, and several.
+var seedResponses = []struct {
+	id uint32
+	r  Response
+}{
+	{9, Response{Status: StatusExists, Val: 77}},
+	{10, Response{Status: StatusOK}},
+	{12, Response{Status: StatusOK, Pairs: []Pair{{5, 11}}}},
+	{11, Response{Status: StatusOK, Pairs: []Pair{{1, 100}, {2, 200}, {^uint64(0) - 1, ^uint64(0)}}}},
+}
+
 func TestProtoResponseRoundTrip(t *testing.T) {
-	resps := []struct {
-		id uint32
-		r  Response
-	}{
-		{9, Response{Status: StatusExists, Val: 77}},
-		{10, Response{Status: StatusOK}},
-		{11, Response{Status: StatusOK, Pairs: []Pair{{1, 100}, {2, 200}, {^uint64(0) - 1, ^uint64(0)}}}},
-	}
 	var wire []byte
-	for _, c := range resps {
+	for _, c := range seedResponses {
 		wire = appendResponse(wire, c.id, c.r)
 	}
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var buf []byte
-	for _, want := range resps {
+	for _, want := range seedResponses {
 		p, err := readFrame(br, maxRespFrame, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -219,6 +223,29 @@ func FuzzParseRequest(f *testing.F) {
 		} else {
 			wire = appendRequest(nil, id, req)
 		}
+		if n := binary.BigEndian.Uint32(wire); int(n) != len(p) {
+			t.Fatalf("re-encoded length prefix %d, payload was %d bytes", n, len(p))
+		}
+		if !bytes.Equal(wire[4:], p) {
+			t.Fatalf("re-encoding differs:\n in  %x\n out %x", p, wire[4:])
+		}
+	})
+}
+
+// FuzzParseResponse: every response payload either fails to parse or
+// re-encodes byte-for-byte through appendResponse, so the client never
+// hands a caller a response the server would have encoded differently.
+func FuzzParseResponse(f *testing.F) {
+	for _, s := range seedResponses {
+		f.Add(appendResponse(nil, s.id, s.r)[4:])
+	}
+	f.Add(appendResponseV1(nil, 23, Response{Status: StatusExists, Val: 0xFEED})[4:])
+	f.Fuzz(func(t *testing.T, p []byte) {
+		id, r, err := parseResponse(p)
+		if err != nil {
+			return
+		}
+		wire := appendResponse(nil, id, r)
 		if n := binary.BigEndian.Uint32(wire); int(n) != len(p) {
 			t.Fatalf("re-encoded length prefix %d, payload was %d bytes", n, len(p))
 		}

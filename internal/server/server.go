@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +54,8 @@ type Server struct {
 	accepted      atomic.Uint64
 	protoDropped  atomic.Uint64
 	protoRejected atomic.Uint64
+	respWrites    atomic.Uint64 // socket writes made by connection writers
+	respsWritten  atomic.Uint64 // response frames those writes carried
 }
 
 // NewServer wraps an engine. The caller retains ownership of the engine
@@ -77,6 +80,14 @@ func (s *Server) ProtoDropped() uint64 { return s.protoDropped.Load() }
 // connection stays alive — they are rejected frames, not dropped
 // connections.
 func (s *Server) ProtoRejected() uint64 { return s.protoRejected.Load() }
+
+// ResponseWrites returns the number of socket writes the connection writers
+// have made; each carries one batch of responses.
+func (s *Server) ResponseWrites() uint64 { return s.respWrites.Load() }
+
+// ResponsesWritten returns the number of response frames those writes
+// carried, so ResponsesWritten/ResponseWrites is the mean batch size.
+func (s *Server) ResponsesWritten() uint64 { return s.respsWritten.Load() }
 
 // Serve runs the accept loop on ln until Shutdown. It returns nil on
 // graceful shutdown and the accept error otherwise.
@@ -164,12 +175,23 @@ type wireResp struct {
 	r      Response
 }
 
-// respBatchBytes is the writer's batching budget: keep encoding queued
-// responses until the buffer holds this much, then flush the run in one
-// write. With variable-length responses a byte budget (not a response
-// count) is what actually bounds the write size — one full range response
-// can exceed it alone, and then it simply flushes by itself.
-const respBatchBytes = 16 * 1024
+// writeBatchBytes is the batching budget of both connection writers, the
+// client's (requests) and the server's (responses): keep encoding queued
+// frames until the buffer holds this much, then flush the run in one
+// write. With variable-length responses a byte budget (not a frame count)
+// is what actually bounds the write size — one full range response can
+// exceed it alone, and then it simply flushes by itself.
+//
+// Both writers apply one coalescing rule: take the first frame, drain every
+// frame already queued, and if other requests are still in flight on the
+// connection and the budget has room, yield the P once (runtime.Gosched)
+// and drain again before writing. Without the yield, Go's runnext hand-off
+// runs a parked writer the moment the goroutine that woke it blocks,
+// before the other callers (or shard workers) woken by the same burst have
+// queued their frames, so most writes carried one or two. The in-flight
+// gate keeps a lone request on the immediate path: yielding with nothing
+// else to write only wakes an idle P.
+const writeBatchBytes = 16 * 1024
 
 // respBufCap is the retained capacity cap for the writer's encode buffer:
 // a range-heavy burst may grow it to megabytes; past this it is dropped
@@ -196,26 +218,27 @@ func (s *Server) handle(c net.Conn) {
 
 	go func() { // writer
 		defer close(writerDone)
-		bw := bufio.NewWriter(c)
-		buf := make([]byte, 0, respBatchBytes)
+		buf := make([]byte, 0, writeBatchBytes)
+		n := uint64(0) // responses in buf
 		flush := func() {
-			if len(buf) == 0 {
-				return
-			}
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if !dead.Load() {
-				if _, err := bw.Write(buf); err != nil || bw.Flush() != nil {
+				if _, err := c.Write(buf); err != nil {
 					// Keep draining so done callbacks and the reader's
 					// semaphore never wedge on a dead peer.
 					dead.Store(true)
 					c.SetReadDeadline(time.Now())
+				} else {
+					s.respWrites.Add(1)
+					s.respsWritten.Add(n)
 				}
 			}
 			if cap(buf) > respBufCap {
-				buf = make([]byte, 0, respBatchBytes)
+				buf = make([]byte, 0, writeBatchBytes)
 			} else {
 				buf = buf[:0]
 			}
+			n = 0
 		}
 		encode := func(wr wireResp) {
 			if wr.legacy {
@@ -223,29 +246,39 @@ func (s *Server) handle(c net.Conn) {
 			} else {
 				buf = appendResponse(buf, wr.id, wr.r)
 			}
+			n++
+			<-inflight
+		}
+		// drain encodes the responses already queued, up to the budget; it
+		// reports false once resps is closed and empty.
+		drain := func() bool {
+			for len(buf) < writeBatchBytes {
+				select {
+				case wr, ok := <-resps:
+					if !ok {
+						return false
+					}
+					encode(wr)
+				default:
+					return true
+				}
+			}
+			return true
 		}
 		for wr := range resps {
 			encode(wr)
-			<-inflight
-			// Batch: keep encoding while more responses are ready, then
-			// flush the whole run in one write.
-			for len(buf) < respBatchBytes {
-				select {
-				case more, ok := <-resps:
-					if !ok {
-						flush()
-						return
-					}
-					encode(more)
-					<-inflight
-				default:
-					goto emit
-				}
+			open := drain()
+			// len(inflight): requests submitted whose responses are not
+			// encoded yet (see writeBatchBytes for the rule).
+			if open && len(buf) < writeBatchBytes && len(inflight) > 0 {
+				runtime.Gosched()
+				open = drain()
 			}
-		emit:
 			flush()
+			if !open {
+				return
+			}
 		}
-		flush()
 	}()
 
 	br := bufio.NewReader(c)

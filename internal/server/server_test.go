@@ -16,7 +16,7 @@ import (
 
 // startTestServer brings up an engine + server on a loopback port and
 // returns the address plus a shutdown func.
-func startTestServer(t *testing.T, cfg EngineConfig, scfg ServerConfig) (string, *Server) {
+func startTestServer(t testing.TB, cfg EngineConfig, scfg ServerConfig) (string, *Server) {
 	t.Helper()
 	eng, err := NewEngine(cfg)
 	if err != nil {
