@@ -14,9 +14,9 @@ vet:
 	$(GO) vet ./...
 
 # ibrlint: the go/analysis suite enforcing the IBR reservation protocol
-# (StartOp/EndOp bracketing, retire-before-free, birth-epoch stamping,
-# atomic/plain access discipline, handle lifecycle typestate). See DESIGN.md
-# and cmd/ibrlint. The binary is a real file target: it rebuilds only when
+# (the guard-facade boundary outside core/mem/guard, atomic/plain access
+# discipline, handle lifecycle typestate, directive hygiene). See DESIGN.md
+# §5b and cmd/ibrlint. The binary is a real file target: it rebuilds only when
 # its sources change, so repeated `make lint` runs ride go vet's cache.
 LINT_SRCS := go.mod $(shell find cmd/ibrlint internal/analysis vendor/golang.org/x/tools -name '*.go' -not -path '*/testdata/*')
 

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -133,6 +134,10 @@ type benchRecord struct {
 	BucketSkips      uint64  `json:"bucket_skips"`
 	BucketFrees      uint64  `json:"bucket_frees"`
 	Obs              bool    `json:"obs"`
+	// The host the cell ran on: its CPU count and the Go scheduler's
+	// parallelism, without which ops/s cannot be compared across runs.
+	Nproc      int `json:"nproc"`
+	GOMAXPROCS int `json:"gomaxprocs"`
 }
 
 func appendJSON(path string, res harness.Result) error {
@@ -154,6 +159,8 @@ func appendJSON(path string, res harness.Result) error {
 		BucketSkips:      res.ScanBucketSkips,
 		BucketFrees:      res.ScanBucketFrees,
 		Obs:              res.Obs != nil,
+		Nproc:            runtime.NumCPU(),
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 	}
 	if res.ScanFreed > 0 {
 		rec.ExaminedPerFreed = float64(res.ScanExamined) / float64(res.ScanFreed)

@@ -8,24 +8,25 @@
 //
 // (That is exactly what `make lint` does.) The suite:
 //
-//	derefguard   internal/ds reaches the protocol only through the
-//	             internal/guard facade: no raw core.Scheme method calls
-//	             and no mem.Pool.Get, so every access is bracketed by Do
-//	endop        every StartOp is matched by EndOp on all return paths
-//	retirefree   only internal/core and internal/mem may Free directly;
-//	             data structures must Scheme.Retire
-//	epochstamp   allocator handles are birth-stamped (SetBirth) before
-//	             they escape; structures allocate via Scheme.Alloc
+//	derefguard   the protocol boundary: outside internal/core, internal/mem
+//	             and internal/guard, no raw core.Scheme protocol call
+//	             (StartOp, EndOp, Alloc, Retire, Read, Write, CAS, the
+//	             cross-tid transfers, ...) and no mem.Pool Get, Alloc, Free
+//	             or header write, so every access is bracketed by
+//	             Guarded.Do, nothing is freed unretired, and every block is
+//	             allocated birth-stamped
 //	atomicmix    a word accessed through sync/atomic is never accessed
 //	             plainly elsewhere
 //	lifecycle    handle typestate: no use, retire, free, or publish of a
-//	             handle after it was retired on some path; no read handle
-//	             outliving its op's EndOp unpublished; no protected-read
+//	             handle after it was retired on some path; no protected-read
 //	             handle exposed to a visitor callback from an exported scan
 //	             (range visitors receive values, not handles). Flows through
 //	             struct fields and across function boundaries (facts)
 //	ibrdirective //ibrlint:ignore directives carry a reason and actually
 //	             suppress something (stale ignores are flagged)
+//
+// The facade's own implementation, inside the boundary, is checked at
+// runtime: guard's TestGuardDoBracket and core's TestBirthEpochStamped.
 //
 // False positives are suppressed with `//ibrlint:ignore <reason>` on the
 // flagged line, the line above it, or the doc comment of the enclosing
@@ -38,19 +39,13 @@ import (
 
 	"ibr/internal/analysis/atomicmix"
 	"ibr/internal/analysis/derefguard"
-	"ibr/internal/analysis/endop"
-	"ibr/internal/analysis/epochstamp"
 	"ibr/internal/analysis/ibrdirective"
 	"ibr/internal/analysis/lifecycle"
-	"ibr/internal/analysis/retirefree"
 )
 
 func main() {
 	unitchecker.Main(
 		derefguard.Analyzer,
-		endop.Analyzer,
-		retirefree.Analyzer,
-		epochstamp.Analyzer,
 		atomicmix.Analyzer,
 		lifecycle.Analyzer,
 		ibrdirective.Analyzer,

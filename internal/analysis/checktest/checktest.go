@@ -5,7 +5,7 @@
 // analyzer (and its transitive Requires) over them, and matches the reported
 // diagnostics against analysistest-style expectation comments:
 //
-//	p.Free(tid, h) // want `direct Free bypasses reclamation`
+//	p.Free(tid, h) // want "raw Pool.Free bypasses the guard facade"
 //
 // An expectation matches diagnostics on its own line. For diagnostics whose
 // position IS a comment (the ibrdirective analyzer reports at the offending
@@ -13,8 +13,8 @@
 // is allowed: `// want-1 "..."` anchors to the previous line.
 //
 // Stub packages under testdata/src reuse the real import-path suffixes
-// (stub/internal/core, stub/internal/mem, sync/atomic), which is all the
-// analyzers key on — see ibrlint.PkgIs.
+// (stub/internal/core, stub/internal/mem, stub/internal/guard, sync/atomic),
+// which is all the analyzers key on — see ibrlint.PkgIs.
 //
 // Each analyzer runs over every package the golden package (transitively)
 // imports, in dependency order, before the golden package itself, against a
@@ -47,7 +47,7 @@ const srcRoot = "../testdata/src"
 
 // Run loads the package at pkgPath (relative to testdata/src), runs every
 // analyzer in analyzers over it, and matches diagnostics against the
-// package's want comments. Analyzers that share golden files (retirefree and
+// package's want comments. Analyzers that share golden files (derefguard and
 // ibrdirective over the escape-hatch package) are passed together so every
 // expectation in the file set is owned by some analyzer in the run.
 func Run(t *testing.T, pkgPath string, analyzers ...*analysis.Analyzer) {

@@ -20,11 +20,8 @@ import (
 
 	"ibr/internal/analysis/atomicmix"
 	"ibr/internal/analysis/derefguard"
-	"ibr/internal/analysis/endop"
-	"ibr/internal/analysis/epochstamp"
 	"ibr/internal/analysis/ibrlint"
 	"ibr/internal/analysis/lifecycle"
-	"ibr/internal/analysis/retirefree"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -33,9 +30,6 @@ var Analyzer = &analysis.Analyzer{
 	Requires: []*analysis.Analyzer{
 		ibrlint.Directives,
 		derefguard.Analyzer,
-		endop.Analyzer,
-		retirefree.Analyzer,
-		epochstamp.Analyzer,
 		atomicmix.Analyzer,
 		lifecycle.Analyzer,
 	},

@@ -4,21 +4,21 @@ import (
 	"testing"
 
 	"ibr/internal/analysis/checktest"
+	"ibr/internal/analysis/derefguard"
 	"ibr/internal/analysis/ibrdirective"
-	"ibr/internal/analysis/retirefree"
 )
 
-// TestEscapeHatch runs retirefree and ibrdirective together over the
+// TestEscapeHatch runs derefguard and ibrdirective together over the
 // escape-hatch golden package: valid //ibrlint:ignore directives suppress
-// the retirefree finding, while bare or misspelled directives suppress
+// the derefguard finding, while bare or misspelled directives suppress
 // nothing and are themselves reported.
 func TestEscapeHatch(t *testing.T) {
-	checktest.Run(t, "ignorecase/internal/ds", retirefree.Analyzer, ibrdirective.Analyzer)
+	checktest.Run(t, "ignorecase/internal/ds", derefguard.Analyzer, ibrdirective.Analyzer)
 }
 
 // TestStale runs the same pair over the staleness golden: a directive that
-// suppressed a live retirefree finding is used, one that suppresses nothing
+// suppressed a live derefguard finding is used, one that suppresses nothing
 // from the whole suite is reported.
 func TestStale(t *testing.T) {
-	checktest.Run(t, "staleignore/internal/ds", retirefree.Analyzer, ibrdirective.Analyzer)
+	checktest.Run(t, "staleignore/internal/ds", derefguard.Analyzer, ibrdirective.Analyzer)
 }

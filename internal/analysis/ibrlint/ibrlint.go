@@ -32,12 +32,12 @@ func PkgIs(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// PkgInProtocol reports whether path belongs to the protocol implementation
-// itself (internal/core or internal/mem), including their external test
-// packages ("..._test").
-func PkgInProtocol(path string) bool {
-	trimmed := strings.TrimSuffix(path, "_test")
-	return PkgIs(trimmed, CorePkg) || PkgIs(trimmed, MemPkg)
+// InBoundary reports whether path lies inside the protocol boundary: the
+// implementation (internal/core, internal/mem) or the internal/guard facade
+// over it, including their external test packages ("..._test").
+func InBoundary(path string) bool {
+	path = strings.TrimSuffix(path, "_test")
+	return PkgIs(path, CorePkg) || PkgIs(path, MemPkg) || PkgIs(path, GuardPkg)
 }
 
 // MethodCallee resolves call to the statically-known method it invokes
@@ -101,20 +101,6 @@ func IsHandleType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Handle" && obj.Pkg() != nil && PkgIs(obj.Pkg().Path(), MemPkg)
-}
-
-// AllocCall reports whether call is the allocator-level Alloc — the
-// two-result (Handle, bool) form of mem.Pool / core.Memory — as opposed to
-// the one-result Scheme.Alloc that stamps the birth epoch.
-func AllocCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := MethodCallee(info, call)
-	if fn == nil || fn.Name() != "Alloc" {
-		return false
-	}
-	if !IsMethod(fn, CorePkg, "Alloc") && !IsMethod(fn, MemPkg, "Alloc") {
-		return false
-	}
-	return fn.Signature().Results().Len() == 2
 }
 
 // FuncLitBindings returns the variables in root that are ever bound to a

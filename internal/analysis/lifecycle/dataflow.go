@@ -14,11 +14,10 @@ import (
 // bit means the property holds on some path reaching the program point.
 const (
 	fTracked  uint8 = 1 << iota // holds a tracked handle value
-	fFromRead                   // value came from a protected read; its protection ends at EndOp
+	fFromRead                   // value came from a protected read
 	fPub                        // possibly published (CAS new-value, escape)
 	fPubDef                     // definitely published (Write, node-field store)
 	fRetired                    // retired on some path
-	fExpired                    // read-origin value outlived its op's plain EndOp
 	// fFresh marks a variable that no longer holds the value it entered the
 	// function with: effects on it do not belong to the parameter summary.
 	fFresh
@@ -34,7 +33,6 @@ const (
 	evUse                   // src dereferenced (Pool.Get / Guard.Deref)
 	evEscape                // src escapes (return, composite, append, send)
 	evExpose                // src passed to an opaque visitor callback
-	evEndOp                 // plain EndOp: unpublished read handles expire
 	evCall                  // summarized call: fn's effects apply to args
 )
 
@@ -148,13 +146,13 @@ func (fa *funcAnalysis) line(pos token.Pos) int {
 	return fa.pass.Fset.Position(pos).Line
 }
 
-// notePos records the source-earliest position that retired (or expired) v,
-// for diagnostics. Earliest-by-position rather than first-seen: the worklist
+// noteRetire records the source-earliest position that retired v, for
+// diagnostics. Earliest-by-position rather than first-seen: the worklist
 // visits blocks in an order unrelated to source order, and diagnostics must
 // not anchor "retired at line N" to the later of two retires.
-func notePos(slot []token.Pos, v int, pos token.Pos) {
-	if slot[v] == token.NoPos || pos < slot[v] {
-		slot[v] = pos
+func (fa *funcAnalysis) noteRetire(v int, pos token.Pos) {
+	if at := fa.retireAt[v]; at == token.NoPos || pos < at {
+		fa.retireAt[v] = pos
 	}
 }
 
@@ -213,7 +211,7 @@ func (fa *funcAnalysis) apply(st *absState, ev *event, ctx *reportCtx) {
 		}
 		forEach(set, func(u int) {
 			st.flags[u] |= fRetired | fTracked
-			notePos(fa.retireAt, u, ev.pos)
+			fa.noteRetire(u, ev.pos)
 		})
 
 	case evPublish:
@@ -236,8 +234,6 @@ func (fa *funcAnalysis) apply(st *absState, ev *event, ctx *reportCtx) {
 		if ctx != nil {
 			if st.flags[v]&fRetired != 0 {
 				fa.reportf(ctx, ev.pos, "%s of a handle retired at line %d: the block may already be reclaimed (use-after-retire)", ev.what, fa.line(fa.retireAt[v]))
-			} else if st.flags[v]&fExpired != 0 {
-				fa.reportf(ctx, ev.pos, "%s of a handle read inside an op whose EndOp already ran at line %d: the reservation no longer protects it (publish it or use it before EndOp)", ev.what, fa.line(fa.endAt[v]))
 			}
 			fa.noteEffect(ctx, st, st.markSet(v), EffDeref)
 		}
@@ -248,8 +244,6 @@ func (fa *funcAnalysis) apply(st *absState, ev *event, ctx *reportCtx) {
 		if ctx != nil {
 			if st.flags[v]&fRetired != 0 {
 				fa.reportf(ctx, ev.pos, "handle retired at line %d is %s: the receiver may dereference a reclaimed block (use-after-retire)", fa.line(fa.retireAt[v]), ev.what)
-			} else if st.flags[v]&fExpired != 0 {
-				fa.reportf(ctx, ev.pos, "handle read inside this op is %s after EndOp at line %d: it is no longer protected", ev.what, fa.line(fa.endAt[v]))
 			}
 			fa.noteEffect(ctx, st, set, EffEscape)
 		}
@@ -258,8 +252,8 @@ func (fa *funcAnalysis) apply(st *absState, ev *event, ctx *reportCtx) {
 	case evExpose:
 		// The range-callback idiom: the callee is caller-supplied code the
 		// analyzer cannot see, so a handle argument may be retained past
-		// the reservation bracket. Exposing a retired or expired handle is
-		// the usual use-after-retire escape; exposing a live protected-read
+		// the reservation bracket. Exposing a retired handle is the usual
+		// use-after-retire escape; exposing a live protected-read
 		// handle violates the ds.Ranger contract outright — the visitor
 		// must receive values, because only values cannot outlive the
 		// StartOp/EndOp bracket that protects the scan.
@@ -268,23 +262,12 @@ func (fa *funcAnalysis) apply(st *absState, ev *event, ctx *reportCtx) {
 		if ctx != nil {
 			if st.flags[v]&fRetired != 0 {
 				fa.reportf(ctx, ev.pos, "handle retired at line %d is %s: the callback may dereference a reclaimed block (use-after-retire)", fa.line(fa.retireAt[v]), ev.what)
-			} else if st.flags[v]&fExpired != 0 {
-				fa.reportf(ctx, ev.pos, "handle read inside this op is %s after EndOp at line %d: it is no longer protected", ev.what, fa.line(fa.endAt[v]))
 			} else if st.flags[v]&fFromRead != 0 && st.flags[v]&fPubDef == 0 {
 				fa.reportf(ctx, ev.pos, "protected read handle is %s: the callback can retain it past the StartOp/EndOp bracket — range visitors receive values, not handles", ev.what)
 			}
 			fa.noteEffect(ctx, st, set, EffEscape)
 		}
 		forEach(set, func(u int) { st.flags[u] |= fPub })
-
-	case evEndOp:
-		for v := range st.flags {
-			fl := st.flags[v]
-			if fl&fTracked != 0 && fl&fFromRead != 0 && fl&(fPub|fRetired) == 0 {
-				st.flags[v] |= fExpired
-				notePos(fa.endAt, v, ev.pos)
-			}
-		}
 
 	case evCall:
 		sum := fa.lookupSummary(ev.fn)
@@ -311,15 +294,13 @@ func (fa *funcAnalysis) apply(st *absState, ev *event, ctx *reportCtx) {
 					case eff&(EffPublish|EffEscape) != 0:
 						fa.reportf(ctx, ev.pos, "handle retired at line %d is passed to %s, which publishes it (use-after-retire)", fa.line(fa.retireAt[v]), name)
 					}
-				} else if st.flags[v]&fExpired != 0 && eff&EffDeref != 0 {
-					fa.reportf(ctx, ev.pos, "handle read inside an op whose EndOp already ran at line %d is passed to %s, which dereferences it without protection", fa.line(fa.endAt[v]), name)
 				}
 				fa.noteEffect(ctx, st, set, eff)
 			}
 			if eff&(EffRetire|EffFree) != 0 {
 				forEach(set, func(u int) {
 					st.flags[u] |= fRetired | fTracked
-					notePos(fa.retireAt, u, ev.pos)
+					fa.noteRetire(u, ev.pos)
 				})
 			}
 			if eff&(EffPublish|EffEscape) != 0 {
@@ -346,8 +327,7 @@ func (fa *funcAnalysis) analyze(rep *ibrlint.Reporter) *Summary {
 	for v := range fa.keys {
 		if fa.paramIdx[v] >= 0 {
 			// Parameters enter tracked and published: the caller still
-			// holds the value, so it neither expires at EndOp nor trips
-			// the escape checks.
+			// holds the value, so it does not trip the escape checks.
 			entry.flags[v] = fTracked | fPub
 		}
 	}

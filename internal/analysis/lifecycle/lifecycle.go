@@ -1,38 +1,37 @@
 // Package lifecycle assigns every mem.Handle value a typestate — local,
-// published, retired, expired — and flows it along CFG paths, through
-// struct fields, and across function boundaries (via go/analysis facts) to
-// catch protocol violations that the per-call-site analyzers cannot see:
+// published, retired — and flows it along CFG paths, through struct
+// fields, and across function boundaries (via go/analysis facts) to catch
+// protocol violations that a per-call-site rule cannot see:
 //
 //   - any read, Retire, publish, or escape of a handle after its Retire on
 //     some path is reported, with the retiring statement in the diagnostic;
-//   - a handle obtained from a protected read must not outlive the plain
-//     EndOp of the op that fetched it unless it was published first (the
-//     protected-window assumption the reclamation scan relies on);
-//   - a handle that was definitely published must not be freed directly.
+//   - a handle that was definitely published must not be freed directly;
+//   - a protected-read handle must not reach an opaque visitor callback of
+//     an exported scan, which could retain it past the bracket.
 //
 // The state machine:
 //
-//	          Alloc                    Read/Load
-//	            │                          │ (enters at published: the
-//	            ▼                          ▼  value is structure-reachable)
-//	         ┌─────┐   Write/CAS/store ┌─────────┐
-//	         │local│ ────────────────▶ │published│
-//	         └─────┘                   └─────────┘
-//	            │         Retire            │ Retire (after unlink)
-//	            ▼                           ▼
-//	         ┌───────┐    plain EndOp   ┌───────┐
-//	         │retired│ ◀── (unpublished │expired│  (read-origin only)
-//	         └───────┘      reads only) └───────┘
+//	 Alloc                    Read/Load
+//	   │                          │ (enters at published: the
+//	   ▼                          ▼  value is structure-reachable)
+//	┌─────┐   Write/CAS/store ┌─────────┐
+//	│local│ ────────────────▶ │published│
+//	└─────┘                   └─────────┘
+//	   │                          │
+//	   │ Retire    ┌───────┐      │ Retire (after unlink)
+//	   └─────────▶ │retired│ ◀────┘
+//	               └───────┘
 //
-// Retired and expired are sink states: any further dereference, publish, or
-// escape is a diagnostic. Aliases created by assignment share state, and
-// assignment to a variable divorces it from its old aliases, so loops that
+// Retired is a sink state: any further dereference, publish, or escape is
+// a diagnostic. Aliases created by assignment share state, and assignment
+// to a variable divorces it from its old aliases, so loops that
 // retire-then-reacquire (the Harris–Michael unlink idiom) stay clean.
 //
 // The analyzer trusts the internal/guard facade: Guard.Load, Publish,
 // Retire, Deref, and Discard are protocol events exactly like the raw
-// Scheme calls, and the facade's own implementation is proven by the other
-// analyzers (endop brackets Do, retirefree audits Discard's Free).
+// Scheme calls. derefguard keeps every package outside the boundary on the
+// facade, and the facade's own implementation is checked at runtime
+// (guard's TestGuardDoBracket, core's TestBirthEpochStamped).
 // Diagnostics are reported only inside internal/ds packages; every package
 // that touches the protocol gets parameter-effect summaries so the ds-side
 // reports see through helpers.
@@ -53,7 +52,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "lifecycle",
-	Doc:       "track handle typestates (local/published/retired/expired) across paths, fields, and calls",
+	Doc:       "track handle typestates (local/published/retired) across paths, fields, and calls",
 	Requires:  []*analysis.Analyzer{ctrlflow.Analyzer, ibrlint.Directives},
 	FactTypes: []analysis.Fact{(*Summary)(nil)},
 	Run:       run,
@@ -78,9 +77,9 @@ var preserveMethods = []string{
 
 func run(pass *analysis.Pass) (any, error) {
 	path := pass.Pkg.Path()
-	// The protocol substrate and the facade implement the life cycle; they
-	// are proven by the other analyzers, not typestate-checked.
-	if ibrlint.PkgInProtocol(path) || ibrlint.PkgIs(trimTest(path), ibrlint.GuardPkg) {
+	// The protocol substrate and the facade implement the life cycle; their
+	// runtime tests check them, not the typestate.
+	if ibrlint.InBoundary(path) {
 		return nil, nil
 	}
 	if !touchesProtocol(pass.Pkg) {
@@ -197,13 +196,6 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-func trimTest(path string) string {
-	if len(path) > 5 && path[len(path)-5:] == "_test" {
-		return path[: len(path)-5]
-	}
-	return path
-}
-
 // touchesProtocol reports whether pkg directly imports a protocol package.
 // Everything the analyzer can say about a package that does not is vacuous,
 // and with facts declared the driver runs us over every dependency
@@ -251,8 +243,8 @@ type funcAnalysis struct {
 	exposed bool
 	locals  map[types.Object]bool
 
-	// First-retire / first-expiry positions per var, for diagnostics.
-	retireAt, endAt []token.Pos
+	// First-retire position per var, for diagnostics.
+	retireAt []token.Pos
 
 	factCache map[*types.Func]*Summary // imported cross-package summaries
 }
@@ -288,7 +280,6 @@ func prepare(pass *analysis.Pass, sums map[*types.Func]*Summary, g *cfg.CFG, bod
 		}
 	}
 	fa.retireAt = make([]token.Pos, len(fa.keys))
-	fa.endAt = make([]token.Pos, len(fa.keys))
 	fa.nparams = sig.Params().Len()
 	fa.events = make([][]event, len(g.Blocks))
 	for i, b := range g.Blocks {
@@ -472,21 +463,16 @@ func (fa *funcAnalysis) resolve(e ast.Expr) int {
 
 // genCall classifies calls that mint a tracked handle. Protected reads
 // re-enter the flow at published-origin (fFromRead): the value is reachable
-// from the structure and its protection dies with the op's EndOp.
+// from the structure and protected only by the op's reservation.
 func (fa *funcAnalysis) genCall(call *ast.CallExpr) (bool, uint8) {
 	info := fa.pass.TypesInfo
 	if ibrlint.CoreCall(info, call, "Read", "ReadRoot", "Raw", "FetchOrMarks") != nil ||
 		ibrlint.GuardCall(info, call, "Load", "LoadRoot") != nil {
 		return true, fTracked | fFromRead
 	}
-	if fn := ibrlint.CoreCall(info, call, "Alloc"); fn != nil && fn.Signature().Results().Len() == 1 {
+	if ibrlint.CoreCall(info, call, "Alloc") != nil || ibrlint.MemCall(info, call, "Alloc") != nil ||
+		ibrlint.GuardCall(info, call, "Alloc") != nil {
 		return true, fTracked
-	}
-	if ibrlint.GuardCall(info, call, "Alloc") != nil {
-		return true, fTracked
-	}
-	if ibrlint.AllocCall(info, call) {
-		return true, fTracked // raw allocator handle (epochstamp audits it)
 	}
 	return false, 0
 }
@@ -717,8 +703,6 @@ func (fa *funcAnalysis) callEvents(call *ast.CallExpr, evs *[]event) {
 	}
 
 	switch {
-	case ibrlint.CoreCall(info, call, "EndOp") != nil:
-		*evs = append(*evs, event{kind: evEndOp, pos: call.Pos()})
 	case ibrlint.CoreCall(info, call, "Retire") != nil:
 		emit(evRetire, arg(1), false, "Retire")
 	case ibrlint.GuardCall(info, call, "Retire") != nil:
@@ -777,7 +761,7 @@ func (fa *funcAnalysis) summaryCallee(call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	p := fn.Pkg().Path()
-	if ibrlint.PkgInProtocol(p) || ibrlint.PkgIs(p, ibrlint.GuardPkg) {
+	if ibrlint.InBoundary(p) {
 		return nil
 	}
 	return fn.Origin()

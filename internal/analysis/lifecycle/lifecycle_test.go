@@ -25,10 +25,10 @@ func TestBranches(t *testing.T) {
 	checktest.Run(t, "lifebranch/internal/ds", lifecycle.Analyzer)
 }
 
-// TestProtectedWindow: read handles must not outlive their op's plain
-// EndOp unpublished.
-func TestProtectedWindow(t *testing.T) {
-	checktest.Run(t, "lifeend/internal/ds", lifecycle.Analyzer)
+// TestDoubleRetire: handing one handle to Retire twice along a path is
+// reported; rebinding between retires and exclusive branches stay clean.
+func TestDoubleRetire(t *testing.T) {
+	checktest.Run(t, "retiredouble/internal/ds", lifecycle.Analyzer)
 }
 
 // TestClean: the real data-structure idioms (traversal loops, facade

@@ -1,7 +1,10 @@
-// Package ds exercises derefguard: raw reservation-protocol calls in the
-// data-structure layer instead of the guard facade. Every core.Scheme
-// method and every Pool.Get is a finding, bracketed or not, in exported
-// entry points and unexported helpers alike.
+// Package ds exercises derefguard: raw reservation-protocol calls outside
+// internal/core, internal/mem and internal/guard instead of the guard
+// facade. Every protocol method of core.Scheme and mem.Pool is a finding —
+// bracketed or not, balanced or not, in exported entry points and
+// unexported helpers alike — so a leaked bracket, a direct free, an
+// unstamped allocation, or a read used after its op's EndOp cannot be
+// written here in the first place.
 package ds
 
 import (
@@ -19,14 +22,14 @@ type Q struct {
 
 // Peek brackets by hand: the bracket is right, but it bypasses the facade.
 func (q *Q) Peek(tid int) uint64 {
-	q.s.StartOp(tid)                   // want "raw Scheme.StartOp in internal/ds: go through internal/guard"
+	q.s.StartOp(tid)                   // want "raw Scheme.StartOp bypasses the guard facade: use Guarded.Do"
 	defer q.s.EndOp(tid)               // want "raw Scheme.EndOp"
-	h := q.s.ReadRoot(tid, 0, &q.head) // want "raw Scheme.ReadRoot"
-	return q.pool.Get(h).Val           // want "raw Pool.Get"
+	h := q.s.ReadRoot(tid, 0, &q.head) // want "raw Scheme.ReadRoot bypasses the guard facade: use Guard.LoadRoot"
+	return q.pool.Get(h).Val           // want "raw Pool.Get bypasses the guard facade: use Guard.Deref"
 }
 
-// push is an unexported helper: running under a caller's bracket no longer
-// excuses raw calls.
+// push is an unexported helper: running under a caller's bracket does not
+// excuse raw calls.
 func (q *Q) push(tid int) {
 	h := q.s.Alloc(tid)        // want "raw Scheme.Alloc"
 	q.s.Write(tid, &q.head, h) // want "raw Scheme.Write"
@@ -47,4 +50,85 @@ func (q *Q) Pop(tid int) {
 // Drain reaches the scheme through the facade's accessor: still raw.
 func (q *Q) Drain(tid int) {
 	q.w.Scheme().EndOp(tid) // want "raw Scheme.EndOp"
+}
+
+// Leak returns early without closing the bracket.
+func Leak(s core.Scheme, tid int, abort bool) {
+	s.StartOp(tid) // want "raw Scheme.StartOp"
+	if abort {
+		return
+	}
+	s.EndOp(tid) // want "raw Scheme.EndOp"
+}
+
+// Spawn opens a bracket inside a closure and never closes it.
+func Spawn(s core.Scheme, tid int) func() {
+	return func() {
+		s.StartOp(tid) // want "raw Scheme.StartOp"
+	}
+}
+
+// SelectLeak returns from one select clause without withdrawing.
+func SelectLeak(s core.Scheme, tid int, stop, tick chan struct{}) {
+	s.StartOp(tid) // want "raw Scheme.StartOp"
+	select {
+	case <-stop:
+		return
+	case <-tick:
+	}
+	s.EndOp(tid) // want "raw Scheme.EndOp"
+}
+
+// Drop frees a detached node directly instead of retiring it.
+func (q *Q) Drop(tid int, h mem.Handle) {
+	q.pool.Free(tid, h) // want "raw Pool.Free bypasses the guard facade: use Guard.Retire, or Guard.Discard"
+}
+
+// DropBatch is the batched variant.
+func (q *Q) DropBatch(tid int, hs []mem.Handle) {
+	q.pool.FreeBatch(tid, hs) // want "raw Pool.FreeBatch bypasses the guard facade: use Guard.Retire"
+}
+
+// Steal transfers another tid's state with no evidence its holder is parked
+// or dead. The facade has no cross-tid call, so only a reasoned directive
+// can make these legal.
+func Steal(s core.Scheme, victim, tid int) {
+	s.ClearReservation(victim)  // want "raw Scheme.ClearReservation bypasses the guard facade, which has no equivalent"
+	s.AdoptRetired(victim, tid) // want "raw Scheme.AdoptRetired bypasses the guard facade, which has no equivalent"
+}
+
+// Grab bypasses Scheme.Alloc, so its block is never birth-stamped.
+func Grab(p *mem.Pool, tid int) mem.Handle {
+	h, _ := p.Alloc(tid) // want "raw Pool.Alloc bypasses the guard facade: use Guard.Alloc"
+	return h
+}
+
+// Restamp writes a block header by hand.
+func Restamp(p *mem.Pool, h mem.Handle, e uint64) {
+	p.SetBirth(h, e) // want "raw Pool.SetBirth"
+}
+
+// ReadAfterEnd dereferences a read handle after the op's EndOp, when the
+// reservation no longer protects it.
+func ReadAfterEnd(s core.Scheme, p *mem.Pool, head *core.Ptr, tid int) uint64 {
+	s.StartOp(tid)                // want "raw Scheme.StartOp"
+	h := s.ReadRoot(tid, 0, head) // want "raw Scheme.ReadRoot"
+	s.EndOp(tid)                  // want "raw Scheme.EndOp"
+	return p.Get(h).Val           // want "raw Pool.Get"
+}
+
+// EscapeAfterEnd hands the unprotected read handle to its caller instead.
+func EscapeAfterEnd(s core.Scheme, head *core.Ptr, tid int) mem.Handle {
+	s.StartOp(tid)                // want "raw Scheme.StartOp"
+	h := s.ReadRoot(tid, 0, head) // want "raw Scheme.ReadRoot"
+	s.EndOp(tid)                  // want "raw Scheme.EndOp"
+	return h
+}
+
+// ScanAfterEnd closes the bracket before a visitor sees the handle.
+func ScanAfterEnd(s core.Scheme, head *core.Ptr, tid int, fn func(h mem.Handle) bool) {
+	s.StartOp(tid)                   // want "raw Scheme.StartOp"
+	curr := s.ReadRoot(tid, 0, head) // want "raw Scheme.ReadRoot"
+	s.EndOp(tid)                     // want "raw Scheme.EndOp"
+	fn(curr)
 }

@@ -1,6 +1,6 @@
 // Package ds holds the clean derefguard cases: every protocol touch goes
-// through the guard facade, compare-only Ptr loads stay legal, and test
-// files are exempt.
+// through the guard facade, compare-only Ptr loads and control-block reads
+// stay legal, and test files are exempt.
 package ds
 
 import (
@@ -45,8 +45,8 @@ func (q *Q) changed(h mem.Handle) bool {
 	return q.head.Raw() != h
 }
 
-// Backlog calls a core package function, not a Scheme method: pure
-// bookkeeping is not derefguard's concern.
-func (q *Q) Backlog(threads int) int {
-	return core.TotalUnreclaimed(q.w.Scheme(), threads)
+// Backlog reads the scheme's stats, through a core package function and a
+// Scheme method: bookkeeping is off the protocol surface.
+func (q *Q) Backlog(tid, threads int) int {
+	return core.TotalUnreclaimed(q.w.Scheme(), threads) - q.w.Scheme().Unreclaimed(tid)
 }

@@ -1,13 +1,16 @@
 // Package ds exercises the //ibrlint:ignore escape hatch. It is checked
-// with retirefree and ibrdirective together: valid directives suppress the
-// retirefree finding, while bare or misspelled directives are themselves
+// with derefguard and ibrdirective together: valid directives suppress the
+// derefguard finding, while bare or misspelled directives are themselves
 // findings and suppress nothing.
 package ds
 
-import "stub/internal/mem"
+import (
+	"stub/internal/core"
+	"stub/internal/mem"
+)
 
 // dropPrevLine is a documented false positive: the directive on the line
-// above suppresses the retirefree finding.
+// above suppresses the derefguard finding.
 func dropPrevLine(p *mem.Pool, tid int, h mem.Handle) {
 	//ibrlint:ignore never published; no CAS linked the node, so no other thread can hold it
 	p.Free(tid, h)
@@ -30,7 +33,7 @@ func DropDoc(p *mem.Pool, tid int, hs []mem.Handle) {
 
 // dropLoud has no directive: the finding must survive.
 func dropLoud(p *mem.Pool, tid int, h mem.Handle) {
-	p.Free(tid, h) // want "direct Free bypasses reclamation"
+	p.Free(tid, h) // want "raw Pool.Free bypasses the guard facade"
 }
 
 // dropBare shows a bare ignore: it suppresses nothing and is itself
@@ -38,11 +41,21 @@ func dropLoud(p *mem.Pool, tid int, h mem.Handle) {
 func dropBare(p *mem.Pool, tid int, h mem.Handle) {
 	//ibrlint:ignore
 	// want-1 "ignore without a reason suppresses nothing"
-	p.Free(tid, h) // want "direct Free bypasses reclamation"
+	p.Free(tid, h) // want "raw Pool.Free bypasses the guard facade"
+}
+
+// quarantine is the sanctioned cross-tid transfer: the facade has no
+// equivalent, so each call carries a directive stating the parked-or-dead
+// evidence.
+func quarantine(s core.Scheme, victim, tid int) {
+	//ibrlint:ignore quarantine: holder verified parked or dead via lease table
+	s.ClearReservation(victim)
+	//ibrlint:ignore quarantine: victim revoked, this goroutine owns the adopting tid
+	s.AdoptRetired(victim, tid)
 }
 
 //ibrlint:ignroe typo-verbs-must-not-pass-silently
 // want-1 "unknown ibrlint directive \"ignroe\""
 func typoVerb(p *mem.Pool, tid int, h mem.Handle) {
-	p.Free(tid, h) // want "direct Free bypasses reclamation"
+	p.Free(tid, h) // want "raw Pool.Free bypasses the guard facade"
 }

@@ -103,18 +103,3 @@ func traverse(w *guard.Guarded, head *core.Ptr, tid int, key uint64) (uint64, bo
 func retireParam(s core.Scheme, tid int, h mem.Handle) {
 	s.Retire(tid, h)
 }
-
-// publishThenEnd mirrors insert's success path: the new node is published
-// before the bracket closes, so nothing expires.
-func publishThenEnd(s core.Scheme, dst *core.Ptr, tid int, key uint64) bool {
-	s.StartOp(tid)
-	h := s.Alloc(tid)
-	if h.IsNil() {
-		s.EndOp(tid)
-		return false
-	}
-	prev := s.ReadRoot(tid, 0, dst)
-	ok := s.CompareAndSwap(tid, dst, prev, h)
-	s.EndOp(tid)
-	return ok
-}

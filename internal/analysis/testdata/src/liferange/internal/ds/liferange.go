@@ -2,8 +2,8 @@
 // into an exported scan entry point is opaque code, so a handle exposed to
 // it can be retained past the StartOp/EndOp bracket that protects it. The
 // ds.Ranger contract therefore requires visitors to receive values, and
-// lifecycle rejects protected-read handles (and worse, retired or expired
-// ones) crossing the callback boundary at all — in hand-bracketed scans and
+// lifecycle rejects protected-read handles (and worse, retired ones)
+// crossing the callback boundary at all — in hand-bracketed scans and
 // in Guarded.Do closures alike. Locally bound closures (the recursive-walk
 // idiom) and unexported helpers taking package-internal builders stay
 // exempt.
@@ -60,15 +60,6 @@ func ScanRetired(s core.Scheme, head *core.Ptr, tid int, fn func(h mem.Handle) b
 	curr := s.ReadRoot(tid, 0, head)
 	s.Retire(tid, curr)
 	fn(curr) // want "handle retired at line 61 is exposed to a visitor callback"
-}
-
-// ScanAfterEnd closes the bracket first: the handle's protection has
-// already lapsed when the visitor sees it.
-func ScanAfterEnd(s core.Scheme, head *core.Ptr, tid int, fn func(h mem.Handle) bool) {
-	s.StartOp(tid)
-	curr := s.ReadRoot(tid, 0, head)
-	s.EndOp(tid)
-	fn(curr) // want "after EndOp at line 70"
 }
 
 // ScanAlloc is clean: the exposed handle is privately allocated this op,

@@ -1,7 +1,7 @@
-// Package ds exercises retirefree's double-Retire path check: handing the
-// same variable to Retire twice along one control-flow path corrupts the
-// retire list, while rebinding between retires (loops over fresh handles,
-// explicit reassignment) is the normal idiom and must stay clean.
+// Package ds exercises lifecycle's double-Retire check: handing the same
+// handle to Retire twice along one control-flow path corrupts the retire
+// list, while rebinding between retires (loops over fresh handles, explicit
+// reassignment) is the normal idiom and must stay clean.
 package ds
 
 import (
@@ -15,13 +15,13 @@ func doubleRetire(s core.Scheme, tid int, h mem.Handle, cond bool) {
 	if cond {
 		s.Retire(tid, h)
 	}
-	s.Retire(tid, h) // want "h is retired again on this path: already handed to Retire at line 16"
+	s.Retire(tid, h) // want "Retire of a handle already retired at line 16: the block would enter the retire list twice"
 }
 
 // doubleRetireStraight is the degenerate straight-line case.
 func doubleRetireStraight(s core.Scheme, tid int, h mem.Handle) {
 	s.Retire(tid, h)
-	s.Retire(tid, h) // want "h is retired again on this path: already handed to Retire at line 23"
+	s.Retire(tid, h) // want "Retire of a handle already retired at line 23: the block would enter the retire list twice"
 }
 
 // retireEach is the loop shape that must stay clean: the range variable is

@@ -6,7 +6,7 @@ package ds
 
 import "stub/internal/mem"
 
-// discard's directive suppresses a live retirefree finding: used, not
+// discard's directive suppresses a live derefguard finding: used, not
 // stale.
 func discard(p *mem.Pool, tid int, h mem.Handle) {
 	//ibrlint:ignore never published; discarded before any publication

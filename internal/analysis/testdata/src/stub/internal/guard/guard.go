@@ -40,10 +40,7 @@ func (g *Guard) Publish(p *core.Ptr, h mem.Handle)         { g.w.s.Write(g.tid, 
 func (g *Guard) CompareAndSwap(p *core.Ptr, old, new mem.Handle) bool {
 	return g.w.s.CompareAndSwap(g.tid, p, old, new)
 }
-func (g *Guard) Retire(h mem.Handle) { g.w.s.Retire(g.tid, h) }
-func (g *Guard) Alloc() mem.Handle   { return g.w.s.Alloc(g.tid) }
-func (g *Guard) Discard(h mem.Handle) {
-	//ibrlint:ignore never published by contract: the facade's failed-insert path
-	g.w.pool.Free(g.tid, h)
-}
-func (g *Guard) Restart() { g.w.s.RestartOp(g.tid) }
+func (g *Guard) Retire(h mem.Handle)  { g.w.s.Retire(g.tid, h) }
+func (g *Guard) Alloc() mem.Handle    { return g.w.s.Alloc(g.tid) }
+func (g *Guard) Discard(h mem.Handle) { g.w.pool.Free(g.tid, h) }
+func (g *Guard) Restart()             { g.w.s.RestartOp(g.tid) }

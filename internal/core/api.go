@@ -506,9 +506,9 @@ func (b *base) allocEpochs(tid int, drain func(int)) mem.Handle {
 }
 
 // allocPlain allocates without epoch stamping (EBR, DEBRA, Hyaline, HP,
-// NoMM).
-//
-//ibrlint:ignore non-interval schemes: EBR, DEBRA, Hyaline, HP and NoMM never read birth epochs, so stamping is dead work (DEBRA and Hyaline stamp only retire epochs, in retire)
+// NoMM). These schemes never read birth epochs, so stamping would be dead
+// work; DEBRA and Hyaline stamp only retire epochs, in retire.
+// TestBirthEpochStamped pins which schemes stamp.
 func (b *base) allocPlain(tid int, drain func(int)) mem.Handle {
 	ts := &b.ts[tid]
 	ts.allocFailed = false

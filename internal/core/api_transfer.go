@@ -7,10 +7,11 @@ package core
 // dangerous, cross-tid form used by the serving engine's stall quarantine:
 // they act on ANOTHER tid's state, which is sound only when that tid's
 // holder can be proven to never act under it again (its goroutine is parked
-// holding no node references, or has exited). ibrlint's retirefree analyzer
-// flags every call outside internal/core and internal/mem so each use site
-// must carry an //ibrlint:ignore directive stating that evidence — see
-// DESIGN.md §7 for the safety argument.
+// holding no node references, or has exited). ibrlint's derefguard analyzer
+// flags every call outside internal/core, internal/mem and internal/guard,
+// and the guard facade has no cross-tid call, so each use site must carry
+// an //ibrlint:ignore directive stating that evidence — see DESIGN.md §7
+// for the safety argument.
 
 // TransferSlot is a no-op for schemes without per-slot protection (all
 // epoch- and interval-based schemes); HP and HE override it.

@@ -217,14 +217,55 @@ func TestEBRAdvancesEpochOnRetire(t *testing.T) {
 	}
 }
 
+// TestBirthEpochStamped checks that every scheme declared to read birth
+// epochs (fig1Defaults' stamps column) stamps each allocation with the
+// clock reading at that allocation, on fresh slots and on the slot reused
+// by allocEpochs' drain-and-retry path; the interval test birth ≤ upper ∧
+// retire ≥ lower (paper §3, Figs. 4–5) is meaningless against a stale or
+// unstamped birth. The schemes declared not to read births must leave
+// fresh blocks unstamped.
 func TestBirthEpochStamped(t *testing.T) {
-	for _, name := range []string{"he", "poibr", "tagibr", "tagibr-wcas", "2geibr"} {
+	for _, name := range Names() {
+		want, ok := fig1Defaults[name]
+		if !ok {
+			t.Fatalf("scheme %q missing from the Fig. 1 defaults table", name)
+		}
 		t.Run(name, func(t *testing.T) {
-			r := newRig(t, name, 1)
-			s := r.scheme
-			h := s.Alloc(0)
-			if b := r.pool.Birth(h); b != s.Clock().Now() {
-				t.Fatalf("birth = %d, epoch = %d", b, s.Clock().Now())
+			// Four slots, an epoch per allocation, and no scan until the
+			// pool runs dry: the fifth Alloc must drain and retry.
+			pool := mem.New[tnode](mem.Options[tnode]{Threads: 1, MaxSlots: 4})
+			s, err := New(name, pool, Options{Threads: 1, EpochFreq: 1, EmptyFreq: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, h mem.Handle) {
+				t.Helper()
+				if h.IsNil() {
+					t.Fatalf("%s: Alloc returned nil", what)
+				}
+				birth, now := pool.Birth(h), s.Clock().Now()
+				if want.stamps && birth != now {
+					t.Errorf("%s: birth = %d, want the allocation's epoch %d", what, birth, now)
+				}
+				if !want.stamps && birth != 0 {
+					t.Errorf("%s: birth = %d, want 0 from a scheme that reads no births", what, birth)
+				}
+			}
+			var live []mem.Handle
+			for i := 0; i < 4; i++ {
+				h := s.Alloc(0)
+				check("fresh slot", h)
+				live = append(live, h)
+			}
+			if !want.stamps {
+				return
+			}
+			for _, h := range live {
+				s.Retire(0, h)
+			}
+			check("slot reused after a drain", s.Alloc(0))
+			if pool.Stats().Frees == 0 {
+				t.Fatal("the fifth Alloc freed nothing: the drain-and-retry path went unchecked")
 			}
 		})
 	}
@@ -585,6 +626,9 @@ type fig1Default struct {
 	// raised alongside (tagibr, tagibr-faa) or the birth epoch packed into
 	// the word (tagibr-wcas).
 	write writeForm
+	// stamps: the scheme reads birth epochs, so Alloc must stamp them
+	// (allocEpochs). EBR, DEBRA, Hyaline, HP and NoMM allocate plain.
+	stamps bool
 }
 
 type writeForm int
@@ -596,18 +640,18 @@ const (
 )
 
 var fig1Defaults = map[string]fig1Default{
-	"none":        {false, writeBare},
-	"ebr":         {true, writeBare},
-	"hp":          {false, writeBare},
-	"he":          {false, writeBare},
-	"poibr":       {true, writeBare},
-	"tagibr":      {true, writeBorn},
-	"tagibr-faa":  {true, writeBorn},
-	"tagibr-wcas": {true, writePacked},
-	"tagibr-tpa":  {true, writeBare},
-	"2geibr":      {true, writeBare},
-	"hyaline":     {false, writeBare},
-	"debra":       {true, writeBare},
+	"none":        {false, writeBare, false},
+	"ebr":         {true, writeBare, false},
+	"hp":          {false, writeBare, false},
+	"he":          {false, writeBare, true},
+	"poibr":       {true, writeBare, true},
+	"tagibr":      {true, writeBorn, true},
+	"tagibr-faa":  {true, writeBorn, true},
+	"tagibr-wcas": {true, writePacked, true},
+	"tagibr-tpa":  {true, writeBare, true},
+	"2geibr":      {true, writeBare, true},
+	"hyaline":     {false, writeBare, false},
+	"debra":       {true, writeBare, false},
 }
 
 // reserving lists the schemes whose StartOp publishes a table entry.
@@ -623,7 +667,7 @@ func reserving() []string {
 
 // TestFig1DefaultsPerScheme pins which schemes override which Fig. 1
 // defaults: whether StartOp publishes a reservation, and what Write and
-// CompareAndSwap store.
+// CompareAndSwap store. TestBirthEpochStamped checks the stamps column.
 func TestFig1DefaultsPerScheme(t *testing.T) {
 	for _, name := range Names() {
 		want, ok := fig1Defaults[name]

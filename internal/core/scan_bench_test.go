@@ -7,9 +7,7 @@ import (
 )
 
 // BenchmarkScan measures one Drain over the three paths the summarized scan
-// takes, per scheme family. Run with:
-//
-//	go test ./internal/core -bench Scan -benchtime 0.5s
+// takes, per scheme family:
 //
 //   - pinned: a stalled reader's window covers every retired block; the scan
 //     must skip the whole backlog (one binary search), freeing nothing.
@@ -20,6 +18,10 @@ import (
 //   - general: stale reservations force the sorted-prefix test on every
 //     block (retire ≥ minLower, outside the protected window) and every
 //     block is then freed. Reported per retired block.
+//
+// Run with:
+//
+//	go test ./internal/core -bench Scan -benchtime 0.5s
 func BenchmarkScan(b *testing.B) {
 	b.Run("pinned", func(b *testing.B) {
 		for _, name := range []string{"ebr", "tagibr"} {

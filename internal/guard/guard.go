@@ -5,12 +5,14 @@
 // dereferences, publishes, and retires all go through it, so the bracket
 // and the per-call protocol discipline cannot drift apart.
 //
-// The division of labor with the ibrlint suite: the lifecycle analyzer
-// treats these methods as trusted protocol events (a Guard.Load is a
-// protected read, a Guard.Retire is a retire, ...), while the facade's own
-// implementation is proven by the other analyzers — endop checks Do's
-// bracket, retirefree audits Discard's direct Free, epochstamp sees Alloc
-// delegate to the birth-stamping Scheme.Alloc.
+// The division of labor with the ibrlint suite: derefguard keeps every
+// package outside internal/core, internal/mem and this one on the facade,
+// and the lifecycle analyzer treats these methods as trusted protocol
+// events (a Guard.Load is a protected read, a Guard.Retire is a retire,
+// ...). The facade's own implementation is checked at runtime instead:
+// TestGuardDoBracket proves Do withdraws its reservation on every exit,
+// and core's TestBirthEpochStamped proves the Scheme.Alloc that Alloc
+// delegates to stamps the birth epoch.
 //
 // Do allocates nothing: each tid owns one preallocated Guard, and Do hands
 // out a pointer to it. A tid is used by one goroutine at a time, so its
@@ -132,7 +134,6 @@ func (g *Guard[T]) Alloc() mem.Handle {
 // violation (the lifecycle analyzer flags it at the call site).
 func (g *Guard[T]) Discard(h mem.Handle) {
 	g.check()
-	//ibrlint:ignore never published by contract: Discard is the facade's failed-insert path, no CAS ever linked the block
 	g.pool.Free(g.tid, h)
 }
 

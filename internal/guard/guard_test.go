@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ibr/internal/core"
+	"ibr/internal/epoch"
 	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
@@ -88,20 +89,43 @@ func TestGuardLifecycle(t *testing.T) {
 	}
 }
 
-// TestGuardDoBracket checks that Do closes the reservation even when fn
-// panics: EndOp runs via defer, so a later bracket on the same tid starts
-// clean instead of deadlocking a reservation-counting scheme.
+// TestGuardDoBracket checks that Do withdraws the reservation it publishes
+// on every exit, normal or panicking, under every registered scheme: a
+// bracket left open would pin the reclamation clock like a stalled thread.
 func TestGuardDoBracket(t *testing.T) {
-	w := newGuarded(t, "2geibr")
-	func() {
-		defer func() { _ = recover() }()
-		w.Do(0, func(g *guard.Guard[node]) { panic("boom") })
-	}()
-	// If EndOp was skipped, this second bracket would nest StartOp calls;
-	// schemes with per-thread active flags would be corrupted. It must run
-	// normally.
-	w.Do(0, func(g *guard.Guard[node]) {
-		h := g.Alloc()
-		g.Discard(h)
-	})
+	reserving := 0
+	for _, scheme := range core.Names() {
+		t.Run(scheme, func(t *testing.T) {
+			w := newGuarded(t, scheme)
+			res := w.Scheme().Reservations()
+			published := false
+			w.Do(0, func(g *guard.Guard[node]) {
+				published = res.At(0).Lower() != epoch.None
+			})
+			if published {
+				reserving++
+			}
+			if lo := res.At(0).Lower(); lo != epoch.None {
+				t.Fatalf("after Do returned, tid 0 still reserves epoch %d", lo)
+			}
+
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Fatalf("Do did not propagate fn's panic: recovered %v", r)
+					}
+				}()
+				w.Do(0, func(g *guard.Guard[node]) { panic("boom") })
+			}()
+			if lo := res.At(0).Lower(); lo != epoch.None {
+				t.Fatalf("after Do panicked, tid 0 still reserves epoch %d", lo)
+			}
+
+			// A later bracket on the same tid runs normally.
+			w.Do(0, func(g *guard.Guard[node]) { g.Discard(g.Alloc()) })
+		})
+	}
+	if reserving == 0 {
+		t.Fatal("no scheme published a reservation inside Do: the bracket went unchecked")
+	}
 }

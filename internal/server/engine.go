@@ -355,6 +355,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 // waking it re-checks the lease. If the remediator quarantined the tid
 // while it slept, it walks away without touching the scheme and leases a
 // fresh tid for the next stall cycle.
+//
+//ibrlint:ignore injected stall: a bare StartOp/EndOp reservation that touches no node; if the lease is revoked while parked, withdrawing it is the remediator's job (ClearReservation), not ours
 func (e *Engine) staller(sh *shard) {
 	defer e.stallWG.Done()
 	s := sh.inst.Scheme()
@@ -370,7 +372,6 @@ func (e *Engine) staller(sh *shard) {
 			}
 		}
 		for {
-			//ibrlint:ignore quarantine: if the lease is revoked while parked, EndOp is the remediator's job (ClearReservation), not ours
 			s.StartOp(tid)
 			sh.leases.setParked(tid, gen, true)
 			stop := false
