@@ -52,12 +52,15 @@ bench:
 
 # Scan-efficiency snapshot: short write-heavy and read-heavy cells, one JSON
 # line each in BENCH_scan.json (ops/s + scan stats; see cmd/ibrbench -json).
-# The fourth cell repeats the first with the observability hooks live, so the
+# The fifth cell repeats the first with the observability hooks live, so the
 # recording overhead is priced in the same file it can be diffed from. The
 # last two cells are the post-paper engines (hyaline, debra) on the write
-# path — the head-to-head EXPERIMENTS.md reads from this file.
+# path — the head-to-head EXPERIMENTS.md reads from this file. The first run
+# is a discarded warm-up (it writes no record), so the first recorded cell
+# is not measured cold.
 benchscan:
 	rm -f BENCH_scan.json
+	$(GO) run ./cmd/ibrbench -r hashmap -d tracker=tagibr -t 4 -m write -i 1 > /dev/null
 	$(GO) run ./cmd/ibrbench -r hashmap -d tracker=tagibr -t 4 -m write -i 1 -json BENCH_scan.json
 	$(GO) run ./cmd/ibrbench -r hashmap -d tracker=tagibr-wcas -t 4 -m write -i 1 -json BENCH_scan.json
 	$(GO) run ./cmd/ibrbench -r hashmap -d tracker=ebr -t 4 -m write -i 1 -json BENCH_scan.json
@@ -91,9 +94,9 @@ loadtest:
 	./bin/ibrload -addr 127.0.0.1:4100 -c 8 -p 4 -i 2; rc=$$?; \
 	kill -TERM $$pid; wait $$pid; exit $$rc
 
-# Telemetry smoke: boot ibrd with the observability layer on, load it for a
-# few seconds, and assert the paper-critical series are present and non-empty
-# on /metrics before draining.
+# Telemetry smoke: boot ibrd, load it for a few seconds, and assert the
+# paper-critical series are present and non-empty on /metrics and that
+# /debug/trace serves a Perfetto document before draining.
 obssmoke:
 	$(GO) build -o bin/ibrd ./cmd/ibrd
 	$(GO) build -o bin/ibrload ./cmd/ibrload
@@ -101,13 +104,15 @@ obssmoke:
 	pid=$$!; sleep 0.5; \
 	./bin/ibrload -addr 127.0.0.1:4200 -c 8 -p 4 -i 3 & load=$$!; \
 	sleep 2; curl -sf http://127.0.0.1:4201/metrics > /tmp/obssmoke_metrics.txt; \
-	curl -sf http://127.0.0.1:4201/debug/flightrecorder | head -1 | grep -q '"kind":"header"'; \
+	curl -sf http://127.0.0.1:4201/debug/trace > /tmp/obssmoke_trace.json; \
 	wait $$load; rc=$$?; kill -TERM $$pid; wait $$pid; \
-	grep -q '^ibr_unreclaimed{shard="0"}' /tmp/obssmoke_metrics.txt; \
-	grep -q '^ibr_epoch_lag{shard="0"}' /tmp/obssmoke_metrics.txt; \
-	grep -q '^ibr_retire_age_bucket{' /tmp/obssmoke_metrics.txt; \
-	awk -F' ' '/^ibr_retire_age_count/ { sum += $$2 } END { exit sum > 0 ? 0 : 1 }' /tmp/obssmoke_metrics.txt; \
-	echo "obssmoke: key series present and non-empty"; exit $$rc
+	test $$rc -eq 0 && \
+	head -c 14 /tmp/obssmoke_trace.json | grep -q '^{"traceEvents"' && \
+	grep -q '^ibr_unreclaimed{shard="0"}' /tmp/obssmoke_metrics.txt && \
+	grep -q '^ibr_epoch_lag{shard="0"}' /tmp/obssmoke_metrics.txt && \
+	grep -q '^ibr_retire_age_bucket{' /tmp/obssmoke_metrics.txt && \
+	awk -F' ' '/^ibr_retire_age_count/ { sum += $$2 } END { exit sum > 0 ? 0 : 1 }' /tmp/obssmoke_metrics.txt && \
+	echo "obssmoke: key series present and non-empty, /debug/trace serves a trace"
 
 # Degradation smoke, three legs (see DESIGN.md §7–§8).
 # Leg 1: EBR with injected stallers pinning reservations for 3s and a 300ms
@@ -158,7 +163,7 @@ chaossmoke:
 	echo "chaossmoke leg 3: debra staller neutralized mid-stall, backlog drained to 0"
 
 # Causal-tracing smoke (see DESIGN.md §9): boot ibrd with one injected
-# staller under traced load, capture /debug/trace with ibrtrace mid-stall,
+# staller under traced load, capture /debug/trace with curl mid-stall,
 # and assert (a) the Perfetto JSON parses and holds a complete
 # alloc→retire→freed block span plus wire-propagated op spans, and (b)
 # ibr_pinned_blocks charges the plurality of pinned blocks to the staller's
@@ -171,14 +176,13 @@ chaossmoke:
 tracesmoke:
 	$(GO) build -o bin/ibrd ./cmd/ibrd
 	$(GO) build -o bin/ibrload ./cmd/ibrload
-	$(GO) build -o bin/ibrtrace ./cmd/ibrtrace
 	@./bin/ibrd -addr 127.0.0.1:4400 -http 127.0.0.1:4401 -r hashmap -d tagibr \
 	  -shards 1 -workers 2 -stalled 1 -stallfor 3s -quarantine-after 30s \
 	  -obs-sample 4 -obs-trace 4 -obs-ring 65536 > /tmp/tracesmoke_ibrd.txt & \
 	pid=$$!; sleep 0.5; \
 	./bin/ibrload -addr 127.0.0.1:4400 -c 4 -p 4 -i 6 > /tmp/tracesmoke_load.txt & load=$$!; \
 	sleep 4.5; \
-	./bin/ibrtrace -http 127.0.0.1:4401 -o /tmp/tracesmoke_trace.json; \
+	curl -sf http://127.0.0.1:4401/debug/trace -o /tmp/tracesmoke_trace.json; \
 	curl -sf http://127.0.0.1:4401/metrics > /tmp/tracesmoke_metrics.txt; \
 	wait $$load; rc=$$?; kill -TERM $$pid; wait $$pid; \
 	test $$rc -eq 0 && \

@@ -9,16 +9,17 @@
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests complete, responses
 // flush, retire lists are scanned at quiescence, a final metrics snapshot is
-// written to stderr, then the process exits. SIGQUIT dumps the flight
-// recorder as JSONL to stderr without pausing or stopping the daemon.
+// written to stderr, then the process exits. SIGQUIT writes the flight
+// recorder to stderr as the same Perfetto JSON /debug/trace serves, without
+// pausing or stopping the daemon.
 //
 // The HTTP side serves /metrics (Prometheus text format, the one metrics
 // surface: per-shard throughput, queue depth, retired-but-unreclaimed, epoch
 // lag, range and TTL activity, retire→free age histograms, op latency,
 // stall-watchdog alerts, scan-phase breakdown, pinned-memory blame,
-// connection counters), /debug/flightrecorder (SMR lifecycle event dump),
-// /debug/trace (the same events as a Perfetto/chrome://tracing JSON
-// timeline), and net/http/pprof under /debug/pprof/.
+// connection counters), /debug/trace (the SMR lifecycle events as a
+// Perfetto/chrome://tracing JSON timeline, the one event export), and
+// net/http/pprof under /debug/pprof/.
 package main
 
 import (
@@ -41,7 +42,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":4100", "TCP listen address for the KV protocol")
-		httpAddr  = flag.String("http", ":4101", "HTTP listen address for /metrics, /debug/flightrecorder, /debug/trace, /debug/pprof (empty disables)")
+		httpAddr  = flag.String("http", ":4101", "HTTP listen address for /metrics, /debug/trace, /debug/pprof (empty disables)")
 		structure = flag.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
 		scheme    = flag.String("d", "tagibr", "reclamation scheme: "+strings.Join(core.Schemes(), ", "))
 		shards    = flag.Int("shards", 8, "independent structure instances the key space is hashed across")
@@ -54,9 +55,8 @@ func main() {
 		buckets   = flag.Int("buckets", 0, "hash map buckets per shard (0 = default)")
 		poolSlots = flag.Uint64("poolslots", 0, "node pool capacity per shard (0 = default)")
 
-		obsOn       = flag.Bool("obs", true, "enable the observability layer (flight recorder, histograms, stall watchdog)")
 		obsRing     = flag.Int("obs-ring", 4096, "flight-recorder events kept per worker ring")
-		obsSample   = flag.Int("obs-sample", 64, "record every Nth alloc/retire event (1 = all)")
+		obsSample   = flag.Int("obs-sample", 64, "record every Nth retire event (1 = all)")
 		obsTrace    = flag.Int("obs-trace", 64, "trace block lifecycles for every Nth pool slot (rounded to a power of two; 1 = all)")
 		stallThresh = flag.Duration("stall-threshold", time.Second, "reservation age past which the watchdog raises a stall alert")
 		stalled     = flag.Int("stalled", 0, "injected stalled reservation holders per shard (the paper's preempted thread; for watching reclamation lag)")
@@ -107,14 +107,12 @@ func main() {
 		QuarantineAfter: *quarAfter, RemedyInterval: *remedyIntv,
 		SpareTids:       *spares,
 		MaxRangeResults: *maxRange, ExpiryGranularity: *expiryGran,
-	}
-	if *obsOn {
-		cfg.Obs = &obs.Options{
+		Obs: &obs.Options{
 			RingSize:       *obsRing,
 			SampleEvery:    *obsSample,
 			TraceEvery:     *obsTrace,
 			StallThreshold: *stallThresh,
-		}
+		},
 	}
 	eng, err := server.NewEngine(cfg)
 	if err != nil {
@@ -125,9 +123,8 @@ func main() {
 
 	if *httpAddr != "" {
 		// Importing net/http/pprof registers /debug/pprof on the default mux;
-		// /metrics and the flight-recorder and trace dumps ride alongside.
+		// /metrics and the trace ride alongside.
 		http.Handle("/metrics", server.MetricsHandler(eng, srv))
-		http.Handle("/debug/flightrecorder", server.FlightRecorderHandler(eng))
 		http.Handle("/debug/trace", server.TraceHandler(eng))
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
@@ -139,22 +136,20 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	// SIGQUIT: dump the flight recorder to stderr and keep serving. The
-	// snapshot reads the rings without synchronizing with the workers, so a
-	// dump under full load is safe (torn slots are skipped, not blocked on).
-	if rec := eng.Obs().Recorder(); rec != nil {
-		quit := make(chan os.Signal, 1)
-		signal.Notify(quit, syscall.SIGQUIT)
-		go func() {
-			for range quit {
-				fmt.Fprintln(os.Stderr, "ibrd: SIGQUIT — flight recorder dump")
-				if err := rec.WriteJSONL(os.Stderr); err != nil {
-					fmt.Fprintln(os.Stderr, "ibrd: flight dump:", err)
-				}
-				eng.WriteCausalSummary(os.Stderr)
+	// SIGQUIT: write the /debug/trace document to stderr and keep serving.
+	// The snapshot reads the rings without synchronizing with the workers,
+	// so a dump under full load is safe (torn slots are skipped, not blocked
+	// on).
+	quit := make(chan os.Signal, 1)
+	signal.Notify(quit, syscall.SIGQUIT)
+	go func() {
+		for range quit {
+			fmt.Fprintln(os.Stderr, "ibrd: SIGQUIT — flight recorder trace")
+			if err := eng.Obs().Recorder().WriteTraceJSON(os.Stderr); err != nil {
+				fmt.Fprintln(os.Stderr, "ibrd: trace dump:", err)
 			}
-		}()
-	}
+		}
+	}()
 
 	serveErr := make(chan error, 1)
 	go func() {
@@ -194,10 +189,9 @@ func main() {
 		fmt.Printf("ibrd: degradation: %d tid quarantines, %d submits shed, %d worker deaths\n",
 			quarantines, shed, deaths)
 	}
-	// Final telemetry snapshot for post-mortems: the causal summary (scan
-	// phases, pinned-memory blame) and the same exposition /metrics served,
-	// frozen at quiescence.
-	eng.WriteCausalSummary(os.Stderr)
+	// Final telemetry snapshot for post-mortems: the same exposition
+	// /metrics served (scan phases and pinned-memory blame included), frozen
+	// at quiescence.
 	fmt.Fprintln(os.Stderr, "ibrd: final metrics snapshot:")
 	if err := eng.WriteMetrics(os.Stderr, srv); err != nil {
 		fmt.Fprintln(os.Stderr, "ibrd: metrics snapshot:", err)

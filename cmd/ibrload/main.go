@@ -27,9 +27,8 @@
 // Every measured request carries a unique causal trace ID on the wire
 // (issuer slot in the high half, per-issuer sequence in the low), and the
 // exit summary names the slowest request of each one-second window by its
-// trace ID — paste it into the /debug/trace timeline (or an ibrtrace
-// capture) to see what the server's reclamation machinery was doing while
-// that request executed.
+// trace ID — look it up in a /debug/trace capture to see what the server's
+// reclamation machinery was doing while that request executed.
 package main
 
 import (

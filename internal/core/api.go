@@ -496,7 +496,6 @@ func (b *base) allocEpochs(tid int, drain func(int)) mem.Handle {
 	}
 	birth := b.clock.Now()
 	b.mem.SetBirth(h, birth)
-	b.obs.Alloc(tid, birth)
 	if b.obs.Enabled() {
 		if si, ok := h.Slot(); ok {
 			b.obs.BlockAlloc(tid, si, birth)
@@ -522,7 +521,6 @@ func (b *base) allocPlain(tid int, drain func(int)) mem.Handle {
 			return mem.Nil
 		}
 	}
-	b.obs.Alloc(tid, 0)
 	if b.obs.Enabled() {
 		if si, ok := h.Slot(); ok {
 			b.obs.BlockAlloc(tid, si, 0)
@@ -606,7 +604,7 @@ func (b *base) shouldDrain(ts *threadState) bool {
 // batch at the end of the walk.
 func (b *base) scan(tid int, canFree func(retiredBlock) bool) {
 	ts := &b.ts[tid]
-	t0 := b.obs.ScanStart(tid, b.clock.Now())
+	t0 := b.obs.ScanStart()
 	ts.scans.Add(1)
 	st := &ts.store
 	examined := uint64(st.count)
@@ -728,7 +726,7 @@ func (b *base) finishScan(tid int, free []mem.Handle, whole [][]mem.Handle, exam
 // prefix has grown past the compaction gates.
 func (b *base) scanRetiredBefore(tid int, maxSafe uint64) {
 	ts := &b.ts[tid]
-	t0 := b.obs.ScanStart(tid, b.clock.Now())
+	t0 := b.obs.ScanStart()
 	ts.scans.Add(1)
 	st := &ts.store
 	free := ts.freeScratch[:0]
@@ -767,7 +765,6 @@ func (b *base) scanRetiredBefore(tid int, maxSafe uint64) {
 	b.obs.PhaseEnd(obs.PhaseResidualSweep, tSweep)
 	ts.scanned.Add(examined)
 	ts.bucketFrees.Add(bFrees)
-	b.obs.ScanBuckets(tid, 0, bFrees)
 	if b.obs.Enabled() {
 		// EBR-style blame: the kept suffix is pinned by exactly the
 		// reservation holding the minimum lower endpoint (maxSafe's argmin) —
@@ -973,7 +970,7 @@ func charge(blame []uint64, w int, n uint64) {
 // (retires are sorted within a bucket).
 func (b *base) scanSummarized(tid int, sum *resSummary) {
 	ts := &b.ts[tid]
-	t0 := b.obs.ScanStart(tid, b.clock.Now())
+	t0 := b.obs.ScanStart()
 	ts.scans.Add(1)
 	st := &ts.store
 	free := ts.freeScratch[:0]
@@ -1022,7 +1019,6 @@ func (b *base) scanSummarized(tid int, sum *resSummary) {
 	ts.scanned.Add(examined)
 	ts.bucketSkips.Add(bSkips)
 	ts.bucketFrees.Add(bFrees)
-	b.obs.ScanBuckets(tid, bSkips, bFrees)
 	b.obs.PinBlame(tid, blame)
 	ts.freeScratch = free
 	b.finishScan(tid, free, whole, examined, t0)

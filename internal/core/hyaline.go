@@ -198,7 +198,7 @@ func (s *Hyaline) leave(slot, freeTid int) {
 		return
 	}
 	ts := &s.ts[freeTid]
-	t0 := s.obs.ScanStart(freeTid, s.clock.Now())
+	t0 := s.obs.ScanStart()
 	ts.scans.Add(1)
 	free := ts.freeScratch[:0]
 	examined := uint64(0)
@@ -227,7 +227,7 @@ func (s *Hyaline) sealAndHand(tid int) {
 	if ts.store.count == 0 {
 		return
 	}
-	t0 := s.obs.ScanStart(tid, s.clock.Now())
+	t0 := s.obs.ScanStart()
 	ts.scans.Add(1)
 	// takeAll drains the open accumulation in retire-epoch order (Hyaline
 	// stamps no births, so the store is the single birth-0 bucket and this

@@ -2,16 +2,16 @@
 // per-thread lock-free flight recorder of SMR lifecycle events, a family of
 // concurrent log2-bucketed histograms (server latency per op type, scan
 // duration, free-batch size, and the paper-critical retire→free age
-// distribution), a hand-rolled Prometheus text-format encoder, and a stall
-// watchdog that turns the paper's stalled-thread experiment (§4.3.1,
-// Fig. 9) into a live alert.
+// distribution), a hand-rolled Prometheus text-format encoder, a Perfetto
+// trace encoder for the recorder, and a stall watchdog that turns the
+// paper's stalled-thread experiment (§4.3.1, Fig. 9) into a live alert.
 //
 // The package depends only on the standard library and knows nothing about
 // the reclamation schemes: internal/core calls into a *SchemeObs through
-// nil-safe methods (a disabled observer is a nil pointer and each hook is a
-// single predictable branch), and internal/server assembles recorders,
-// histograms and the watchdog into an engine-wide view that cmd/ibrd
-// exposes on /metrics and /debug/flightrecorder.
+// nil-safe methods (a library scheme built without an observer holds a nil
+// pointer and each hook is a single predictable branch), and
+// internal/server assembles recorders, histograms and the watchdog into an
+// engine-wide view that cmd/ibrd exposes on /metrics and /debug/trace.
 package obs
 
 import "time"
@@ -23,10 +23,6 @@ var start = time.Now()
 
 // nowNanos returns monotonic nanoseconds since process start.
 func nowNanos() uint64 { return uint64(time.Since(start)) }
-
-// Start returns the wall-clock anchor of the package's monotonic
-// timestamps: an event with TS t happened at Start().Add(t).
-func Start() time.Time { return start }
 
 // Now returns the package's monotonic timestamp — nanosecond offsets on the
 // same axis as every recorded event, so callers can time spans (op latency)
@@ -41,14 +37,9 @@ const NoEpoch = ^uint64(0)
 type Kind uint8
 
 const (
-	// KindAlloc: a block was allocated (sampled; Epoch = birth epoch, 0
-	// for the epoch-free schemes).
-	KindAlloc Kind = 1 + iota
 	// KindRetire: a block was retired (sampled; Epoch = retire epoch,
 	// Value = retire-list length after the append).
-	KindRetire
-	// KindScanStart: a retire-list scan began (Epoch = current epoch).
-	KindScanStart
+	KindRetire Kind = 1 + iota
 	// KindScanEnd: the scan finished (Value = duration in nanoseconds,
 	// Epoch = blocks examined).
 	KindScanEnd
@@ -66,11 +57,6 @@ const (
 	// quarantined tid, Epoch = current epoch, Value = blocks adopted).
 	// Written by the worker that executed the cleanup, into its own ring.
 	KindQuarantine
-	// KindBucketScan: a scan decided whole retire-list buckets with corner
-	// tests instead of per-block sweeps (Epoch = buckets kept wholesale,
-	// Value = buckets freed wholesale). Recorded only when either is
-	// non-zero.
-	KindBucketScan
 	// KindBlockAlloc: a traced block's lifecycle span began (Value = the
 	// block's pool slot index, Epoch = birth epoch, 0 for the epoch-free
 	// schemes). Block spans are selected deterministically by slot index
@@ -102,66 +88,16 @@ const (
 	KindOp
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindAlloc:
-		return "alloc"
-	case KindRetire:
-		return "retire"
-	case KindScanStart:
-		return "scan_start"
-	case KindScanEnd:
-		return "scan_end"
-	case KindFreeBatch:
-		return "free_batch"
-	case KindEpochAdvance:
-		return "epoch_advance"
-	case KindStall:
-		return "stall"
-	case KindQuarantine:
-		return "quarantine"
-	case KindBucketScan:
-		return "bucket_scan"
-	case KindBlockAlloc:
-		return "block_alloc"
-	case KindBlockPublish:
-		return "block_publish"
-	case KindBlockRetire:
-		return "block_retire"
-	case KindBlockKept:
-		return "block_kept"
-	case KindBlockFree:
-		return "block_free"
-	case KindBucketSkip:
-		return "bucket_skip"
-	case KindOp:
-		return "op"
-	}
-	return "unknown"
-}
-
-// KindFromString parses a JSONL kind name back to its Kind; 0 for unknown
-// names (including the dump's "header" line). cmd/ibrtrace uses it to
-// re-encode flight-recorder dumps offline.
-func KindFromString(s string) Kind {
-	for k := KindAlloc; k <= KindOp; k++ {
-		if k.String() == s {
-			return k
-		}
-	}
-	return 0
-}
-
 // Event is one decoded flight-recorder entry. The Epoch and Value fields
 // are kind-specific (see the Kind constants).
 type Event struct {
-	Ring  int    `json:"ring"`
-	Pos   uint64 `json:"pos"`   // position in the ring's append order
-	TS    uint64 `json:"ts_ns"` // monotonic ns since process start
-	Kind  Kind   `json:"-"`
-	Tid   int    `json:"tid"`
-	Epoch uint64 `json:"epoch"`
-	Value uint64 `json:"value"`
+	Ring  int
+	Pos   uint64 // position in the ring's append order
+	TS    uint64 // monotonic ns since process start
+	Kind  Kind
+	Tid   int
+	Epoch uint64
+	Value uint64
 }
 
 // Options tunes the observability layer; the zero value of every field
@@ -170,11 +106,11 @@ type Options struct {
 	// RingSize is the per-thread flight-recorder capacity in events
 	// (default 4096, rounded up to a power of two).
 	RingSize int
-	// SampleEvery thins the per-operation event kinds (alloc, retire) to
-	// one ring write every SampleEvery occurrences per thread (default 64,
-	// rounded up to a power of two; 1 records everything). Scans, free
-	// batches, epoch advances and stalls are always recorded — they are
-	// orders of magnitude rarer than operations.
+	// SampleEvery thins retire events to one ring write every SampleEvery
+	// retirements per thread (default 64, rounded up to a power of two; 1
+	// records every retire). Scans, free batches, epoch advances and stalls
+	// are always recorded — they are orders of magnitude rarer than
+	// operations.
 	SampleEvery int
 	// TraceEvery selects which block-lifecycle spans the flight recorder
 	// traces: a block whose pool slot index is ≡ 0 (mod TraceEvery) records
@@ -186,8 +122,6 @@ type Options struct {
 	// StallThreshold is how long a reservation may stay unchanged before
 	// the watchdog raises a stall alert (default 1s).
 	StallThreshold time.Duration
-	// WatchInterval is the watchdog poll period (default 100ms).
-	WatchInterval time.Duration
 }
 
 // WithDefaults returns o with zero fields replaced by defaults.
@@ -203,9 +137,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.StallThreshold <= 0 {
 		o.StallThreshold = time.Second
-	}
-	if o.WatchInterval <= 0 {
-		o.WatchInterval = 100 * time.Millisecond
 	}
 	return o
 }

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/bits"
 	"sort"
 	"sync/atomic"
@@ -41,8 +38,8 @@ type ring struct {
 
 // Recorder is the flight recorder: one ring per writer. Writers are thread
 // ids of a scheme (each tid is driven by one goroutine, matching the rings'
-// single-writer contract) plus, by convention, one extra ring for system
-// writers such as the watchdog. Recording never blocks and never
+// single-writer contract) plus, by convention, one extra ring for a system
+// writer such as the watchdog. Recording never blocks and never
 // allocates; old events are overwritten, newest-wins.
 type Recorder struct {
 	rings []ring
@@ -146,29 +143,4 @@ func (r *Recorder) Snapshot() []Event {
 		return out[i].Pos < out[j].Pos
 	})
 	return out
-}
-
-// jsonEvent is the JSONL wire form of an Event: Kind rendered as a string.
-type jsonEvent struct {
-	Event
-	KindName string `json:"kind"`
-}
-
-// WriteJSONL dumps a snapshot as JSON Lines: one header object carrying the
-// timestamp anchor and totals, then one object per event. The snapshot is
-// taken inside, so the dump observes a single moment without pausing any
-// writer.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	events := r.Snapshot()
-	if _, err := fmt.Fprintf(w, `{"kind":"header","start":%q,"rings":%d,"written":%d,"dropped":%d,"events":%d}`+"\n",
-		start.Format("2006-01-02T15:04:05.000000000Z07:00"), len(r.rings), r.Written(), r.Dropped(), len(events)); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(jsonEvent{Event: ev, KindName: ev.Kind.String()}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -45,21 +42,21 @@ func TestRingWraparound(t *testing.T) {
 func TestRingSizeRounding(t *testing.T) {
 	r := NewRecorder(1, 100) // → 128
 	for i := 0; i < 128; i++ {
-		r.Record(0, KindAlloc, 0, 0, 0)
+		r.Record(0, KindRetire, 0, 0, 0)
 	}
 	if got := r.Dropped(); got != 0 {
 		t.Fatalf("Dropped = %d after filling a rounded-up ring, want 0", got)
 	}
-	r.Record(0, KindAlloc, 0, 0, 0)
+	r.Record(0, KindRetire, 0, 0, 0)
 	if got := r.Dropped(); got != 1 {
 		t.Fatalf("Dropped = %d after one overwrite, want 1", got)
 	}
 }
 
 // TestRingConcurrentSnapshot hammers every ring from its own writer while
-// snapshots and JSONL dumps run; under -race this doubles as the proof the
-// recorder is data-race free, and every event a snapshot does return must
-// be internally consistent (epoch/value written together).
+// snapshots run; under -race this doubles as the proof the recorder is
+// data-race free, and every event a snapshot does return must be internally
+// consistent (epoch/value written together).
 func TestRingConcurrentSnapshot(t *testing.T) {
 	const writers = 4
 	r := NewRecorder(writers, 64)
@@ -88,47 +85,7 @@ func TestRingConcurrentSnapshot(t *testing.T) {
 				t.Errorf("event in ring %d carries tid %d", ev.Ring, ev.Tid)
 			}
 		}
-		var buf bytes.Buffer
-		if err := r.WriteJSONL(&buf); err != nil {
-			t.Fatalf("WriteJSONL: %v", err)
-		}
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestWriteJSONL checks the dump is valid JSONL with a header line.
-func TestWriteJSONL(t *testing.T) {
-	r := NewRecorder(2, 8)
-	r.Record(0, KindAlloc, 0, 3, 0)
-	r.Record(1, KindScanEnd, 1, 10, 1234)
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines []map[string]any
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %d not JSON: %v", len(lines), err)
-		}
-		lines = append(lines, m)
-	}
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want header + 2 events", len(lines))
-	}
-	if lines[0]["kind"] != "header" {
-		t.Errorf("first line kind = %v, want header", lines[0]["kind"])
-	}
-	if lines[0]["written"].(float64) != 2 {
-		t.Errorf("header written = %v, want 2", lines[0]["written"])
-	}
-	kinds := map[string]bool{}
-	for _, m := range lines[1:] {
-		kinds[m["kind"].(string)] = true
-	}
-	if !kinds["alloc"] || !kinds["scan_end"] {
-		t.Errorf("event kinds = %v, want alloc and scan_end", kinds)
-	}
 }

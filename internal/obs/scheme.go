@@ -9,10 +9,9 @@ import (
 // SchemeObs is the hook sink a reclamation scheme (internal/core) reports
 // into. Every method is safe on a nil receiver — a disabled observer is a
 // nil pointer, so the hooks compiled into the scheme hot paths cost one
-// predictable branch when observability is off. Per-operation kinds (alloc,
-// retire) are thinned by the sampling mask before touching the ring; scan-
-// rate kinds are recorded unconditionally, they are orders of magnitude
-// rarer.
+// predictable branch when observability is off. Retire events are thinned
+// by the sampling mask before touching the ring; scan-rate kinds are
+// recorded unconditionally, they are orders of magnitude rarer.
 //
 // A SchemeObs serves the thread ids of exactly one scheme instance: ring
 // RingBase+tid of the recorder must be written only through this observer
@@ -69,7 +68,6 @@ type PinStat struct {
 // never share a cache line.
 type schemeThread struct {
 	_       [64]byte
-	allocs  uint64
 	retires uint64
 	_       [64]byte
 }
@@ -90,8 +88,8 @@ type SchemeObsConfig struct {
 	ScanDur *Hist
 	// FreeBatch observes blocks freed per scan (including zero-free scans).
 	FreeBatch *Hist
-	// SampleEvery thins alloc/retire ring events (default 64, rounded up
-	// to a power of two).
+	// SampleEvery thins retire ring events (default 64, rounded up to a
+	// power of two).
 	SampleEvery int
 	// TraceEvery selects traced block-lifecycle spans by pool slot index:
 	// slots ≡ 0 (mod TraceEvery) record span events (default 64, rounded up
@@ -144,19 +142,6 @@ func NewSchemeObs(cfg SchemeObsConfig) *SchemeObs {
 	return o
 }
 
-// Alloc records a block allocation (sampled). epoch is the birth epoch, 0
-// for schemes that do not stamp births.
-func (o *SchemeObs) Alloc(tid int, epoch uint64) {
-	if o == nil {
-		return
-	}
-	t := &o.ts[tid]
-	t.allocs++
-	if o.rec != nil && t.allocs&o.sampleMask == 0 {
-		o.rec.Record(o.ringBase+tid, KindAlloc, tid, epoch, 0)
-	}
-}
-
 // Retire records a block retirement (sampled). backlog is the retire-list
 // length after the append.
 func (o *SchemeObs) Retire(tid int, epoch uint64, backlog int) {
@@ -178,15 +163,12 @@ func (o *SchemeObs) EpochAdvance(tid int, e uint64) {
 	o.rec.Record(o.ringBase+tid, KindEpochAdvance, tid, e, 0)
 }
 
-// ScanStart records the beginning of a retire-list scan and returns the
-// start timestamp for the matching ScanEnd (0 when the observer is nil —
-// still a valid argument to ScanEnd).
-func (o *SchemeObs) ScanStart(tid int, epoch uint64) uint64 {
+// ScanStart returns the start timestamp of a retire-list scan for the
+// matching ScanEnd (0 when the observer is nil — still a valid argument to
+// ScanEnd).
+func (o *SchemeObs) ScanStart() uint64 {
 	if o == nil {
 		return 0
-	}
-	if o.rec != nil {
-		o.rec.Record(o.ringBase+tid, KindScanStart, tid, epoch, 0)
 	}
 	return nowNanos()
 }
@@ -212,17 +194,6 @@ func (o *SchemeObs) ScanEnd(tid int, t0 uint64, examined, freed int) {
 			o.rec.Record(o.ringBase+tid, KindFreeBatch, tid, uint64(examined), uint64(freed))
 		}
 	}
-}
-
-// ScanBuckets records a scan's whole-bucket decisions: skipped buckets were
-// kept by one corner test, freed buckets freed by one. No-op (and no ring
-// event) when both are zero — scans over flat single-bucket stores (EBR and
-// friends) stay silent.
-func (o *SchemeObs) ScanBuckets(tid int, skipped, freed uint64) {
-	if o == nil || o.rec == nil || (skipped == 0 && freed == 0) {
-		return
-	}
-	o.rec.Record(o.ringBase+tid, KindBucketScan, tid, skipped, freed)
 }
 
 // FreeAgeBatch folds one scan's locally bucketed retire→free ages into the

@@ -127,6 +127,33 @@ func TestWriteTraceGolden(t *testing.T) {
 	}
 }
 
+// TestWriteTraceRendersEveryKind records one event of each kind and requires
+// the trace to draw something for it beyond track-name metadata, so a kind
+// that is recorded but never rendered cannot come back.
+func TestWriteTraceRendersEveryKind(t *testing.T) {
+	for k := Kind(1); k <= KindOp; k++ {
+		rec := NewRecorder(1, 8)
+		rec.Record(0, k, 0, 1, 1)
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, rec.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		var doc traceDoc
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("kind %d: trace is not valid JSON: %v", k, err)
+		}
+		drawn := 0
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph != "M" {
+				drawn++
+			}
+		}
+		if drawn == 0 {
+			t.Errorf("kind %d is recorded but renders no trace event", k)
+		}
+	}
+}
+
 // TestWriteTraceWraparound laps a small ring mid-span so the alloc leg is
 // lost, and checks the encoder still renders the surviving retire→free leg
 // instead of dropping or corrupting the span.

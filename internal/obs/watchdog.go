@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -10,7 +9,7 @@ import (
 // (one engine shard, one benchmark scheme, ...). Epoch returns the
 // scheme's current global epoch; Lowers appends the per-slot reserved
 // lower endpoints (NoEpoch for idle slots) to buf and returns it. Both are
-// called from the watchdog goroutine only.
+// called from Tick only.
 type Source struct {
 	Label  string
 	Epoch  func() uint64
@@ -32,10 +31,13 @@ type heldState struct {
 // episode: one alert when the threshold is crossed, re-armed when the
 // reservation changes or clears. A held slot also drives the stalled-now
 // gauge.
+//
+// The watchdog owns no goroutine: its caller polls it by calling Tick (the
+// serving engine's remediator does, once per remediation tick), so the
+// detector runs in the same loop as the quarantine it motivates.
 type Watchdog struct {
 	sources   []Source
-	threshold uint64 // ns
-	interval  time.Duration
+	threshold uint64    // ns
 	rec       *Recorder // may be nil
 	ring      int       // system ring for KindStall events
 
@@ -44,57 +46,22 @@ type Watchdog struct {
 
 	alerts     atomic.Uint64
 	stalledNow atomic.Int64
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewWatchdog builds a watchdog over sources. rec/ring locate the system
-// ring stall events are written to (the watchdog goroutine is that ring's
-// single writer); rec may be nil. Call Start to begin polling, or drive
-// Tick directly (tests).
-func NewWatchdog(sources []Source, threshold, interval time.Duration, rec *Recorder, ring int) *Watchdog {
+// ring stall events are written to (Tick's caller is that ring's single
+// writer); rec may be nil.
+func NewWatchdog(sources []Source, threshold time.Duration, rec *Recorder, ring int) *Watchdog {
 	if threshold <= 0 {
 		threshold = time.Second
 	}
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	w := &Watchdog{
+	return &Watchdog{
 		sources:   sources,
 		threshold: uint64(threshold),
-		interval:  interval,
 		rec:       rec,
 		ring:      ring,
 		held:      make([][]heldState, len(sources)),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
-	return w
-}
-
-// Start launches the polling goroutine; Stop terminates it.
-func (w *Watchdog) Start() {
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(w.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				w.Tick()
-			}
-		}
-	}()
-}
-
-// Stop halts polling and waits for the goroutine to exit. Idempotent.
-func (w *Watchdog) Stop() {
-	w.stopOnce.Do(func() { close(w.stop) })
-	<-w.done
 }
 
 // Alerts returns the total number of stall alerts raised.
@@ -103,8 +70,8 @@ func (w *Watchdog) Alerts() uint64 { return w.alerts.Load() }
 // Stalled returns the number of reservations currently past the threshold.
 func (w *Watchdog) Stalled() int64 { return w.stalledNow.Load() }
 
-// Tick runs one poll pass. It is called by the Start goroutine; tests may
-// call it directly instead of starting the goroutine (never both at once).
+// Tick runs one poll pass. Calls must not overlap: Tick mutates the
+// per-slot state and writes the system ring.
 func (w *Watchdog) Tick() {
 	now := nowNanos()
 	var stalled int64

@@ -22,9 +22,9 @@ func (f *fakeSource) source() Source {
 func TestWatchdogStallAlert(t *testing.T) {
 	f := &fakeSource{epoch: 100, lowers: []uint64{NoEpoch, NoEpoch}}
 	rec := NewRecorder(1, 16)
-	// Huge interval: the test drives Tick by hand; threshold 1ns means any
-	// reservation surviving two ticks is past it.
-	w := NewWatchdog([]Source{f.source()}, time.Nanosecond, time.Hour, rec, 0)
+	// The test drives Tick by hand; threshold 1ns means any reservation
+	// surviving two ticks is past it.
+	w := NewWatchdog([]Source{f.source()}, time.Nanosecond, rec, 0)
 
 	w.Tick()
 	if w.Alerts() != 0 || w.Stalled() != 0 {
@@ -72,7 +72,7 @@ func TestWatchdogStallAlert(t *testing.T) {
 // endpoints (a making-progress thread) never alerts.
 func TestWatchdogProgressNoAlert(t *testing.T) {
 	f := &fakeSource{epoch: 10, lowers: []uint64{5}}
-	w := NewWatchdog([]Source{f.source()}, time.Nanosecond, time.Hour, nil, 0)
+	w := NewWatchdog([]Source{f.source()}, time.Nanosecond, nil, 0)
 	for i := 0; i < 5; i++ {
 		w.Tick()
 		time.Sleep(time.Millisecond)
@@ -81,20 +81,5 @@ func TestWatchdogProgressNoAlert(t *testing.T) {
 	}
 	if w.Alerts() != 0 {
 		t.Fatalf("Alerts = %d for a progressing thread, want 0", w.Alerts())
-	}
-}
-
-// TestWatchdogStartStop exercises the goroutine path.
-func TestWatchdogStartStop(t *testing.T) {
-	f := &fakeSource{epoch: 3, lowers: []uint64{1}}
-	w := NewWatchdog([]Source{f.source()}, time.Microsecond, time.Millisecond, nil, 0)
-	w.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for w.Alerts() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	w.Stop()
-	if w.Alerts() == 0 {
-		t.Fatal("polling watchdog never alerted on a held reservation")
 	}
 }

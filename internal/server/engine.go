@@ -84,9 +84,9 @@ type EngineConfig struct {
 	// Buckets sets the hash map bucket count per shard (0 = default).
 	Buckets int
 
-	// Obs enables the observability layer — flight recorder, latency/scan/
-	// retire-age histograms, and the stall watchdog (see internal/obs). Nil
-	// disables it: the hooks stay compiled in but cost one pointer test.
+	// Obs tunes the observability layer — flight recorder, latency/scan/
+	// retire-age histograms, and the stall watchdog (see internal/obs).
+	// Every engine observes; nil selects the obs.Options defaults.
 	Obs *obs.Options
 
 	// Stalled injects the paper's preempted thread (§4.3.1) into the live
@@ -178,6 +178,12 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	if c.ExpiryGranularity <= 0 {
 		c.ExpiryGranularity = 50 * time.Millisecond
 	}
+	var o obs.Options
+	if c.Obs != nil {
+		o = *c.Obs
+	}
+	o = o.WithDefaults()
+	c.Obs = &o
 	return c
 }
 
@@ -248,9 +254,9 @@ func (sh *shard) noteUnderScan(un int) {
 type Engine struct {
 	cfg        EngineConfig
 	shards     []*shard
-	tids       int        // scheme tids per shard: workers + stallers + spares
-	ranging    bool       // the structure implements ds.Ranger
-	obs        *EngineObs // nil when cfg.Obs is nil
+	tids       int  // scheme tids per shard: workers + stallers + spares
+	ranging    bool // the structure implements ds.Ranger
+	obs        *EngineObs
 	wg         sync.WaitGroup
 	stallStop  chan struct{} // nil unless cfg.Stalled > 0
 	stallWG    sync.WaitGroup
@@ -276,9 +282,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	// shard can ever lease: workers, injected stallers, and the spares that
 	// replacement workers draw from after a quarantine.
 	e.tids = cfg.WorkersPerShard + cfg.Stalled + cfg.SpareTids
-	if cfg.Obs != nil {
-		e.obs = newEngineObs(*cfg.Obs, cfg.Shards, e.tids)
-	}
+	e.obs = newEngineObs(*cfg.Obs, cfg.Shards, e.tids)
 	for i := range e.shards {
 		m, err := ds.NewMap(cfg.Structure, ds.Config{
 			Scheme: cfg.Scheme,
@@ -287,7 +291,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 				EpochFreq: cfg.EpochFreq,
 				EmptyFreq: cfg.EmptyFreq,
 				Slots:     cfg.Slots,
-				Obs:       e.obs.schemeObs(i),
+				Obs:       e.obs.scheme[i],
 			},
 			PoolSlots: cfg.PoolSlots,
 			Buckets:   cfg.Buckets,
@@ -321,7 +325,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		}
 		e.shards[i] = sh
 	}
-	e.obs.startWatchdog(e)
+	e.obs.attachWatchdog(e, cfg.Obs.StallThreshold)
 	for _, sh := range e.shards {
 		for i := 0; i < cfg.WorkersPerShard; i++ {
 			tid, gen, ok := sh.leases.acquire(roleWorker)
@@ -398,13 +402,15 @@ func (e *Engine) staller(sh *shard) {
 	}
 }
 
-// remediator is the engine's degradation-policy loop. Every RemedyInterval
-// it, per shard: (1) applies the admission watermarks to the unreclaimed
-// backlog — forcing scans above soft, shedding above hard; (2) scans the
-// lease table for holders that are dead, or parked past QuarantineAfter
-// with an unchanged heartbeat, and quarantines their tids (cleanup runs on
-// a worker via a control op); (3) spawns replacement workers for
-// quarantined worker tids so the shard keeps serving at full width.
+// remediator is the engine's degradation-policy loop and its only
+// background loop besides workers and stallers. Every RemedyInterval it
+// ticks the stall watchdog, then, per shard: (1) applies the admission
+// watermarks to the unreclaimed backlog — forcing scans above soft,
+// shedding above hard; (2) scans the lease table for holders that are dead,
+// or parked past QuarantineAfter with an unchanged heartbeat, and
+// quarantines their tids (cleanup runs on a worker via a control op); (3)
+// spawns replacement workers for quarantined worker tids so the shard keeps
+// serving at full width.
 func (e *Engine) remediator() {
 	defer close(e.remedyDone)
 	ticker := time.NewTicker(e.cfg.RemedyInterval)
@@ -428,6 +434,7 @@ func (e *Engine) remediator() {
 			return
 		case <-ticker.C:
 		}
+		e.obs.watchdog.Tick()
 		now := time.Now()
 		for si, sh := range e.shards {
 			s := sh.inst.Scheme()
@@ -514,7 +521,7 @@ func (e *Engine) tryQuarantine(sh *shard, tid int, role leaseRole, deficit *int)
 	}
 }
 
-// Obs returns the engine's observability state, nil when disabled.
+// Obs returns the engine's observability state.
 func (e *Engine) Obs() *EngineObs { return e.obs }
 
 // Config returns the engine's effective (defaulted) configuration.
@@ -540,9 +547,8 @@ func shardFor(key uint64, n int) int {
 // Single-key ops go to their key's shard. A Range fans out to EVERY shard —
 // keys are hashed across them, so each holds an interleaved slice of the
 // interval — and done fires once, with the merged ascending result, after
-// the last shard leg completes. When observability is on, a non-zero
-// TraceID makes the executing worker record an op span under it (see
-// /debug/trace).
+// the last shard leg completes. A non-zero TraceID makes the executing
+// worker record an op span under it (see /debug/trace).
 func (e *Engine) SubmitRequest(req Request, done func(Response)) error {
 	if !req.Op.valid() {
 		return fmt.Errorf("server: invalid op %d", req.Op)
@@ -652,17 +658,13 @@ func (e *Engine) worker(sh *shard, tid int, gen uint64) {
 				continue
 			}
 			var resp Response
-			if eo := e.obs; eo != nil {
-				if li := latIndex(r.req.Op); li >= 0 {
-					t0 := obs.Now()
-					resp = e.exec(sh, tid, r)
-					d := obs.Now() - t0
-					eo.opLat[li].Record(d)
-					if r.req.TraceID != 0 {
-						eo.opEvent(sh.idx, tid, r.req.TraceID, d)
-					}
-				} else {
-					resp = e.exec(sh, tid, r)
+			if li := latIndex(r.req.Op); li >= 0 {
+				t0 := obs.Now()
+				resp = e.exec(sh, tid, r)
+				d := obs.Now() - t0
+				e.obs.opLat[li].Record(d)
+				if r.req.TraceID != 0 {
+					e.obs.opEvent(sh.idx, tid, r.req.TraceID, d)
 				}
 			} else {
 				resp = e.exec(sh, tid, r)
@@ -826,7 +828,6 @@ func (e *Engine) Close() {
 			}
 			core.DrainAll(s, e.tids)
 		}
-		e.obs.stop()
 	})
 }
 

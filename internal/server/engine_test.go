@@ -215,6 +215,14 @@ func TestEngineStats(t *testing.T) {
 	if got, _ := seriesSum(text, "ibr_scans_total", ""); got != float64(scans) {
 		t.Fatalf("Σ ibr_scans_total = %v, want %d", got, scans)
 	}
+	// The engine was built without an Obs config and still observes: the
+	// histogram and watchdog series are exported.
+	if got, _ := seriesSum(text, "ibr_op_latency_ns_count", `op="put"`); got != 2000 {
+		t.Fatalf("ibr_op_latency_ns_count{op=\"put\"} = %v, want 2000", got)
+	}
+	if _, n := seriesSum(text, "ibr_stall_alerts_total", ""); n != 1 {
+		t.Fatal("ibr_stall_alerts_total missing from an engine built without an Obs config")
+	}
 	eng.Close()
 }
 

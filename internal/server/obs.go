@@ -2,6 +2,7 @@ package server
 
 import (
 	"strconv"
+	"time"
 
 	"ibr/internal/obs"
 )
@@ -40,11 +41,9 @@ func latIndex(op Op) int {
 // EngineObs is the engine-wide observability state: one flight-recorder ring
 // per worker (plus a system ring the watchdog writes stall events to), a
 // per-shard retire→free age histogram, engine-wide scan and latency
-// histograms, and the stall watchdog. Built by NewEngine when
-// EngineConfig.Obs is set; all methods are safe on a nil receiver, so the
-// serving path carries at most one pointer test when observability is off.
+// histograms, and the stall watchdog. Every engine builds one; the
+// remediator ticks its watchdog.
 type EngineObs struct {
-	opts         obs.Options
 	rec          *obs.Recorder
 	tidsPerShard int              // ring-index stride: shard i, tid t → ring i*tidsPerShard+t
 	scheme       []*obs.SchemeObs // per shard
@@ -59,11 +58,9 @@ type EngineObs struct {
 
 // newEngineObs sizes the recorder for shards×workers scheme rings plus one
 // trailing system ring and builds the histogram registry. The watchdog is
-// attached later (startWatchdog) once the shards exist.
+// attached later (attachWatchdog) once the shards exist.
 func newEngineObs(o obs.Options, shards, workers int) *EngineObs {
-	o = o.WithDefaults()
 	eo := &EngineObs{
-		opts:         o,
 		rec:          obs.NewRecorder(shards*workers+1, o.RingSize),
 		tidsPerShard: workers,
 		scheme:       make([]*obs.SchemeObs, shards),
@@ -93,24 +90,12 @@ func newEngineObs(o obs.Options, shards, workers int) *EngineObs {
 	return eo
 }
 
-// schemeObs returns shard i's scheme observer (nil when observability is
-// off, which core treats as disabled hooks).
-func (eo *EngineObs) schemeObs(i int) *obs.SchemeObs {
-	if eo == nil {
-		return nil
-	}
-	return eo.scheme[i]
-}
-
-// startWatchdog builds one stall source per shard — its scheme's epoch clock
-// and reservation-table lowers — and starts polling. Schemes that publish no
-// table entries (HP, HE, NoMM, Hyaline) leave every lower idle, so their
-// sources never alert. The system ring — the recorder's last — takes the
-// stall events.
-func (eo *EngineObs) startWatchdog(e *Engine) {
-	if eo == nil {
-		return
-	}
+// attachWatchdog builds one stall source per shard — its scheme's epoch
+// clock and reservation-table lowers. Schemes that publish no table entries
+// (HP, HE, NoMM, Hyaline) leave every lower idle, so their sources never
+// alert. The system ring — the recorder's last — takes the stall events;
+// the remediator, which calls Tick, is its single writer.
+func (eo *EngineObs) attachWatchdog(e *Engine, threshold time.Duration) {
 	sources := make([]obs.Source, len(e.shards))
 	for i, sh := range e.shards {
 		s := sh.inst.Scheme()
@@ -126,17 +111,13 @@ func (eo *EngineObs) startWatchdog(e *Engine) {
 			},
 		}
 	}
-	eo.watchdog = obs.NewWatchdog(sources, eo.opts.StallThreshold, eo.opts.WatchInterval, eo.rec, eo.rec.Rings()-1)
-	eo.watchdog.Start()
+	eo.watchdog = obs.NewWatchdog(sources, threshold, eo.rec, eo.rec.Rings()-1)
 }
 
 // quarantineEvent records a tid quarantine into the executing worker's own
 // ring — the recorder is single-writer per ring, and the worker running the
 // cleanup control op already owns ring shard*tidsPerShard+workerTid.
 func (eo *EngineObs) quarantineEvent(shard, workerTid, quarantinedTid int, epoch, adopted uint64) {
-	if eo == nil {
-		return
-	}
 	eo.rec.Record(shard*eo.tidsPerShard+workerTid, obs.KindQuarantine, quarantinedTid, epoch, adopted)
 }
 
@@ -144,51 +125,16 @@ func (eo *EngineObs) quarantineEvent(shard, workerTid, quarantinedTid int, epoch
 // own ring (single-writer, like quarantineEvent), joining the wire trace ID
 // to the shard's reclamation timeline.
 func (eo *EngineObs) opEvent(shard, workerTid int, trace, durNs uint64) {
-	if eo == nil {
-		return
-	}
 	eo.rec.Record(shard*eo.tidsPerShard+workerTid, obs.KindOp, workerTid, durNs, trace)
 }
 
-// stop halts the watchdog (the recorder and histograms are passive).
-func (eo *EngineObs) stop() {
-	if eo == nil || eo.watchdog == nil {
-		return
-	}
-	eo.watchdog.Stop()
-}
-
-// Recorder returns the flight recorder (nil when observability is off).
-func (eo *EngineObs) Recorder() *obs.Recorder {
-	if eo == nil {
-		return nil
-	}
-	return eo.rec
-}
-
-// Watchdog returns the stall watchdog (nil when observability is off or no
-// shard scheme exposes reservations).
-func (eo *EngineObs) Watchdog() *obs.Watchdog {
-	if eo == nil {
-		return nil
-	}
-	return eo.watchdog
-}
+// Recorder returns the flight recorder.
+func (eo *EngineObs) Recorder() *obs.Recorder { return eo.rec }
 
 // OpLatency snapshots the latency histogram of one measured op kind
 // (latGet/latPut/latDel order, matching latNames).
-func (eo *EngineObs) OpLatency(i int) obs.HistSnapshot {
-	if eo == nil {
-		return obs.HistSnapshot{}
-	}
-	return eo.opLat[i].Snapshot()
-}
+func (eo *EngineObs) OpLatency(i int) obs.HistSnapshot { return eo.opLat[i].Snapshot() }
 
 // ScanPhase snapshots phase p of the engine-wide scan-phase timing
 // breakdown (obs.Phase* order, matching obs.PhaseNames).
-func (eo *EngineObs) ScanPhase(p int) obs.HistSnapshot {
-	if eo == nil {
-		return obs.HistSnapshot{}
-	}
-	return eo.phases[p].Snapshot()
-}
+func (eo *EngineObs) ScanPhase(p int) obs.HistSnapshot { return eo.phases[p].Snapshot() }

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -15,21 +13,21 @@ import (
 )
 
 // TestEngineObsConcurrentScrape is the live-telemetry race test: a loaded
-// engine is scraped (/metrics encoding and a flight-recorder JSONL dump)
-// concurrently with the serving workers. Run with -race — the scrape paths
-// must never synchronize with, pause, or corrupt the hot path.
+// engine's /metrics encoding runs concurrently with the serving workers and
+// the remediator's watchdog ticks. Run with -race — the scrape path must
+// never synchronize with, pause, or corrupt the hot path.
 func TestEngineObsConcurrentScrape(t *testing.T) {
 	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{
 		Shards: 2, WorkersPerShard: 2, QueueDepth: 1024,
 		EpochFreq: 8, EmptyFreq: 8,
-		Obs: &obs.Options{SampleEvery: 1, WatchInterval: 5 * time.Millisecond},
+		Obs:            &obs.Options{SampleEvery: 1},
+		RemedyInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	metrics := MetricsHandler(eng, nil)
-	flight := FlightRecorderHandler(eng)
 
 	stop := make(chan struct{})
 	var scrapeWG sync.WaitGroup
@@ -46,12 +44,6 @@ func TestEngineObsConcurrentScrape(t *testing.T) {
 			metrics.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 			if got := rec.Header().Get("Content-Type"); got != obs.ContentType {
 				t.Errorf("metrics Content-Type = %q", got)
-				return
-			}
-			rec = httptest.NewRecorder()
-			flight.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flightrecorder", nil))
-			if rec.Code != 200 {
-				t.Errorf("flight recorder status = %d", rec.Code)
 				return
 			}
 		}
@@ -87,6 +79,7 @@ func TestEngineObsConcurrentScrape(t *testing.T) {
 	}
 	text := buf.String()
 	for _, series := range []string{
+		"ibr_ops_total{shard=\"0\"}",
 		"ibr_unreclaimed{shard=\"0\"}",
 		"ibr_epoch_lag{shard=\"1\"}",
 		"ibr_retire_age_bucket{shard=\"0\",scheme=\"tagibr\",le=\"+Inf\"}",
@@ -109,68 +102,48 @@ func TestEngineObsConcurrentScrape(t *testing.T) {
 		t.Error("no get latencies recorded")
 	}
 
-	// The JSONL dump decodes line by line: a header, then events with known
-	// kinds, all while the recorder kept running.
-	rec := httptest.NewRecorder()
-	flight.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flightrecorder", nil))
-	sc := bufio.NewScanner(rec.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lines := 0
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		if lines == 0 {
-			if m["kind"] != "header" {
-				t.Fatalf("first line kind = %v, want header", m["kind"])
-			}
-		} else if m["kind"] == "" || m["kind"] == "unknown" {
-			t.Fatalf("line %d has kind %q", lines, m["kind"])
-		}
-		lines++
-	}
-	if lines < 2 {
-		t.Fatalf("flight dump has %d lines; want header + events", lines)
-	}
-
-	if eng.Obs().Watchdog() == nil {
-		t.Fatal("tagibr engine should have a watchdog (clock + reservations exposed)")
-	}
 	eng.Close()
-	// After Close the watchdog is stopped; a post-shutdown scrape still works.
+	// After Close the remediator no longer ticks the watchdog; a
+	// post-shutdown scrape still works.
 	buf.Reset()
 	if err := eng.WriteMetrics(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEngineObsDisabled checks the nil path: no obs config, handlers still
-// serve the stats-derived series, and the flight recorder 404s.
-func TestEngineObsDisabled(t *testing.T) {
-	ctx := context.Background()
-	eng, err := NewEngine(EngineConfig{Shards: 1, WorkersPerShard: 1})
+// TestEngineWatchdogAlertsOnStall checks the live engine's stall watchdog
+// end to end: an injected staller holds one reservation far past the
+// threshold, quarantine is pushed out of reach, and the remediator's tick
+// must raise the alert, hold the stalled gauge, and write a stall event to
+// the flight recorder.
+func TestEngineWatchdogAlertsOnStall(t *testing.T) {
+	eng, err := NewEngine(EngineConfig{
+		Shards: 1, WorkersPerShard: 1,
+		Stalled: 1, StallFor: 10 * time.Second,
+		QuarantineAfter: time.Hour,
+		RemedyInterval:  5 * time.Millisecond,
+		Obs:             &obs.Options{StallThreshold: 20 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	eng.DoContext(ctx, Request{Op: OpPut, Key: 1, Val: 1})
-
-	var buf bytes.Buffer
-	if err := eng.WriteMetrics(&buf, nil); err != nil {
-		t.Fatal(err)
+	var alerts, stalled float64
+	if !waitFor(3*time.Second, func() bool {
+		text := scrapeMetrics(t, eng)
+		alerts, _ = seriesSum(text, "ibr_stall_alerts_total", "")
+		stalled, _ = seriesSum(text, "ibr_stalled_reservations", "")
+		return alerts >= 1 && stalled >= 1
+	}) {
+		t.Fatalf("3s into a 10s stall: ibr_stall_alerts_total %v, ibr_stalled_reservations %v; want both >= 1", alerts, stalled)
 	}
-	text := buf.String()
-	if !strings.Contains(text, "ibr_ops_total{shard=\"0\"}") {
-		t.Error("stats series missing with obs disabled")
+	stalls := 0
+	for _, ev := range eng.Obs().Recorder().Snapshot() {
+		if ev.Kind == obs.KindStall {
+			stalls++
+		}
 	}
-	if strings.Contains(text, "ibr_retire_age") {
-		t.Error("histogram series present with obs disabled")
-	}
-
-	rec := httptest.NewRecorder()
-	FlightRecorderHandler(eng).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flightrecorder", nil))
-	if rec.Code != 404 {
-		t.Errorf("flight recorder with obs disabled: status %d, want 404", rec.Code)
+	if stalls == 0 {
+		t.Fatal("stall alert raised but no stall event in the flight recorder")
 	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // WriteMetrics emits the engine's full Prometheus text exposition: per-shard
-// serving and reclamation gauges/counters (always available — they come from
-// Engine.Stats), the allocator cache counters, and, when observability is
-// enabled, the histogram families (retire→free age per shard, scan duration,
-// free-batch size, op latency) plus the watchdog and flight-recorder series.
+// serving and reclamation gauges/counters (from Engine.Stats), the allocator
+// cache counters, the histogram families (retire→free age per shard, scan
+// duration, free-batch size, op latency, scan phases), pinned-memory blame,
+// and the watchdog and flight-recorder series.
 // srv may be nil; when set, the connection front end's counters ride along.
 func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 	p := obs.NewPromWriter(w)
@@ -145,64 +145,61 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 		p.Uint("ibr_pool_fresh_carves_total", shardLabel[i], ps.FreshCarves)
 	}
 
-	if eo := e.obs; eo != nil {
-		scheme := []obs.Label{{K: "scheme", V: e.cfg.Scheme}}
-		p.Header("ibr_retire_age", "histogram", "Retire-to-free age of reclaimed blocks, in epochs, per shard.")
-		for i := range eo.retireAge {
-			p.Histogram("ibr_retire_age", append(shardLabel[i], scheme[0]), eo.retireAge[i].Snapshot())
-		}
-		p.Header("ibr_scan_duration_ns", "histogram", "Retire-list scan wall time in nanoseconds.")
-		p.Histogram("ibr_scan_duration_ns", scheme, eo.scanDur.Snapshot())
-		p.Header("ibr_free_batch_size", "histogram", "Blocks freed per scan (zero-free scans included).")
-		p.Histogram("ibr_free_batch_size", scheme, eo.freeBatch.Snapshot())
-		p.Header("ibr_op_latency_ns", "histogram", "In-shard execution latency per op type in nanoseconds (range = one shard leg's scan).")
-		for i, h := range eo.opLat {
-			p.Histogram("ibr_op_latency_ns", []obs.Label{{K: "op", V: latNames[i]}}, h.Snapshot())
-		}
-		p.Header("ibr_range_len", "histogram", "Merged result sizes of completed Range scans, in pairs.")
-		p.Histogram("ibr_range_len", nil, eo.rangeLen.Snapshot())
-		p.Header("ibr_scan_phase_ns", "histogram", "Scan wall time by phase: summarize, bucket_decide, residual_sweep, free_batch.")
-		for ph := 0; ph < obs.NumScanPhases; ph++ {
-			p.Histogram("ibr_scan_phase_ns", []obs.Label{{K: "phase", V: obs.PhaseNames[ph]}}, eo.phases[ph].Snapshot())
-		}
-
-		// Pinned-memory blame: who is responsible for the unreclaimed
-		// backlog right now. Top-k per shard keeps the scrape bounded while
-		// still naming every meaningful pinner (k > the handful of
-		// concurrently stalled tids any recipe injects).
-		const blameTopK = 8
-		blame := make([][]obs.PinStat, len(eo.scheme))
-		for i := range eo.scheme {
-			blame[i] = eo.scheme[i].PinnedBlame()
-			if len(blame[i]) > blameTopK {
-				blame[i] = blame[i][:blameTopK]
-			}
-		}
-		p.Header("ibr_pinned_blocks", "gauge", "Retired-but-unreclaimed blocks charged to the reservation-holding tid that pinned them at the latest scans (top-k per shard).")
-		for i, top := range blame {
-			for _, ps := range top {
-				p.Uint("ibr_pinned_blocks", append(shardLabel[i], obs.Label{K: "tid", V: strconv.Itoa(ps.Tid)}), ps.Blocks)
-			}
-		}
-		p.Header("ibr_pin_age_seconds", "gauge", "How long each blamed tid has been continuously pinning memory.")
-		for i, top := range blame {
-			for _, ps := range top {
-				p.Sample("ibr_pin_age_seconds", append(shardLabel[i], obs.Label{K: "tid", V: strconv.Itoa(ps.Tid)}), ps.Age.Seconds())
-			}
-		}
-
-		if wd := eo.watchdog; wd != nil {
-			p.Header("ibr_stall_alerts_total", "counter", "Stall alerts raised (reservation unchanged past the threshold).")
-			p.Uint("ibr_stall_alerts_total", nil, wd.Alerts())
-			p.Header("ibr_stalled_reservations", "gauge", "Reservations currently held past the stall threshold.")
-			p.Int("ibr_stalled_reservations", nil, wd.Stalled())
-		}
-
-		p.Header("ibr_flight_events_total", "counter", "Flight-recorder events written across all rings.")
-		p.Uint("ibr_flight_events_total", nil, eo.rec.Written())
-		p.Header("ibr_flight_dropped_total", "counter", "Flight-recorder events overwritten before any dump saw them.")
-		p.Uint("ibr_flight_dropped_total", nil, eo.rec.Dropped())
+	eo := e.obs
+	scheme := []obs.Label{{K: "scheme", V: e.cfg.Scheme}}
+	p.Header("ibr_retire_age", "histogram", "Retire-to-free age of reclaimed blocks, in epochs, per shard.")
+	for i := range eo.retireAge {
+		p.Histogram("ibr_retire_age", append(shardLabel[i], scheme[0]), eo.retireAge[i].Snapshot())
 	}
+	p.Header("ibr_scan_duration_ns", "histogram", "Retire-list scan wall time in nanoseconds.")
+	p.Histogram("ibr_scan_duration_ns", scheme, eo.scanDur.Snapshot())
+	p.Header("ibr_free_batch_size", "histogram", "Blocks freed per scan (zero-free scans included).")
+	p.Histogram("ibr_free_batch_size", scheme, eo.freeBatch.Snapshot())
+	p.Header("ibr_op_latency_ns", "histogram", "In-shard execution latency per op type in nanoseconds (range = one shard leg's scan).")
+	for i, h := range eo.opLat {
+		p.Histogram("ibr_op_latency_ns", []obs.Label{{K: "op", V: latNames[i]}}, h.Snapshot())
+	}
+	p.Header("ibr_range_len", "histogram", "Merged result sizes of completed Range scans, in pairs.")
+	p.Histogram("ibr_range_len", nil, eo.rangeLen.Snapshot())
+	p.Header("ibr_scan_phase_ns", "histogram", "Scan wall time by phase: summarize, bucket_decide, residual_sweep, free_batch.")
+	for ph := 0; ph < obs.NumScanPhases; ph++ {
+		p.Histogram("ibr_scan_phase_ns", []obs.Label{{K: "phase", V: obs.PhaseNames[ph]}}, eo.phases[ph].Snapshot())
+	}
+
+	// Pinned-memory blame: who is responsible for the unreclaimed
+	// backlog right now. Top-k per shard keeps the scrape bounded while
+	// still naming every meaningful pinner (k > the handful of
+	// concurrently stalled tids any recipe injects).
+	const blameTopK = 8
+	blame := make([][]obs.PinStat, len(eo.scheme))
+	for i := range eo.scheme {
+		blame[i] = eo.scheme[i].PinnedBlame()
+		if len(blame[i]) > blameTopK {
+			blame[i] = blame[i][:blameTopK]
+		}
+	}
+	p.Header("ibr_pinned_blocks", "gauge", "Retired-but-unreclaimed blocks charged to the reservation-holding tid that pinned them at the latest scans (top-k per shard).")
+	for i, top := range blame {
+		for _, ps := range top {
+			p.Uint("ibr_pinned_blocks", append(shardLabel[i], obs.Label{K: "tid", V: strconv.Itoa(ps.Tid)}), ps.Blocks)
+		}
+	}
+	p.Header("ibr_pin_age_seconds", "gauge", "How long each blamed tid has been continuously pinning memory.")
+	for i, top := range blame {
+		for _, ps := range top {
+			p.Sample("ibr_pin_age_seconds", append(shardLabel[i], obs.Label{K: "tid", V: strconv.Itoa(ps.Tid)}), ps.Age.Seconds())
+		}
+	}
+
+	p.Header("ibr_stall_alerts_total", "counter", "Stall alerts raised (reservation unchanged past the threshold).")
+	p.Uint("ibr_stall_alerts_total", nil, eo.watchdog.Alerts())
+	p.Header("ibr_stalled_reservations", "gauge", "Reservations currently held past the stall threshold.")
+	p.Int("ibr_stalled_reservations", nil, eo.watchdog.Stalled())
+
+	p.Header("ibr_flight_events_total", "counter", "Flight-recorder events written across all rings.")
+	p.Uint("ibr_flight_events_total", nil, eo.rec.Written())
+	p.Header("ibr_flight_dropped_total", "counter", "Flight-recorder events overwritten before any dump saw them.")
+	p.Uint("ibr_flight_dropped_total", nil, eo.rec.Dropped())
 
 	if srv != nil {
 		p.Header("ibrd_connections_accepted_total", "counter", "TCP connections accepted.")
@@ -225,20 +222,5 @@ func MetricsHandler(e *Engine, srv *Server) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.ContentType)
 		_ = e.WriteMetrics(w, srv)
-	})
-}
-
-// FlightRecorderHandler dumps the flight recorder as JSONL. The snapshot
-// never blocks the writing workers; an engine without observability serves
-// 404 so scripts can probe for the capability.
-func FlightRecorderHandler(e *Engine) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := e.Obs().Recorder()
-		if rec == nil {
-			http.Error(w, "flight recorder disabled (run with -obs)", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = rec.WriteJSONL(w)
 	})
 }

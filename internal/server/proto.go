@@ -263,7 +263,9 @@ func appendResponse(b []byte, id uint32, r Response) []byte {
 // readFrame reads one length-prefixed payload into buf (reused and grown
 // across calls) and returns the payload slice. max bounds the announced
 // length for this direction; direction-specific validity (request version
-// lengths, pair-count consistency) is the parser's job.
+// lengths, pair-count consistency) is the parser's job. io.EOF means the
+// stream ended cleanly between frames; a stream that ends after a header
+// reports io.ErrUnexpectedEOF, even when no payload byte arrived.
 func readFrame(r *bufio.Reader, max int, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -278,6 +280,9 @@ func readFrame(r *bufio.Reader, max int, buf []byte) ([]byte, error) {
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a payload
+		}
 		return nil, err
 	}
 	return buf, nil

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"net"
 	"testing"
 	"time"
 )
@@ -284,6 +285,143 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			off += 4 + len(p)
 			buf = p[:0]
+		}
+	})
+}
+
+// streamConn is the server end of one fuzzed connection. Reads drain the
+// fuzz input and then report EOF, as from a client that half-closed after
+// sending it; writes, deadlines and Close go to a net.Pipe whose other end
+// the test reads the responses from.
+type streamConn struct {
+	net.Conn
+	in *bytes.Reader
+}
+
+func (c *streamConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+
+// wireKey names one request frame for matching responses: its id and the
+// dialect it was framed in, which its response must be framed in too.
+type wireKey struct {
+	id     uint32
+	legacy bool
+}
+
+// expectStream walks a request byte stream the way the connection reader
+// frames it, independently of readFrame and parseRequest: a 4-byte
+// big-endian length, then a payload of exactly 29 (v1) or 45 (v2) bytes. It
+// returns every complete frame before the first framing violation — a
+// short header, a length other than 29 or 45, or a truncated payload — the
+// number of those frames the server must reject (an unknown op, or a
+// v1-framed op above DEL), and whether a violation ends the stream.
+func expectStream(data []byte) (frames []wireKey, rejected int, broken bool) {
+	for off := 0; off < len(data); {
+		if len(data)-off < 4 {
+			return frames, rejected, true
+		}
+		n := uint64(binary.BigEndian.Uint32(data[off:]))
+		if (n != 29 && n != 45) || uint64(len(data)-off-4) < n {
+			return frames, rejected, true
+		}
+		p := data[off+4 : off+4+int(n)]
+		k := wireKey{id: binary.BigEndian.Uint32(p), legacy: n == 29}
+		if op := Op(p[4]); op < OpPing || op > OpRange || (k.legacy && op > OpDel) {
+			rejected++
+		}
+		frames = append(frames, k)
+		off += 4 + int(n)
+	}
+	return frames, rejected, false
+}
+
+// FuzzServeStream feeds arbitrary byte streams through Server.handle, the
+// whole connection path: framing, parsing, admission, the shard workers and
+// the coalescing writer, on one engine shared across inputs. Every complete
+// frame before the first framing violation must get exactly one response
+// in its own dialect (matched by id as a multiset), a violation must drop
+// the connection and count it once, each rejected frame must be counted,
+// and handle must return.
+func FuzzServeStream(f *testing.F) {
+	eng, err := NewEngine(EngineConfig{Structure: "skiplist", Shards: 2, WorkersPerShard: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(eng, ServerConfig{})
+	f.Cleanup(srv.Shutdown)
+
+	var stream []byte
+	for _, s := range seedRequests {
+		stream = appendRequest(stream, s.id, s.req)
+	}
+	f.Add(stream)
+	f.Add(append(seedV1Request(), appendRequestV1(nil, 18, OpRange, 1, 2, 0)...))
+	f.Add(appendRequest(seedV1Request(), 9, Request{Op: 0, Key: 3}))
+	f.Add(append(appendRequest(nil, 5, Request{Op: OpGet, Key: 5}), 0, 0, 0, 30))
+	f.Add(appendRequest(nil, 6, Request{Op: OpPut, Key: 6, Val: 6})[:20])
+	f.Add(binary.BigEndian.AppendUint32(nil, maxReqFrame+1))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, rejected, broken := expectStream(data)
+		dropped0, rejected0 := srv.ProtoDropped(), srv.ProtoRejected()
+
+		cli, sc := net.Pipe()
+		defer cli.Close()
+		handled := make(chan struct{})
+		srv.connWG.Add(1)
+		go func() {
+			defer close(handled)
+			srv.handle(&streamConn{Conn: sc, in: bytes.NewReader(data)})
+		}()
+
+		// handle closes the pipe once the last response is flushed, so
+		// EOF ends the read; the deadline turns a wedged handler into a
+		// failure instead of a hang.
+		cli.SetReadDeadline(time.Now().Add(10 * time.Second))
+		want := map[wireKey]int{}
+		for _, k := range frames {
+			want[k]++
+		}
+		br := bufio.NewReader(cli)
+		var buf []byte
+		for {
+			p, err := readFrame(br, maxRespFrame, buf)
+			if err != nil {
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Fatalf("no EOF from the server 10s into a %d-byte stream", len(data))
+				}
+				break
+			}
+			k := wireKey{id: binary.BigEndian.Uint32(p), legacy: len(p) == respPayloadV1Len}
+			if !k.legacy {
+				if _, _, err := parseResponse(p); err != nil {
+					t.Fatalf("malformed response: %v", err)
+				}
+			}
+			if want[k] == 0 {
+				t.Fatalf("response %+v answers no outstanding request frame", k)
+			}
+			want[k]--
+			buf = p[:0]
+		}
+		for k, n := range want {
+			if n != 0 {
+				t.Fatalf("%d request frame(s) %+v got no response", n, k)
+			}
+		}
+		select {
+		case <-handled:
+		case <-time.After(10 * time.Second):
+			t.Fatal("handle did not return after closing the connection")
+		}
+		wantDropped := uint64(0)
+		if broken {
+			wantDropped = 1
+		}
+		if got := srv.ProtoDropped() - dropped0; got != wantDropped {
+			t.Fatalf("ProtoDropped rose by %d, want %d (broken framing: %v)", got, wantDropped, broken)
+		}
+		if got := srv.ProtoRejected() - rejected0; got != uint64(rejected) {
+			t.Fatalf("ProtoRejected rose by %d, want %d", got, rejected)
 		}
 	})
 }

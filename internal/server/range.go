@@ -49,9 +49,7 @@ func (ro *rangeOp) finish(e *Engine, sh *shard, part []Pair, st Response) {
 		return
 	}
 	merged := mergePairs(ro.parts, ro.limit)
-	if eo := e.obs; eo != nil {
-		eo.rangeLen.Record(uint64(len(merged)))
-	}
+	e.obs.rangeLen.Record(uint64(len(merged)))
 	ro.done(Response{Status: StatusOK, Pairs: merged})
 }
 
@@ -150,10 +148,7 @@ func (e *Engine) execRange(sh *shard, tid int, r *request) {
 	ro := r.rng
 	sh.rangeOps.Add(1)
 	sh.activeScans.Add(1)
-	var t0 uint64
-	if e.obs != nil {
-		t0 = obs.Now()
-	}
+	t0 := obs.Now()
 	var part []Pair
 	// The visitor receives values, not handles, so nothing escapes the
 	// bracket — the ds-side Range implementations are held to that contract
@@ -164,12 +159,10 @@ func (e *Engine) execRange(sh *shard, tid int, r *request) {
 	})
 	sh.noteUnderScan(core.TotalUnreclaimed(sh.inst.Scheme(), e.tids))
 	sh.activeScans.Add(-1)
-	if eo := e.obs; eo != nil {
-		d := obs.Now() - t0
-		eo.opLat[latRange].Record(d)
-		if r.req.TraceID != 0 {
-			eo.opEvent(sh.idx, tid, r.req.TraceID, d)
-		}
+	d := obs.Now() - t0
+	e.obs.opLat[latRange].Record(d)
+	if r.req.TraceID != 0 {
+		e.obs.opEvent(sh.idx, tid, r.req.TraceID, d)
 	}
 	ro.finish(e, sh, part, Response{Status: StatusOK})
 }

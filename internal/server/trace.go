@@ -1,18 +1,12 @@
 package server
 
 // Causal trace plumbing: the context key that threads a trace ID from a
-// client call site through DoContext into the wire protocol, the
-// /debug/trace HTTP handler serving the flight recorder in Perfetto form,
-// and the human-readable causal summary (scan phases + pinned-memory
-// blame) the daemon prints on SIGQUIT/SIGTERM.
+// client call site through DoContext into the wire protocol, and the
+// /debug/trace HTTP handler serving the flight recorder in Perfetto form.
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"net/http"
-
-	"ibr/internal/obs"
 )
 
 // traceIDKey carries a caller-chosen wire trace ID on a context.
@@ -35,53 +29,12 @@ func TraceIDFrom(ctx context.Context) uint64 {
 }
 
 // TraceHandler serves the engine's flight recorder as a Perfetto /
-// chrome://tracing JSON trace (load it at https://ui.perfetto.dev).
-// Mirrors FlightRecorderHandler: 404 when observability is off.
+// chrome://tracing JSON trace (load it at https://ui.perfetto.dev). It is
+// the recorder's only export: the snapshot never blocks the writing
+// workers.
 func TraceHandler(e *Engine) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := e.Obs().Recorder()
-		if rec == nil {
-			http.Error(w, "observability disabled (run with -obs)", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = rec.WriteTraceJSON(w)
+		_ = e.obs.rec.WriteTraceJSON(w)
 	})
-}
-
-// WriteCausalSummary writes the causal telemetry in human-readable form:
-// the scan-phase timing breakdown and, per shard, the top pinned-memory
-// blame entries ("tid 2 pins 1234 blocks, 2.1s"). cmd/ibrd appends it to
-// the SIGQUIT live dump and the SIGTERM final snapshot.
-func (e *Engine) WriteCausalSummary(w io.Writer) {
-	eo := e.obs
-	if eo == nil {
-		fmt.Fprintln(w, "causal summary: observability disabled (run with -obs)")
-		return
-	}
-	fmt.Fprintln(w, "scan phases (wall ns per scan):")
-	for p := 0; p < obs.NumScanPhases; p++ {
-		s := eo.phases[p].Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  %-14s n=%-8d p50=%-8.0f p99=%-8.0f mean=%.0f\n",
-			obs.PhaseNames[p], s.Count, s.Quantile(0.5), s.Quantile(0.99),
-			float64(s.Sum)/float64(s.Count))
-	}
-	const topK = 8
-	for i := range eo.scheme {
-		top := eo.scheme[i].PinnedBlame()
-		if len(top) == 0 {
-			continue
-		}
-		if len(top) > topK {
-			top = top[:topK]
-		}
-		fmt.Fprintf(w, "shard %d pinned-memory blame:", i)
-		for _, ps := range top {
-			fmt.Fprintf(w, " tid %d=%d blocks (%.1fs)", ps.Tid, ps.Blocks, ps.Age.Seconds())
-		}
-		fmt.Fprintln(w)
-	}
 }

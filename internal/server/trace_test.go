@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,12 +112,6 @@ func TestTraceHandlerConcurrentScrape(t *testing.T) {
 		t.Error("no complete retire→free block spans despite a delete-heavy run")
 	}
 
-	// The human-readable summary rides the same counters.
-	var buf bytes.Buffer
-	eng.WriteCausalSummary(&buf)
-	if !strings.Contains(buf.String(), "scan phases") {
-		t.Errorf("causal summary missing the phase breakdown:\n%s", buf.String())
-	}
 	eng.Close()
 }
 
@@ -173,19 +165,4 @@ func TestTraceIDWireRoundTrip(t *testing.T) {
 	}
 	cl.Close()
 	srv.Shutdown()
-}
-
-// TestTraceHandlerDisabled: without observability /debug/trace 404s, like
-// the flight-recorder endpoint, so scripts can probe for the capability.
-func TestTraceHandlerDisabled(t *testing.T) {
-	eng, err := NewEngine(EngineConfig{Shards: 1, WorkersPerShard: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	rec := httptest.NewRecorder()
-	TraceHandler(eng).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
-	if rec.Code != 404 {
-		t.Errorf("trace handler with obs disabled: status %d, want 404", rec.Code)
-	}
 }
