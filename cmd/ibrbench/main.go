@@ -87,8 +87,9 @@ func main() {
 
 	fmt.Printf("%s/%s t=%d %s: %.4f Mops/s, avg retired %.1f blocks\n",
 		res.Structure, res.Scheme, res.Threads, res.Workload, res.Mops, res.AvgRetired)
-	if res.Latency != nil {
-		fmt.Printf("  latency: %s\n", res.Latency)
+	if l := res.Latency; l != nil {
+		fmt.Printf("  latency: n=%d p50~%v p99~%v p999~%v\n", l.Count,
+			time.Duration(l.Quantile(0.50)), time.Duration(l.Quantile(0.99)), time.Duration(l.Quantile(0.999)))
 	}
 	if *verbose {
 		fmt.Printf("  ops=%d allocs=%d frees=%d live=%d\n", res.Ops, res.Allocs, res.Frees, res.Live)

@@ -11,7 +11,8 @@
 // flush, retire lists are scanned at quiescence, a final metrics snapshot is
 // written to stderr, then the process exits. SIGQUIT writes the flight
 // recorder to stderr as the same Perfetto JSON /debug/trace serves, without
-// pausing or stopping the daemon.
+// pausing or stopping the daemon. The whole daemon is run(ctx, args, ...),
+// which the end-to-end test boots in-process on port 0.
 //
 // The HTTP side serves /metrics (Prometheus text format, the one metrics
 // surface: per-shard throughput, queue depth, retired-but-unreclaimed, epoch
@@ -23,10 +24,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -40,61 +45,71 @@ import (
 )
 
 func main() {
+	// The drain line names the signal, so ctx carries it as its cause.
+	ctx, cancel := context.WithCancelCause(context.Background())
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() { cancel(errors.New((<-sig).String())) }()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the daemon: it serves until ctx ends, then drains and returns 0.
+// Usage errors return 2, startup failures 1.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ibrd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr      = flag.String("addr", ":4100", "TCP listen address for the KV protocol")
-		httpAddr  = flag.String("http", ":4101", "HTTP listen address for /metrics, /debug/trace, /debug/pprof (empty disables)")
-		structure = flag.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
-		scheme    = flag.String("d", "tagibr", "reclamation scheme: "+strings.Join(core.Schemes(), ", "))
-		shards    = flag.Int("shards", 8, "independent structure instances the key space is hashed across")
-		workers   = flag.Int("workers", 2, "tid-leased worker goroutines per shard")
-		queue     = flag.Int("queue", 4096, "per-shard request queue depth (beyond it clients see BUSY)")
-		inflight  = flag.Int("inflight", 128, "max pipelined requests per connection")
-		idle      = flag.Duration("idle", 5*time.Minute, "per-connection idle timeout")
-		epochf    = flag.Int("epochf", 150, "epoch advance frequency (per-worker allocations)")
-		emptyf    = flag.Int("emptyf", 30, "retire-list scan frequency (retirements)")
-		buckets   = flag.Int("buckets", 0, "hash map buckets per shard (0 = default)")
-		poolSlots = flag.Uint64("poolslots", 0, "node pool capacity per shard (0 = default)")
+		addr      = fs.String("addr", ":4100", "TCP listen address for the KV protocol")
+		httpAddr  = fs.String("http", ":4101", "HTTP listen address for /metrics, /debug/trace, /debug/pprof (empty disables)")
+		structure = fs.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
+		scheme    = fs.String("d", "tagibr", "reclamation scheme: "+strings.Join(core.Schemes(), ", "))
+		shards    = fs.Int("shards", 8, "independent structure instances the key space is hashed across")
+		workers   = fs.Int("workers", 2, "tid-leased worker goroutines per shard")
+		queue     = fs.Int("queue", 4096, "per-shard request queue depth (beyond it clients see BUSY)")
+		inflight  = fs.Int("inflight", 128, "max pipelined requests per connection")
+		idle      = fs.Duration("idle", 5*time.Minute, "per-connection idle timeout")
+		epochf    = fs.Int("epochf", 150, "epoch advance frequency (per-worker allocations)")
+		emptyf    = fs.Int("emptyf", 30, "retire-list scan frequency (retirements)")
+		buckets   = fs.Int("buckets", 0, "hash map buckets per shard (0 = default)")
+		poolSlots = fs.Uint64("poolslots", 0, "node pool capacity per shard (0 = default)")
 
-		obsRing     = flag.Int("obs-ring", 4096, "flight-recorder events kept per worker ring")
-		obsSample   = flag.Int("obs-sample", 64, "record every Nth retire event (1 = all)")
-		obsTrace    = flag.Int("obs-trace", 64, "trace block lifecycles for every Nth pool slot (rounded to a power of two; 1 = all)")
-		stallThresh = flag.Duration("stall-threshold", time.Second, "reservation age past which the watchdog raises a stall alert")
-		stalled     = flag.Int("stalled", 0, "injected stalled reservation holders per shard (the paper's preempted thread; for watching reclamation lag)")
-		stallFor    = flag.Duration("stallfor", 2*time.Second, "how long each injected stall pins its reservation")
+		obsRing     = fs.Int("obs-ring", 4096, "flight-recorder events kept per worker ring")
+		obsSample   = fs.Int("obs-sample", 64, "record every Nth retire event (1 = all)")
+		obsTrace    = fs.Int("obs-trace", 64, "trace block lifecycles for every Nth pool slot (rounded to a power of two; 1 = all)")
+		stallThresh = fs.Duration("stall-threshold", time.Second, "reservation age past which the watchdog raises a stall alert")
+		stalled     = fs.Int("stalled", 0, "injected stalled reservation holders per shard (the paper's preempted thread; for watching reclamation lag)")
+		stallFor    = fs.Duration("stallfor", 2*time.Second, "how long each injected stall pins its reservation")
 
-		maxRange   = flag.Int("max-range", 0, "result cap per RANGE scan (0 = protocol maximum, 65536)")
-		expiryGran = flag.Duration("expiry-gran", 50*time.Millisecond, "TTL expiry wheel slot width (expirations lag it by up to one remediation tick)")
+		maxRange   = fs.Int("max-range", 0, "result cap per RANGE scan (0 = protocol maximum, 65536)")
+		expiryGran = fs.Duration("expiry-gran", 50*time.Millisecond, "TTL expiry wheel slot width (expirations lag it by up to one remediation tick)")
 
-		softWater  = flag.Float64("soft-watermark", 0.5, "unreclaimed fraction of pool capacity that triggers forced scans")
-		hardWater  = flag.Float64("hard-watermark", 0.85, "unreclaimed fraction of pool capacity above which the shard sheds (BUSY)")
-		quarAfter  = flag.Duration("quarantine-after", time.Second, "how long a parked lease holder's reservation may sit before its tid is quarantined")
-		remedyIntv = flag.Duration("remedy-interval", 50*time.Millisecond, "remediation loop poll period (watermarks + quarantine)")
-		spares     = flag.Int("spares", 2, "spare scheme tids per shard for replacement workers after a quarantine")
+		softWater  = fs.Float64("soft-watermark", 0.5, "unreclaimed fraction of pool capacity that triggers forced scans")
+		hardWater  = fs.Float64("hard-watermark", 0.85, "unreclaimed fraction of pool capacity above which the shard sheds (BUSY)")
+		quarAfter  = fs.Duration("quarantine-after", time.Second, "how long a parked lease holder's reservation may sit before its tid is quarantined")
+		remedyIntv = fs.Duration("remedy-interval", 50*time.Millisecond, "remediation loop poll period (watermarks + quarantine)")
+		spares     = fs.Int("spares", 2, "spare scheme tids per shard for replacement workers after a quarantine")
 	)
-	flag.Parse()
-
-	if !ds.IsMapStructure(*structure) {
-		fmt.Fprintf(os.Stderr, "ibrd: unknown structure %q; valid: %s\n",
-			*structure, strings.Join(ds.MapStructures(), ", "))
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if !core.IsScheme(*scheme) {
-		fmt.Fprintf(os.Stderr, "ibrd: unknown scheme %q; valid: %s\n",
-			*scheme, strings.Join(core.Schemes(), ", "))
-		os.Exit(2)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "ibrd: "+format+"\n", a...)
+		return 2
 	}
-	if !ds.SchemeSupports(*scheme, *structure) {
-		fmt.Fprintf(os.Stderr, "ibrd: scheme %q cannot run structure %q\n", *scheme, *structure)
-		os.Exit(2)
-	}
-	if *softWater <= 0 || *softWater >= *hardWater || *hardWater > 1 {
-		fmt.Fprintf(os.Stderr, "ibrd: watermarks must satisfy 0 < soft < hard <= 1, got soft=%v hard=%v\n",
-			*softWater, *hardWater)
-		os.Exit(2)
-	}
-	if *spares < 1 {
-		fmt.Fprintf(os.Stderr, "ibrd: -spares must be at least 1 (replacement workers draw from them), got %d\n", *spares)
-		os.Exit(2)
+	switch {
+	case !ds.IsMapStructure(*structure):
+		return usage("unknown structure %q; valid: %s", *structure, strings.Join(ds.MapStructures(), ", "))
+	case !core.IsScheme(*scheme):
+		return usage("unknown scheme %q; valid: %s", *scheme, strings.Join(core.Schemes(), ", "))
+	case !ds.SchemeSupports(*scheme, *structure):
+		return usage("scheme %q cannot run structure %q", *scheme, *structure)
+	case *softWater <= 0 || *softWater >= *hardWater || *hardWater > 1:
+		return usage("watermarks must satisfy 0 < soft < hard <= 1, got soft=%v hard=%v", *softWater, *hardWater)
+	case *spares < 1:
+		return usage("-spares must be at least 1 (replacement workers draw from them), got %d", *spares)
 	}
 
 	cfg := server.EngineConfig{
@@ -114,59 +129,81 @@ func main() {
 			StallThreshold: *stallThresh,
 		},
 	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ibrd:", err)
+		return 1
+	}
+	// Both listeners are bound before the serving line prints, so the line
+	// names the real addresses (port 0 resolves here).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(err)
+	}
+	defer ln.Close()
+	var hln net.Listener
+	if *httpAddr != "" {
+		if hln, err = net.Listen("tcp", *httpAddr); err != nil {
+			return fail(err)
+		}
+		defer hln.Close()
+	}
 	eng, err := server.NewEngine(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibrd:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	srv := server.NewServer(eng, server.ServerConfig{MaxInflight: *inflight, IdleTimeout: *idle})
 
-	if *httpAddr != "" {
-		// Importing net/http/pprof registers /debug/pprof on the default mux;
-		// /metrics and the trace ride alongside.
-		http.Handle("/metrics", server.MetricsHandler(eng, srv))
-		http.Handle("/debug/trace", server.TraceHandler(eng))
+	metricsOn := "off"
+	if hln != nil {
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", server.MetricsHandler(eng, srv))
+		mux.Handle("/debug/trace", server.TraceHandler(eng))
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		hs := &http.Server{Handler: mux}
+		httpDone := make(chan struct{})
 		go func() {
-			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ibrd: debug http:", err)
+			defer close(httpDone)
+			if err := hs.Serve(hln); !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintln(stderr, "ibrd: debug http:", err)
 			}
 		}()
+		defer func() { hs.Close(); <-httpDone }()
+		metricsOn = "on " + hln.Addr().String()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	// SIGQUIT: write the /debug/trace document to stderr and keep serving.
-	// The snapshot reads the rings without synchronizing with the workers,
-	// so a dump under full load is safe (torn slots are skipped, not blocked
-	// on).
-	quit := make(chan os.Signal, 1)
+	// SIGQUIT writes the /debug/trace document to stderr and keeps serving:
+	// the ring snapshot skips torn slots rather than blocking the workers.
+	quit, quitDone := make(chan os.Signal, 1), make(chan struct{})
 	signal.Notify(quit, syscall.SIGQUIT)
+	defer func() { signal.Stop(quit); close(quit); <-quitDone }()
 	go func() {
+		defer close(quitDone)
 		for range quit {
-			fmt.Fprintln(os.Stderr, "ibrd: SIGQUIT — flight recorder trace")
-			if err := eng.Obs().Recorder().WriteTraceJSON(os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, "ibrd: trace dump:", err)
+			fmt.Fprintln(stderr, "ibrd: SIGQUIT — flight recorder trace")
+			if err := eng.Obs().Recorder().WriteTraceJSON(stderr); err != nil {
+				fmt.Fprintln(stderr, "ibrd: trace dump:", err)
 			}
 		}
 	}()
 
+	ec := eng.Config()
+	fmt.Fprintf(stdout, "ibrd: serving %s × %s, %d shards × %d workers on %s (metrics %s)\n",
+		*structure, *scheme, ec.Shards, ec.WorkersPerShard, ln.Addr(), metricsOn)
 	serveErr := make(chan error, 1)
-	go func() {
-		fmt.Printf("ibrd: serving %s × %s, %d shards × %d workers on %s (metrics on %s)\n",
-			*structure, *scheme, *shards, *workers, *addr, *httpAddr)
-		serveErr <- srv.ListenAndServe(*addr)
-	}()
-
+	go func() { serveErr <- srv.Serve(ln) }()
 	select {
 	case err := <-serveErr:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ibrd:", err)
-			os.Exit(1)
-		}
-	case s := <-sig:
-		fmt.Printf("ibrd: %v — draining\n", s)
 		srv.Shutdown()
+		return fail(err)
+	case <-ctx.Done():
+		fmt.Fprintf(stdout, "ibrd: %v — draining\n", context.Cause(ctx))
+		srv.Shutdown()
+		ln.Close() // in case ctx ended before Serve registered ln with srv
+		<-serveErr
 	}
 
 	var ops, quarantines, shed, deaths, ranges, expired uint64
@@ -180,20 +217,21 @@ func main() {
 		ranges += st.RangeOps
 		expired += st.Expired
 	}
-	fmt.Printf("ibrd: drained: %d ops served over %d connections, %d blocks unreclaimed after final scan\n",
+	fmt.Fprintf(stdout, "ibrd: drained: %d ops served over %d connections, %d blocks unreclaimed after final scan\n",
 		ops, srv.Accepted(), unreclaimed)
 	if ranges+expired > 0 {
-		fmt.Printf("ibrd: ranges: %d shard legs scanned; expiry: %d keys lapsed\n", ranges, expired)
+		fmt.Fprintf(stdout, "ibrd: ranges: %d shard legs scanned; expiry: %d keys lapsed\n", ranges, expired)
 	}
 	if quarantines+shed+deaths > 0 {
-		fmt.Printf("ibrd: degradation: %d tid quarantines, %d submits shed, %d worker deaths\n",
+		fmt.Fprintf(stdout, "ibrd: degradation: %d tid quarantines, %d submits shed, %d worker deaths\n",
 			quarantines, shed, deaths)
 	}
 	// Final telemetry snapshot for post-mortems: the same exposition
 	// /metrics served (scan phases and pinned-memory blame included), frozen
 	// at quiescence.
-	fmt.Fprintln(os.Stderr, "ibrd: final metrics snapshot:")
-	if err := eng.WriteMetrics(os.Stderr, srv); err != nil {
-		fmt.Fprintln(os.Stderr, "ibrd: metrics snapshot:", err)
+	fmt.Fprintln(stderr, "ibrd: final metrics snapshot:")
+	if err := eng.WriteMetrics(stderr, srv); err != nil {
+		fmt.Fprintln(stderr, "ibrd: metrics snapshot:", err)
 	}
+	return 0
 }

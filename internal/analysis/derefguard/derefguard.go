@@ -9,7 +9,7 @@
 //   - core.Scheme: StartOp, EndOp, RestartOp, Alloc, Retire, Read,
 //     ReadRoot, Write, CompareAndSwap, Unreserve, TransferSlot,
 //     ClearReservation, AdoptRetired
-//   - mem.Pool: Get, Alloc, Free, FreeBatch, FreeBatches, SetBirth,
+//   - mem.Pool: Get, Alloc, Free, FreeBatches, SetBirth,
 //     SetRetireEpoch, MarkRetired
 //
 // Control-block and stats reads (ScanStats, Clock, Reservations, Drain,
@@ -63,7 +63,6 @@ var poolSurface = map[string]string{
 	"Get":            "Guard.Deref",
 	"Alloc":          "Guard.Alloc",
 	"Free":           "Guard.Retire, or Guard.Discard for a never-published block",
-	"FreeBatch":      "Guard.Retire",
 	"FreeBatches":    "Guard.Retire",
 	"SetBirth":       "Guard.Alloc",
 	"SetRetireEpoch": "Guard.Retire",

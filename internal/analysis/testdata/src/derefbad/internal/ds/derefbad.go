@@ -86,7 +86,7 @@ func (q *Q) Drop(tid int, h mem.Handle) {
 
 // DropBatch is the batched variant.
 func (q *Q) DropBatch(tid int, hs []mem.Handle) {
-	q.pool.FreeBatch(tid, hs) // want "raw Pool.FreeBatch bypasses the guard facade: use Guard.Retire"
+	q.pool.FreeBatches(tid, hs) // want "raw Pool.FreeBatches bypasses the guard facade: use Guard.Retire"
 }
 
 // Steal transfers another tid's state with no evidence its holder is parked

@@ -15,7 +15,7 @@ func Reclaim(p *mem.Pool, tid int, hs []mem.Handle) {
 	for _, h := range hs {
 		p.Free(tid, h)
 	}
-	p.FreeBatch(tid, hs)
+	p.FreeBatches(tid, hs)
 }
 
 // alloc stamps the birth before the handle escapes (paper Fig. 4).

@@ -28,7 +28,7 @@ func DropDoc(p *mem.Pool, tid int, hs []mem.Handle) {
 	for _, h := range hs {
 		p.Free(tid, h)
 	}
-	p.FreeBatch(tid, hs)
+	p.FreeBatches(tid, hs)
 }
 
 // dropLoud has no directive: the finding must survive.

@@ -22,8 +22,8 @@ type Node struct {
 // Pool mimics mem.Pool[T].
 type Pool struct{ nodes []Node }
 
-func (p *Pool) Get(h Handle) *Node             { return &p.nodes[h] }
-func (p *Pool) Free(tid int, h Handle)         {}
-func (p *Pool) FreeBatch(tid int, hs []Handle) {}
-func (p *Pool) Alloc(tid int) (Handle, bool)   { return 0, false }
-func (p *Pool) SetBirth(h Handle, e uint64)    {}
+func (p *Pool) Get(h Handle) *Node                       { return &p.nodes[h] }
+func (p *Pool) Free(tid int, h Handle)                   {}
+func (p *Pool) FreeBatches(tid int, batches ...[]Handle) {}
+func (p *Pool) Alloc(tid int) (Handle, bool)             { return 0, false }
+func (p *Pool) SetBirth(h Handle, e uint64)              {}

@@ -73,8 +73,6 @@ func (p *Ptr) FetchOrMarks(m uint64) mem.Handle {
 // satisfies it for every T.
 type Memory interface {
 	Alloc(tid int) (mem.Handle, bool)
-	Free(tid int, h mem.Handle)
-	FreeBatch(tid int, hs []mem.Handle)
 	FreeBatches(tid int, batches ...[]mem.Handle)
 	Birth(h mem.Handle) uint64
 	SetBirth(h mem.Handle, e uint64)

@@ -27,7 +27,7 @@ import (
 // descriptors with the same roles and lifetimes: hyBatch is the REFS node
 // (counter + the batch's mem.Handle slab slots), and hyNode is an NREF node
 // (batch back-pointer + per-slot list link). Blocks still return to the
-// allocator through one mem.Pool.FreeBatch per batch.
+// allocator through one mem.Pool.FreeBatches per batch.
 //
 // Cost model: StartOp is one store, Read/Write/CAS are uninstrumented
 // (Hyaline is "transparent" — no per-access work at all, like EBR), EndOp

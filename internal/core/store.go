@@ -148,7 +148,7 @@ func (st *retireStore) add(h mem.Handle, birth, retire uint64, shift uint) {
 // spare would be the same heap retention the compaction gates exist to
 // prevent). The arrays may still be aliased by a pending whole-bucket free
 // slice; that is safe because the store's owner finishes the scan (and the
-// FreeBatch read) before its next add can touch the spare.
+// FreeBatches read) before its next add can touch the spare.
 func (st *retireStore) recycle(bk *retireBucket) {
 	if c := cap(bk.retires); c > cap(st.spareR) && c <= storeCompactMin {
 		st.spareH, st.spareB, st.spareR = bk.handles[:0], bk.births[:0], bk.retires[:0]

@@ -124,9 +124,9 @@ type Result struct {
 	Frees  uint64
 	Live   uint64
 
-	// Latency is the merged per-op latency histogram; non-nil only when
-	// Config.MeasureLatency was set.
-	Latency *LatencyHist
+	// Latency is the merged per-op latency histogram in nanoseconds;
+	// non-nil only when Config.MeasureLatency was set.
+	Latency *obs.HistSnapshot
 
 	// Scan work performed by the reclamation scheme (zero for NoMM):
 	// Scans is the number of empty() executions, ScanExamined the number of
@@ -159,7 +159,7 @@ type workerStat struct {
 	remFail    uint64
 	getHit     uint64
 	getMiss    uint64
-	lat        LatencyHist
+	lat        obs.Hist
 	_          [64]byte
 }
 
@@ -275,7 +275,7 @@ func Run(cfg Config) (Result, error) {
 					}
 				}
 				if cfg.MeasureLatency {
-					st.lat.Record(time.Since(opStart))
+					st.lat.Record(uint64(time.Since(opStart)))
 				}
 				st.ops++
 			}
@@ -311,9 +311,9 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	if cfg.MeasureLatency {
-		res.Latency = &LatencyHist{}
+		res.Latency = &obs.HistSnapshot{}
 		for tid := range stats {
-			res.Latency.Merge(&stats[tid].lat)
+			res.Latency.Merge(stats[tid].lat.Snapshot())
 		}
 	}
 	res.Elapsed = elapsed

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ibr/internal/obs"
 )
 
 func quick(t *testing.T, cfg Config) Result {
@@ -373,46 +375,47 @@ func TestSpaceSeries(t *testing.T) {
 }
 
 func TestLatencyHistogram(t *testing.T) {
-	var h LatencyHist
-	if h.Quantile(0.5) != 0 {
+	var h obs.Hist
+	if s := h.Snapshot(); s.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile should be 0")
 	}
 	for i := 0; i < 900; i++ {
-		h.Record(100 * time.Nanosecond)
+		recordLatency(&h, 100*time.Nanosecond)
 	}
 	for i := 0; i < 100; i++ {
-		h.Record(100 * time.Microsecond)
+		recordLatency(&h, 100*time.Microsecond)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 1000 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	if p50 := h.Quantile(0.5); p50 > time.Microsecond {
+	if p50 := latencyQuantile(&s, 0.5); p50 > time.Microsecond {
 		t.Fatalf("p50 = %v, want sub-microsecond", p50)
 	}
-	if p999 := h.Quantile(0.999); p999 < 50*time.Microsecond {
+	if p999 := latencyQuantile(&s, 0.999); p999 < 50*time.Microsecond {
 		t.Fatalf("p999 = %v, want >= 50µs", p999)
 	}
-	var h2 LatencyHist
-	h2.Record(time.Millisecond)
-	h.Merge(&h2)
-	if h.Count() != 1001 {
+	var h2 obs.Hist
+	recordLatency(&h2, time.Millisecond)
+	s.Merge(h2.Snapshot())
+	if s.Count != 1001 {
 		t.Fatal("merge lost counts")
 	}
-	if h.String() == "" {
-		t.Fatal("empty String()")
+	if want := uint64(900*100 + 100*100_000 + 1_000_000); s.Sum != want {
+		t.Fatalf("sum = %d ns, want %d", s.Sum, want)
 	}
 }
 
 func TestRunWithLatency(t *testing.T) {
 	r := quick(t, Config{Structure: "hashmap", Scheme: "tagibr", Threads: 2,
 		KeyRange: 1024, Duration: 50 * time.Millisecond, MeasureLatency: true})
-	if r.Latency == nil || r.Latency.Count() == 0 {
+	if r.Latency == nil || r.Latency.Count == 0 {
 		t.Fatal("no latency samples recorded")
 	}
-	if r.Latency.Count() != r.Ops {
-		t.Fatalf("latency samples %d != ops %d", r.Latency.Count(), r.Ops)
+	if r.Latency.Count != r.Ops {
+		t.Fatalf("latency samples %d != ops %d", r.Latency.Count, r.Ops)
 	}
-	if p50 := r.Latency.Quantile(0.5); p50 <= 0 || p50 > time.Second {
+	if p50 := time.Duration(r.Latency.Quantile(0.5)); p50 <= 0 || p50 > time.Second {
 		t.Fatalf("implausible p50 %v", p50)
 	}
 	// Default runs must not allocate a histogram.

@@ -3,32 +3,46 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"ibr/internal/obs"
 )
 
+// These tests pin Result.Latency's contract: each worker records an
+// operation's duration in nanoseconds into its own obs.Hist (as Run does),
+// and the per-worker snapshots merge into one HistSnapshot whose quantiles
+// read back as time.Durations (as ibrbench prints them).
+
+func recordLatency(h *obs.Hist, d time.Duration) { h.Record(uint64(d)) }
+
+func latencyQuantile(s *obs.HistSnapshot, q float64) time.Duration {
+	return time.Duration(s.Quantile(q))
+}
+
 // TestLatencyBucketBoundaries pins the log2 bucketing: bucket i must hold
-// exactly the durations with 2^i <= ns < 2^(i+1), with 0 ns promoted to
-// the 1 ns floor and overflows clamped into the last bucket.
+// exactly the durations with 2^i <= ns < 2^(i+1), with 0 ns in bucket 0
+// and the last bucket reaching the end of the uint64 range.
 func TestLatencyBucketBoundaries(t *testing.T) {
 	cases := []struct {
 		d      time.Duration
 		bucket int
 	}{
-		{0, 0},                // floor: recorded as 1 ns
+		{0, 0},                // bucket 0 spans [0, 2)
 		{1, 0},                // 2^0
 		{2, 1},                // 2^1
 		{3, 1},                // still below 4
 		{255, 7},              // top of [128, 256)
 		{256, 8},              // bottom of [256, 512)
-		{time.Microsecond, 9}, // 1024 ns → [1024, 2048)
+		{time.Microsecond, 9}, // 1000 ns → [512, 1024)
 		{time.Millisecond - 1, 19},
 		{time.Millisecond, 19}, // 1e6 ns → [2^19, 2^20)
-		{1 << 47, 47},          // bottom of the last bucket
-		{1<<62 + 5, 47},        // clamped overflow
+		{1 << 47, 47},
+		{1<<62 + 5, 62},
 	}
 	for _, c := range cases {
-		var h LatencyHist
-		h.Record(c.d)
-		for i, n := range h.buckets {
+		var h obs.Hist
+		recordLatency(&h, c.d)
+		s := h.Snapshot()
+		for i, n := range s.Buckets {
 			want := uint64(0)
 			if i == c.bucket {
 				want = 1
@@ -44,10 +58,11 @@ func TestLatencyBucketBoundaries(t *testing.T) {
 // one bucket: four samples in [1024, 2048) place q=0 at the bucket floor,
 // q=1 at the ceiling, and intermediate quantiles linearly between.
 func TestLatencyQuantileInterpolation(t *testing.T) {
-	var h LatencyHist
+	var h obs.Hist
 	for i := 0; i < 4; i++ {
-		h.Record(1500 * time.Nanosecond) // bucket 10: [1024, 2048)
+		recordLatency(&h, 1500*time.Nanosecond) // bucket 10: [1024, 2048)
 	}
+	s := h.Snapshot()
 	cases := []struct {
 		q    float64
 		want time.Duration
@@ -61,7 +76,7 @@ func TestLatencyQuantileInterpolation(t *testing.T) {
 		{2, 2048},  // clamped
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := latencyQuantile(&s, c.q); got != c.want {
 			t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
@@ -70,22 +85,23 @@ func TestLatencyQuantileInterpolation(t *testing.T) {
 // TestLatencyQuantileAcrossBuckets checks bucket selection with a skewed
 // two-bucket population and that the estimate is monotone in q.
 func TestLatencyQuantileAcrossBuckets(t *testing.T) {
-	var h LatencyHist
+	var h obs.Hist
 	for i := 0; i < 90; i++ {
-		h.Record(100 * time.Nanosecond) // bucket 6: [64, 128)
+		recordLatency(&h, 100*time.Nanosecond) // bucket 6: [64, 128)
 	}
 	for i := 0; i < 10; i++ {
-		h.Record(100 * time.Microsecond) // bucket 16: [65536, 131072)
+		recordLatency(&h, 100*time.Microsecond) // bucket 16: [65536, 131072)
 	}
-	if p50 := h.Quantile(0.5); p50 < 64 || p50 >= 128 {
+	s := h.Snapshot()
+	if p50 := latencyQuantile(&s, 0.5); p50 < 64 || p50 >= 128 {
 		t.Fatalf("p50 = %v, want inside [64ns, 128ns)", p50)
 	}
-	if p95 := h.Quantile(0.95); p95 < 65536 || p95 > 131072 {
+	if p95 := latencyQuantile(&s, 0.95); p95 < 65536 || p95 > 131072 {
 		t.Fatalf("p95 = %v, want inside [65.5µs, 131µs]", p95)
 	}
 	prev := time.Duration(-1)
 	for q := 0.0; q <= 1.0; q += 0.01 {
-		cur := h.Quantile(q)
+		cur := latencyQuantile(&s, q)
 		if cur < prev {
 			t.Fatalf("Quantile not monotone: q=%v gave %v after %v", q, cur, prev)
 		}
@@ -93,30 +109,31 @@ func TestLatencyQuantileAcrossBuckets(t *testing.T) {
 	}
 }
 
-// TestLatencyMerge checks Merge sums buckets and counts so that merged
-// quantiles equal those of the union population.
+// TestLatencyMerge checks that merging per-worker snapshots sums buckets
+// and counts so that merged quantiles equal those of the union population.
 func TestLatencyMerge(t *testing.T) {
-	var a, b, both LatencyHist
+	var a, b, both obs.Hist
 	for i := 0; i < 50; i++ {
-		a.Record(100 * time.Nanosecond)
-		both.Record(100 * time.Nanosecond)
+		recordLatency(&a, 100*time.Nanosecond)
+		recordLatency(&both, 100*time.Nanosecond)
 	}
 	for i := 0; i < 50; i++ {
-		b.Record(50 * time.Microsecond)
-		both.Record(50 * time.Microsecond)
+		recordLatency(&b, 50*time.Microsecond)
+		recordLatency(&both, 50*time.Microsecond)
 	}
-	a.Merge(&b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d, want 100", a.Count())
+	merged, union := a.Snapshot(), both.Snapshot()
+	merged.Merge(b.Snapshot())
+	if merged.Count != 100 {
+		t.Fatalf("merged count = %d, want 100", merged.Count)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := a.Quantile(q), both.Quantile(q); got != want {
+		if got, want := latencyQuantile(&merged, q), latencyQuantile(&union, q); got != want {
 			t.Fatalf("Quantile(%v): merged %v, union %v", q, got, want)
 		}
 	}
-	var empty LatencyHist
-	a.Merge(&empty)
-	if a.Count() != 100 {
+	var empty obs.Hist
+	merged.Merge(empty.Snapshot())
+	if merged.Count != 100 {
 		t.Fatal("merging an empty histogram changed the count")
 	}
 }

@@ -17,10 +17,10 @@ func TestFreeBatchBasics(t *testing.T) {
 		stamps[h] = p.Stamp(h)
 		hs = append(hs, h)
 	}
-	p.FreeBatch(0, hs)
+	p.FreeBatches(0, hs)
 	for _, h := range hs {
 		if p.State(h) != StateFree {
-			t.Fatalf("%v: state = %v after FreeBatch, want free", h, p.State(h))
+			t.Fatalf("%v: state = %v after FreeBatches, want free", h, p.State(h))
 		}
 		if p.Stamp(h) != stamps[h]+1 {
 			t.Fatalf("%v: stamp = %d, want %d (one bump per free)", h, p.Stamp(h), stamps[h]+1)
@@ -32,7 +32,7 @@ func TestFreeBatchBasics(t *testing.T) {
 	// The slots are genuinely reusable.
 	for i := 0; i < 10; i++ {
 		if _, ok := p.Alloc(0); !ok {
-			t.Fatalf("alloc %d after FreeBatch failed", i)
+			t.Fatalf("alloc %d after FreeBatches failed", i)
 		}
 	}
 }
@@ -45,7 +45,7 @@ func TestFreeBatchRetiredSlots(t *testing.T) {
 	retired, _ := p.Alloc(0)
 	p.SetRetireEpoch(retired, 3)
 	p.MarkRetired(retired)
-	p.FreeBatch(0, []Handle{live, retired})
+	p.FreeBatches(0, []Handle{live, retired})
 	if p.State(live) != StateFree || p.State(retired) != StateFree {
 		t.Fatalf("states = %v/%v, want free/free", p.State(live), p.State(retired))
 	}
@@ -53,8 +53,8 @@ func TestFreeBatchRetiredSlots(t *testing.T) {
 
 func TestFreeBatchEmptyIsNoop(t *testing.T) {
 	p := newTestPool(t, 1, 0)
-	p.FreeBatch(0, nil)
-	p.FreeBatch(0, []Handle{})
+	p.FreeBatches(0, nil)
+	p.FreeBatches(0, []Handle{})
 	if st := p.Stats(); st.Frees != 0 {
 		t.Fatalf("Frees = %d after empty batches, want 0", st.Frees)
 	}
@@ -72,7 +72,7 @@ func TestFreeBatchPoisons(t *testing.T) {
 		n.key, n.val = uint64(i), uint64(i)
 		hs = append(hs, h)
 	}
-	p.FreeBatch(0, hs)
+	p.FreeBatches(0, hs)
 	for _, h := range hs {
 		// get, not Get: reading a freed body is the point here, and the
 		// ibrdebug build would (rightly) panic on the public accessor.
@@ -89,20 +89,20 @@ func TestFreeBatchDoubleFreePanics(t *testing.T) {
 	p.Free(0, h)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FreeBatch of an already-free slot did not panic")
+			t.Fatal("FreeBatches of an already-free slot did not panic")
 		}
 	}()
-	p.FreeBatch(0, []Handle{other, h})
+	p.FreeBatches(0, []Handle{other, h})
 }
 
 func TestFreeBatchNilPanics(t *testing.T) {
 	p := newTestPool(t, 1, 0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FreeBatch of Nil did not panic")
+			t.Fatal("FreeBatches of Nil did not panic")
 		}
 	}()
-	p.FreeBatch(0, []Handle{Nil})
+	p.FreeBatches(0, []Handle{Nil})
 }
 
 // TestFreeBatchSpillHysteresis checks the one-lock spill: a batch that
@@ -121,7 +121,7 @@ func TestFreeBatchSpillHysteresis(t *testing.T) {
 		hs = append(hs, h)
 	}
 	leftover := len(p.caches[0].slots) // refill batches over-carve a little
-	p.FreeBatch(0, hs)
+	p.FreeBatches(0, hs)
 
 	if got, want := len(p.caches[0].slots), cacheCap-refillBatch; got != want {
 		t.Fatalf("cache holds %d slots after spill, want low-water mark %d", got, want)
@@ -144,7 +144,7 @@ func TestFreeBatchSmallBatchStaysCached(t *testing.T) {
 		h, _ := p.Alloc(0)
 		hs = append(hs, h)
 	}
-	p.FreeBatch(0, hs)
+	p.FreeBatches(0, hs)
 	if len(p.freeList) != 0 {
 		t.Fatalf("global free list got %d slots from an under-cap batch", len(p.freeList))
 	}
@@ -181,7 +181,7 @@ func TestFreeBatchesMultiSlice(t *testing.T) {
 }
 
 // TestFreeBatchesSpillHysteresis: an over-cap multi-slice free drains the
-// thread cache to the same low-water mark as FreeBatch, with one spill for
+// thread cache to the same low-water mark as a single-slice free, with one spill for
 // the whole call.
 func TestFreeBatchesSpillHysteresis(t *testing.T) {
 	p := newTestPool(t, 2, 0)
@@ -236,7 +236,7 @@ func TestFreeBatchConcurrent(t *testing.T) {
 					}
 					hs = append(hs, h)
 				}
-				p.FreeBatch(tid, hs)
+				p.FreeBatches(tid, hs)
 				hs = hs[:0]
 			}
 		}(tid)

@@ -291,35 +291,11 @@ func (p *Pool[T]) Free(tid int, h Handle) {
 	}
 }
 
-// FreeBatch frees every handle in hs under Free's lifecycle rules, with at
-// most one acquisition of the global free-list lock for the whole batch
-// instead of one potential freeMu round-trip per slot. Reclamation scans
-// use it to return everything a scan freed in one go.
-func (p *Pool[T]) FreeBatch(tid int, hs []Handle) {
-	if len(hs) == 0 {
-		return
-	}
-	c := &p.caches[tid]
-	for _, h := range hs {
-		c.slots = append(c.slots, p.release(h))
-	}
-	c.frees.Add(uint64(len(hs)))
-	if len(c.slots) > cacheCap {
-		// Spill down to the same low-water mark Free's per-slot hysteresis
-		// converges to, in one critical section.
-		spill := len(c.slots) - (cacheCap - refillBatch)
-		p.freeMu.Lock()
-		p.freeList = append(p.freeList, c.slots[len(c.slots)-spill:]...)
-		p.freeMu.Unlock()
-		c.slots = c.slots[:len(c.slots)-spill]
-	}
-}
-
 // FreeBatches frees every handle in every batch under Free's lifecycle
 // rules, with at most one acquisition of the global free-list lock for all
-// batches together. The bucketed reclamation scans use it to return a mix
-// of whole-bucket handle arrays and a residual batch without first copying
-// them into one slice.
+// batches together instead of one potential freeMu round-trip per slot.
+// The reclamation scans use it to return a mix of whole-bucket handle
+// arrays and a residual batch without first copying them into one slice.
 func (p *Pool[T]) FreeBatches(tid int, batches ...[]Handle) {
 	total := 0
 	for _, hs := range batches {
@@ -336,6 +312,8 @@ func (p *Pool[T]) FreeBatches(tid int, batches ...[]Handle) {
 	}
 	c.frees.Add(uint64(total))
 	if len(c.slots) > cacheCap {
+		// Spill down to the same low-water mark Free's per-slot hysteresis
+		// converges to, in one critical section.
 		spill := len(c.slots) - (cacheCap - refillBatch)
 		p.freeMu.Lock()
 		p.freeList = append(p.freeList, c.slots[len(c.slots)-spill:]...)

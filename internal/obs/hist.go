@@ -10,13 +10,13 @@ import (
 // range.
 const HistBuckets = 64
 
-// Hist is a concurrent log2-bucketed histogram: the multi-writer sibling of
-// harness.LatencyHist. Recording is a bit-length plus two atomic adds
-// (count is derived from the buckets at snapshot time, not maintained),
-// cheap enough to leave enabled in serving workers; any number of
-// goroutines may Record and Snapshot concurrently. Batch producers (the
-// reclamation scans) accumulate a local BucketCounts and flush it with
-// AddBatch, paying the atomics per distinct bucket instead of per sample.
+// Hist is a concurrent log2-bucketed histogram. Recording is a bit-length
+// plus two atomic adds (count is derived from the buckets at snapshot time,
+// not maintained), cheap enough to leave enabled in serving workers and
+// benchmark loops; any number of goroutines may Record and Snapshot
+// concurrently. Batch producers (the reclamation scans) accumulate a local
+// BucketCounts and flush it with AddBatch, paying the atomics per distinct
+// bucket instead of per sample.
 type Hist struct {
 	buckets [HistBuckets]atomic.Uint64
 	sum     atomic.Uint64
@@ -104,9 +104,11 @@ func (s *HistSnapshot) MaxBucket() int {
 	return -1
 }
 
-// Quantile estimates the q-quantile (clamped to [0,1]) by linear
-// interpolation inside the bucket containing rank q·count, exactly like
-// harness.LatencyHist.Quantile.
+// Quantile estimates the q-quantile (clamped to [0,1]) by locating the
+// bucket containing rank q·count and interpolating linearly inside it:
+// bucket i spans [2^i, 2^(i+1)), except bucket 0, which starts at 0.
+// Quantile(0) is the lower bound of the lowest non-empty bucket, Quantile(1)
+// the upper bound of the highest, and the estimate is monotone in q.
 func (s *HistSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0

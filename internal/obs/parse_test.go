@@ -1,4 +1,4 @@
-package main
+package obs
 
 import (
 	"strings"
@@ -17,34 +17,34 @@ ibr_op_latency_ns_bucket{op="get",le="1024"} 10
 ibr_op_latency_ns_bucket{op="get",le="2048"} 30
 ibr_op_latency_ns_bucket{op="get",le="+Inf"} 40
 `
-	m, err := parseMetrics(strings.NewReader(in))
+	m, err := ParseMetrics(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.value("ibr_ops_total", map[string]string{"shard": "1"}); got != 80 {
+	if got := m.Value("ibr_ops_total", map[string]string{"shard": "1"}); got != 80 {
 		t.Errorf("shard 1 ops = %v", got)
 	}
-	if got := m.value("ibr_queue_depth", nil); got != 3 {
+	if got := m.Value("ibr_queue_depth", nil); got != 3 {
 		t.Errorf("unlabeled value = %v", got)
 	}
-	if ids := m.shardIDs("ibr_ops_total"); len(ids) != 2 || ids[0] != "0" || ids[1] != "1" {
+	if ids := m.ShardIDs("ibr_ops_total"); len(ids) != 2 || ids[0] != "0" || ids[1] != "1" {
 		t.Errorf("shardIDs = %v", ids)
 	}
-	if got := m.first("weird_label").labels["v"]; got != "a\"b\\c\nd" {
+	if got := m["weird_label"][0].Labels["v"]; got != "a\"b\\c\nd" {
 		t.Errorf("unescaped label = %q", got)
 	}
 
-	h := m.histogram("ibr_op_latency_ns", map[string]string{"op": "get"})
-	if h.count != 40 {
-		t.Fatalf("hist count = %v", h.count)
+	h := m.Histogram("ibr_op_latency_ns", map[string]string{"op": "get"})
+	if h.Count != 40 {
+		t.Fatalf("hist count = %v", h.Count)
 	}
 	// Median rank 20 falls in the (1024,2048] bucket holding ranks 11..30:
 	// 1024 + (20-10)/20 · 1024 = 1536.
-	if got := h.quantile(0.5); got != 1536 {
+	if got := h.Quantile(0.5); got != 1536 {
 		t.Errorf("p50 = %v, want 1536", got)
 	}
 	// p99 rank 39.6 lands in the +Inf bucket → clamp to the last bound.
-	if got := h.quantile(0.99); got != 2048 {
+	if got := h.Quantile(0.99); got != 2048 {
 		t.Errorf("p99 = %v, want 2048 (clamped)", got)
 	}
 }
@@ -74,12 +74,12 @@ func TestParseSampleLabelEscaping(t *testing.T) {
 			continue
 		}
 		if tc.label != "" {
-			if got := s.labels[tc.label]; got != tc.want {
+			if got := s.Labels[tc.label]; got != tc.want {
 				t.Errorf("parseSample(%q) label %s = %q, want %q", tc.line, tc.label, got, tc.want)
 			}
 		}
-		if s.value != tc.value {
-			t.Errorf("parseSample(%q) value = %v, want %v", tc.line, s.value, tc.value)
+		if s.Value != tc.value {
+			t.Errorf("parseSample(%q) value = %v, want %v", tc.line, s.Value, tc.value)
 		}
 	}
 }
@@ -90,7 +90,7 @@ func TestParseMetricsMalformed(t *testing.T) {
 		"bad{unterminated=\"x\n",
 		"bad{le=\"1\"} not-a-number\n",
 	} {
-		if _, err := parseMetrics(strings.NewReader(in)); err == nil {
+		if _, err := ParseMetrics(strings.NewReader(in)); err == nil {
 			t.Errorf("parse(%q) succeeded; want error", in)
 		}
 	}
