@@ -53,7 +53,7 @@ func (c LoadConfig) Validate() error {
 
 // ErrRangeUnsupported is LoadResult.Err when the server answered a RANGE
 // with StatusUnsupported: its structure has no ordered scan.
-var ErrRangeUnsupported = errors.New("server structure does not support RANGE (run ibrd with -structure skiplist)")
+var ErrRangeUnsupported = errors.New("server structure does not support RANGE (run ibrd with -r skiplist)")
 
 // SlowOp is the slowest request of one one-second window and the wire trace
 // ID it carried.
@@ -326,11 +326,16 @@ func (o *issuer) rmwOp(ctx context.Context, cl *server.Client, key, trace uint64
 
 // checkRange validates one scan: strictly ascending (sorted, no duplicates)
 // and inside the requested interval. A violation means the fan-out merge or
-// a shard leg is broken; it stops the issuer with the reason in o.err.
+// a shard leg is broken; it stops the issuer with the reason in o.err. Only
+// an OK answer is a scan: a refused RANGE (BUSY, say) carries no pairs and
+// counts toward neither RangeOps nor RangePairs.
 func (o *issuer) checkRange(req server.Request, resp server.Response) bool {
 	if resp.Status == server.StatusUnsupported {
 		o.err = ErrRangeUnsupported
 		return false
+	}
+	if resp.Status != server.StatusOK {
+		return true
 	}
 	for i, p := range resp.Pairs {
 		if p.Key < req.Key || p.Key > req.KeyHi {

@@ -81,6 +81,27 @@ func TestLoadRangeUnsupported(t *testing.T) {
 	}
 }
 
+// TestCheckRangeCountsOnlyOK: a RANGE answered BUSY is not a validated
+// scan, so it leaves RangeOps and RangePairs alone without stopping the
+// issuer; an OK answer counts once, with its pairs.
+func TestCheckRangeCountsOnlyOK(t *testing.T) {
+	var o issuer
+	req := server.Request{Op: server.OpRange, Key: 10, KeyHi: 20}
+	if !o.checkRange(req, server.Response{Status: server.StatusBusy}) {
+		t.Fatalf("a BUSY RANGE stopped the issuer: %v", o.err)
+	}
+	if o.rangeOps != 0 || o.rangePairs != 0 {
+		t.Fatalf("a BUSY RANGE counted as %d scans of %d pairs, want none", o.rangeOps, o.rangePairs)
+	}
+	ok := server.Response{Status: server.StatusOK, Pairs: []server.Pair{{Key: 10, Val: 1}, {Key: 12, Val: 2}}}
+	if !o.checkRange(req, ok) {
+		t.Fatalf("a valid scan stopped the issuer: %v", o.err)
+	}
+	if o.rangeOps != 1 || o.rangePairs != 2 {
+		t.Fatalf("an OK RANGE counted as %d scans of %d pairs, want 1 of 2", o.rangeOps, o.rangePairs)
+	}
+}
+
 // TestLoadConfigRejects: configurations the loop cannot run are refused
 // before anything is dialed (ibrload -c 0 once indexed an empty client
 // slice).

@@ -13,39 +13,69 @@ import (
 )
 
 // Client is a pipelined connection to an ibrd server. It is safe for
-// concurrent use: many goroutines may call DoContext on one Client, a
-// dedicated writer goroutine puts their requests on the wire, and ids match
+// concurrent use: many goroutines may call DoContext on one Client, the
+// callers themselves put their requests on the wire, and ids match
 // responses back to callers — so N concurrent callers give a natural
-// pipeline depth of N without any per-request connection state.
+// pipeline depth of N without any per-request connection state. The only
+// goroutine a Client runs is its response reader.
 //
-// Requests share a write when they are queued together: the writer takes
-// every request already waiting (up to a 16 KiB batch), and when other
-// calls on this Client are still in flight it yields once and takes the
-// requests they queued meanwhile before writing. A lone caller never
-// waits: its request is written at once.
+// Requests share a write when they are queued together: a caller that
+// finds no write in progress becomes the writer and writes every request
+// queued so far (see writeBatchBytes for when it yields first); a caller
+// that finds a write in progress leaves its request for that writer. A
+// lone caller never waits: it writes its own request at once.
 //
 // Every blocking call takes a context. Cancellation abandons the CALL, not
-// the connection: a request already on the wire still gets its response,
-// which is discarded on arrival (the result channel is buffered, so the
-// reader never blocks on an abandoned caller), and the client stays usable.
+// the connection: a request already queued or on the wire still gets its
+// response, which is discarded on arrival (its reply slot stays reserved
+// until then), and the client stays usable.
 type Client struct {
 	conn  net.Conn
-	reqs  chan reqFrame
-	done  chan struct{} // closed by fail(): unblocks senders, stops the writer
-	retry *RetryPolicy  // WithRetry: DoContext retries StatusBusy under it
+	retry *RetryPolicy // WithRetry: DoContext retries StatusBusy under it
 
-	pmu      sync.Mutex // guards pending, nextID, err
-	pending  map[uint32]chan result
-	nextID   uint32
-	err      error // first fatal error; set once, fails all later Dos
-	failOnce sync.Once
+	mu      sync.Mutex // guards everything below
+	queue   []byte     // encoded requests no write has taken yet
+	queued  int        // requests in queue
+	spare   []byte     // the buffer of the last write, reused as the next queue
+	writing bool       // a caller is writing; it takes queue before it stops
+	slots   []slot     // reply slots, indexed by the low slotBits of an id
+	free    []uint32   // indices of free slots, most recently freed last
+	inUse   int        // slots not free: the calls in flight, abandoned ones included
+	err     error      // first fatal error; set once, fails all later calls
 
 	retries atomic.Uint64 // busy re-submissions made under a retry policy
 }
 
-type reqFrame struct {
-	id  uint32
-	req Request
+// A request id is gen<<slotBits | slot: the low 24 bits index the reply
+// slot table, the high 8 are the slot's generation. A slot is reused only
+// after the response to its previous id arrived (or the connection
+// failed), so no two calls in flight ever share an id; the generation,
+// bumped on every reuse, additionally makes a response the server sends
+// twice for one id unknown to the slot's next occupant.
+const (
+	slotBits = 24
+	maxSlots = 1 << slotBits
+	maxGen   = 1<<(32-slotBits) - 1
+)
+
+// slotState is where a reply slot is in its cycle: free → waiting → answered
+// → free when its caller takes the response, or free → waiting → abandoned
+// → free when the response of a call its caller gave up on arrives.
+type slotState uint8
+
+const (
+	slotFree      slotState = iota
+	slotWaiting             // a caller waits on ch for the response
+	slotAnswered            // a result is in ch, or about to be; the caller frees the slot
+	slotAbandoned           // the caller left; the late response frees the slot
+)
+
+// slot is one reusable reply slot. ch holds at most one result, and is
+// empty whenever the slot is free.
+type slot struct {
+	ch    chan result
+	gen   uint32
+	state slotState
 }
 
 type result struct {
@@ -138,72 +168,83 @@ func newClient(conn net.Conn, opts ...ClientOption) *Client {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	cl := &Client{
-		conn:    conn,
-		reqs:    make(chan reqFrame, 256),
-		done:    make(chan struct{}),
-		pending: map[uint32]chan result{},
-	}
+	cl := &Client{conn: conn}
 	for _, o := range opts {
 		o(cl)
 	}
-	go cl.writeLoop()
 	go cl.readLoop()
 	return cl
 }
 
-// writeLoop encodes requests and writes them in batches: one syscall
-// covers every request queued while the previous write was in flight,
-// which is where the pipeline's throughput comes from. Before a batch that
-// leaves other calls in flight it yields once (see writeBatchBytes): a
-// caller's send hands this goroutine the P before the other callers woken
-// by the same burst of responses have queued their requests.
-func (c *Client) writeLoop() {
-	var buf []byte
-	n := 0 // requests in buf
-	drain := func() {
-		for len(buf) < writeBatchBytes {
-			select {
-			case r := <-c.reqs:
-				buf = appendRequest(buf, r.id, r.req)
-				n++
-			default:
-				return
-			}
+// claim reserves a reply slot for a new call and returns its index and the
+// call's request id, growing the table when no slot is free. c.mu is held.
+func (c *Client) claim() (uint32, uint32, error) {
+	var i uint32
+	if n := len(c.free); n > 0 {
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		if len(c.slots) == maxSlots {
+			return 0, 0, fmt.Errorf("server: %d calls already in flight on one client", maxSlots)
 		}
+		i = uint32(len(c.slots))
+		c.slots = append(c.slots, slot{ch: make(chan result, 1)})
 	}
-	for {
-		select {
-		case r := <-c.reqs:
-			buf, n = appendRequest(buf[:0], r.id, r.req), 1
-		case <-c.done:
-			return
-		}
-		drain()
-		if len(buf) < writeBatchBytes && c.inFlight() > n {
-			runtime.Gosched()
-			drain()
-		}
-		if _, err := c.conn.Write(buf); err != nil {
-			c.fail(fmt.Errorf("server: write: %w", err))
-			return
-		}
-	}
+	s := &c.slots[i]
+	s.state = slotWaiting
+	c.inUse++
+	return i, s.gen<<slotBits | i, nil
 }
 
-// inFlight is the number of calls that have an id and await a response:
-// those already on the wire and those still queued for the writer.
-func (c *Client) inFlight() int {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	return len(c.pending)
+// release frees slot i for the next call under its next generation. Its
+// channel must be empty. c.mu is held.
+func (c *Client) release(i uint32) {
+	s := &c.slots[i]
+	s.state = slotFree
+	s.gen = (s.gen + 1) & maxGen
+	c.free = append(c.free, i)
+	c.inUse--
+}
+
+// flush is run by the caller that queued a request and found no write in
+// progress: it writes the queue, its own request included, and keeps
+// writing what other callers queue meanwhile until the queue is empty, so
+// one syscall covers every request queued during the previous write. Before
+// a batch that leaves other calls in flight it yields once (see
+// writeBatchBytes): the other callers woken by the same burst of responses
+// queue their requests before the write instead of after it.
+func (c *Client) flush() {
+	c.mu.Lock()
+	for {
+		if c.err == nil && len(c.queue) > 0 && len(c.queue) < writeBatchBytes && c.inUse > c.queued {
+			c.mu.Unlock()
+			runtime.Gosched()
+			c.mu.Lock()
+		}
+		if c.err != nil || len(c.queue) == 0 {
+			c.writing = false
+			c.mu.Unlock()
+			return
+		}
+		buf := c.queue
+		c.queue, c.spare, c.queued = c.spare[:0], nil, 0
+		c.mu.Unlock()
+		_, err := c.conn.Write(buf)
+		if err != nil {
+			c.fail(fmt.Errorf("server: write: %w", err))
+		}
+		c.mu.Lock()
+		if cap(buf) <= writeBufCap { // drop a burst's outsized buffer
+			c.spare = buf[:0]
+		}
+	}
 }
 
 // readLoop dispatches responses to waiting callers by id. On any transport
-// or protocol error it fails every pending and future call. Responses for
-// abandoned calls (context expired after the request was sent) still have a
-// pending entry with a buffered channel, so delivery never blocks and an
-// id is recycled only after its response arrived.
+// or protocol error it fails every pending and future call. The response to
+// an abandoned call (its context ended after its request was queued) frees
+// the call's slot without being delivered, so a slot, and with it an id, is
+// reused only after its response arrived.
 func (c *Client) readLoop() {
 	br := bufio.NewReader(c.conn)
 	frame := make([]byte, 0, respHeaderLen)
@@ -219,33 +260,48 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("server: connection lost: %w", perr))
 			return
 		}
-		c.pmu.Lock()
-		ch, ok := c.pending[id]
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		if !ok {
+		c.mu.Lock()
+		if c.err != nil { // fail() has answered every caller already
+			c.mu.Unlock()
+			return
+		}
+		i := id & (maxSlots - 1)
+		if int(i) >= len(c.slots) || c.slots[i].gen != id>>slotBits ||
+			(c.slots[i].state != slotWaiting && c.slots[i].state != slotAbandoned) {
+			c.mu.Unlock()
 			c.fail(fmt.Errorf("server: response for unknown request id %d", id))
 			return
 		}
+		s := &c.slots[i]
+		if s.state == slotAbandoned {
+			c.release(i)
+			c.mu.Unlock()
+			continue
+		}
+		s.state = slotAnswered
+		ch := s.ch
+		c.mu.Unlock()
 		ch <- result{resp: resp}
 	}
 }
 
-// fail marks the client broken, stops the writer, and wakes every waiting
-// caller exactly once each (a caller's channel leaves pending the moment
-// anything is sent on it).
+// fail marks the client broken and answers every waiting caller exactly
+// once: a waiting slot becomes answered the moment its result is sent, so
+// neither readLoop nor a later fail() sends to it again.
 func (c *Client) fail(err error) {
-	c.pmu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = err
 	}
-	err = c.err
-	stranded := c.pending
-	c.pending = map[uint32]chan result{}
-	c.pmu.Unlock()
-	c.failOnce.Do(func() { close(c.done) })
-	for _, ch := range stranded {
-		ch <- result{err: err}
+	for i := range c.slots {
+		switch s := &c.slots[i]; s.state {
+		case slotWaiting:
+			s.state = slotAnswered
+			s.ch <- result{err: c.err} // never blocks: a waiting slot's ch is empty
+		case slotAbandoned:
+			c.release(uint32(i)) // its late response will not arrive now
+		}
 	}
 }
 
@@ -257,6 +313,11 @@ func (c *Client) fail(err error) {
 // ErrBusy-wrapping exhaustion error. Protocol outcomes like StatusNotFound
 // or StatusUnsupported are returned in the Response, not as errors. A zero
 // req.TraceID is filled from ctx (see WithTraceID).
+//
+// A call whose caller became the writer (see Client) writes the other
+// callers' queued requests too and finishes that write even if ctx ends
+// meanwhile, so it returns when its write ends: a context bounds the wait
+// for a response, not a write to a peer that stopped reading.
 func (c *Client) DoContext(ctx context.Context, req Request) (Response, error) {
 	if req.TraceID == 0 {
 		req.TraceID = TraceIDFrom(ctx)
@@ -272,60 +333,50 @@ func (c *Client) doOnce(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	ch := make(chan result, 1)
-	c.pmu.Lock()
+	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
-		c.pmu.Unlock()
+		c.mu.Unlock()
 		return Response{}, err
 	}
-	// After nextID wraps uint32, the counter can land on an id whose
-	// request is still in flight; assigning it again would overwrite the
-	// earlier caller's channel in pending and strand that caller forever.
-	// Skip ids that are still pending (there are at most MaxInflight-ish
-	// of them, so this terminates after a handful of probes).
-	id := c.nextID
-	for {
-		if _, taken := c.pending[id]; !taken {
-			break
-		}
-		id++
+	i, id, err := c.claim()
+	if err != nil {
+		c.mu.Unlock()
+		return Response{}, err
 	}
-	c.nextID = id + 1
-	c.pending[id] = ch
-	c.pmu.Unlock()
+	ch := c.slots[i].ch
+	c.queue = appendRequest(c.queue, id, req)
+	c.queued++
+	write := !c.writing
+	c.writing = true
+	c.mu.Unlock()
+	if write {
+		c.flush()
+	}
 
+	var r result
 	select {
-	case c.reqs <- reqFrame{id: id, req: req}:
-	case <-c.done:
-		// The client failed while we were enqueueing; fail() has already
-		// delivered the error to ch (we registered before selecting).
+	case r = <-ch:
 	case <-ctx.Done():
-		// Nothing went on the wire. If the entry is still ours, withdraw it
-		// and the id is free for reuse; if it is already gone, fail() raced
-		// us and a result is (or is about to be) in ch — consume it so the
-		// call reports the more specific outcome.
-		c.pmu.Lock()
-		_, mine := c.pending[id]
-		delete(c.pending, id)
-		c.pmu.Unlock()
-		if mine {
+		// The request is queued or on the wire and its response WILL
+		// arrive carrying this id, so the slot must stay reserved until
+		// then: readLoop frees it on arrival. If readLoop (or fail) has
+		// answered already, the result is in ch or about to be; take it,
+		// so the slot is freed with an empty channel and the call reports
+		// its outcome.
+		c.mu.Lock()
+		if c.slots[i].state == slotWaiting {
+			c.slots[i].state = slotAbandoned
+			c.mu.Unlock()
 			return Response{}, ctx.Err()
 		}
-		r := <-ch
-		return r.resp, r.err
+		c.mu.Unlock()
+		r = <-ch
 	}
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-ctx.Done():
-		// The request is on the wire and its response WILL arrive carrying
-		// this id, so the pending entry must stay: readLoop uses it to
-		// recognize the id and discards the result into the buffered
-		// channel. Deleting it here would make the response "unknown" and
-		// kill the whole connection.
-		return Response{}, ctx.Err()
-	}
+	c.mu.Lock()
+	c.release(i)
+	c.mu.Unlock()
+	return r.resp, r.err
 }
 
 // doRetry issues req, retrying StatusBusy under p (see WithRetry).
@@ -412,10 +463,10 @@ func (c *Client) CloseContext(ctx context.Context) error {
 	t := time.NewTicker(time.Millisecond)
 	defer t.Stop()
 	for {
-		c.pmu.Lock()
-		n := len(c.pending)
+		c.mu.Lock()
+		n := c.inUse
 		broken := c.err != nil
-		c.pmu.Unlock()
+		c.mu.Unlock()
 		if n == 0 || broken {
 			return c.Close()
 		}

@@ -265,13 +265,19 @@ func appendResponse(b []byte, id uint32, r Response) []byte {
 // length for this direction; direction-specific validity (request version
 // lengths, pair-count consistency) is the parser's job. io.EOF means the
 // stream ended cleanly between frames; a stream that ends after a header
-// reports io.ErrUnexpectedEOF, even when no payload byte arrived.
+// reports io.ErrUnexpectedEOF, even when no payload byte arrived. The
+// header is read into buf too (a local array would escape to the heap
+// through io.ReadFull's io.Reader), so a reused buf makes a frame read
+// allocation-free.
 func readFrame(r *bufio.Reader, max int, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > max {
 		return nil, fmt.Errorf("server: frame length %d exceeds limit %d", n, max)
 	}

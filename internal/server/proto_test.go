@@ -201,6 +201,79 @@ func TestProtoRejectsBadLengths(t *testing.T) {
 	}
 }
 
+// TestFrameCodecAllocs: reading a request frame or a pair-less response
+// frame from a bufio.Reader into a reused buffer, and parsing it, allocates
+// nothing, so neither connection reader touches the heap per frame.
+func TestFrameCodecAllocs(t *testing.T) {
+	const runs = 100
+	reader := func(frame []byte) *bufio.Reader { // AllocsPerRun calls f runs+1 times
+		return bufio.NewReader(bytes.NewReader(bytes.Repeat(frame, runs+1)))
+	}
+	buf := make([]byte, 0, maxReqFrame)
+	var err error
+
+	br := reader(appendRequest(nil, 7, Request{Op: OpPut, Key: 42, Val: 1, TTL: time.Second, TraceID: 9}))
+	if n := testing.AllocsPerRun(runs, func() {
+		var p []byte
+		if p, err = readFrame(br, maxReqFrame, buf); err == nil {
+			_, _, _, err = parseRequest(p)
+		}
+	}); n != 0 || err != nil {
+		t.Errorf("request frame: %v allocations per read and parse (error %v), want 0", n, err)
+	}
+
+	br = reader(appendResponse(nil, 7, Response{Status: StatusOK, Val: 42}))
+	if n := testing.AllocsPerRun(runs, func() {
+		var p []byte
+		if p, err = readFrame(br, maxRespFrame, buf); err == nil {
+			_, _, err = parseResponse(p)
+		}
+	}); n != 0 || err != nil {
+		t.Errorf("response frame: %v allocations per read and parse (error %v), want 0", n, err)
+	}
+}
+
+// BenchmarkProto prices the frame codec alone, per op: one v2 request
+// through appendRequest, readFrame and parseRequest, or one pair-less v2
+// response through appendResponse, readFrame and parseResponse.
+func BenchmarkProto(b *testing.B) {
+	var (
+		wire []byte
+		rd   bytes.Reader
+		br   = bufio.NewReader(&rd)
+		buf  = make([]byte, 0, maxReqFrame)
+	)
+	next := func(max int) []byte {
+		rd.Reset(wire)
+		br.Reset(&rd)
+		p, err := readFrame(br, max, buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	b.Run("request", func(b *testing.B) {
+		req := Request{Op: OpPut, Key: 42, Val: 1, TTL: time.Second, TraceID: 9}
+		b.ReportAllocs()
+		for b.Loop() {
+			wire = appendRequest(wire[:0], 7, req)
+			if _, _, _, err := parseRequest(next(maxReqFrame)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("response", func(b *testing.B) {
+		resp := Response{Status: StatusOK, Val: 42}
+		b.ReportAllocs()
+		for b.Loop() {
+			wire = appendResponse(wire[:0], 7, resp)
+			if _, _, err := parseResponse(next(maxRespFrame)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // FuzzParseRequest: every request payload either fails to parse or
 // re-encodes byte-for-byte through the encoder of the dialect it arrived
 // in, so the server never acts on a request it would describe differently.

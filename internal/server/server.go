@@ -19,9 +19,12 @@ type ServerConfig struct {
 	// MaxInflight slots, so a shard worker's done callback can never block
 	// on a slow or dead connection.
 	MaxInflight int
-	// IdleTimeout closes a connection that sends no frame for this long
-	// (default 5m). It doubles as the shutdown poll interval bound: a
-	// draining server is never stuck behind a silent peer.
+	// IdleTimeout closes a connection that sends nothing for this long
+	// (default 5m): the read deadline is re-armed to now+IdleTimeout
+	// before each read from the socket, not before each frame, so frames
+	// already buffered are parsed without touching the clock. It doubles as
+	// the shutdown poll interval bound: a draining server is never stuck
+	// behind a silent peer.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each response batch write (default 30s).
 	WriteTimeout time.Duration
@@ -163,22 +166,30 @@ type wireResp struct {
 // is what actually bounds the write size — one full range response can
 // exceed it alone, and then it simply flushes by itself.
 //
-// Both writers apply one coalescing rule: take the first frame, drain every
-// frame already queued, and if other requests are still in flight on the
-// connection and the budget has room, yield the P once (runtime.Gosched)
-// and drain again before writing. Without the yield, Go's runnext hand-off
-// runs a parked writer the moment the goroutine that woke it blocks,
-// before the other callers (or shard workers) woken by the same burst have
-// queued their frames, so most writes carried one or two. The in-flight
-// gate keeps a lone request on the immediate path: yielding with nothing
-// else to write only wakes an idle P.
+// The server's writer is a goroutine per connection. The client's writer
+// is whichever caller finds no write in progress (Client.flush); callers
+// append their encoded requests to one queue, and the writer takes all of
+// it, so on the client the budget only decides whether to yield.
+//
+// Both writers apply one coalescing rule: take the queued frames, and if
+// other requests are still in flight on the connection and the budget has
+// room, yield the P once (runtime.Gosched) and take the frames queued
+// meanwhile before writing. "In flight" is, on the client, the reply slots
+// in use beyond the requests in this batch and, on the server, requests
+// submitted whose responses are not encoded yet. Without the yield, the
+// write goes out before the other callers (or shard workers) woken by the
+// same burst have queued their frames, so most writes carried one or two:
+// Go's runnext hand-off runs the server's parked writer as soon as the
+// goroutine that woke it blocks, and the client's writer is a caller that
+// is already running. The in-flight gate keeps a lone request on the
+// immediate path: yielding with nothing else to write only wakes an idle P.
 const writeBatchBytes = 16 * 1024
 
-// respBufCap is the retained capacity cap for the writer's encode buffer:
-// a range-heavy burst may grow it to megabytes; past this it is dropped
-// after the flush so one burst does not pin the peak for the connection's
-// lifetime.
-const respBufCap = 64 * 1024
+// writeBufCap is the retained capacity cap for a writer's encode buffer:
+// a range-heavy burst may grow the server's to megabytes, and thousands of
+// callers the client's; past this it is dropped after the write so one burst
+// does not pin the peak for the connection's lifetime.
+const writeBufCap = 64 * 1024
 
 // handle runs one connection: a reader loop (this goroutine) that parses
 // frames and submits them, and a writer goroutine that encodes completed
@@ -214,7 +225,7 @@ func (s *Server) handle(c net.Conn) {
 					s.respsWritten.Add(n)
 				}
 			}
-			if cap(buf) > respBufCap {
+			if cap(buf) > writeBufCap {
 				buf = make([]byte, 0, writeBatchBytes)
 			} else {
 				buf = buf[:0]
@@ -264,10 +275,18 @@ func (s *Server) handle(c net.Conn) {
 
 	br := bufio.NewReader(c)
 	frame := make([]byte, maxReqFrame)
-	for !dead.Load() {
-		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		if s.draining.Load() {
-			break // Shutdown began; its kick may predate the reset above
+	for {
+		// Re-arm the idle deadline only before a read that can reach the
+		// socket: a frame already whole in the buffer is parsed without a
+		// clock read or a runtime timer update.
+		if br.Buffered() < 4+maxReqFrame {
+			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		}
+		// Shutdown and a failed writer each store their flag before kicking
+		// this read with an expired deadline, so a re-arm that lands after
+		// the kick is caught here.
+		if s.draining.Load() || dead.Load() {
+			break
 		}
 		payload, err := readFrame(br, maxReqFrame, frame)
 		if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -301,62 +302,183 @@ func TestServerRejectsBadOp(t *testing.T) {
 	}
 }
 
-// TestClientIDWrapSkipsPending pins the id-assignment bug: after nextID
-// wraps uint32, the counter can land on an id whose request is still in
-// flight; reusing it would overwrite that caller's channel in pending and
-// strand it forever. DoContext must probe past pending ids instead.
-func TestClientIDWrapSkipsPending(t *testing.T) {
-	ctx := context.Background()
-	addr, _ := startTestServer(t,
-		EngineConfig{Shards: 1, WorkersPerShard: 1},
-		ServerConfig{})
+// TestClientSlotIDWrap pins the reply slot table's id rule: an id is never
+// reassigned while its response is outstanding, not even across a
+// generation wrap. An abandoned call keeps its slot until the late response
+// arrives, a call issued meanwhile gets another id, the late response is
+// absorbed rather than delivered, and the abandoned slot is reused under
+// its wrapped generation only afterwards. Every answer reaches only its own
+// caller.
+func TestClientSlotIDWrap(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		ids   []uint32 // request ids in the order the server read them
+		hold1 = make(chan struct{})
+		hold2 = make(chan struct{})
+	)
+	addr := startFakeServer(t, func(id uint32, req Request) (Response, time.Duration) {
+		mu.Lock()
+		ids = append(ids, id)
+		mu.Unlock()
+		switch req.Key { // the fake server answers in order, so a held call holds the ones behind it
+		case 1:
+			<-hold1
+		case 2:
+			<-hold2
+		}
+		return Response{Status: StatusOK, Val: req.Val}, 0
+	})
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	// Simulate the post-wrap collision: park a fake in-flight request on the
-	// exact id the counter will hand out next.
-	stranded := make(chan result, 1)
-	cl.pmu.Lock()
-	cl.nextID = 5
-	cl.pending[5] = stranded
-	cl.pmu.Unlock()
-
-	for i := 0; i < 3; i++ {
-		if err := cl.PingContext(ctx); err != nil {
-			t.Fatalf("ping %d: %v", i, err)
+	// Two slots, each one call away from wrapping its generation; slot 0 is
+	// handed out first.
+	cl.mu.Lock()
+	a, _, _ := cl.claim()
+	b, _, _ := cl.claim()
+	cl.release(b)
+	cl.release(a)
+	for i := range cl.slots {
+		cl.slots[i].gen = maxGen
+	}
+	cl.mu.Unlock()
+	inUse := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			cl.mu.Lock()
+			got := cl.inUse
+			cl.mu.Unlock()
+			if got == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d reply slots in use, want %d", got, want)
+			}
 		}
 	}
-
-	cl.pmu.Lock()
-	ch, still := cl.pending[5]
-	next := cl.nextID
-	cl.pmu.Unlock()
-	if !still || ch != stranded {
-		t.Fatal("pending id 5 was overwritten by a wrapped id assignment")
-	}
-	if len(stranded) != 0 {
-		t.Fatal("stranded channel received a response routed to the wrong caller")
-	}
-	if next != 9 { // 5 skipped; pings took 6, 7, 8
-		t.Fatalf("nextID = %d, want 9 (id 5 skipped, three pings issued)", next)
+	call := func(key, val uint64) <-chan error {
+		errc := make(chan error, 1)
+		go func() {
+			r, err := cl.DoContext(context.Background(), Request{Op: OpGet, Key: key, Val: val})
+			if err == nil && r.Val != val {
+				err = fmt.Errorf("call %d got the answer to call %d", val, r.Val)
+			}
+			errc <- err
+		}()
+		return errc
 	}
 
-	// The literal wrap: the counter rolls through MaxUint32 to 0 without
-	// colliding or losing responses.
-	cl.pmu.Lock()
-	cl.nextID = ^uint32(0)
-	cl.pmu.Unlock()
-	for i := 0; i < 3; i++ {
-		if err := cl.PingContext(ctx); err != nil {
-			t.Fatalf("post-wrap ping %d: %v", i, err)
+	// Abandon a call on slot 0 while the server holds its response.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := cl.DoContext(ctx, Request{Op: OpGet, Key: 1, Val: 777}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("held call = %v, want context.DeadlineExceeded", err)
+	}
+	inUse(1) // the abandoned call keeps its slot
+
+	// A call issued while the late response is outstanding takes slot 1.
+	p1 := call(0, 11)
+	inUse(2)
+	close(hold1) // the late response arrives, then p1's
+	if err := <-p1; err != nil {
+		t.Fatal(err)
+	}
+	inUse(0)
+	cl.mu.Lock()
+	for i, s := range cl.slots {
+		if s.state != slotFree || s.gen != 0 || len(s.ch) != 0 {
+			t.Errorf("slot %d after the late response: state %d gen %d, %d results queued; want free, gen 0 (wrapped), none", i, s.state, s.gen, len(s.ch))
 		}
 	}
-	cl.pmu.Lock()
-	delete(cl.pending, 5)
-	cl.pmu.Unlock()
+	cl.mu.Unlock()
+
+	// Two overlapping calls through the wrap: slot 1 and then slot 0, the
+	// abandoned call's, both at generation 0.
+	p2 := call(2, 21)
+	inUse(1)
+	p3 := call(0, 22)
+	inUse(2)
+	close(hold2)
+	for _, errc := range []<-chan error{p2, p3} {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	inUse(0)
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := []uint32{maxGen<<slotBits | 0, maxGen<<slotBits | 1, 0<<slotBits | 1, 0<<slotBits | 0}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("server read ids %v, want %v", ids, want)
+	}
+}
+
+// TestServerIdleTimeout: the server re-arms ServerConfig.IdleTimeout before
+// each read from the socket, so a client that keeps pipelining calls for
+// several timeouts is never cut off, and a connection that then stays
+// silent for longer than the timeout is closed, failing its next call with
+// a transport error.
+func TestServerIdleTimeout(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	addr, _ := startTestServer(t,
+		EngineConfig{Shards: 2, WorkersPerShard: 1},
+		ServerConfig{IdleTimeout: idle})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	ctx := context.Background()
+	stop := time.Now().Add(4 * idle)
+	var (
+		wg    sync.WaitGroup
+		calls atomic.Int64
+		errs  = make(chan error, 4)
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(key uint64) {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				if _, err := cl.Get(ctx, key); err != nil {
+					errs <- err
+					return
+				}
+				calls.Add(1)
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("call while pipelining for %v with a %v idle timeout: %v", 4*idle, idle, err)
+	}
+	t.Logf("%d calls in %v", calls.Load(), 4*idle)
+
+	// Silence: the server closes the connection, and the client's reader
+	// sees it.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(idle / 10) {
+		cl.mu.Lock()
+		broken := cl.err != nil
+		cl.mu.Unlock()
+		if broken {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("connection still open 5s into a silence, idle timeout %v", idle)
+		}
+	}
+	cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	_, err = cl.Get(cctx, 1)
+	if err == nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrClosed) {
+		t.Fatalf("call after the idle timeout = %v, want a transport error", err)
+	}
 }
 
 // TestServerPipelining issues a burst of concurrent requests over one

@@ -117,12 +117,13 @@ func TestWireCoalescesPipelinedCalls(t *testing.T) {
 // observability: Client ↔ Server over 127.0.0.1, GETs on loopbackEngine's
 // hashmap, with 1 and 16 closed-loop callers on one connection.
 // client_writes/op and server_writes/op are the socket writes each request
-// costs on either end (1 with no coalescing).
+// costs on either end (1 with no coalescing); allocs/op counts both ends.
 func BenchmarkServeLoopback(b *testing.B) {
 	for _, callers := range []int{1, 16} {
 		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
 			addr, srv := startTestServer(b, loopbackEngine, ServerConfig{})
 			cl, cc := dialCounting(b, addr)
+			b.ReportAllocs()
 			b.ResetTimer()
 			if err := getLoop(cl, callers, int64(b.N)); err != nil {
 				b.Fatal(err)
