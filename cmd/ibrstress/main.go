@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -23,35 +25,48 @@ import (
 	"ibr/internal/ds"
 )
 
-func main() {
-	var (
-		structure = flag.String("r", "hashmap", "structure under test")
-		scheme    = flag.String("d", "tagibr", "reclamation scheme")
-		threads   = flag.Int("t", 4, "worker threads")
-		seconds   = flag.Float64("i", 5, "seconds per pair")
-		keysEach  = flag.Uint64("keys", 128, "keys per worker (disjoint ranges)")
-		shared    = flag.Uint64("shared", 16, "extra fully-shared hot keys")
-		all       = flag.Bool("all", false, "run every supported (structure, scheme) pair")
-		seed      = flag.Int64("seed", time.Now().UnixNano(), "rng seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if !*all {
-		if !ds.IsMapStructure(*structure) {
-			fmt.Fprintf(os.Stderr, "ibrstress: unknown structure %q; valid: %s\n",
-				*structure, strings.Join(ds.MapStructures(), ", "))
-			os.Exit(2)
+// run is the command: it parses args, soaks the chosen pairs and returns
+// the exit code — 2 for a usage error (an unknown structure or scheme, or
+// a pair the scheme cannot run), 1 if any pair failed, else 0.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ibrstress", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		structure = fs.String("r", "hashmap", "structure under test")
+		scheme    = fs.String("d", "tagibr", "reclamation scheme")
+		threads   = fs.Int("t", 4, "worker threads")
+		seconds   = fs.Float64("i", 5, "seconds per pair")
+		keysEach  = fs.Uint64("keys", 128, "keys per worker (disjoint ranges)")
+		shared    = fs.Uint64("shared", 16, "extra fully-shared hot keys")
+		all       = fs.Bool("all", false, "run every supported (structure, scheme) pair")
+		seed      = fs.Int64("seed", time.Now().UnixNano(), "rng seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if !core.IsScheme(*scheme) {
-			fmt.Fprintf(os.Stderr, "ibrstress: unknown scheme %q; valid: %s\n",
-				*scheme, strings.Join(core.Schemes(), ", "))
-			os.Exit(2)
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "ibrstress: "+format+"\n", a...)
+		return 2
+	}
+	if !*all {
+		switch {
+		case !ds.IsMapStructure(*structure):
+			return usage("unknown structure %q; valid: %s", *structure, strings.Join(ds.MapStructures(), ", "))
+		case !core.IsScheme(*scheme):
+			return usage("unknown scheme %q; valid: %s", *scheme, strings.Join(core.Schemes(), ", "))
+		case !ds.SchemeSupports(*scheme, *structure):
+			return usage("scheme %q cannot run structure %q", *scheme, *structure)
 		}
 	}
 
 	// Print the effective seed up front (it defaults to the clock) so any
 	// failure — including in the -all path — is reproducible with -seed.
-	fmt.Printf("seed %d\n", *seed)
+	fmt.Fprintf(stdout, "seed %d\n", *seed)
 
 	pairs := [][2]string{{*structure, *scheme}}
 	if *all {
@@ -67,20 +82,21 @@ func main() {
 
 	failed := 0
 	for _, p := range pairs {
-		if err := stress(p[0], p[1], *threads, *seconds, *keysEach, *shared, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL %-9s %-12s %v\n", p[0], p[1], err)
+		if err := stress(stdout, p[0], p[1], *threads, *seconds, *keysEach, *shared, *seed); err != nil {
+			fmt.Fprintf(stderr, "FAIL %-9s %-12s %v\n", p[0], p[1], err)
 			failed++
 		} else {
-			fmt.Printf("ok   %-9s %-12s\n", p[0], p[1])
+			fmt.Fprintf(stdout, "ok   %-9s %-12s\n", p[0], p[1])
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d pair(s) failed\n", failed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "%d pair(s) failed\n", failed)
+		return 1
 	}
+	return 0
 }
 
-func stress(structure, scheme string, threads int, seconds float64, keysEach, shared uint64, seed int64) error {
+func stress(stdout io.Writer, structure, scheme string, threads int, seconds float64, keysEach, shared uint64, seed int64) error {
 	m, err := ds.NewMap(structure, ds.Config{
 		Scheme:    scheme,
 		Core:      core.Options{Threads: threads, EpochFreq: 32, EmptyFreq: 16},
@@ -221,7 +237,7 @@ func stress(structure, scheme string, threads int, seconds float64, keysEach, sh
 		}
 	}
 	if exhausted.Load() {
-		fmt.Printf("note %-9s %-12s pool exhausted; stopped early (leak check skipped)\n", structure, scheme)
+		fmt.Fprintf(stdout, "note %-9s %-12s pool exhausted; stopped early (leak check skipped)\n", structure, scheme)
 	}
 	if scheme != "none" && !exhausted.Load() {
 		st := inst.PoolStats()

@@ -44,8 +44,8 @@ var (
 const (
 	opCtlBase Op = 0xF0
 	// opCtlDrain: scan the executing worker's retire list now (soft
-	// watermark crossed). Also serves as a queue wake-up so idle workers
-	// notice drainGen.
+	// watermark crossed), and the inline tid's unless a reader holds it.
+	// Also serves as a queue wake-up so idle workers notice drainGen.
 	opCtlDrain Op = 0xF0
 	// opCtlQuarantine: clean up the quarantined tid in key — clear its
 	// reservation, adopt its retire list, return its lease to the free pool.
@@ -201,16 +201,18 @@ type request struct {
 }
 
 // shard is one slice of the key space: a private structure + scheme +
-// lease table + worker pool. Lease-holding goroutines are the only ones
-// that ever touch m, each under its leased tid, so the scheme's "one
-// goroutine per tid" contract holds no matter how many connections the
-// server carries — and survives workers dying and being replaced.
+// lease table + worker pool + one inline tid. Lease-holding goroutines
+// touch m under their leased tids, and connection readers under the inline
+// tid while they hold its lock, so the scheme's "one goroutine per tid"
+// contract holds no matter how many connections the server carries — and
+// survives workers dying and being replaced.
 type shard struct {
 	idx    int
 	m      ds.Map
 	inst   ds.Instrumented
 	q      *reqQueue
 	leases *leaseTable
+	inline inlineTid
 	ops    atomic.Uint64
 	wheel  *expiryWheel // TTL expiry (always built; idle when no TTLs arrive)
 
@@ -230,7 +232,7 @@ type shard struct {
 	shed          atomic.Uint64 // Submits refused with ErrShedding
 	shedEpisodes  atomic.Uint64 // shedding activations
 	poolExhausted atomic.Uint64 // Puts answered StatusBusy for pool exhaustion
-	deaths        atomic.Uint64 // worker goroutines lost to panics
+	deaths        atomic.Uint64 // execution panics (ibr_worker_deaths_total)
 	expired       atomic.Uint64 // keys removed by TTL expiry (ibr_expired_total)
 	rangeOps      atomic.Uint64 // range legs executed on this shard
 	activeScans   atomic.Int64  // range legs currently inside their reservation
@@ -250,11 +252,27 @@ func (sh *shard) noteUnderScan(un int) {
 	}
 }
 
+// inlineTid is the one scheme tid per shard that no goroutine leases. A
+// connection reader that wins TryLock runs a point request under it
+// (Engine.execInline) and unlocks before sending the response, so the tid
+// is held across one exec only, and a reader that finds it busy queues the
+// request instead of waiting. The lock is what keeps the scheme's
+// one-goroutine-per-tid contract: its holder is the tid's only user, and
+// Unlock hands the tid's reservation slot, retire list, allocator cache
+// and flight-recorder ring to the next borrower with a happens-before edge.
+type inlineTid struct {
+	mu        sync.Mutex
+	tid       int           // the last scheme tid, after the leased ones
+	closed    bool          // Close has begun: refuse borrowers (guarded by mu)
+	lastDrain uint64        // drainGen last honoured under tid (guarded by mu)
+	ops       atomic.Uint64 // requests executed under tid (ShardStats.Inline)
+}
+
 // Engine is the sharded KV engine behind the server.
 type Engine struct {
 	cfg        EngineConfig
 	shards     []*shard
-	tids       int  // scheme tids per shard: workers + stallers + spares
+	tids       int  // scheme tids per shard: workers + stallers + spares + the inline tid
 	ranging    bool // the structure implements ds.Ranger
 	obs        *EngineObs
 	wg         sync.WaitGroup
@@ -279,9 +297,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	// The scheme (and the observer's ring layout) is sized for every tid a
-	// shard can ever lease: workers, injected stallers, and the spares that
-	// replacement workers draw from after a quarantine.
-	e.tids = cfg.WorkersPerShard + cfg.Stalled + cfg.SpareTids
+	// shard can ever lease — workers, injected stallers, and the spares that
+	// replacement workers draw from after a quarantine — plus the inline tid
+	// after them, which is never leased.
+	leased := cfg.WorkersPerShard + cfg.Stalled + cfg.SpareTids
+	e.tids = leased + 1
 	e.obs = newEngineObs(*cfg.Obs, cfg.Shards, e.tids)
 	for i := range e.shards {
 		m, err := ds.NewMap(cfg.Structure, ds.Config{
@@ -307,7 +327,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			m:      m,
 			inst:   m.(ds.Instrumented),
 			q:      newReqQueue(cfg.QueueDepth),
-			leases: newLeaseTable(e.tids),
+			leases: newLeaseTable(leased),
+			inline: inlineTid{tid: leased},
 			wheel:  newExpiryWheel(cfg.ExpiryGranularity, time.Now().UnixNano()),
 		}
 		cap := sh.inst.PoolStats().Capacity
@@ -646,35 +667,94 @@ func (e *Engine) worker(sh *shard, tid int, gen uint64) {
 		}
 		for cur = 0; cur < len(batch); cur++ {
 			r := &batch[cur]
-			if r.req.Op >= opCtlBase {
+			switch {
+			case r.req.Op >= opCtlBase:
 				e.execCtl(sh, tid, r)
-				batch[cur] = request{}
-				continue
-			}
-			if r.rng != nil {
+			case r.rng != nil:
 				e.execRange(sh, tid, r)
 				sh.ops.Add(1)
-				batch[cur] = request{}
-				continue
+			default:
+				r.done(e.execPoint(sh, tid, &r.req))
 			}
-			var resp Response
-			if li := latIndex(r.req.Op); li >= 0 {
-				t0 := obs.Now()
-				resp = e.exec(sh, tid, r)
-				d := obs.Now() - t0
-				e.obs.opLat[li].Record(d)
-				if r.req.TraceID != 0 {
-					e.obs.opEvent(sh.idx, tid, r.req.TraceID, d)
-				}
-			} else {
-				resp = e.exec(sh, tid, r)
-			}
-			sh.ops.Add(1)
-			r.done(resp)
 			batch[cur] = request{} // release the done closure promptly
 		}
 		spill = trimSpill(batch)
 	}
+}
+
+// execInline runs a point request (PING, GET, PUT, DEL) on the calling
+// goroutine under its shard's inline tid, and reports whether it did. It
+// declines when the shard is shedding, another goroutine holds the tid, or
+// Close has begun; the caller then submits the request, so the queue path
+// gives the shedding and shutdown answers. Each new drainGen the tid sees
+// is honoured with a drain first, as a worker does per batch.
+//
+// A panic in the execution is recovered here: the request is answered
+// StatusInternal and counted in Deaths. Guarded.Do's deferred EndOp has
+// already withdrawn the reservation, and no goroutine owns the tid, so it
+// stays in service and its next borrower inherits its retire list.
+func (e *Engine) execInline(req *Request) (resp Response, ok bool) {
+	if req.Op < OpPing || req.Op > OpDel {
+		return Response{}, false
+	}
+	sh := e.shards[shardFor(req.Key, len(e.shards))]
+	in := &sh.inline
+	if sh.shedding.Load() || !in.mu.TryLock() {
+		return Response{}, false
+	}
+	defer in.mu.Unlock()
+	if in.closed {
+		return Response{}, false
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			sh.deaths.Add(1)
+			fmt.Fprintf(os.Stderr, "server: shard %d inline tid %d: panic: %v\n%s", sh.idx, in.tid, p, debug.Stack())
+			resp = Response{Status: StatusInternal}
+		}
+	}()
+	ok = true
+	if g := sh.drainGen.Load(); g != in.lastDrain {
+		in.lastDrain = g
+		sh.inst.Scheme().Drain(in.tid)
+	}
+	resp = e.execPoint(sh, in.tid, req)
+	in.ops.Add(1)
+	return resp, ok
+}
+
+// drainInline scans the inline tid's retire list unless a reader holds the
+// tid. It runs with each opCtlDrain: the inline tid has no worker to see
+// drainGen, and a reader that holds it drains on seeing the new value.
+func (sh *shard) drainInline() {
+	in := &sh.inline
+	if !in.mu.TryLock() {
+		return
+	}
+	defer in.mu.Unlock()
+	in.lastDrain = sh.drainGen.Load()
+	sh.inst.Scheme().Drain(in.tid)
+}
+
+// execPoint is the one execution body of a point request, whichever
+// goroutine runs it: exec under tid, then the shard's op count, the op's
+// latency sample and, for a traced request, its span in tid's ring.
+func (e *Engine) execPoint(sh *shard, tid int, req *Request) Response {
+	li := latIndex(req.Op)
+	var t0 uint64
+	if li >= 0 {
+		t0 = obs.Now()
+	}
+	resp := e.exec(sh, tid, req)
+	if li >= 0 {
+		d := obs.Now() - t0
+		e.obs.opLat[li].Record(d)
+		if req.TraceID != 0 {
+			e.obs.opEvent(sh.idx, tid, req.TraceID, d)
+		}
+	}
+	sh.ops.Add(1)
+	return resp
 }
 
 // trimSpill recycles batch as the next pop's backing buffer, dropping it
@@ -686,15 +766,15 @@ func trimSpill(batch []request) []request {
 	return batch
 }
 
-// exec runs one request under the worker's leased tid.
-func (e *Engine) exec(sh *shard, tid int, r *request) Response {
+// exec runs one point request under tid.
+func (e *Engine) exec(sh *shard, tid int, req *Request) Response {
 	if h := e.cfg.testExecHook; h != nil {
-		h(r.req.Op, r.req.Key)
+		h(req.Op, req.Key)
 	}
-	key := r.req.Key
-	switch r.req.Op {
+	key := req.Key
+	switch req.Op {
 	case OpPing:
-		return Response{Status: StatusOK, Val: r.req.Val}
+		return Response{Status: StatusOK, Val: req.Val}
 	case OpGet:
 		if key >= ds.KeyLimit {
 			return Response{Status: StatusBadRequest}
@@ -707,16 +787,16 @@ func (e *Engine) exec(sh *shard, tid int, r *request) Response {
 		if key >= ds.KeyLimit {
 			return Response{Status: StatusBadRequest}
 		}
-		if sh.m.Insert(tid, key, r.req.Val) {
+		if sh.m.Insert(tid, key, req.Val) {
 			// Arm (or, for a plain Put, disarm any stale) expiry only after
 			// the insert succeeded: Put is insert-if-absent, so a losing Put
 			// must not touch the winner's TTL.
-			if r.req.TTL > 0 {
-				sh.wheel.schedule(key, expDeadline(r.req.TTL))
+			if req.TTL > 0 {
+				sh.wheel.schedule(key, expDeadline(req.TTL))
 			} else {
 				sh.wheel.cancel(key)
 			}
-			return Response{Status: StatusOK, Val: r.req.Val}
+			return Response{Status: StatusOK, Val: req.Val}
 		}
 		// A failed insert is ambiguous: the key may exist, or the node
 		// allocation may have failed on an exhausted pool. The scheme
@@ -751,6 +831,7 @@ func (e *Engine) execCtl(sh *shard, tid int, r *request) {
 	switch r.req.Op {
 	case opCtlDrain:
 		s.Drain(tid)
+		sh.drainInline()
 	case opCtlExpire:
 		// Tag the batch's retirements as expiry-driven, then remove through
 		// the ordinary structure path: each removal retires its node into
@@ -795,7 +876,15 @@ func (e *Engine) Close() {
 	// sync.Once blocks concurrent callers until the drain completes, so
 	// every Close returns only once the engine is fully quiescent.
 	e.closeOnce.Do(func() {
-		// The remediator stops first: it is the only goroutine that spawns
+		// Readers stop borrowing inline tids first (Lock waits out a current
+		// borrower): from here a point request takes the queue path, and
+		// SubmitRequest answers it ErrClosed once the queues close below.
+		for _, sh := range e.shards {
+			sh.inline.mu.Lock()
+			sh.inline.closed = true
+			sh.inline.mu.Unlock()
+		}
+		// The remediator stops next: it is the only goroutine that spawns
 		// workers, so after remedyDone the worker set can only shrink and
 		// wg.Wait below cannot race a spawn.
 		close(e.remedyStop)
@@ -815,7 +904,7 @@ func (e *Engine) Close() {
 			// no goroutine acts under any tid anymore, so the transfer
 			// preconditions hold trivially.
 			s := sh.inst.Scheme()
-			for tid := 0; tid < e.tids; tid++ {
+			for tid := range sh.inline.tid { // the leased tids
 				if !sh.leases.cleanable(tid) {
 					continue
 				}
@@ -834,6 +923,7 @@ func (e *Engine) Close() {
 // ShardStats is one shard's metrics snapshot.
 type ShardStats struct {
 	Ops         uint64 // operations completed
+	Inline      uint64 // of Ops, point requests run on a connection reader under the inline tid
 	QueueDepth  int    // current backlog
 	Unreclaimed int    // retired-but-unreclaimed blocks (Fig. 9's metric)
 	Epoch       uint64 // the shard scheme's current epoch
@@ -851,7 +941,7 @@ type ShardStats struct {
 	Shed          uint64 // Submits refused while above the hard watermark
 	ShedEpisodes  uint64 // times shedding switched on
 	PoolExhausted uint64 // Puts answered StatusBusy on pool exhaustion
-	Deaths        uint64 // worker goroutines lost to panics
+	Deaths        uint64 // execution panics: worker goroutines lost, inline executions recovered
 	Shedding      bool   // currently above the hard watermark
 
 	// Range and TTL activity.
@@ -868,8 +958,11 @@ type ShardStats struct {
 func (e *Engine) Stats() []ShardStats {
 	out := make([]ShardStats, len(e.shards))
 	for i, sh := range e.shards {
+		// Inline before Ops: a request counts in ops first, so Inline <= Ops.
+		inline := sh.inline.ops.Load()
 		st := ShardStats{
 			Ops:           sh.ops.Load(),
+			Inline:        inline,
 			QueueDepth:    sh.q.depth(),
 			Unreclaimed:   core.TotalUnreclaimed(sh.inst.Scheme(), e.tids),
 			Live:          sh.inst.PoolStats().Live(),

@@ -121,11 +121,12 @@ func (eo *EngineObs) quarantineEvent(shard, workerTid, quarantinedTid int, epoch
 	eo.rec.Record(shard*eo.tidsPerShard+workerTid, obs.KindQuarantine, quarantinedTid, epoch, adopted)
 }
 
-// opEvent records a traced request's execution into the executing worker's
-// own ring (single-writer, like quarantineEvent), joining the wire trace ID
-// to the shard's reclamation timeline.
-func (eo *EngineObs) opEvent(shard, workerTid int, trace, durNs uint64) {
-	eo.rec.Record(shard*eo.tidsPerShard+workerTid, obs.KindOp, workerTid, durNs, trace)
+// opEvent records a traced request's execution into the executing tid's
+// own ring (single-writer, like quarantineEvent: a worker's tid is its
+// own, and the inline tid's ring is written only under its lock), joining
+// the wire trace ID to the shard's reclamation timeline.
+func (eo *EngineObs) opEvent(shard, tid int, trace, durNs uint64) {
+	eo.rec.Record(shard*eo.tidsPerShard+tid, obs.KindOp, tid, durNs, trace)
 }
 
 // Recorder returns the flight recorder.

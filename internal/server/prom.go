@@ -33,6 +33,10 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 	for i, s := range stats {
 		p.Uint("ibr_ops_total", shardLabel[i], s.Ops)
 	}
+	p.Header("ibr_ops_inline_total", "counter", "Of ibr_ops_total, point requests run on a connection reader under the shard's inline tid instead of a shard worker.")
+	for i, s := range stats {
+		p.Uint("ibr_ops_inline_total", shardLabel[i], s.Inline)
+	}
 	p.Header("ibr_queue_depth", "gauge", "Requests queued per shard.")
 	for i, s := range stats {
 		p.Int("ibr_queue_depth", shardLabel[i], int64(s.QueueDepth))
@@ -102,7 +106,7 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 	for i, s := range stats {
 		p.Uint("ibr_pool_exhausted_total", shardLabel[i], s.PoolExhausted)
 	}
-	p.Header("ibr_worker_deaths_total", "counter", "Worker goroutines lost to panics per shard (each is quarantined and replaced).")
+	p.Header("ibr_worker_deaths_total", "counter", "Execution panics per shard: worker goroutines lost (each is quarantined and replaced) and inline executions recovered on a connection reader.")
 	for i, s := range stats {
 		p.Uint("ibr_worker_deaths_total", shardLabel[i], s.Deaths)
 	}

@@ -8,8 +8,11 @@
 // per tid, while a network server faces an unbounded set of connection
 // goroutines. The engine closes that gap by giving each shard a private
 // pool of worker goroutines that each hold one scheme tid for their whole
-// lifetime; connection goroutines never touch a scheme — they enqueue
-// requests onto per-shard MPSC queues and the leased workers execute them
+// lifetime, plus one inline tid that no goroutine owns. A connection
+// reader runs a point request (PING, GET, PUT, DEL) itself when it wins
+// that tid's TryLock, and holds it across that one execution only; ranges,
+// control ops, Engine.SubmitRequest callers and requests that find the tid
+// busy go onto per-shard MPSC queues, and the leased workers execute them
 // in batches (see DESIGN.md §"Serving layer").
 package server
 
@@ -80,9 +83,10 @@ const (
 	StatusShutdown
 	// StatusBadRequest: the request frame was malformed.
 	StatusBadRequest
-	// StatusInternal: the worker executing the request died (panic); the
-	// operation's effect is unknown. The shard itself keeps serving — a
-	// replacement worker takes over the tid's duties.
+	// StatusInternal: the request's execution panicked; the operation's
+	// effect is unknown. The shard itself keeps serving — a replacement
+	// worker takes over a dead worker's tid, and the inline tid goes
+	// straight back into service.
 	StatusInternal
 	// StatusUnsupported: the operation is well-formed but the serving
 	// structure cannot execute it (OpRange on a structure without ordered

@@ -16,8 +16,9 @@ type ServerConfig struct {
 	// MaxInflight caps the number of pipelined requests a single
 	// connection may have outstanding (default 128). The cap is what makes
 	// completion delivery non-blocking: the response channel has exactly
-	// MaxInflight slots, so a shard worker's done callback can never block
-	// on a slow or dead connection.
+	// MaxInflight slots, so neither a shard worker's done callback nor the
+	// reader's own send of an inline response can block on a slow or dead
+	// connection.
 	MaxInflight int
 	// IdleTimeout closes a connection that sends nothing for this long
 	// (default 5m): the read deadline is re-armed to now+IdleTimeout
@@ -176,7 +177,7 @@ type wireResp struct {
 // room, yield the P once (runtime.Gosched) and take the frames queued
 // meanwhile before writing. "In flight" is, on the client, the reply slots
 // in use beyond the requests in this batch and, on the server, requests
-// submitted whose responses are not encoded yet. Without the yield, the
+// read whose responses are not encoded yet. Without the yield, the
 // write goes out before the other callers (or shard workers) woken by the
 // same burst have queued their frames, so most writes carried one or two:
 // Go's runnext hand-off runs the server's parked writer as soon as the
@@ -192,10 +193,11 @@ const writeBatchBytes = 16 * 1024
 const writeBufCap = 64 * 1024
 
 // handle runs one connection: a reader loop (this goroutine) that parses
-// frames and submits them, and a writer goroutine that encodes completed
+// frames and either runs a point request itself under its shard's inline
+// tid or submits it, and a writer goroutine that encodes completed
 // responses in batches. The in-flight semaphore bounds the gap between
-// them; outstanding tracks submitted-but-unwritten requests so shutdown
-// can wait for the tail.
+// them; outstanding tracks submitted requests whose responses are not sent
+// yet, so shutdown can wait for the tail.
 func (s *Server) handle(c net.Conn) {
 	defer s.connWG.Done()
 	defer s.track(c, false)
@@ -260,7 +262,7 @@ func (s *Server) handle(c net.Conn) {
 		for wr := range resps {
 			encode(wr)
 			open := drain()
-			// len(inflight): requests submitted whose responses are not
+			// len(inflight): requests read whose responses are not
 			// encoded yet (see writeBatchBytes for the rule).
 			if open && len(buf) < writeBatchBytes && len(inflight) > 0 {
 				runtime.Gosched()
@@ -309,21 +311,28 @@ func (s *Server) handle(c net.Conn) {
 			s.protoDropped.Add(1)
 			break
 		}
-		// Reserve a semaphore slot before submitting: at most MaxInflight
-		// responses can ever be queued, so resps never blocks a worker.
+		// Reserve a semaphore slot before executing or submitting: at most
+		// MaxInflight responses can ever be queued, so a send on resps
+		// never blocks this reader or a worker.
 		inflight <- struct{}{}
-		outstanding.Add(1)
-		done := func(r Response) {
-			resps <- wireResp{id: id, legacy: legacy, r: r}
-			outstanding.Done()
-		}
 		// A v1 frame only speaks the pre-range op set: its 13-byte response
 		// cannot carry pairs, so a v1-framed RANGE is a bad request — the
 		// same verdict the v1 server gave op 5.
 		if !req.Op.valid() || (legacy && req.Op > OpDel) {
-			done(Response{Status: StatusBadRequest})
+			resps <- wireResp{id: id, legacy: legacy, r: Response{Status: StatusBadRequest}}
 			s.protoRejected.Add(1)
 			continue
+		}
+		// A point request runs here, on the reader, when its shard's inline
+		// tid is free; execInline releases the tid before the send.
+		if r, ok := s.eng.execInline(&req); ok {
+			resps <- wireResp{id: id, legacy: legacy, r: r}
+			continue
+		}
+		outstanding.Add(1)
+		done := func(r Response) {
+			resps <- wireResp{id: id, legacy: legacy, r: r}
+			outstanding.Done()
 		}
 		if err := s.eng.SubmitRequest(req, done); err != nil {
 			// ErrBusy (queue full) and ErrShedding (unreclaimed backlog

@@ -69,12 +69,33 @@ func TestServerEndToEnd(t *testing.T) {
 // TestServerLinearizable records a concurrent GET/PUT/DEL history through
 // real connections and checks it with internal/lincheck: the tid-lease
 // layer must not reorder, lose, or double-apply operations even though
-// requests from different connections interleave in the shard queues.
+// requests from different connections interleave, on the same keys, in the
+// shard queues and on the readers that run them under the inline tids. A
+// helper holds each shard's inline tid in turn, so both paths carry load.
 func TestServerLinearizable(t *testing.T) {
 	ctx := context.Background()
-	addr, _ := startTestServer(t,
+	addr, srv := startTestServer(t,
 		EngineConfig{Shards: 4, WorkersPerShard: 2, EpochFreq: 16, EmptyFreq: 8},
 		ServerConfig{})
+	eng := srv.Engine()
+
+	stop := make(chan struct{})
+	helperDone := make(chan struct{})
+	defer func() { close(stop); <-helperDone }()
+	go func() {
+		defer close(helperDone)
+		for i := 0; ; i++ {
+			in := &eng.shards[i%len(eng.shards)].inline
+			in.mu.Lock()
+			time.Sleep(100 * time.Microsecond)
+			in.mu.Unlock()
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
 
 	const (
 		clients  = 4
@@ -138,8 +159,14 @@ func TestServerLinearizable(t *testing.T) {
 	if rep.EventsChecked == 0 {
 		t.Fatal("lincheck verified no events")
 	}
-	t.Logf("lincheck: %d keys, %d events checked, %d inconclusive",
-		rep.Keys, rep.EventsChecked, rep.Inconclusive)
+	st := eng.Stats()
+	inline := sum(st, func(s ShardStats) uint64 { return s.Inline })
+	queued := sum(st, func(s ShardStats) uint64 { return s.Ops }) - inline
+	if inline == 0 || queued == 0 {
+		t.Fatalf("%d requests ran inline and %d queued: the history does not cover both paths", inline, queued)
+	}
+	t.Logf("lincheck: %d keys, %d events checked, %d inconclusive; %d requests inline, %d queued",
+		rep.Keys, rep.EventsChecked, rep.Inconclusive, inline, queued)
 }
 
 // TestServerGracefulShutdown races in-flight traffic against Shutdown and
