@@ -1,7 +1,8 @@
 // Command ibrd is the network front end over the IBR data structures: a
 // sharded key-value daemon speaking the length-prefixed binary protocol of
 // internal/server. Each shard is an independent (structure × scheme) pair
-// served by a pool of tid-leased workers, so an unbounded population of
+// served by a pool of workers that each own one scheme tid, plus one tid
+// that connection readers borrow per request, so an unbounded population of
 // connection goroutines can drive reclamation schemes that require a small
 // fixed thread-id space.
 //
@@ -64,7 +65,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		structure = fs.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
 		scheme    = fs.String("d", "tagibr", "reclamation scheme: "+strings.Join(core.Schemes(), ", "))
 		shards    = fs.Int("shards", 8, "independent structure instances the key space is hashed across")
-		workers   = fs.Int("workers", 2, "tid-leased worker goroutines per shard")
+		workers   = fs.Int("workers", 2, "worker goroutines per shard, each owning one scheme tid")
 		queue     = fs.Int("queue", 4096, "per-shard request queue depth (beyond it clients see BUSY)")
 		inflight  = fs.Int("inflight", 128, "max pipelined requests per connection")
 		idle      = fs.Duration("idle", 5*time.Minute, "per-connection idle timeout")
@@ -85,9 +86,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 		softWater  = fs.Float64("soft-watermark", 0.5, "unreclaimed fraction of pool capacity that triggers forced scans")
 		hardWater  = fs.Float64("hard-watermark", 0.85, "unreclaimed fraction of pool capacity above which the shard sheds (BUSY)")
-		quarAfter  = fs.Duration("quarantine-after", time.Second, "how long a parked lease holder's reservation may sit before its tid is quarantined")
+		quarAfter  = fs.Duration("quarantine-after", time.Second, "how long one park of an injected staller may pin its reservation before it is quarantined")
 		remedyIntv = fs.Duration("remedy-interval", 50*time.Millisecond, "remediation loop poll period (watermarks + quarantine)")
-		spares     = fs.Int("spares", 2, "spare scheme tids per shard for replacement workers after a quarantine")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -108,8 +108,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return usage("scheme %q cannot run structure %q", *scheme, *structure)
 	case *softWater <= 0 || *softWater >= *hardWater || *hardWater > 1:
 		return usage("watermarks must satisfy 0 < soft < hard <= 1, got soft=%v hard=%v", *softWater, *hardWater)
-	case *spares < 1:
-		return usage("-spares must be at least 1 (replacement workers draw from them), got %d", *spares)
 	}
 
 	cfg := server.EngineConfig{
@@ -120,7 +118,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Stalled: *stalled, StallFor: *stallFor,
 		SoftWatermark: *softWater, HardWatermark: *hardWater,
 		QuarantineAfter: *quarAfter, RemedyInterval: *remedyIntv,
-		SpareTids:       *spares,
 		MaxRangeResults: *maxRange, ExpiryGranularity: *expiryGran,
 		Obs: &obs.Options{
 			RingSize:       *obsRing,
@@ -223,7 +220,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "ibrd: ranges: %d shard legs scanned; expiry: %d keys lapsed\n", ranges, expired)
 	}
 	if quarantines+shed+deaths > 0 {
-		fmt.Fprintf(stdout, "ibrd: degradation: %d tid quarantines, %d submits shed, %d worker deaths\n",
+		fmt.Fprintf(stdout, "ibrd: degradation: %d tid quarantines, %d submits shed, %d execution panics\n",
 			quarantines, shed, deaths)
 	}
 	// Final telemetry snapshot for post-mortems: the same exposition

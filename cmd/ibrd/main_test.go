@@ -141,7 +141,7 @@ func TestDaemon(t *testing.T) {
 		chaosLeg("chaossmoke-debra", "debra"),
 		{
 			// One injected staller under traced load. With -workers 2 the
-			// staller leases tid 2, and -quarantine-after 30s keeps the
+			// staller owns tid 2, and -quarantine-after 30s keeps the
 			// remediator from clearing its reservation. Blame is only
 			// non-empty mid-park, once blocks born before the staller's
 			// reservation exist (its first park starts at boot), which is
@@ -221,7 +221,6 @@ func TestRunUsage(t *testing.T) {
 		{[]string{"-d", "nope"}, 2},
 		{[]string{"-r", "bonsai", "-d", "hp"}, 2},
 		{[]string{"-soft-watermark", "0.9"}, 2},
-		{[]string{"-spares", "0"}, 2},
 		{[]string{"-h"}, 0},
 	} {
 		var out syncBuffer
@@ -242,9 +241,9 @@ func TestRunUsage(t *testing.T) {
 
 // chaosLeg is a degradation leg: injected stallers pin reservations for 3s
 // against a 300ms quarantine threshold. Tids must be quarantined mid-stall
-// (under debra a real DEBRA+ neutralization: reservation cleared, bags
-// adopted), and the drain must still reach 0 unreclaimed blocks with stalls
-// in flight when it lands.
+// (under debra a real DEBRA+ neutralization: reservation cleared, the flag
+// latched for the staller's next StartOp), and the drain must still reach 0
+// unreclaimed blocks with stalls in flight when it lands.
 func chaosLeg(name, scheme string) daemonLeg {
 	return daemonLeg{
 		name: name,

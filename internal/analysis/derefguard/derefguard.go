@@ -8,7 +8,7 @@
 //
 //   - core.Scheme: StartOp, EndOp, RestartOp, Alloc, Retire, Read,
 //     ReadRoot, Write, CompareAndSwap, Unreserve, TransferSlot,
-//     ClearReservation, AdoptRetired
+//     ClearReservation
 //   - mem.Pool: Get, Alloc, Free, FreeBatches, SetBirth,
 //     SetRetireEpoch, MarkRetired
 //
@@ -20,7 +20,7 @@
 // TestBirthEpochStamped).
 //
 // A deliberate raw call (an injected staller's bare reservation, the
-// serving engine's cross-tid quarantine transfers) carries an
+// serving engine's cross-tid quarantine clear) carries an
 // //ibrlint:ignore directive stating why the contract still holds. Test
 // files are exempt: tests deliberately stage quiescent inspections.
 package derefguard
@@ -56,7 +56,6 @@ var schemeSurface = map[string]string{
 	"Unreserve":        "Guarded.Do",
 	"TransferSlot":     "Guard.TransferSlot",
 	"ClearReservation": "",
-	"AdoptRetired":     "",
 }
 
 var poolSurface = map[string]string{

@@ -89,12 +89,11 @@ func (q *Q) DropBatch(tid int, hs []mem.Handle) {
 	q.pool.FreeBatches(tid, hs) // want "raw Pool.FreeBatches bypasses the guard facade: use Guard.Retire"
 }
 
-// Steal transfers another tid's state with no evidence its holder is parked
-// or dead. The facade has no cross-tid call, so only a reasoned directive
-// can make these legal.
-func Steal(s core.Scheme, victim, tid int) {
-	s.ClearReservation(victim)  // want "raw Scheme.ClearReservation bypasses the guard facade, which has no equivalent"
-	s.AdoptRetired(victim, tid) // want "raw Scheme.AdoptRetired bypasses the guard facade, which has no equivalent"
+// Steal clears another tid's reservation with no evidence its holder is
+// parked. The facade has no cross-tid call, so only a reasoned directive
+// can make this legal.
+func Steal(s core.Scheme, victim int) {
+	s.ClearReservation(victim) // want "raw Scheme.ClearReservation bypasses the guard facade, which has no equivalent"
 }
 
 // Grab bypasses Scheme.Alloc, so its block is never birth-stamped.

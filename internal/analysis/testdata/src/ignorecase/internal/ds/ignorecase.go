@@ -44,14 +44,11 @@ func dropBare(p *mem.Pool, tid int, h mem.Handle) {
 	p.Free(tid, h) // want "raw Pool.Free bypasses the guard facade"
 }
 
-// quarantine is the sanctioned cross-tid transfer: the facade has no
-// equivalent, so each call carries a directive stating the parked-or-dead
-// evidence.
-func quarantine(s core.Scheme, victim, tid int) {
-	//ibrlint:ignore quarantine: holder verified parked or dead via lease table
+// quarantine is the sanctioned cross-tid clear: the facade has no
+// equivalent, so the call carries a directive stating the parked evidence.
+func quarantine(s core.Scheme, victim int) {
+	//ibrlint:ignore quarantine: holder verified parked under its slot mutex
 	s.ClearReservation(victim)
-	//ibrlint:ignore quarantine: victim revoked, this goroutine owns the adopting tid
-	s.AdoptRetired(victim, tid)
 }
 
 //ibrlint:ignroe typo-verbs-must-not-pass-silently

@@ -23,7 +23,6 @@ type Scheme interface {
 	CompareAndSwap(tid int, p *Ptr, old, new mem.Handle) bool
 	Retire(tid int, h mem.Handle)
 	Unreclaimed(tid int) int
-	AdoptRetired(from, to int) int
 	ClearReservation(tid int)
 }
 

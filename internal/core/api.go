@@ -155,9 +155,9 @@ type Scheme interface {
 
 	// The control block: diagnostics and the serving layer's levers. base
 	// implements all of it; only ClearReservation is overridden (HP, HE,
-	// Hyaline, DEBRA). AdoptRetired and ClearReservation act on another
-	// tid's state and are sound only when that tid's holder is provably
-	// parked or dead (see api_transfer.go).
+	// Hyaline, DEBRA). ClearReservation acts on another tid's state and is
+	// sound only when that tid's holder is provably parked holding no node
+	// references (see api_transfer.go).
 	ScanStats() ScanStats
 	Clock() *epoch.Clock
 	Reservations() *epoch.Table
@@ -165,7 +165,6 @@ type Scheme interface {
 	SetDrainPressure(on bool)
 	SetRetireSource(tid int, src RetireSource)
 	RetireSources() [NumRetireSources]uint64
-	AdoptRetired(from, to int) int
 	ClearReservation(tid int)
 }
 

@@ -9,24 +9,25 @@ import "sync/atomic"
 // retire — so it keeps EBR's speed. The difference is what happens when a
 // thread stalls: instead of waiting for the stalled reservation (EBR) or
 // paying per-access instrumentation to ignore it (the IBR family), DEBRA+
-// *neutralizes* the thread — forcibly ends its operation from outside and
-// adopts its limbo bags — and the neutralized thread detects the signal and
+// *neutralizes* the thread — forcibly ends its operation from outside — and
+// the neutralized thread keeps its thread id, detects the signal and
 // restarts its operation rather than touching memory that may since have
 // been freed.
 //
 // DEBRA+ delivers the neutralization with a POSIX signal, whose handler
 // runs a sigsetjmp/siglongjmp restart. Go offers no safe analogue, but this
 // repository already has the machinery the signal stands in for: the
-// serving layer's lease/quarantine protocol detects a stalled or dead tid
-// (parked-in-stall or failed heartbeat — evidence the goroutine is not
-// mid-dereference), then calls ClearReservation + AdoptRetired. DEBRA's
+// serving layer's quarantine detects an injected staller parked past its
+// threshold (evidence, held under the staller's slot mutex, that the
+// goroutine is not mid-dereference), then calls ClearReservation. DEBRA's
 // ClearReservation override is the signal handler: it clears the epoch
 // reservation AND latches a per-tid neutralized flag. The StartOp
-// neutralize-check is the sigsetjmp site: the next operation on that tid
-// consumes the flag before publishing a fresh reservation, so the revoked
-// thread resumes only at an operation boundary with a new epoch — it can
-// never carry a pointer read under the revoked reservation across the
-// neutralization, which is the safety argument spelled out in DESIGN.md §8.
+// neutralize-check is the sigsetjmp site: the staller's own next operation
+// on that tid consumes the flag before publishing a fresh reservation, so
+// the revoked thread resumes only at an operation boundary with a new
+// epoch — it can never carry a pointer read under the revoked reservation
+// across the neutralization, which is the safety argument spelled out in
+// DESIGN.md §8.
 //
 // Limbo bags: DEBRA segregates retired nodes into per-epoch bags and frees
 // whole bags once their epoch is safely behind every reservation. Here the
@@ -40,17 +41,18 @@ import "sync/atomic"
 // Drain and Robust are promoted from it unchanged.
 //
 // Robust() is false by the paper's own accounting: neutralization needs an
-// external stall detector (the signal there, the lease watchdog here), so
-// plain DEBRA — the scheme alone, no serving layer — is EBR and inherits
-// its unbounded worst case. The chaos suite demonstrates the recovered
-// bound end to end: a quarantined DEBRA staller's backlog drains to zero
-// while the stall is still running.
+// external stall detector (the signal there, the remediator's park check
+// here), so plain DEBRA — the scheme alone, no serving layer — is EBR and
+// inherits its unbounded worst case. The chaos suite demonstrates the
+// recovered bound end to end: the backlog a quarantined DEBRA staller
+// pinned drains to zero while the stall is still running.
 type DEBRA struct {
 	EBR
 	neut []neutFlag
 	// signaled counts ClearReservation neutralizations delivered; observed
 	// counts those consumed by a later StartOp on the same tid. observed ≤
-	// signaled always; they converge as neutralized tids are re-leased.
+	// signaled always; they converge as neutralized stallers start their
+	// next stall.
 	signaled atomic.Uint64
 	observed atomic.Uint64
 }
@@ -102,9 +104,10 @@ func (s *DEBRA) NeutralizeStats() (signaled, observed uint64) {
 // ClearReservation is the neutralization signal: clear tid's reservation
 // so reclamation stops waiting on it, and latch the flag the next StartOp
 // on that tid will consume. The caller (the quarantine path) must hold
-// evidence the tid is not mid-operation on a CPU — parked in a stall or
-// heartbeat-dead — which is the same precondition DEBRA+ discharges with
-// the signal handler's synchronous restart.
+// evidence the tid is not mid-operation on a CPU — parked in a stall, and
+// kept from waking until the call returns — which is the same
+// precondition DEBRA+ discharges with the signal handler's synchronous
+// restart.
 func (s *DEBRA) ClearReservation(tid int) {
 	s.neut[tid].v.Store(true)
 	s.signaled.Add(1)

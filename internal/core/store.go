@@ -10,13 +10,13 @@ package core
 //   - The birth range of a bucket is bounded (its key fixes birth to a
 //     2^shift-epoch window, and birthLo/birthHi track the exact bounds), and
 //     within a bucket the retire epochs are sorted ascending (appends come
-//     from a monotone global clock, and AdoptRetired merges by retire
-//     epoch). The conflict test of Fig. 5 — ∃ interval: birth <= hi &&
-//     retire >= lo — is monotone in the block's lifetime corner (a smaller
-//     birth or a larger retire can only add conflicts), so ONE corner test
-//     decides a whole bucket: if the most-protectable corner (birthHi,
-//     firstRetire) is unprotected-by-every-interval... see the two corner
-//     lemmas on scanSummarized in api.go.
+//     from a monotone global clock). The conflict test of Fig. 5 —
+//     ∃ interval: birth <= hi && retire >= lo — is monotone in the block's
+//     lifetime corner (a smaller birth or a larger retire can only add
+//     conflicts), so ONE corner test decides a whole bucket: if the
+//     most-protectable corner (birthHi, firstRetire) is
+//     unprotected-by-every-interval... see the two corner lemmas on
+//     scanSummarized in api.go.
 //   - The residual per-block sweep inside a bucket is a linear pass over
 //     packed []uint64 cache lines, not struct loads.
 //
@@ -183,8 +183,8 @@ func (st *retireStore) corners() (birthLo, birthHi, retLo, retHi uint64) {
 }
 
 // takeAll removes every live entry and returns them sorted by retire epoch
-// (Hyaline's seal; adoption-merged buckets keep per-bucket order, so a
-// cross-bucket sort restores the global order the batch handoff wants).
+// (Hyaline's seal; buckets keep per-bucket order only, so a cross-bucket
+// sort restores the global order the batch handoff wants).
 func (st *retireStore) takeAll() []retiredBlock {
 	out := make([]retiredBlock, 0, st.count)
 	for i := range st.buckets {
@@ -224,94 +224,4 @@ func (st *retireStore) heldCap() int {
 		n += cap(st.buckets[i].retires)
 	}
 	return n
-}
-
-// adopt merges every live entry of src into st, preserving the per-bucket
-// sorted-by-retire invariant: same-key buckets are merged by retire epoch
-// (two already-sorted sequences), distinct keys move wholesale. Returns the
-// number of entries adopted; src is left empty.
-func (st *retireStore) adopt(src *retireStore) int {
-	moved := src.count
-	if moved == 0 {
-		return 0
-	}
-	if st.count == 0 {
-		st.buckets, src.buckets = src.buckets, nil
-	} else {
-		a, b := st.buckets, src.buckets
-		merged := make([]retireBucket, 0, len(a)+len(b))
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			switch {
-			case a[i].key < b[j].key:
-				merged = append(merged, a[i])
-				i++
-			case b[j].key < a[i].key:
-				merged = append(merged, b[j])
-				j++
-			default:
-				merged = append(merged, mergeBuckets(&a[i], &b[j]))
-				i++
-				j++
-			}
-		}
-		merged = append(merged, a[i:]...)
-		merged = append(merged, b[j:]...)
-		st.buckets = merged
-		src.buckets = nil
-	}
-	st.count += moved
-	st.hint = 0
-	src.count = 0
-	src.hint = 0
-	return moved
-}
-
-// mergeBuckets merges two same-key buckets' live windows by retire epoch
-// into a fresh bucket. Both inputs' arrays are released.
-func mergeBuckets(a, b *retireBucket) retireBucket {
-	na, nb := a.live(), b.live()
-	out := retireBucket{
-		key:     a.key,
-		birthLo: minU64(a.birthLo, b.birthLo),
-		birthHi: maxU64(a.birthHi, b.birthHi),
-		handles: make([]mem.Handle, 0, na+nb),
-		births:  make([]uint64, 0, na+nb),
-		retires: make([]uint64, 0, na+nb),
-	}
-	i, j := a.start, b.start
-	for i < len(a.retires) && j < len(b.retires) {
-		if a.retires[i] <= b.retires[j] {
-			out.handles = append(out.handles, a.handles[i])
-			out.births = append(out.births, a.births[i])
-			out.retires = append(out.retires, a.retires[i])
-			i++
-		} else {
-			out.handles = append(out.handles, b.handles[j])
-			out.births = append(out.births, b.births[j])
-			out.retires = append(out.retires, b.retires[j])
-			j++
-		}
-	}
-	out.handles = append(out.handles, a.handles[i:]...)
-	out.births = append(out.births, a.births[i:]...)
-	out.retires = append(out.retires, a.retires[i:]...)
-	out.handles = append(out.handles, b.handles[j:]...)
-	out.births = append(out.births, b.births[j:]...)
-	out.retires = append(out.retires, b.retires[j:]...)
-	return out
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -49,46 +49,6 @@ func TestRetireStoreAddBuckets(t *testing.T) {
 	}
 }
 
-// TestRetireStoreAdoptMerges: adopting interleaves same-key buckets by
-// retire epoch and moves distinct-key buckets wholesale; the source ends
-// empty and the invariants hold.
-func TestRetireStoreAdoptMerges(t *testing.T) {
-	pool := mem.New[tnode](mem.Options[tnode]{Threads: 1, MaxSlots: 256})
-	var a, b retireStore
-	const shift = 3
-	// Same-key bucket (births 0..7) with interleaved retires, plus a key
-	// only a has (births 16..) and a key only b has (births 32..).
-	a.add(mkHandle(t, pool), 1, 10, shift)
-	a.add(mkHandle(t, pool), 2, 14, shift)
-	a.add(mkHandle(t, pool), 17, 20, shift)
-	b.add(mkHandle(t, pool), 3, 12, shift)
-	b.add(mkHandle(t, pool), 4, 16, shift)
-	b.add(mkHandle(t, pool), 33, 18, shift)
-
-	moved := b.count
-	if n := a.adopt(&b); n != moved {
-		t.Fatalf("adopt moved %d, want %d", n, moved)
-	}
-	if b.count != 0 || len(b.buckets) != 0 {
-		t.Fatalf("source not emptied: count=%d buckets=%d", b.count, len(b.buckets))
-	}
-	if a.count != 6 {
-		t.Fatalf("adopter count = %d, want 6", a.count)
-	}
-	assertStoreInvariants(t, &a)
-	// The merged key-0 bucket must interleave 10,12,14,16.
-	got := a.buckets[0].retires
-	want := []uint64{10, 12, 14, 16}
-	if len(got) != len(want) {
-		t.Fatalf("merged bucket has %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged retires = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestRetireStoreTakeAllSorted: takeAll drains everything sorted by retire
 // epoch (Hyaline's seal order) and leaves the store reusable.
 func TestRetireStoreTakeAllSorted(t *testing.T) {
@@ -219,14 +179,14 @@ func TestEpochAdvanceOneSourcePerOp(t *testing.T) {
 }
 
 // TestScanBucketedMatchesNaiveAcrossAdoption extends the scan differential
-// test across the operations that restructure the store mid-stream: two
-// threads churn concurrently-interleaved lifetimes, one thread's backlog is
-// adopted by the other (bucket merges), one reservation is cleared on the
-// stalled holder's behalf after the backlog was built (the quarantine path),
-// and only then does the adopter drain. The bucketed scan must keep exactly
-// the blocks the naive per-block conflict sweep predicts from the final
-// reservation snapshot — adoption merges and reservation clears must change
-// nothing about the freed set.
+// test across a reservation cleared mid-stream: two threads churn
+// concurrently-interleaved lifetimes, one reservation is cleared on the
+// stalled holder's behalf after the backlogs were built (the quarantine
+// path), and only then do the threads drain. The bucketed scan must keep
+// exactly the blocks the naive per-block conflict sweep predicts from the
+// final reservation snapshot — a reservation clear must change nothing
+// about the freed set. The name is kept from when the test also covered
+// retire-list adoption.
 func TestScanBucketedMatchesNaiveAcrossAdoption(t *testing.T) {
 	for _, name := range []string{"poibr", "tagibr", "tagibr-wcas", "2geibr"} {
 		t.Run(name, func(t *testing.T) {
@@ -264,39 +224,36 @@ func TestScanBucketedMatchesNaiveAcrossAdoption(t *testing.T) {
 					}
 				}
 
-				// Quarantine tid 0: adopt its backlog into tid 1, then clear
-				// tid 4's reservation (drain-without-resume).
-				s.AdoptRetired(0, 1)
-				if got := s.Unreclaimed(0); got != 0 {
-					t.Fatalf("seed %d: source kept %d blocks after adoption", seed, got)
-				}
+				// Quarantine tid 4: clear its reservation (drain-without-resume).
 				s.ClearReservation(4)
 
-				// Predict per block from the merged store's own records.
-				st := s.(interface{ threadStore(int) *retireStore }).threadStore(1)
-				assertStoreInvariants(t, st)
-				wantKept := 0
-				for _, blk := range st.snapshot() {
-					if conflicts(ivs, blk.birth, blk.retire) {
-						wantKept++
+				for tid := 0; tid <= 1; tid++ {
+					// Predict per block from the store's own records.
+					st := s.(interface{ threadStore(int) *retireStore }).threadStore(tid)
+					assertStoreInvariants(t, st)
+					wantKept := 0
+					for _, blk := range st.snapshot() {
+						if conflicts(ivs, blk.birth, blk.retire) {
+							wantKept++
+						}
 					}
-				}
 
-				s.Drain(1)
-				if got := s.Unreclaimed(1); got != wantKept {
-					t.Fatalf("seed %d: bucketed scan kept %d blocks, naive predicts %d (reservations %v)",
-						seed, got, wantKept, ivs)
-				}
-				// Survivors must be exactly the predicted ones, not merely the
-				// predicted number: every kept block still conflicts, per its
-				// own birth/retire stamps.
-				for _, blk := range st.snapshot() {
-					if !conflicts(ivs, blk.birth, blk.retire) {
-						t.Fatalf("seed %d: kept block birth=%d retire=%d conflicts with no reservation",
-							seed, blk.birth, blk.retire)
+					s.Drain(tid)
+					if got := s.Unreclaimed(tid); got != wantKept {
+						t.Fatalf("seed %d tid %d: bucketed scan kept %d blocks, naive predicts %d (reservations %v)",
+							seed, tid, got, wantKept, ivs)
 					}
-					if pool.State(blk.h) != mem.StateRetired {
-						t.Fatalf("seed %d: kept block in state %v", seed, pool.State(blk.h))
+					// Survivors must be exactly the predicted ones, not merely
+					// the predicted number: every kept block still conflicts,
+					// per its own birth/retire stamps.
+					for _, blk := range st.snapshot() {
+						if !conflicts(ivs, blk.birth, blk.retire) {
+							t.Fatalf("seed %d tid %d: kept block birth=%d retire=%d conflicts with no reservation",
+								seed, tid, blk.birth, blk.retire)
+						}
+						if pool.State(blk.h) != mem.StateRetired {
+							t.Fatalf("seed %d tid %d: kept block in state %v", seed, tid, pool.State(blk.h))
+						}
 					}
 				}
 
@@ -305,9 +262,11 @@ func TestScanBucketedMatchesNaiveAcrossAdoption(t *testing.T) {
 					s.Reservations().At(tid).Clear()
 				}
 				clk.Advance()
-				s.Drain(1)
-				if got := s.Unreclaimed(1); got != 0 {
-					t.Fatalf("seed %d: %d blocks survive with no reservations", seed, got)
+				for tid := 0; tid <= 1; tid++ {
+					s.Drain(tid)
+					if got := s.Unreclaimed(tid); got != 0 {
+						t.Fatalf("seed %d tid %d: %d blocks survive with no reservations", seed, tid, got)
+					}
 				}
 			}
 		})

@@ -52,10 +52,10 @@ const (
 	// threshold (Tid = the stalled slot, Epoch = current epoch, Value =
 	// the reservation's stale lower endpoint).
 	KindStall
-	// KindQuarantine: the serving engine quarantined a stalled or dead tid
-	// — cleared its reservation and adopted its retire list (Tid = the
-	// quarantined tid, Epoch = current epoch, Value = blocks adopted).
-	// Written by the worker that executed the cleanup, into its own ring.
+	// KindQuarantine: the serving engine quarantined a stalled tid —
+	// cleared its reservation on its behalf (Tid = the quarantined tid,
+	// Epoch = current epoch). Written by the remediator into the
+	// quarantined tid's ring while that tid's holder is parked.
 	KindQuarantine
 	// KindBlockAlloc: a traced block's lifecycle span began (Value = the
 	// block's pool slot index, Epoch = birth epoch, 0 for the epoch-free

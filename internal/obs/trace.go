@@ -188,7 +188,7 @@ func WriteTrace(w io.Writer, events []Event) error {
 				map[string]any{"tid": ev.Tid, "stale_lower": ev.Value})
 		case KindQuarantine:
 			instant(tracePidRings, uint64(ev.Ring), "quarantine", ev.TS,
-				map[string]any{"tid": ev.Tid, "adopted": ev.Value})
+				map[string]any{"tid": ev.Tid})
 		case KindBucketSkip:
 			instant(tracePidRings, uint64(ev.Ring), "bucket_skip", ev.TS,
 				map[string]any{"birth_lo": ev.Epoch, "birth_hi": ev.Value})

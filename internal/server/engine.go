@@ -37,26 +37,11 @@ var (
 	ErrShedding = errors.New("server: shard shedding load (unreclaimed backlog above hard watermark)")
 )
 
-// Control ops are engine-internal requests the remediator enqueues on shard
-// queues so that scheme maintenance always runs on a worker, under a worker's
-// leased tid. They sit far above the wire op range and never carry a done
-// callback.
-const (
-	opCtlBase Op = 0xF0
-	// opCtlDrain: scan the executing worker's retire list now (soft
-	// watermark crossed), and the inline tid's unless a reader holds it.
-	// Also serves as a queue wake-up so idle workers notice drainGen.
-	opCtlDrain Op = 0xF0
-	// opCtlQuarantine: clean up the quarantined tid in key — clear its
-	// reservation, adopt its retire list, return its lease to the free pool.
-	opCtlQuarantine Op = 0xF1
-	// opCtlExpire: remove the TTL-lapsed keys carried in the request's exp
-	// batch. The removals run under the worker's leased tid, tagged
-	// core.SourceExpiry, and retire nodes through the exact path user
-	// deletes take — expirations compete with client work for the same
-	// scan capacity, which is the point.
-	opCtlExpire Op = 0xF2
-)
+// opCtlDrain is the one engine-internal request: a bare wake-up the
+// remediator enqueues after bumping a shard's drainGen, so that idle
+// workers pop a batch and drain at its top. It sits far above the wire op
+// range and carries no done callback.
+const opCtlDrain Op = 0xF0
 
 // EngineConfig sizes the sharded engine. The zero value of every field
 // selects a sensible default (hashmap × tagibr, 8 shards × 2 workers).
@@ -69,8 +54,8 @@ type EngineConfig struct {
 	// is hashed across (default 8). Each shard has its own node pool,
 	// scheme instance, and worker pool, so shards never contend.
 	Shards int
-	// WorkersPerShard is the number of tid-leased worker goroutines per
-	// shard (default 2).
+	// WorkersPerShard is the number of worker goroutines per shard
+	// (default 2). Worker i owns scheme tid i for the engine's whole life.
 	WorkersPerShard int
 	// QueueDepth bounds each shard's request backlog (default 4096);
 	// beyond it SubmitRequest returns ErrBusy.
@@ -90,11 +75,11 @@ type EngineConfig struct {
 	Obs *obs.Options
 
 	// Stalled injects the paper's preempted thread (§4.3.1) into the live
-	// engine: each shard runs this many staller goroutines that lease a tid,
-	// publish a reservation, park for StallFor (default 2s), and withdraw
-	// it. They serve no requests — they exist to pin reclamation so the lag
-	// telemetry and the quarantine remediation can be exercised against a
-	// known cause.
+	// engine: each shard runs this many staller goroutines, each on its own
+	// tid after the workers', that publish a reservation, park for StallFor
+	// (default 2s), withdraw it and park again. They serve no requests —
+	// they exist to pin reclamation so the lag telemetry and the quarantine
+	// remediation can be exercised against a known cause.
 	Stalled  int
 	StallFor time.Duration
 
@@ -104,18 +89,15 @@ type EngineConfig struct {
 	// shard sheds: SubmitRequest returns ErrShedding until the backlog falls
 	// back below 90% of the hard cap.
 	SoftWatermark, HardWatermark float64
-	// QuarantineAfter is how long a leased tid's holder may stay parked with
-	// an unchanged heartbeat before the remediator quarantines the tid —
-	// revokes the lease, clears its reservation, and adopts its retire list
-	// (default 1s). Dead holders (worker panics) are quarantined on the next
-	// tick regardless.
+	// QuarantineAfter is how long one park of an injected staller may last
+	// before the remediator quarantines it: clears its reservation on its
+	// behalf (default 1s). The age is that of the current park; a staller
+	// that wakes and parks again starts a fresh one.
 	QuarantineAfter time.Duration
 	// RemedyInterval is the remediator poll period (default 50ms).
 	RemedyInterval time.Duration
-	// SpareTids is how many extra scheme tids each shard keeps unleased
-	// (default 2). A quarantine consumes the stalled tid until its cleanup
-	// runs; spares are what let a replacement worker or staller start
-	// immediately instead of waiting for that cleanup.
+	// Deprecated: SpareTids is ignored. Every goroutine that runs scheme
+	// operations keeps one fixed tid, so no tid is held in reserve.
 	SpareTids int
 
 	// MaxRangeResults caps one Range's result count (default 65536, the
@@ -129,9 +111,10 @@ type EngineConfig struct {
 	// remediator tick. Sub-tick TTL precision is explicitly not a goal.
 	ExpiryGranularity time.Duration
 
-	// testExecHook, when set, runs at the top of every data-path exec with
-	// the request's op and key. Tests use it to inject faults (panics,
-	// delays) inside a worker; it is deliberately unexported.
+	// testExecHook, when set, runs at the top of every point exec with the
+	// request's op and key, and before every TTL expiry removal with OpDel
+	// and the key. Tests use it to inject faults (panics, delays) where a
+	// request or an expiry executes; it is deliberately unexported.
 	testExecHook func(op Op, key uint64)
 }
 
@@ -169,9 +152,6 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	if c.RemedyInterval <= 0 {
 		c.RemedyInterval = 50 * time.Millisecond
 	}
-	if c.SpareTids <= 0 {
-		c.SpareTids = 2
-	}
 	if c.MaxRangeResults <= 0 || c.MaxRangeResults > maxRangeLimit {
 		c.MaxRangeResults = maxRangeLimit
 	}
@@ -189,32 +169,30 @@ func (c EngineConfig) withDefaults() EngineConfig {
 
 // request is one queued operation. done is invoked exactly once, on the
 // shard worker that executed the request; it must not block (connection
-// handlers guarantee buffer space via their in-flight cap). Control
-// requests (req.Op >= opCtlBase) carry a nil done. A Range's per-shard legs
-// carry rng instead of done: the collector invokes the caller's done once
-// every leg has reported. An opCtlExpire carries its due-key batch in exp.
+// handlers guarantee buffer space via their in-flight cap). An opCtlDrain
+// carries a nil done. A Range's per-shard legs carry rng instead of done:
+// the collector invokes the caller's done once every leg has reported.
 type request struct {
 	req  Request
 	done func(Response)
 	rng  *rangeOp
-	exp  []expEntry
 }
 
 // shard is one slice of the key space: a private structure + scheme +
-// lease table + worker pool + one inline tid. Lease-holding goroutines
-// touch m under their leased tids, and connection readers under the inline
-// tid while they hold its lock, so the scheme's "one goroutine per tid"
-// contract holds no matter how many connections the server carries — and
-// survives workers dying and being replaced.
+// worker pool + injected stallers + one inline tid. Every scheme tid has
+// one fixed way to be owned: workers and stallers keep theirs for the
+// engine's whole life, and connection readers and the remediator borrow
+// the inline tid under its lock, so the scheme's "one goroutine per tid"
+// contract holds no matter how many connections the server carries.
 type shard struct {
-	idx    int
-	m      ds.Map
-	inst   ds.Instrumented
-	q      *reqQueue
-	leases *leaseTable
-	inline inlineTid
-	ops    atomic.Uint64
-	wheel  *expiryWheel // TTL expiry (always built; idle when no TTLs arrive)
+	idx      int
+	m        ds.Map
+	inst     ds.Instrumented
+	q        *reqQueue
+	inline   inlineTid
+	stallers []stallSlot
+	ops      atomic.Uint64
+	wheel    *expiryWheel // TTL expiry (always built; idle when no TTLs arrive)
 
 	// Admission control: softCap/hardCap are the watermark fractions applied
 	// to the shard pool's slot capacity; resumeCap is the hysteresis floor
@@ -222,17 +200,16 @@ type shard struct {
 	softCap, hardCap, resumeCap int
 	shedding                    atomic.Bool
 	// drainGen forces retire-list scans: the remediator bumps it when the
-	// soft watermark is crossed, and every worker drains once per batch in
-	// which it observes a new value.
+	// soft watermark is crossed or a staller is quarantined, and every
+	// worker drains once per batch in which it observes a new value.
 	drainGen atomic.Uint64
 
 	// Degradation counters (Stats / /metrics).
-	quarantines   atomic.Uint64 // tids quarantined (ibr_tid_quarantines_total)
-	adopted       atomic.Uint64 // retired blocks adopted from quarantined tids
+	quarantines   atomic.Uint64 // staller reservations cleared (ibr_tid_quarantines_total)
 	shed          atomic.Uint64 // Submits refused with ErrShedding
 	shedEpisodes  atomic.Uint64 // shedding activations
 	poolExhausted atomic.Uint64 // Puts answered StatusBusy for pool exhaustion
-	deaths        atomic.Uint64 // execution panics (ibr_worker_deaths_total)
+	deaths        atomic.Uint64 // execution panics recovered (ibr_worker_deaths_total)
 	expired       atomic.Uint64 // keys removed by TTL expiry (ibr_expired_total)
 	rangeOps      atomic.Uint64 // range legs executed on this shard
 	activeScans   atomic.Int64  // range legs currently inside their reservation
@@ -252,27 +229,39 @@ func (sh *shard) noteUnderScan(un int) {
 	}
 }
 
-// inlineTid is the one scheme tid per shard that no goroutine leases. A
-// connection reader that wins TryLock runs a point request under it
-// (Engine.execInline) and unlocks before sending the response, so the tid
-// is held across one exec only, and a reader that finds it busy queues the
-// request instead of waiting. The lock is what keeps the scheme's
+// inlineTid is the one scheme tid per shard, after the workers' and
+// stallers', that no goroutine owns. A connection reader that wins TryLock
+// runs a point request under it (Engine.execInline) and unlocks before
+// sending the response, so a reader that finds it busy queues the request
+// instead of waiting. The remediator takes it with Lock to run TTL expiry
+// and forced drains. The lock is what keeps the scheme's
 // one-goroutine-per-tid contract: its holder is the tid's only user, and
 // Unlock hands the tid's reservation slot, retire list, allocator cache
 // and flight-recorder ring to the next borrower with a happens-before edge.
 type inlineTid struct {
-	mu        sync.Mutex
-	tid       int           // the last scheme tid, after the leased ones
-	closed    bool          // Close has begun: refuse borrowers (guarded by mu)
-	lastDrain uint64        // drainGen last honoured under tid (guarded by mu)
-	ops       atomic.Uint64 // requests executed under tid (ShardStats.Inline)
+	mu     sync.Mutex
+	tid    int           // the last scheme tid
+	closed bool          // Close has begun: refuse readers (guarded by mu)
+	ops    atomic.Uint64 // requests executed under tid (ShardStats.Inline)
+}
+
+// stallSlot is one injected staller's handshake with the remediator. The
+// staller stamps parkedAt under mu once its reservation is published, and
+// clears it under mu on waking; the remediator quarantines a park older
+// than QuarantineAfter under the same mu, so the staller cannot resume in
+// the middle of the clear, and tid never changes hands.
+type stallSlot struct {
+	mu       sync.Mutex
+	tid      int
+	parkedAt time.Time // start of the current park; zero while awake
+	revoked  bool      // the remediator cleared this park's reservation
 }
 
 // Engine is the sharded KV engine behind the server.
 type Engine struct {
 	cfg        EngineConfig
 	shards     []*shard
-	tids       int  // scheme tids per shard: workers + stallers + spares + the inline tid
+	tids       int  // scheme tids per shard: workers + stallers + the inline tid
 	ranging    bool // the structure implements ds.Ranger
 	obs        *EngineObs
 	wg         sync.WaitGroup
@@ -296,12 +285,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			cfg.SoftWatermark, cfg.HardWatermark)
 	}
 	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
-	// The scheme (and the observer's ring layout) is sized for every tid a
-	// shard can ever lease — workers, injected stallers, and the spares that
-	// replacement workers draw from after a quarantine — plus the inline tid
-	// after them, which is never leased.
-	leased := cfg.WorkersPerShard + cfg.Stalled + cfg.SpareTids
-	e.tids = leased + 1
+	// The scheme (and the observer's ring layout) is sized for the fixed
+	// tids: workers 0..W-1, stallers W..W+S-1, and the inline tid last.
+	owned := cfg.WorkersPerShard + cfg.Stalled
+	e.tids = owned + 1
 	e.obs = newEngineObs(*cfg.Obs, cfg.Shards, e.tids)
 	for i := range e.shards {
 		m, err := ds.NewMap(cfg.Structure, ds.Config{
@@ -323,13 +310,16 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			_, e.ranging = m.(ds.Ranger)
 		}
 		sh := &shard{
-			idx:    i,
-			m:      m,
-			inst:   m.(ds.Instrumented),
-			q:      newReqQueue(cfg.QueueDepth),
-			leases: newLeaseTable(leased),
-			inline: inlineTid{tid: leased},
-			wheel:  newExpiryWheel(cfg.ExpiryGranularity, time.Now().UnixNano()),
+			idx:      i,
+			m:        m,
+			inst:     m.(ds.Instrumented),
+			q:        newReqQueue(cfg.QueueDepth),
+			inline:   inlineTid{tid: owned},
+			stallers: make([]stallSlot, cfg.Stalled),
+			wheel:    newExpiryWheel(cfg.ExpiryGranularity, time.Now().UnixNano()),
+		}
+		for j := range sh.stallers {
+			sh.stallers[j].tid = cfg.WorkersPerShard + j
 		}
 		cap := sh.inst.PoolStats().Capacity
 		sh.softCap = int(float64(cap) * cfg.SoftWatermark)
@@ -348,21 +338,17 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.obs.attachWatchdog(e, cfg.Obs.StallThreshold)
 	for _, sh := range e.shards {
-		for i := 0; i < cfg.WorkersPerShard; i++ {
-			tid, gen, ok := sh.leases.acquire(roleWorker)
-			if !ok { // cannot happen: table was sized for the workers
-				return nil, fmt.Errorf("server: shard %d lease table exhausted at startup", sh.idx)
-			}
+		for tid := 0; tid < cfg.WorkersPerShard; tid++ {
 			e.wg.Add(1)
-			go e.worker(sh, tid, gen)
+			go e.worker(sh, tid)
 		}
 	}
 	if cfg.Stalled > 0 {
 		e.stallStop = make(chan struct{})
 		for _, sh := range e.shards {
-			for j := 0; j < cfg.Stalled; j++ {
+			for j := range sh.stallers {
 				e.stallWG.Add(1)
-				go e.staller(sh)
+				go e.staller(sh, &sh.stallers[j])
 			}
 		}
 	}
@@ -372,83 +358,50 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// staller is one injected-stall goroutine: lease a tid, publish a
+// staller is one injected-stall goroutine on its fixed tid: publish a
 // reservation, park for StallFor, withdraw, repeat. Exactly the harness's
-// stalled worker, running against the serving engine — but under the lease
-// protocol: it declares itself parked before blocking (it holds no node
-// references, so clearing its reservation on its behalf is safe), and on
-// waking it re-checks the lease. If the remediator quarantined the tid
-// while it slept, it walks away without touching the scheme and leases a
-// fresh tid for the next stall cycle.
+// stalled worker, running against the serving engine, plus the handshake
+// that makes a quarantine safe: it holds no node references while parked,
+// says so by stamping parkedAt before blocking, and on waking checks under
+// the same mutex whether the remediator cleared the reservation meanwhile.
+// If it did, the withdrawal is done and the staller skips its EndOp; under
+// debra its own next StartOp consumes the neutralization.
 //
-//ibrlint:ignore injected stall: a bare StartOp/EndOp reservation that touches no node; if the lease is revoked while parked, withdrawing it is the remediator's job (ClearReservation), not ours
-func (e *Engine) staller(sh *shard) {
+//ibrlint:ignore injected stall: a bare StartOp/EndOp reservation that touches no node; a park revoked by the remediator's ClearReservation is not withdrawn twice
+func (e *Engine) staller(sh *shard, st *stallSlot) {
 	defer e.stallWG.Done()
 	s := sh.inst.Scheme()
 	for {
-		tid, gen, ok := sh.leases.acquire(roleStaller)
-		if !ok {
-			// Every tid is leased or awaiting cleanup; retry shortly.
-			select {
-			case <-e.stallStop:
-				return
-			case <-time.After(10 * time.Millisecond):
-				continue
-			}
+		s.StartOp(st.tid)
+		st.mu.Lock()
+		st.parkedAt = time.Now()
+		st.mu.Unlock()
+		stop := false
+		select {
+		case <-e.stallStop:
+			stop = true
+		case <-time.After(e.cfg.StallFor):
 		}
-		for {
-			s.StartOp(tid)
-			sh.leases.setParked(tid, gen, true)
-			stop := false
-			select {
-			case <-e.stallStop:
-				stop = true
-			case <-time.After(e.cfg.StallFor):
-			}
-			if sh.leases.unpark(tid, gen) {
-				s.EndOp(tid)
-				if stop {
-					sh.leases.release(tid, gen)
-					return
-				}
-				continue
-			}
-			// Quarantined while parked: the reservation is no longer ours
-			// to withdraw. Abandon the tid.
-			if stop {
-				return
-			}
-			break
+		st.mu.Lock()
+		revoked := st.revoked
+		st.revoked, st.parkedAt = false, time.Time{}
+		st.mu.Unlock()
+		if !revoked {
+			s.EndOp(st.tid)
+		}
+		if stop {
+			return
 		}
 	}
 }
 
 // remediator is the engine's degradation-policy loop and its only
 // background loop besides workers and stallers. Every RemedyInterval it
-// ticks the stall watchdog, then, per shard: (1) applies the admission
-// watermarks to the unreclaimed backlog — forcing scans above soft,
-// shedding above hard; (2) scans the lease table for holders that are dead,
-// or parked past QuarantineAfter with an unchanged heartbeat, and
-// quarantines their tids (cleanup runs on a worker via a control op); (3)
-// spawns replacement workers for quarantined worker tids so the shard keeps
-// serving at full width.
+// ticks the stall watchdog, then remedies each shard.
 func (e *Engine) remediator() {
 	defer close(e.remedyDone)
 	ticker := time.NewTicker(e.cfg.RemedyInterval)
 	defer ticker.Stop()
-	// Per-shard, per-tid staleness tracking: a park observation only ages
-	// while the heartbeat stays put.
-	type track struct {
-		beat     uint64
-		since    time.Time
-		tracking bool
-	}
-	states := make([][]track, len(e.shards))
-	snaps := make([][]leaseInfo, len(e.shards))
-	deficit := make([]int, len(e.shards))
-	for i := range states {
-		states[i] = make([]track, e.tids)
-	}
 	for {
 		select {
 		case <-e.remedyStop:
@@ -457,89 +410,108 @@ func (e *Engine) remediator() {
 		}
 		e.obs.watchdog.Tick()
 		now := time.Now()
-		for si, sh := range e.shards {
-			s := sh.inst.Scheme()
-
-			un := core.TotalUnreclaimed(s, e.tids)
-			if un >= sh.hardCap {
-				if sh.shedding.CompareAndSwap(false, true) {
-					sh.shedEpisodes.Add(1)
-				}
-			} else if sh.shedding.Load() && un < sh.resumeCap {
-				sh.shedding.Store(false)
-			}
-			if un >= sh.softCap {
-				sh.drainGen.Add(1)
-				sh.q.pushControl(request{req: Request{Op: opCtlDrain}})
-				// Couple the scheme's adaptive drain to the admission signal:
-				// above the soft watermark, space is the binding constraint,
-				// so workers stop backing off futile scans and probe at the
-				// base EmptyFreq cadence until the backlog recedes.
-				s.SetDrainPressure(true)
-			} else {
-				s.SetDrainPressure(false)
-			}
-
-			// TTL expiry: collect the keys whose deadline passed and hand
-			// them to a worker as one control batch. Collection is cheap
-			// (the wheel only walks slots the clock crossed), and execution
-			// on a worker keeps the one-goroutine-per-tid contract — the
-			// remediator never touches the structure itself.
-			if due := sh.wheel.collectDue(now.UnixNano(), nil); len(due) > 0 {
-				if !sh.q.pushControl(request{req: Request{Op: opCtlExpire}, exp: due}) {
-					// Queue closed under us (shutdown race): re-arm the batch
-					// so the collect isn't a silent drop.
-					sh.wheel.requeue(due, now.UnixNano())
-				}
-			}
-
-			snaps[si] = sh.leases.snapshot(snaps[si])
-			for tid, info := range snaps[si] {
-				tr := &states[si][tid]
-				switch {
-				case info.status == leaseHeld && info.dead:
-					e.tryQuarantine(sh, tid, info.role, &deficit[si])
-					tr.tracking = false
-				case info.status == leaseHeld && info.parked:
-					if !tr.tracking || tr.beat != info.beat {
-						*tr = track{beat: info.beat, since: now, tracking: true}
-					} else if now.Sub(tr.since) >= e.cfg.QuarantineAfter {
-						e.tryQuarantine(sh, tid, info.role, &deficit[si])
-						tr.tracking = false
-					}
-				default:
-					tr.tracking = false
-				}
-			}
-
-			// Replacements are spawned here — never from the cleanup op —
-			// so a shard whose every worker died still recovers: the new
-			// worker is what will execute the pending quarantine cleanups.
-			for deficit[si] > 0 {
-				tid, gen, ok := sh.leases.acquire(roleWorker)
-				if !ok {
-					break // no free tid until a cleanup completes; retry next tick
-				}
-				e.wg.Add(1)
-				go e.worker(sh, tid, gen)
-				deficit[si]--
-			}
+		for _, sh := range e.shards {
+			e.remedy(sh, now)
 		}
 	}
 }
 
-// tryQuarantine revokes tid's lease if the holder is still verifiably out
-// of the scheme, then enqueues the cleanup control op. Worker tids add to
-// the shard's replacement deficit.
-func (e *Engine) tryQuarantine(sh *shard, tid int, role leaseRole, deficit *int) {
-	if !sh.leases.quarantine(tid) {
+// remedy is one remediator tick on one shard. It (1) applies the admission
+// watermarks to the unreclaimed backlog, shedding above hard; (2)
+// quarantines every staller parked past QuarantineAfter; (3) when the
+// backlog is above soft or a quarantine just unpinned it, bumps drainGen
+// and wakes the workers, and drains the inline tid itself; (4) removes the
+// TTL-lapsed keys under the inline tid. A panic in (2)–(4) is recovered
+// like a request's: one death, and an expiry batch re-arms the keys it has
+// not removed.
+func (e *Engine) remedy(sh *shard, now time.Time) {
+	s := sh.inst.Scheme()
+	un := core.TotalUnreclaimed(s, e.tids)
+	if un >= sh.hardCap {
+		if sh.shedding.CompareAndSwap(false, true) {
+			sh.shedEpisodes.Add(1)
+		}
+	} else if sh.shedding.Load() && un < sh.resumeCap {
+		sh.shedding.Store(false)
+	}
+	// Couple the scheme's adaptive drain to the admission signal: above the
+	// soft watermark, space is the binding constraint, so workers stop
+	// backing off futile scans and probe at the base EmptyFreq cadence
+	// until the backlog recedes.
+	s.SetDrainPressure(un >= sh.softCap)
+
+	in := &sh.inline
+	var due []expEntry
+	defer func() {
+		if p := recover(); p != nil {
+			e.recovered(sh, in.tid, p)
+			// collectDue disarmed the batch: hand back what may not have
+			// been removed, or it never expires.
+			sh.wheel.requeue(due, time.Now().UnixNano())
+		}
+	}()
+	drain := un >= sh.softCap
+	for i := range sh.stallers {
+		if e.quarantine(sh, &sh.stallers[i], now) {
+			drain = true
+		}
+	}
+	if drain {
+		sh.drainGen.Add(1)
+		sh.q.pushControl(request{req: Request{Op: opCtlDrain}})
+	}
+	due = sh.wheel.collectDue(now.UnixNano(), nil)
+	if !drain && len(due) == 0 {
 		return
 	}
-	sh.quarantines.Add(1)
-	sh.q.pushControl(request{req: Request{Op: opCtlQuarantine, Key: uint64(tid)}})
-	if role == roleWorker {
-		*deficit++
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if drain {
+		s.Drain(in.tid)
 	}
+	// Expirations retire through the exact path user deletes take, tagged
+	// core.SourceExpiry, so they compete for the same scan capacity.
+	s.SetRetireSource(in.tid, core.SourceExpiry)
+	defer s.SetRetireSource(in.tid, core.SourceUser)
+	for len(due) > 0 {
+		key := due[0].key
+		if h := e.cfg.testExecHook; h != nil {
+			h(OpDel, key)
+		}
+		if key < ds.KeyLimit && sh.m.Remove(in.tid, key) {
+			sh.expired.Add(1)
+		}
+		due = due[1:]
+	}
+}
+
+// quarantine clears st's reservation if its current park is older than
+// QuarantineAfter, and reports whether it did. It holds st.mu throughout,
+// so the staller is provably parked holding no node references and cannot
+// wake into the clear; the event goes into the staller's own ring, which
+// no one else writes while it is parked.
+func (e *Engine) quarantine(sh *shard, st *stallSlot, now time.Time) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.revoked || st.parkedAt.IsZero() || now.Sub(st.parkedAt) < e.cfg.QuarantineAfter {
+		return false
+	}
+	st.revoked = true
+	s := sh.inst.Scheme()
+	//ibrlint:ignore quarantine: the staller is parked holding no node references, and st.mu keeps it from waking into the clear
+	s.ClearReservation(st.tid)
+	sh.quarantines.Add(1)
+	e.obs.quarantineEvent(sh.idx, st.tid, s.Clock().Now())
+	return true
+}
+
+// recovered accounts one execution panic on tid: the goroutine that ran
+// it recovers and keeps the tid in service. Guarded.Do's deferred EndOp
+// has already withdrawn any reservation the panic unwound through, and the
+// tid keeps its retire list.
+func (e *Engine) recovered(sh *shard, tid int, p any) {
+	sh.deaths.Add(1)
+	fmt.Fprintf(os.Stderr, "server: shard %d tid %d: panic: %v\n%s", sh.idx, tid, p, debug.Stack())
 }
 
 // Obs returns the engine's observability state.
@@ -610,89 +582,71 @@ func (e *Engine) DoContext(ctx context.Context, req Request) (Response, error) {
 // next pop starts from a fresh, demand-sized allocation.
 const maxSpillCap = 256
 
-// worker is one leased executor: it owns scheme tid `tid` (generation gen)
-// of sh's scheme until it exits or its lease is revoked, and is — with its
-// sibling lease holders — the only goroutine that ever calls into sh.m. It
+// worker is one executor: it owns scheme tid `tid` of sh's scheme for the
+// engine's whole life, and is — with its siblings, the stallers and the
+// inline tid's borrowers — the only goroutine that ever calls into sh.m. It
 // drains the shard queue in batches until the queue is closed and empty.
-//
-// A panic anywhere in the serving path does not take the shard down: the
-// worker marks its lease dead (the remediator quarantines the tid, adopts
-// its retire backlog, and spawns a replacement), answers its unfinished
-// batch with StatusInternal so no client blocks, and exits.
-func (e *Engine) worker(sh *shard, tid int, gen uint64) {
+func (e *Engine) worker(sh *shard, tid int) {
 	defer e.wg.Done()
-	var (
-		batch []request
-		cur   int
-	)
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		sh.deaths.Add(1)
-		sh.leases.markDead(tid, gen)
-		fmt.Fprintf(os.Stderr, "server: shard %d worker tid %d died: %v\n%s", sh.idx, tid, p, debug.Stack())
-		for ; cur < len(batch); cur++ {
-			r := &batch[cur]
-			if r.rng != nil {
-				r.rng.finish(e, sh, nil, Response{Status: StatusInternal})
-			} else if r.done != nil {
-				r.done(Response{Status: StatusInternal})
-			} else if len(r.exp) > 0 {
-				// An expiry batch this worker never (fully) executed:
-				// collectDue already disarmed the keys, so hand them back to
-				// the wheel or they never expire. The batch at `cur` may be
-				// partially done — re-arming an already-removed key is
-				// harmless (its removal just fails on the next pass).
-				sh.wheel.requeue(r.exp, time.Now().UnixNano())
-			}
-		}
-	}()
 	var spill []request
 	lastDrain := sh.drainGen.Load()
 	for {
-		var ok bool
-		batch, ok = sh.q.popAll(spill)
+		batch, ok := sh.q.popAll(spill)
 		if !ok {
-			sh.leases.release(tid, gen)
 			return
 		}
-		// Heartbeat: the remediator reads this to tell a busy worker from a
-		// wedged one before trusting the parked flag.
-		sh.leases.beat(tid)
 		if g := sh.drainGen.Load(); g != lastDrain {
 			lastDrain = g
 			sh.inst.Scheme().Drain(tid)
 		}
-		for cur = 0; cur < len(batch); cur++ {
-			r := &batch[cur]
-			switch {
-			case r.req.Op >= opCtlBase:
-				e.execCtl(sh, tid, r)
-			case r.rng != nil:
-				e.execRange(sh, tid, r)
-				sh.ops.Add(1)
-			default:
-				r.done(e.execPoint(sh, tid, &r.req))
-			}
-			batch[cur] = request{} // release the done closure promptly
+		for cur := 0; cur < len(batch); {
+			cur = e.runBatch(sh, tid, batch, cur)
 		}
 		spill = trimSpill(batch)
 	}
+}
+
+// runBatch executes batch[from:] under tid and returns how far it got: to
+// the end, or past the one request whose execution panicked. That request
+// is answered StatusInternal (a range leg fails its whole range) and
+// counted as one death; the worker and its tid stay in service.
+func (e *Engine) runBatch(sh *shard, tid int, batch []request, from int) (next int) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.recovered(sh, tid, p)
+			if r := &batch[next]; r.rng != nil {
+				r.rng.finish(e, sh, nil, Response{Status: StatusInternal})
+			} else if r.done != nil {
+				r.done(Response{Status: StatusInternal})
+			}
+			batch[next] = request{}
+			next++
+		}
+	}()
+	for next = from; next < len(batch); next++ {
+		r := &batch[next]
+		switch {
+		case r.req.Op == opCtlDrain:
+			// A wake-up only: the drainGen check at the batch's top drained.
+		case r.rng != nil:
+			e.execRange(sh, tid, r)
+			sh.ops.Add(1)
+		default:
+			r.done(e.execPoint(sh, tid, &r.req))
+		}
+		batch[next] = request{} // release the done closure promptly
+	}
+	return next
 }
 
 // execInline runs a point request (PING, GET, PUT, DEL) on the calling
 // goroutine under its shard's inline tid, and reports whether it did. It
 // declines when the shard is shedding, another goroutine holds the tid, or
 // Close has begun; the caller then submits the request, so the queue path
-// gives the shedding and shutdown answers. Each new drainGen the tid sees
-// is honoured with a drain first, as a worker does per batch.
+// gives the shedding and shutdown answers.
 //
 // A panic in the execution is recovered here: the request is answered
-// StatusInternal and counted in Deaths. Guarded.Do's deferred EndOp has
-// already withdrawn the reservation, and no goroutine owns the tid, so it
-// stays in service and its next borrower inherits its retire list.
+// StatusInternal, counted as one death, and the tid stays in service.
 func (e *Engine) execInline(req *Request) (resp Response, ok bool) {
 	if req.Op < OpPing || req.Op > OpDel {
 		return Response{}, false
@@ -708,32 +662,14 @@ func (e *Engine) execInline(req *Request) (resp Response, ok bool) {
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			sh.deaths.Add(1)
-			fmt.Fprintf(os.Stderr, "server: shard %d inline tid %d: panic: %v\n%s", sh.idx, in.tid, p, debug.Stack())
+			e.recovered(sh, in.tid, p)
 			resp = Response{Status: StatusInternal}
 		}
 	}()
 	ok = true
-	if g := sh.drainGen.Load(); g != in.lastDrain {
-		in.lastDrain = g
-		sh.inst.Scheme().Drain(in.tid)
-	}
 	resp = e.execPoint(sh, in.tid, req)
 	in.ops.Add(1)
 	return resp, ok
-}
-
-// drainInline scans the inline tid's retire list unless a reader holds the
-// tid. It runs with each opCtlDrain: the inline tid has no worker to see
-// drainGen, and a reader that holds it drains on seeing the new value.
-func (sh *shard) drainInline() {
-	in := &sh.inline
-	if !in.mu.TryLock() {
-		return
-	}
-	defer in.mu.Unlock()
-	in.lastDrain = sh.drainGen.Load()
-	sh.inst.Scheme().Drain(in.tid)
 }
 
 // execPoint is the one execution body of a point request, whichever
@@ -822,51 +758,6 @@ func (e *Engine) exec(sh *shard, tid int, req *Request) Response {
 // expDeadline converts a TTL into an absolute UnixNano deadline.
 func expDeadline(ttl time.Duration) int64 { return time.Now().Add(ttl).UnixNano() }
 
-// execCtl runs one control request under the worker's leased tid. The
-// quarantine cleanup lives here — on a worker, not on the remediator — so
-// the adopting tid is owned by the executing goroutine and the scheme's
-// one-goroutine-per-tid contract holds throughout.
-func (e *Engine) execCtl(sh *shard, tid int, r *request) {
-	s := sh.inst.Scheme()
-	switch r.req.Op {
-	case opCtlDrain:
-		s.Drain(tid)
-		sh.drainInline()
-	case opCtlExpire:
-		// Tag the batch's retirements as expiry-driven, then remove through
-		// the ordinary structure path: each removal retires its node into
-		// this worker's retire list exactly as a client delete would, so
-		// expirations and user deletes compete for the same scan capacity.
-		s.SetRetireSource(tid, core.SourceExpiry)
-		for _, en := range r.exp {
-			if en.key < ds.KeyLimit && sh.m.Remove(tid, en.key) {
-				sh.expired.Add(1)
-			}
-		}
-		s.SetRetireSource(tid, core.SourceUser)
-	case opCtlQuarantine:
-		qt := int(r.req.Key)
-		// Re-verify under the lease lock: a concurrent cleanup of the same
-		// tid (duplicate control op) or Close may have resolved it already.
-		if !sh.leases.cleanable(qt) {
-			return
-		}
-		// Safe: the lease table proved qt's holder parked (holding no node
-		// references) or dead before revoking the lease, and revocation
-		// means the holder will never act under qt again.
-		//ibrlint:ignore quarantine: holder verified parked or dead via lease table before revocation
-		s.ClearReservation(qt)
-		//ibrlint:ignore quarantine: qt is revoked and this worker owns tid, the adopting side
-		n := s.AdoptRetired(qt, tid)
-		sh.adopted.Add(uint64(n))
-		sh.leases.finishQuarantine(qt)
-		// The adopted backlog was pinned by qt's own reservation; with that
-		// cleared, one scan usually returns it to the pool wholesale.
-		s.Drain(tid)
-		e.obs.quarantineEvent(sh.idx, tid, qt, s.Clock().Now(), uint64(n))
-	}
-}
-
 // Close drains the engine: new Submits fail with ErrClosed, every already
 // accepted request is executed and completed, the remediator, stallers and
 // workers exit, and each shard's retire lists are scanned one last time at
@@ -884,9 +775,6 @@ func (e *Engine) Close() {
 			sh.inline.closed = true
 			sh.inline.mu.Unlock()
 		}
-		// The remediator stops next: it is the only goroutine that spawns
-		// workers, so after remedyDone the worker set can only shrink and
-		// wg.Wait below cannot race a spawn.
 		close(e.remedyStop)
 		<-e.remedyDone
 		// Withdraw injected stalls next so the final scans can reclaim.
@@ -899,23 +787,7 @@ func (e *Engine) Close() {
 		}
 		e.wg.Wait()
 		for _, sh := range e.shards {
-			// Quarantines whose cleanup op never ran (queue closed under
-			// them, or every worker died) are resolved here, at quiescence:
-			// no goroutine acts under any tid anymore, so the transfer
-			// preconditions hold trivially.
-			s := sh.inst.Scheme()
-			for tid := range sh.inline.tid { // the leased tids
-				if !sh.leases.cleanable(tid) {
-					continue
-				}
-				//ibrlint:ignore quarantine: engine is quiescent, no goroutine owns any tid
-				s.ClearReservation(tid)
-				//ibrlint:ignore quarantine: engine is quiescent, no goroutine owns any tid
-				n := s.AdoptRetired(tid, 0)
-				sh.adopted.Add(uint64(n))
-				sh.leases.finishQuarantine(tid)
-			}
-			core.DrainAll(s, e.tids)
+			core.DrainAll(sh.inst.Scheme(), e.tids)
 		}
 	})
 }
@@ -936,12 +808,11 @@ type ShardStats struct {
 	Scan core.ScanStats
 
 	// Degradation policy: quarantine and admission-control activity.
-	Quarantines   uint64 // tids quarantined (stalled or dead holders)
-	Adopted       uint64 // retired blocks adopted from quarantined tids
+	Quarantines   uint64 // staller reservations cleared after a park past QuarantineAfter
 	Shed          uint64 // Submits refused while above the hard watermark
 	ShedEpisodes  uint64 // times shedding switched on
 	PoolExhausted uint64 // Puts answered StatusBusy on pool exhaustion
-	Deaths        uint64 // execution panics: worker goroutines lost, inline executions recovered
+	Deaths        uint64 // execution panics recovered on a worker, a reader or the remediator
 	Shedding      bool   // currently above the hard watermark
 
 	// Range and TTL activity.
@@ -967,7 +838,6 @@ func (e *Engine) Stats() []ShardStats {
 			Unreclaimed:   core.TotalUnreclaimed(sh.inst.Scheme(), e.tids),
 			Live:          sh.inst.PoolStats().Live(),
 			Quarantines:   sh.quarantines.Load(),
-			Adopted:       sh.adopted.Load(),
 			Shed:          sh.shed.Load(),
 			ShedEpisodes:  sh.shedEpisodes.Load(),
 			PoolExhausted: sh.poolExhausted.Load(),

@@ -10,18 +10,17 @@ import (
 // time, plus an authoritative table mapping armed keys to their deadline
 // and a sequence number. The wheel answers "which keys lapsed since the
 // last look?" in time proportional to the ticks crossed plus the entries
-// due — the remediator polls it every RemedyInterval and hands the due
-// batch to a shard worker as an opCtlExpire control op, so the removals
-// (and their retirements) happen under a leased tid like all structure
-// work.
+// due — the remediator polls it every RemedyInterval and removes the due
+// batch itself under the shard's inline tid, so the removals (and their
+// retirements) happen under an owned tid like all structure work.
 //
 // Consistency model, deliberately weak and cheap: the table is the truth
 // and wheel entries are hints. Arming bumps the sequence number, so a
 // cancelled or re-armed key's stale wheel entry fails its seq check at
 // collection and is dropped. The one acknowledged race: between the
-// remediator collecting a due key and the worker executing the removal,
-// a client can Del+Put the key; the expiry then removes the new value up
-// to one tick early. Serving-grade TTL semantics (memcached's, Redis's)
+// remediator collecting a due key and executing the removal, a client can
+// Del+Put the key; the expiry then removes the new value up to one tick
+// early. Serving-grade TTL semantics (memcached's, Redis's)
 // accept exactly this window rather than pay for per-op coordination.
 const wheelSlots = 64
 
@@ -62,8 +61,8 @@ func newExpiryWheel(gran time.Duration, now int64) *expiryWheel {
 	}
 }
 
-// schedule arms (or re-arms) key to lapse at deadline. Called by a worker
-// on a successful TTL-Put.
+// schedule arms (or re-arms) key to lapse at deadline. Called on a
+// successful TTL-Put.
 func (w *expiryWheel) schedule(key uint64, deadline int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -79,9 +78,8 @@ func (w *expiryWheel) schedule(key uint64, deadline int64) {
 	w.slots[int(tick%wheelSlots)] = append(w.slots[int(tick%wheelSlots)], expEntry{key: key, seq: w.seq})
 }
 
-// cancel disarms key's expiry. Called by a worker on a successful Del or a
-// successful TTL-less Put; the key's wheel entry, if any, dies at its seq
-// check.
+// cancel disarms key's expiry. Called on a successful Del or a successful
+// TTL-less Put; the key's wheel entry, if any, dies at its seq check.
 func (w *expiryWheel) cancel(key uint64) {
 	w.mu.Lock()
 	delete(w.table, key)
@@ -144,15 +142,14 @@ func (w *expiryWheel) collectDue(now int64, due []expEntry) []expEntry {
 	return due
 }
 
-// requeue re-arms entries whose opCtlExpire batch never executed (the
-// worker died mid-batch, or the shard queue closed under the control op).
+// requeue re-arms the entries of an expiry batch that a panic cut short.
 // collectDue already disarmed them, so without this they would silently
 // never expire. Each key is re-armed as due-now and parked in the next
 // tick to be collected; a key the table knows again (re-armed by a client
 // Put in the meantime) keeps its newer record — the newer arm wins. The
-// residual race — the dead worker already removed the key and a client
-// re-Put it TTL-less before requeue runs — can expire the new value one
-// tick early, the same acknowledged window the collect/execute gap has.
+// residual race — the panicking removal had already removed the key and a
+// client re-Put it TTL-less before requeue runs — can expire the new value
+// one tick early, the same acknowledged window the collect/execute gap has.
 func (w *expiryWheel) requeue(entries []expEntry, now int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

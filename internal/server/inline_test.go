@@ -31,54 +31,6 @@ func dialTest(t *testing.T, addr string) *Client {
 	return cl
 }
 
-// TestInlinePanicKeepsServing: a panic while a connection reader runs a
-// request under the inline tid is answered StatusInternal and counted as
-// one death. No goroutine owns the tid, so nothing is quarantined or
-// replaced: the same shard keeps running requests inline, and the final
-// drain reclaims everything retired under the tid.
-func TestInlinePanicKeepsServing(t *testing.T) {
-	const poison = uint64(7777)
-	addr, srv := startTestServer(t, EngineConfig{
-		Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
-		EpochFreq: 4, EmptyFreq: 1 << 20, // never scan: the backlog waits for the final drain
-		testExecHook: func(op Op, key uint64) {
-			if key == poison {
-				panic("injected inline fault")
-			}
-		},
-	}, ServerConfig{})
-	eng := srv.Engine()
-	cl := dialTest(t, addr)
-
-	churn(t, cl, 0, 64)
-	inline := eng.Stats()[0].Inline
-	if inline == 0 {
-		t.Fatal("no request ran inline")
-	}
-	if r, err := cl.Get(context.Background(), poison); err != nil || r.Status != StatusInternal {
-		t.Fatalf("poisoned Get = %v, %v; want INTERNAL", r, err)
-	}
-	if d := eng.Stats()[0].Deaths; d != 1 {
-		t.Fatalf("Deaths = %d after one inline panic, want 1", d)
-	}
-
-	churn(t, cl, 1000, 64)
-	st := eng.Stats()[0]
-	if st.Inline <= inline {
-		t.Fatalf("Inline = %d after the panic, %d before: the shard stopped serving inline", st.Inline, inline)
-	}
-	if st.Deaths != 1 || st.Quarantines != 0 {
-		t.Fatalf("Deaths = %d, Quarantines = %d; want 1 and 0", st.Deaths, st.Quarantines)
-	}
-	if st.Unreclaimed == 0 {
-		t.Fatal("nothing unreclaimed before shutdown: the drain check below is vacuous")
-	}
-	srv.Shutdown()
-	if un := unreclaimed(eng.Stats()); un != 0 {
-		t.Fatalf("%d blocks unreclaimed after Shutdown, want 0", un)
-	}
-}
-
 // TestInlineRefusedAfterClose: once Engine.Close has begun, readers no
 // longer borrow the inline tid. A point request takes the queue path,
 // SubmitRequest refuses it, and the client is answered SHUTDOWN.
@@ -112,39 +64,46 @@ func TestInlineRefusedAfterClose(t *testing.T) {
 
 // TestInlineTidDrainedAboveSoftWatermark: the inline tid has no worker, so
 // once readers stop borrowing it nothing scans its retire list on its own
-// (EmptyFreq is out of reach here). The remediator's opCtlDrain must drain
-// it. A reservation the test holds pins every retirement while a reader
-// churns, so the reader's own drains free nothing; after the pin lifts, no
-// request arrives, and only opCtlDrain can reclaim the backlog.
+// (EmptyFreq is out of reach here). The remediator must drain it above the
+// soft watermark. An injected staller pins every retirement while a reader
+// churns, so nothing the remediator drains meanwhile is freed. The test
+// then clears the staller's reservation as a quarantine does, but without
+// the drain a quarantining tick adds. No request arrives after that, so
+// only the remediator's soft-watermark drain can reclaim the backlog.
 func TestInlineTidDrainedAboveSoftWatermark(t *testing.T) {
 	addr, srv := startTestServer(t, EngineConfig{
 		Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
 		EpochFreq: 4, EmptyFreq: 1 << 20,
-		PoolSlots:      4096,
-		RemedyInterval: 5 * time.Millisecond,
-		SoftWatermark:  0.02, HardWatermark: 0.9, // soft cap ≈ 81 blocks; never shed
+		PoolSlots: 4096,
+		Stalled:   1, StallFor: 30 * time.Second,
+		QuarantineAfter: 10 * time.Minute, // the test lifts the pin itself
+		RemedyInterval:  5 * time.Millisecond,
+		SoftWatermark:   0.02, HardWatermark: 0.9, // soft cap ≈ 81 blocks; never shed
 	}, ServerConfig{})
 	eng := srv.Engine()
 	sh := eng.shards[0]
 	cl := dialTest(t, addr)
 
-	tid, gen, ok := sh.leases.acquire(roleStaller)
-	if !ok {
-		t.Fatal("no spare tid to pin with")
+	staller := &sh.stallers[0]
+	if !waitFor(time.Second, func() bool {
+		staller.mu.Lock()
+		defer staller.mu.Unlock()
+		return !staller.parkedAt.IsZero()
+	}) {
+		t.Fatal("the staller never parked")
 	}
-	s := sh.inst.Scheme()
-	s.StartOp(tid)
 	const dels = 300
 	churn(t, cl, 0, dels)
 	st := eng.Stats()[0]
-	s.EndOp(tid)
-	sh.leases.release(tid, gen)
+	if !eng.quarantine(sh, staller, time.Now().Add(time.Hour)) {
+		t.Fatal("the staller's park could not be cleared")
+	}
 	if st.Unreclaimed < dels || st.Inline == 0 {
 		t.Fatalf("pinned backlog %d (want >= %d), %d requests inline (want > 0)", st.Unreclaimed, dels, st.Inline)
 	}
 
 	if !waitFor(5*time.Second, func() bool { return eng.Stats()[0].Unreclaimed == 0 }) {
-		t.Fatalf("backlog %d not drained (soft cap %d): opCtlDrain did not drain the inline tid",
+		t.Fatalf("backlog %d not drained (soft cap %d): the remediator did not drain the inline tid",
 			eng.Stats()[0].Unreclaimed, sh.softCap)
 	}
 	if after := eng.Stats()[0].Inline; after != st.Inline {

@@ -114,17 +114,18 @@ func (eo *EngineObs) attachWatchdog(e *Engine, threshold time.Duration) {
 	eo.watchdog = obs.NewWatchdog(sources, threshold, eo.rec, eo.rec.Rings()-1)
 }
 
-// quarantineEvent records a tid quarantine into the executing worker's own
-// ring — the recorder is single-writer per ring, and the worker running the
-// cleanup control op already owns ring shard*tidsPerShard+workerTid.
-func (eo *EngineObs) quarantineEvent(shard, workerTid, quarantinedTid int, epoch, adopted uint64) {
-	eo.rec.Record(shard*eo.tidsPerShard+workerTid, obs.KindQuarantine, quarantinedTid, epoch, adopted)
+// quarantineEvent records a staller quarantine into the staller's own
+// ring. The recorder is single-writer per ring: the remediator writes it
+// under the staller's slot mutex while the staller is parked, and the
+// staller writes it only outside a park.
+func (eo *EngineObs) quarantineEvent(shard, tid int, epoch uint64) {
+	eo.rec.Record(shard*eo.tidsPerShard+tid, obs.KindQuarantine, tid, epoch, 0)
 }
 
 // opEvent records a traced request's execution into the executing tid's
-// own ring (single-writer, like quarantineEvent: a worker's tid is its
-// own, and the inline tid's ring is written only under its lock), joining
-// the wire trace ID to the shard's reclamation timeline.
+// own ring (single-writer: a worker's tid is its own, and the inline tid's
+// ring is written only under its lock), joining the wire trace ID to the
+// shard's reclamation timeline.
 func (eo *EngineObs) opEvent(shard, tid int, trace, durNs uint64) {
 	eo.rec.Record(shard*eo.tidsPerShard+tid, obs.KindOp, tid, durNs, trace)
 }

@@ -78,13 +78,9 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 		p.Uint("ibr_scan_bucket_frees_total", shardLabel[i], s.Scan.BucketFrees)
 	}
 
-	p.Header("ibr_tid_quarantines_total", "counter", "Tids quarantined per shard (stalled or dead lease holders whose reservation was cleared and retire list adopted).")
+	p.Header("ibr_tid_quarantines_total", "counter", "Staller tids quarantined per shard (a park older than the quarantine threshold whose reservation the remediator cleared).")
 	for i, s := range stats {
 		p.Uint("ibr_tid_quarantines_total", shardLabel[i], s.Quarantines)
-	}
-	p.Header("ibr_blocks_adopted_total", "counter", "Retired blocks adopted from quarantined tids per shard.")
-	for i, s := range stats {
-		p.Uint("ibr_blocks_adopted_total", shardLabel[i], s.Adopted)
 	}
 	p.Header("ibr_submits_shed_total", "counter", "Submits refused with ErrShedding per shard (unreclaimed backlog above the hard watermark).")
 	for i, s := range stats {
@@ -106,7 +102,7 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 	for i, s := range stats {
 		p.Uint("ibr_pool_exhausted_total", shardLabel[i], s.PoolExhausted)
 	}
-	p.Header("ibr_worker_deaths_total", "counter", "Execution panics per shard: worker goroutines lost (each is quarantined and replaced) and inline executions recovered on a connection reader.")
+	p.Header("ibr_worker_deaths_total", "counter", "Execution panics per shard, each recovered in place on a worker, a connection reader or the remediator; the tid stays in service.")
 	for i, s := range stats {
 		p.Uint("ibr_worker_deaths_total", shardLabel[i], s.Deaths)
 	}

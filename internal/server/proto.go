@@ -3,17 +3,17 @@
 // protocol (this file), a TCP server with graceful drain (server.go), and a
 // pipelined client (client.go) shared by cmd/ibrload and the tests.
 //
-// The architecturally new piece is the tid lease: every reclamation scheme
-// in internal/core assumes a small fixed thread-id space with one goroutine
-// per tid, while a network server faces an unbounded set of connection
-// goroutines. The engine closes that gap by giving each shard a private
-// pool of worker goroutines that each hold one scheme tid for their whole
-// lifetime, plus one inline tid that no goroutine owns. A connection
-// reader runs a point request (PING, GET, PUT, DEL) itself when it wins
-// that tid's TryLock, and holds it across that one execution only; ranges,
-// control ops, Engine.SubmitRequest callers and requests that find the tid
-// busy go onto per-shard MPSC queues, and the leased workers execute them
-// in batches (see DESIGN.md §"Serving layer").
+// The architecturally new piece is the tid ownership: every reclamation
+// scheme in internal/core assumes a small fixed thread-id space with one
+// goroutine per tid, while a network server faces an unbounded set of
+// connection goroutines. The engine closes that gap by giving each shard a
+// private pool of worker goroutines that each hold one scheme tid for the
+// engine's whole life, plus one inline tid that no goroutine owns. A
+// connection reader runs a point request (PING, GET, PUT, DEL) itself when
+// it wins that tid's TryLock, and holds it across that one execution only;
+// ranges, Engine.SubmitRequest callers and requests that find the tid busy
+// go onto per-shard MPSC queues, and the workers execute them in batches
+// (see DESIGN.md §"Serving layer").
 package server
 
 import (
@@ -84,9 +84,8 @@ const (
 	// StatusBadRequest: the request frame was malformed.
 	StatusBadRequest
 	// StatusInternal: the request's execution panicked; the operation's
-	// effect is unknown. The shard itself keeps serving — a replacement
-	// worker takes over a dead worker's tid, and the inline tid goes
-	// straight back into service.
+	// effect is unknown. The shard itself keeps serving: the panic is
+	// recovered on the tid it ran under, which stays in service.
 	StatusInternal
 	// StatusUnsupported: the operation is well-formed but the serving
 	// structure cannot execute it (OpRange on a structure without ordered

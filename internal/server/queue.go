@@ -3,7 +3,7 @@ package server
 import "sync"
 
 // reqQueue is the per-shard MPSC request queue: many connection goroutines
-// push, the shard's few leased workers pop. Pops take the entire backlog in
+// push, the shard's few workers pop. Pops take the entire backlog in
 // one swap (natural batching — a worker that wakes up amortizes the lock
 // and scheme cadence over every request that arrived while it slept), and
 // the two backing slices are recycled between the queue and the workers so
@@ -49,18 +49,17 @@ func (q *reqQueue) push(r request) error {
 
 // pushControl enqueues an engine-internal control request, bypassing the
 // capacity bound: remediation must be admittable precisely when the queue
-// is saturated. It reports false only after close, when control work is
-// pointless (Close resolves outstanding quarantines itself at quiescence).
-func (q *reqQueue) pushControl(r request) bool {
+// is saturated. After close it drops r: the workers' last pops and Close's
+// final scans make a wake-up pointless.
+func (q *reqQueue) pushControl(r request) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return false
+		return
 	}
 	q.buf = append(q.buf, r)
 	q.mu.Unlock()
 	q.notEmpty.Signal()
-	return true
 }
 
 // popAll blocks until the queue is non-empty or closed, then returns the

@@ -27,7 +27,7 @@ type rangeOp struct {
 
 // finish retires one leg (or the submission sentinel), folding its result
 // in; the caller that drops pending to zero completes the request. A leg
-// that failed (worker death) poisons the whole range: a partial merge
+// that failed (an execution panic) poisons the whole range: a partial merge
 // would silently present a hole as an empty interval. part must already be
 // sorted ascending (legs scan in key order).
 func (ro *rangeOp) finish(e *Engine, sh *shard, part []Pair, st Response) {
@@ -137,7 +137,7 @@ func (e *Engine) submitRange(req Request, done func(Response)) error {
 	return nil
 }
 
-// execRange runs one shard leg under the worker's leased tid: one
+// execRange runs one shard leg under the worker's tid: one
 // ds.Ranger scan — a single StartOp/EndOp bracket, however many keys it
 // visits — collecting at most limit pairs. The unreclaimed sample taken
 // while the reservation is still notionally pinning (right after the scan)

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ibr/internal/core"
+	"ibr/internal/epoch"
 )
 
 // waitFor polls cond every millisecond until it holds or the deadline
@@ -105,8 +107,8 @@ func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 			}
 			// The stall is still "running" (StallFor is 30s); only the
 			// quarantine can release the backlog. A little more traffic lets
-			// cadence scans run post-clear, and the cleanup op itself drains
-			// once.
+			// cadence scans run post-clear, and the quarantining tick itself
+			// drains once.
 			start := time.Now()
 			ok := waitFor(time.Second, func() bool {
 				churn(50)
@@ -124,8 +126,8 @@ func TestQuarantineDrainsStalledBacklog(t *testing.T) {
 // the debra scheme, where the quarantine is not just a reservation clear
 // but a real DEBRA+ neutralization: the remediator's ClearReservation must
 // latch the staller's neutralize flag (signaled > 0) and the stalled
-// backlog must drain while the stall keeps running — the lease watchdog
-// standing in for DEBRA+'s POSIX signal.
+// backlog must drain while the stall keeps running — the remediator's
+// park-age check standing in for DEBRA+'s POSIX signal.
 func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 	ctx := context.Background()
 	eng, err := NewEngine(EngineConfig{
@@ -165,8 +167,8 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 	if !ok {
 		t.Fatalf("shard scheme is %T, want *core.DEBRA", eng.shards[0].inst.Scheme())
 	}
-	// The quarantine counter moves when the lease is revoked; the signal is
-	// delivered later, by the cleanup op a worker runs.
+	// The remediator delivers the signal and then counts the quarantine, in
+	// one call under the staller's slot mutex.
 	if !waitFor(time.Second, func() bool { sig, _ := d.NeutralizeStats(); return sig > 0 }) {
 		t.Fatal("quarantine delivered no neutralization signal")
 	}
@@ -177,70 +179,6 @@ func TestQuarantineNeutralizesDEBRA(t *testing.T) {
 	if !ok {
 		t.Fatalf("backlog stuck at %d blocks after neutralization; the stall never ended on its own",
 			unreclaimed(eng.Stats()))
-	}
-}
-
-// TestWorkerDeathReplacement: a panic inside the serving path must (1)
-// answer the poisoned request with StatusInternal instead of hanging or
-// crashing, (2) get the dead tid quarantined and its retired backlog
-// adopted, (3) keep the shard serving via a replacement worker.
-func TestWorkerDeathReplacement(t *testing.T) {
-	ctx := context.Background()
-	const poison = uint64(7777)
-	eng, err := NewEngine(EngineConfig{
-		Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
-		EpochFreq: 4, EmptyFreq: 1 << 20, // never scan: the dead tid keeps its backlog
-		QuarantineAfter: 50 * time.Millisecond,
-		RemedyInterval:  5 * time.Millisecond,
-		testExecHook: func(op Op, key uint64) {
-			if key == poison {
-				panic("injected worker fault")
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	// Build a retire backlog on the doomed worker's tid.
-	for i := uint64(0); i < 64; i++ {
-		if _, err := eng.DoContext(ctx, Request{Op: OpPut, Key: i, Val: i}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.DoContext(ctx, Request{Op: OpDel, Key: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := eng.DoContext(ctx, Request{Op: OpGet, Key: poison})
-	if err != nil {
-		t.Fatalf("DoContext of the poisoned request failed: %v", err)
-	}
-	if resp.Status != StatusInternal {
-		t.Fatalf("poisoned request answered %v, want StatusInternal", resp.Status)
-	}
-
-	// The shard must come back: a replacement worker leases a spare tid and
-	// serves, and the dead tid's backlog is adopted.
-	if !waitFor(2*time.Second, func() bool {
-		r, err := eng.DoContext(ctx, Request{Op: OpPut, Key: 9999, Val: 1})
-		return err == nil && r.Status == StatusOK
-	}) {
-		t.Fatal("shard never resumed serving after the worker death")
-	}
-	st := eng.Stats()
-	if got := sum(st, func(s ShardStats) uint64 { return s.Deaths }); got != 1 {
-		t.Fatalf("Deaths = %d, want 1", got)
-	}
-	if !waitFor(2*time.Second, func() bool {
-		st := eng.Stats()
-		return sum(st, func(s ShardStats) uint64 { return s.Quarantines }) >= 1 &&
-			sum(st, func(s ShardStats) uint64 { return s.Adopted }) > 0
-	}) {
-		st := eng.Stats()
-		t.Fatalf("dead tid not cleaned up: quarantines=%d adopted=%d",
-			sum(st, func(s ShardStats) uint64 { return s.Quarantines }),
-			sum(st, func(s ShardStats) uint64 { return s.Adopted }))
 	}
 }
 
@@ -338,11 +276,12 @@ func TestPoolExhaustionBecomesBusy(t *testing.T) {
 	}
 }
 
-// TestStallerSurvivesQuarantine: after its tid is quarantined, the staller
-// goroutine wakes at the end of its stall, finds the lease revoked, leases
-// a fresh tid, and stalls again — the injected fault stays alive for the
-// telemetry while the engine keeps remediating. StallFor is short here so
-// the revoke-discover-re-lease cycle completes several times in-test.
+// TestStallerSurvivesQuarantine: after its park is quarantined, the staller
+// goroutine wakes at the end of its stall, finds the park revoked, skips
+// its EndOp, and stalls again on the same tid — the injected fault stays
+// alive for the telemetry while the engine keeps remediating. StallFor is
+// short here so the revoke-wake-stall cycle completes several times
+// in-test.
 func TestStallerSurvivesQuarantine(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{
 		Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
@@ -356,11 +295,165 @@ func TestStallerSurvivesQuarantine(t *testing.T) {
 	}
 	defer eng.Close()
 
-	// Two quarantines prove the cycle: pin → quarantine → re-lease → pin.
+	// Two quarantines prove the cycle: pin → quarantine → wake → pin.
 	if !waitFor(3*time.Second, func() bool {
 		return sum(eng.Stats(), func(s ShardStats) uint64 { return s.Quarantines }) >= 2
 	}) {
-		t.Fatalf("quarantines = %d, want >= 2 (staller should re-lease and stall again)",
+		t.Fatalf("quarantines = %d, want >= 2 (staller should wake and stall again)",
 			sum(eng.Stats(), func(s ShardStats) uint64 { return s.Quarantines }))
 	}
+}
+
+// TestQuarantineAgeIsPerPark: the quarantine threshold applies to the
+// current park, not to how long a staller has kept stalling. Every 40 ms
+// stall ends far inside the 300 ms threshold, so a staller that parks
+// back to back for a second must never be quarantined.
+func TestQuarantineAgeIsPerPark(t *testing.T) {
+	const stallFor, after = 40 * time.Millisecond, 300 * time.Millisecond
+	eng, err := NewEngine(EngineConfig{
+		Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
+		Stalled: 1, StallFor: stallFor,
+		QuarantineAfter: after,
+		RemedyInterval:  5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	// Idle workers hold no reservation, so a published one is the staller's.
+	res := eng.shards[0].inst.Scheme().Reservations()
+	pinned := 0
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if res.MinLower() != epoch.None {
+			pinned++
+		}
+	}
+	if pinned == 0 {
+		t.Fatal("the staller never held a reservation; the scenario is vacuous")
+	}
+	if q := sum(eng.Stats(), func(s ShardStats) uint64 { return s.Quarantines }); q != 0 {
+		t.Fatalf("%d quarantines of stalls that each last %v, under QuarantineAfter %v", q, stallFor, after)
+	}
+}
+
+// TestPanicRecoversInPlace: a panic is recovered on the tid it ran under,
+// wherever it lands — a queued request on a worker, an inline request on a
+// connection reader, an expiry batch on the remediator. The request is
+// answered INTERNAL (an expiry batch re-arms its keys instead), one death
+// is counted and nothing is quarantined, the same path keeps serving, and
+// shutdown still reclaims every block retired before and after the panic.
+func TestPanicRecoversInPlace(t *testing.T) {
+	const poison = uint64(7777)
+	ctx := context.Background()
+	// start boots an engine and server whose hook panics once: on the first
+	// execution of op on the poison key.
+	start := func(t *testing.T, op Op) (*Engine, *Server, *Client) {
+		var fired atomic.Bool
+		addr, srv := startTestServer(t, EngineConfig{
+			Scheme: "ebr", Shards: 1, WorkersPerShard: 1,
+			EpochFreq: 4, EmptyFreq: 1 << 20, // never scan: the backlog waits for the final drain
+			RemedyInterval: 5 * time.Millisecond, ExpiryGranularity: 5 * time.Millisecond,
+			testExecHook: func(o Op, key uint64) {
+				if o == op && key == poison && fired.CompareAndSwap(false, true) {
+					panic("injected fault")
+				}
+			},
+		}, ServerConfig{})
+		return srv.Engine(), srv, dialTest(t, addr)
+	}
+	// recovered checks what every case leaves behind: one death, no
+	// quarantine, and a backlog that shutdown reclaims.
+	recovered := func(t *testing.T, eng *Engine, srv *Server) {
+		t.Helper()
+		st := eng.Stats()[0]
+		if st.Deaths != 1 || st.Quarantines != 0 {
+			t.Fatalf("Deaths = %d, Quarantines = %d; want 1 and 0", st.Deaths, st.Quarantines)
+		}
+		if st.Unreclaimed == 0 {
+			t.Fatal("nothing unreclaimed before shutdown: the drain check is vacuous")
+		}
+		srv.Shutdown()
+		if un := unreclaimed(eng.Stats()); un != 0 {
+			t.Fatalf("%d blocks unreclaimed after Shutdown, want 0", un)
+		}
+	}
+
+	t.Run("worker", func(t *testing.T) {
+		eng, srv, _ := start(t, OpGet)
+		// DoContext always queues, so every request here runs on the worker.
+		do := func(req Request, want Status) {
+			t.Helper()
+			if r, err := eng.DoContext(ctx, req); err != nil || r.Status != want {
+				t.Fatalf("%v %d = %v, %v; want %v", req.Op, req.Key, r, err, want)
+			}
+		}
+		churnEngine := func(base uint64) {
+			for k := base; k < base+64; k++ {
+				do(Request{Op: OpPut, Key: k, Val: k}, StatusOK)
+				do(Request{Op: OpDel, Key: k}, StatusOK)
+			}
+		}
+		churnEngine(0)
+		do(Request{Op: OpGet, Key: poison}, StatusInternal)
+		churnEngine(1000)
+		if st := eng.Stats()[0]; st.Ops != 4*64 || st.Inline != 0 {
+			t.Fatalf("Ops = %d, Inline = %d; want %d requests, all on the worker", st.Ops, st.Inline, 4*64)
+		}
+		recovered(t, eng, srv)
+	})
+
+	t.Run("inline", func(t *testing.T) {
+		eng, srv, cl := start(t, OpGet)
+		churn(t, cl, 0, 64)
+		inline := eng.Stats()[0].Inline
+		if inline == 0 {
+			t.Fatal("no request ran inline")
+		}
+		if r, err := cl.Get(ctx, poison); err != nil || r.Status != StatusInternal {
+			t.Fatalf("poisoned Get = %v, %v; want INTERNAL", r, err)
+		}
+		churn(t, cl, 1000, 64)
+		if after := eng.Stats()[0].Inline; after <= inline {
+			t.Fatalf("Inline = %d after the panic, %d before: the shard stopped serving inline", after, inline)
+		}
+		recovered(t, eng, srv)
+	})
+
+	t.Run("expiry", func(t *testing.T) {
+		eng, srv, cl := start(t, OpDel)
+		churn(t, cl, 0, 64)
+		gone := func(k uint64) bool {
+			r, err := cl.Get(ctx, k)
+			return err == nil && r.Status == StatusNotFound
+		}
+		expire := func(keys ...uint64) {
+			t.Helper()
+			for _, k := range keys {
+				if r, err := cl.Put(ctx, k, k, 20*time.Millisecond); err != nil || r.Status != StatusOK {
+					t.Fatalf("TTL Put %d = %v, %v", k, r, err)
+				}
+			}
+			if !waitFor(5*time.Second, func() bool {
+				for _, k := range keys {
+					if !gone(k) {
+						return false
+					}
+				}
+				return true
+			}) {
+				st := eng.Stats()[0]
+				t.Fatalf("keys %v never lapsed: expired %d, pending %d, deaths %d", keys, st.Expired, st.ExpiryPending, st.Deaths)
+			}
+		}
+		// The batch holding poison panics on it and must re-arm what it
+		// has not removed, poison included, for a later tick to expire.
+		expire(poison, poison+1)
+		// The remediator keeps expiring after the panic.
+		expire(poison + 2)
+		if st := eng.Stats()[0]; st.Expired != 3 || st.ExpiryPending != 0 {
+			t.Fatalf("Expired = %d, ExpiryPending = %d; want 3 and 0", st.Expired, st.ExpiryPending)
+		}
+		recovered(t, eng, srv)
+	})
 }

@@ -67,7 +67,7 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 // TestServerLinearizable records a concurrent GET/PUT/DEL history through
-// real connections and checks it with internal/lincheck: the tid-lease
+// real connections and checks it with internal/lincheck: the tid-ownership
 // layer must not reorder, lose, or double-apply operations even though
 // requests from different connections interleave, on the same keys, in the
 // shard queues and on the readers that run them under the inline tids. A
