@@ -97,5 +97,9 @@ examples:
 	$(GO) run ./examples/stallrobust
 	$(GO) run ./examples/kvstore -ms 150
 
+# Removes only the ignored build outputs: bin/ (ibrlint, go build -o bin/)
+# and the benchmark's .bench_build/. The CSVs, SVGs and tables under data/
+# are committed results (figs_tables.txt and figs_log.txt have no target
+# that regenerates them), so clean leaves them alone.
 clean:
-	rm -f data/*.csv data/*.svg data/*.txt
+	rm -rf bin .bench_build

@@ -1,8 +1,9 @@
 // Command ibrd is the network front end over the IBR data structures: a
 // sharded key-value daemon speaking the length-prefixed binary protocol of
 // internal/server. Each shard is an independent (structure × scheme) pair
-// served by a pool of workers that each own one scheme tid, plus one tid
-// that connection readers borrow per request, so an unbounded population of
+// with a small fixed set of scheme tids, each behind a lock: a connection
+// reader runs each request itself under a tid it borrows for that request
+// (a RANGE under each shard's in turn), so an unbounded population of
 // connection goroutines can drive reclamation schemes that require a small
 // fixed thread-id space.
 //
@@ -65,8 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		structure = fs.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
 		scheme    = fs.String("d", "tagibr", "reclamation scheme: "+strings.Join(core.Schemes(), ", "))
 		shards    = fs.Int("shards", 8, "independent structure instances the key space is hashed across")
-		workers   = fs.Int("workers", 2, "worker goroutines per shard, each owning one scheme tid")
-		queue     = fs.Int("queue", 4096, "per-shard request queue depth (beyond it clients see BUSY)")
+		workers   = fs.Int("workers", 2, "per shard: connection readers borrow -workers+1 scheme tids to run requests under")
 		inflight  = fs.Int("inflight", 128, "max pipelined requests per connection")
 		idle      = fs.Duration("idle", 5*time.Minute, "per-connection idle timeout")
 		epochf    = fs.Int("epochf", 150, "epoch advance frequency (per-worker allocations)")
@@ -112,7 +112,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	cfg := server.EngineConfig{
 		Structure: *structure, Scheme: *scheme,
-		Shards: *shards, WorkersPerShard: *workers, QueueDepth: *queue,
+		Shards: *shards, WorkersPerShard: *workers,
 		EpochFreq: *epochf, EmptyFreq: *emptyf,
 		Buckets: *buckets, PoolSlots: *poolSlots,
 		Stalled: *stalled, StallFor: *stallFor,
@@ -173,7 +173,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	// SIGQUIT writes the /debug/trace document to stderr and keeps serving:
-	// the ring snapshot skips torn slots rather than blocking the workers.
+	// the ring snapshot skips torn slots rather than blocking the readers.
 	quit, quitDone := make(chan os.Signal, 1), make(chan struct{})
 	signal.Notify(quit, syscall.SIGQUIT)
 	defer func() { signal.Stop(quit); close(quit); <-quitDone }()

@@ -79,7 +79,7 @@ func TestDaemon(t *testing.T) {
 			load: ibrload(8, 4, "write"),
 			until: func(m obs.MetricSet, _ func() ([]byte, error)) error {
 				for _, shard := range []string{"0", "1", "2", "3"} {
-					for _, name := range []string{"ibr_ops_total", "ibr_ops_inline_total", "ibr_unreclaimed", "ibr_epoch_lag"} {
+					for _, name := range []string{"ibr_ops_total", "ibr_unreclaimed", "ibr_epoch_lag"} {
 						if !has(m, name, "shard", shard) {
 							return fmt.Errorf("no %s{shard=%q}", name, shard)
 						}

@@ -1,9 +1,9 @@
 // Command ibrtop is a terminal dashboard over a running ibrd: it polls the
 // daemon's Prometheus /metrics endpoint and renders per-shard serving and
-// reclamation state — ops/s (from counter deltas) and the share of them a
-// connection reader ran inline, queue depth, retired-but-unreclaimed
-// blocks, epoch and epoch lag — plus engine-wide op latency quantiles,
-// retire→free age quantiles, and the stall watchdog's alerts.
+// reclamation state — ops/s (from counter deltas), queue depth,
+// retired-but-unreclaimed blocks, epoch and epoch lag — plus engine-wide
+// op latency quantiles, retire→free age quantiles, and the stall
+// watchdog's alerts.
 //
 //	ibrtop -addr http://127.0.0.1:4101 -i 1s
 //
@@ -75,30 +75,25 @@ func render(w io.Writer, cur, prev obs.MetricSet, dt time.Duration, hasPrev bool
 	fmt.Fprintln(w)
 
 	shards := cur.ShardIDs("ibr_ops_total")
-	fmt.Fprintf(w, "\n%5s %10s %7s %7s %12s %10s %6s %10s\n",
-		"shard", "ops/s", "inline", "queue", "unreclaimed", "epoch", "lag", "live")
-	var totOps, totRate, totDone, totInline, totQueue, totUnreclaimed float64
+	fmt.Fprintf(w, "\n%5s %10s %7s %12s %10s %6s %10s\n",
+		"shard", "ops/s", "queue", "unreclaimed", "epoch", "lag", "live")
+	var totOps, totRate, totQueue, totUnreclaimed float64
 	for _, s := range shards {
 		sl := map[string]string{"shard": s}
 		ops := cur.Value("ibr_ops_total", sl)
-		// The frame's ops and the inline part of them (since the start on
-		// the first frame, whose prev is empty).
-		done := ops - prev.Value("ibr_ops_total", sl)
-		inline := cur.Value("ibr_ops_inline_total", sl) - prev.Value("ibr_ops_inline_total", sl)
 		rate := 0.0
 		if hasPrev && dt > 0 {
-			rate = done / dt.Seconds()
+			rate = (ops - prev.Value("ibr_ops_total", sl)) / dt.Seconds()
 		}
 		queue := cur.Value("ibr_queue_depth", sl)
 		unrec := cur.Value("ibr_unreclaimed", sl)
 		totOps, totRate, totQueue, totUnreclaimed = totOps+ops, totRate+rate, totQueue+queue, totUnreclaimed+unrec
-		totDone, totInline = totDone+done, totInline+inline
-		fmt.Fprintf(w, "%5s %10.0f %7s %7.0f %12.0f %10.0f %6.0f %10.0f\n",
-			s, rate, share(inline, done), queue, unrec,
+		fmt.Fprintf(w, "%5s %10.0f %7.0f %12.0f %10.0f %6.0f %10.0f\n",
+			s, rate, queue, unrec,
 			cur.Value("ibr_epoch", sl), cur.Value("ibr_epoch_lag", sl),
 			cur.Value("ibr_live_blocks", sl))
 	}
-	fmt.Fprintf(w, "%5s %10.0f %7s %7.0f %12.0f   (%.0f ops total)\n", "Σ", totRate, share(totInline, totDone), totQueue, totUnreclaimed, totOps)
+	fmt.Fprintf(w, "%5s %10.0f %7.0f %12.0f   (%.0f ops total)\n", "Σ", totRate, totQueue, totUnreclaimed, totOps)
 
 	if len(cur["ibr_op_latency_ns_bucket"]) > 0 {
 		fmt.Fprintf(w, "\n%-18s %10s %10s %10s %12s\n", "latency", "p50", "p99", "count", "")
@@ -125,14 +120,6 @@ func render(w io.Writer, cur, prev obs.MetricSet, dt time.Duration, hasPrev bool
 			cur.Value("ibr_flight_events_total", nil),
 			cur.Value("ibr_flight_dropped_total", nil))
 	}
-}
-
-// share formats part/whole as a percentage, or "-" for a frame with no ops.
-func share(part, whole float64) string {
-	if whole <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*part/whole)
 }
 
 func fmtNanos(ns float64) string {

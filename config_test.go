@@ -12,12 +12,12 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string // substring of the error, "" for valid
 	}{
-		{"zero value", Config{}, ""},
+		{"zero value", Config{}, "Threads"},
 		{"full valid", Config{Scheme: "ebr", Threads: 4, EpochFreq: 10, EmptyFreq: 5}, ""},
 		{"unknown scheme", Config{Scheme: "lru"}, "unknown scheme"},
 		{"negative threads", Config{Threads: -1}, "Threads"},
-		{"negative freq", Config{EpochFreq: -1}, "EpochFreq"},
-		{"negative buckets", Config{Buckets: -2}, "Buckets"},
+		{"negative freq", Config{Threads: 1, EpochFreq: -1}, "EpochFreq"},
+		{"negative buckets", Config{Threads: 1, Buckets: -2}, "Buckets"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +52,11 @@ func TestConfigValidateListsSchemes(t *testing.T) {
 func TestNewMapValidates(t *testing.T) {
 	if _, err := NewMap("hashmap", Config{Scheme: "bogus", Threads: 2}); err == nil {
 		t.Fatal("NewMap accepted an unknown scheme")
+	}
+	// Threads has no default: a missing count is an error, not a panic in
+	// the constructor.
+	if _, err := NewMap("hashmap", Config{Scheme: "tagibr"}); err == nil || !strings.Contains(err.Error(), "Threads") {
+		t.Fatalf("NewMap without Threads = %v, want a Threads error", err)
 	}
 }
 

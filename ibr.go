@@ -98,7 +98,7 @@ func (c Config) Validate() error {
 	if c.Scheme != "" && !core.IsScheme(c.Scheme) {
 		return fmt.Errorf("ibr: unknown scheme %q; valid: %s", c.Scheme, strings.Join(Schemes(), ", "))
 	}
-	if c.Threads < 0 {
+	if c.Threads <= 0 {
 		return fmt.Errorf("ibr: Threads must be positive, got %d", c.Threads)
 	}
 	if c.EpochFreq < 0 || c.EmptyFreq < 0 || c.Slots < 0 {

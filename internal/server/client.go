@@ -87,8 +87,8 @@ type result struct {
 type ClientOption func(*Client)
 
 // WithRetry makes every DoContext (and the ops built on it) transparently
-// retry StatusBusy responses — the server's backpressure signal for a full
-// shard queue, a shedding shard, or an exhausted node pool — under p with
+// retry StatusBusy responses — the server's backpressure signal for a
+// shedding shard or an exhausted node pool — under p with
 // jittered exponential backoff, until the context ends or attempts run
 // out. On exhaustion the call returns the last busy Response and an error
 // wrapping ErrBusy, so callers distinguish "the server kept refusing"

@@ -33,15 +33,9 @@ var (
 	// unreclaimed backlog sits above its hard watermark: the shard refuses new
 	// work until reclamation catches up, instead of letting a stalled
 	// reservation grow the heap without bound. The wire layer reports it as
-	// StatusBusy, so clients treat it exactly like queue backpressure.
+	// StatusBusy, so clients treat it as backpressure and retry.
 	ErrShedding = errors.New("server: shard shedding load (unreclaimed backlog above hard watermark)")
 )
-
-// opCtlDrain is the one engine-internal request: a bare wake-up the
-// remediator enqueues after bumping a shard's drainGen, so that idle
-// workers pop a batch and drain at its top. It sits far above the wire op
-// range and carries no done callback.
-const opCtlDrain Op = 0xF0
 
 // EngineConfig sizes the sharded engine. The zero value of every field
 // selects a sensible default (hashmap × tagibr, 8 shards × 2 workers).
@@ -52,13 +46,16 @@ type EngineConfig struct {
 	Scheme string
 	// Shards is the number of independent ds.Map instances the key space
 	// is hashed across (default 8). Each shard has its own node pool,
-	// scheme instance, and worker pool, so shards never contend.
+	// scheme instance, tids and SubmitRequest queue, so shards never
+	// contend.
 	Shards int
-	// WorkersPerShard is the number of worker goroutines per shard
-	// (default 2). Worker i owns scheme tid i for the engine's whole life.
+	// WorkersPerShard is the number of goroutines per shard that execute
+	// SubmitRequest's queue (default 2). The shard lends WorkersPerShard+1
+	// scheme tids to whoever runs a request (see tidSlot).
 	WorkersPerShard int
-	// QueueDepth bounds each shard's request backlog (default 4096);
-	// beyond it SubmitRequest returns ErrBusy.
+	// QueueDepth bounds each shard's SubmitRequest backlog (default 4096);
+	// beyond it SubmitRequest returns ErrBusy. Connection readers run their
+	// requests themselves and never queue.
 	QueueDepth int
 
 	// EpochFreq, EmptyFreq, Slots tune each shard's scheme (see
@@ -75,17 +72,17 @@ type EngineConfig struct {
 	Obs *obs.Options
 
 	// Stalled injects the paper's preempted thread (§4.3.1) into the live
-	// engine: each shard runs this many staller goroutines, each on its own
-	// tid after the workers', that publish a reservation, park for StallFor
-	// (default 2s), withdraw it and park again. They serve no requests —
-	// they exist to pin reclamation so the lag telemetry and the quarantine
-	// remediation can be exercised against a known cause.
+	// engine: each shard runs this many staller goroutines, each on a fixed
+	// tid of its own (WorkersPerShard onward), that publish a reservation,
+	// park for StallFor (default 2s), withdraw it and park again. They serve
+	// no requests — they exist to pin reclamation so the lag telemetry and
+	// the quarantine remediation can be exercised against a known cause.
 	Stalled  int
 	StallFor time.Duration
 
 	// SoftWatermark and HardWatermark are fractions of the shard pool's slot
-	// capacity (defaults 0.5 and 0.85). Above soft, the remediator forces
-	// retire-list scans on the shard's workers every tick. Above hard, the
+	// capacity (defaults 0.5 and 0.85). Above soft, the remediator scans
+	// every borrowed tid's retire list every tick. Above hard, the
 	// shard sheds: SubmitRequest returns ErrShedding until the backlog falls
 	// back below 90% of the hard cap.
 	SoftWatermark, HardWatermark float64
@@ -96,8 +93,8 @@ type EngineConfig struct {
 	QuarantineAfter time.Duration
 	// RemedyInterval is the remediator poll period (default 50ms).
 	RemedyInterval time.Duration
-	// Deprecated: SpareTids is ignored. Every goroutine that runs scheme
-	// operations keeps one fixed tid, so no tid is held in reserve.
+	// Deprecated: SpareTids is ignored. Goroutines borrow a shard's fixed
+	// set of tids per request, so no tid is held in reserve.
 	SpareTids int
 
 	// MaxRangeResults caps one Range's result count (default 65536, the
@@ -112,7 +109,8 @@ type EngineConfig struct {
 	ExpiryGranularity time.Duration
 
 	// testExecHook, when set, runs at the top of every point exec with the
-	// request's op and key, and before every TTL expiry removal with OpDel
+	// request's op and key, at the top of every range leg with OpRange and
+	// the range's low key, and before every TTL expiry removal with OpDel
 	// and the key. Tests use it to inject faults (panics, delays) where a
 	// request or an expiry executes; it is deliberately unexported.
 	testExecHook func(op Op, key uint64)
@@ -167,29 +165,28 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	return c
 }
 
-// request is one queued operation. done is invoked exactly once, on the
-// shard worker that executed the request; it must not block (connection
-// handlers guarantee buffer space via their in-flight cap). An opCtlDrain
-// carries a nil done. A Range's per-shard legs carry rng instead of done:
-// the collector invokes the caller's done once every leg has reported.
+// request is one SubmitRequest submission waiting in a shard queue. done
+// is invoked exactly once, on the worker that ran the request, after its
+// tids are released.
 type request struct {
 	req  Request
 	done func(Response)
-	rng  *rangeOp
 }
 
-// shard is one slice of the key space: a private structure + scheme +
-// worker pool + injected stallers + one inline tid. Every scheme tid has
-// one fixed way to be owned: workers and stallers keep theirs for the
-// engine's whole life, and connection readers and the remediator borrow
-// the inline tid under its lock, so the scheme's "one goroutine per tid"
-// contract holds no matter how many connections the server carries.
+// shard is one slice of the key space: a private structure + scheme, the
+// tids it lends, its injected stallers, and SubmitRequest's queue with the
+// workers that execute it. A staller keeps its tid for the engine's whole
+// life; every other goroutine — connection readers, workers, the
+// remediator — reaches a scheme tid only by locking its tidSlot, so the
+// scheme's "one goroutine per tid" contract holds no matter how many
+// connections the server carries.
 type shard struct {
 	idx      int
 	m        ds.Map
 	inst     ds.Instrumented
 	q        *reqQueue
-	inline   inlineTid
+	tids     []tidSlot     // the borrowed tids: 0..W−1, then W+S
+	next     atomic.Uint32 // rotates borrow's Lock fallback over tids
 	stallers []stallSlot
 	ops      atomic.Uint64
 	wheel    *expiryWheel // TTL expiry (always built; idle when no TTLs arrive)
@@ -199,19 +196,15 @@ type shard struct {
 	// (90% of hard) below which shedding ends.
 	softCap, hardCap, resumeCap int
 	shedding                    atomic.Bool
-	// drainGen forces retire-list scans: the remediator bumps it when the
-	// soft watermark is crossed or a staller is quarantined, and every
-	// worker drains once per batch in which it observes a new value.
-	drainGen atomic.Uint64
 
 	// Degradation counters (Stats / /metrics).
 	quarantines   atomic.Uint64 // staller reservations cleared (ibr_tid_quarantines_total)
-	shed          atomic.Uint64 // Submits refused with ErrShedding
+	shed          atomic.Uint64 // requests refused with ErrShedding
 	shedEpisodes  atomic.Uint64 // shedding activations
 	poolExhausted atomic.Uint64 // Puts answered StatusBusy for pool exhaustion
 	deaths        atomic.Uint64 // execution panics recovered (ibr_worker_deaths_total)
 	expired       atomic.Uint64 // keys removed by TTL expiry (ibr_expired_total)
-	rangeOps      atomic.Uint64 // range legs executed on this shard
+	rangeLegs     atomic.Uint64 // range legs executed on this shard
 	activeScans   atomic.Int64  // range legs currently inside their reservation
 	underScanHW   atomic.Int64  // high-water unreclaimed sampled while a scan was active
 }
@@ -229,20 +222,39 @@ func (sh *shard) noteUnderScan(un int) {
 	}
 }
 
-// inlineTid is the one scheme tid per shard, after the workers' and
-// stallers', that no goroutine owns. A connection reader that wins TryLock
-// runs a point request under it (Engine.execInline) and unlocks before
-// sending the response, so a reader that finds it busy queues the request
-// instead of waiting. The remediator takes it with Lock to run TTL expiry
-// and forced drains. The lock is what keeps the scheme's
-// one-goroutine-per-tid contract: its holder is the tid's only user, and
-// Unlock hands the tid's reservation slot, retire list, allocator cache
-// and flight-recorder ring to the next borrower with a happens-before edge.
-type inlineTid struct {
+// tidSlot is one borrowed scheme tid. Whoever holds mu is the tid's only
+// user, and Unlock hands the tid's reservation slot, retire list, allocator
+// cache and flight-recorder ring to the next borrower with a happens-before
+// edge. Readers and workers take a tid per request (shard.borrow); the
+// remediator Locks each in turn to drain it, and tid 0 to run TTL expiry.
+type tidSlot struct {
 	mu     sync.Mutex
-	tid    int           // the last scheme tid
-	closed bool          // Close has begun: refuse readers (guarded by mu)
-	ops    atomic.Uint64 // requests executed under tid (ShardStats.Inline)
+	tid    int
+	closed bool // Close has joined the workers: refuse borrowers (guarded by mu)
+}
+
+// borrow locks one of sh's tids and returns it, or nil once Close has
+// closed them; the caller unlocks t.mu. It TryLocks in index order, tid 0
+// first, so a shard that is not saturated keeps retiring onto the same tid,
+// whose own scan cadence then keeps its backlog moving. Only when every
+// tid is busy does it wait, with Lock, on one of them, rotating which.
+func (sh *shard) borrow() *tidSlot {
+	var t *tidSlot
+	for i := range sh.tids {
+		if sh.tids[i].mu.TryLock() {
+			t = &sh.tids[i]
+			break
+		}
+	}
+	if t == nil {
+		t = &sh.tids[sh.next.Add(1)%uint32(len(sh.tids))]
+		t.mu.Lock()
+	}
+	if t.closed {
+		t.mu.Unlock()
+		return nil
+	}
+	return t
 }
 
 // stallSlot is one injected staller's handshake with the remediator. The
@@ -261,11 +273,12 @@ type stallSlot struct {
 type Engine struct {
 	cfg        EngineConfig
 	shards     []*shard
-	tids       int  // scheme tids per shard: workers + stallers + the inline tid
+	tids       int  // scheme tids per shard: W+1 borrowed and S stallers'
 	ranging    bool // the structure implements ds.Ranger
 	obs        *EngineObs
-	wg         sync.WaitGroup
-	stallStop  chan struct{} // nil unless cfg.Stalled > 0
+	closing    atomic.Bool    // Close has begun: admit refuses new requests
+	wg         sync.WaitGroup // SubmitRequest's workers
+	stallStop  chan struct{}  // nil unless cfg.Stalled > 0
 	stallWG    sync.WaitGroup
 	remedyStop chan struct{}
 	remedyDone chan struct{}
@@ -274,7 +287,7 @@ type Engine struct {
 
 // NewEngine builds the shards and starts every worker, staller, and the
 // remediator. The workers idle on their queues until SubmitRequest feeds
-// them; Close stops them.
+// them; connection readers need none of them. Close stops them.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if !ds.SchemeSupports(cfg.Scheme, cfg.Structure) {
@@ -285,10 +298,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			cfg.SoftWatermark, cfg.HardWatermark)
 	}
 	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
-	// The scheme (and the observer's ring layout) is sized for the fixed
-	// tids: workers 0..W-1, stallers W..W+S-1, and the inline tid last.
-	owned := cfg.WorkersPerShard + cfg.Stalled
-	e.tids = owned + 1
+	// The scheme (and the observer's ring layout) is sized for every tid:
+	// borrowed 0..W-1, the stallers' W..W+S-1, and one more borrowed last.
+	w := cfg.WorkersPerShard
+	e.tids = w + cfg.Stalled + 1
 	e.obs = newEngineObs(*cfg.Obs, cfg.Shards, e.tids)
 	for i := range e.shards {
 		m, err := ds.NewMap(cfg.Structure, ds.Config{
@@ -314,12 +327,16 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 			m:        m,
 			inst:     m.(ds.Instrumented),
 			q:        newReqQueue(cfg.QueueDepth),
-			inline:   inlineTid{tid: owned},
+			tids:     make([]tidSlot, w+1),
 			stallers: make([]stallSlot, cfg.Stalled),
 			wheel:    newExpiryWheel(cfg.ExpiryGranularity, time.Now().UnixNano()),
 		}
+		for j := range sh.tids {
+			sh.tids[j].tid = j
+		}
+		sh.tids[w].tid = e.tids - 1
 		for j := range sh.stallers {
-			sh.stallers[j].tid = cfg.WorkersPerShard + j
+			sh.stallers[j].tid = w + j
 		}
 		cap := sh.inst.PoolStats().Capacity
 		sh.softCap = int(float64(cap) * cfg.SoftWatermark)
@@ -338,9 +355,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.obs.attachWatchdog(e, cfg.Obs.StallThreshold)
 	for _, sh := range e.shards {
-		for tid := 0; tid < cfg.WorkersPerShard; tid++ {
+		for j := 0; j < w; j++ {
 			e.wg.Add(1)
-			go e.worker(sh, tid)
+			go e.worker(sh)
 		}
 	}
 	if cfg.Stalled > 0 {
@@ -419,11 +436,12 @@ func (e *Engine) remediator() {
 // remedy is one remediator tick on one shard. It (1) applies the admission
 // watermarks to the unreclaimed backlog, shedding above hard; (2)
 // quarantines every staller parked past QuarantineAfter; (3) when the
-// backlog is above soft or a quarantine just unpinned it, bumps drainGen
-// and wakes the workers, and drains the inline tid itself; (4) removes the
-// TTL-lapsed keys under the inline tid. A panic in (2)–(4) is recovered
-// like a request's: one death, and an expiry batch re-arms the keys it has
-// not removed.
+// backlog is above soft or a quarantine just unpinned it, drains every
+// borrowed tid in turn under its lock, so a tid no request visits is
+// scanned all the same; (4) removes the TTL-lapsed
+// keys under tid 0, so expiry retires onto the tid requests use most. A
+// panic in (2)–(4) is recovered like a request's: one death, and an expiry
+// batch re-arms the keys it has not removed.
 func (e *Engine) remedy(sh *shard, now time.Time) {
 	s := sh.inst.Scheme()
 	un := core.TotalUnreclaimed(s, e.tids)
@@ -440,11 +458,11 @@ func (e *Engine) remedy(sh *shard, now time.Time) {
 	// until the backlog recedes.
 	s.SetDrainPressure(un >= sh.softCap)
 
-	in := &sh.inline
+	tid := -1 // the tid at work, for a panic's report
 	var due []expEntry
 	defer func() {
 		if p := recover(); p != nil {
-			e.recovered(sh, in.tid, p)
+			e.recovered(sh, tid, p)
 			// collectDue disarmed the batch: hand back what may not have
 			// been removed, or it never expires.
 			sh.wheel.requeue(due, time.Now().UnixNano())
@@ -452,37 +470,46 @@ func (e *Engine) remedy(sh *shard, now time.Time) {
 	}()
 	drain := un >= sh.softCap
 	for i := range sh.stallers {
+		tid = sh.stallers[i].tid
 		if e.quarantine(sh, &sh.stallers[i], now) {
 			drain = true
 		}
 	}
 	if drain {
-		sh.drainGen.Add(1)
-		sh.q.pushControl(request{req: Request{Op: opCtlDrain}})
+		for i := range sh.tids {
+			tid = sh.tids[i].tid
+			sh.tids[i].drain(s)
+		}
 	}
 	due = sh.wheel.collectDue(now.UnixNano(), nil)
-	if !drain && len(due) == 0 {
+	if len(due) == 0 {
 		return
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if drain {
-		s.Drain(in.tid)
-	}
+	t := &sh.tids[0]
+	tid = t.tid
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	// Expirations retire through the exact path user deletes take, tagged
 	// core.SourceExpiry, so they compete for the same scan capacity.
-	s.SetRetireSource(in.tid, core.SourceExpiry)
-	defer s.SetRetireSource(in.tid, core.SourceUser)
+	s.SetRetireSource(tid, core.SourceExpiry)
+	defer s.SetRetireSource(tid, core.SourceUser)
 	for len(due) > 0 {
 		key := due[0].key
 		if h := e.cfg.testExecHook; h != nil {
 			h(OpDel, key)
 		}
-		if key < ds.KeyLimit && sh.m.Remove(in.tid, key) {
+		if key < ds.KeyLimit && sh.m.Remove(tid, key) {
 			sh.expired.Add(1)
 		}
 		due = due[1:]
 	}
+}
+
+// drain scans t's retire list under its lock, waiting out a borrower.
+func (t *tidSlot) drain(s core.Scheme) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s.Drain(t.tid)
 }
 
 // quarantine clears st's reservation if its current park is older than
@@ -514,6 +541,15 @@ func (e *Engine) recovered(sh *shard, tid int, p any) {
 	fmt.Fprintf(os.Stderr, "server: shard %d tid %d: panic: %v\n%s", sh.idx, tid, p, debug.Stack())
 }
 
+// recoverAs is deferred around one execution under tid: a panic becomes
+// one death and an INTERNAL answer in *resp.
+func (e *Engine) recoverAs(sh *shard, tid int, resp *Response) {
+	if p := recover(); p != nil {
+		e.recovered(sh, tid, p)
+		*resp = Response{Status: StatusInternal}
+	}
+}
+
 // Obs returns the engine's observability state.
 func (e *Engine) Obs() *EngineObs { return e.obs }
 
@@ -530,31 +566,26 @@ func shardFor(key uint64, n int) int {
 	return int((z ^ (z >> 31)) % uint64(n))
 }
 
-// SubmitRequest enqueues one typed operation. If it returns nil, done will
-// be called exactly once — usually on a shard worker, but semantic
-// rejections (an unsupported or malformed Range) answer synchronously, so
-// done must tolerate running on the submitting goroutine. If it returns
-// ErrClosed, ErrBusy, or ErrShedding, the operation was rejected and done
-// is never called. done must not block.
+// SubmitRequest queues one typed operation for its shard's workers. If it
+// returns nil, done will be called exactly once, on a worker, after the
+// request's tids are released. If it returns ErrClosed, ErrBusy, or
+// ErrShedding, the operation was rejected and done is never called. done
+// must not block.
 //
-// Single-key ops go to their key's shard. A Range fans out to EVERY shard —
+// A single-key op queues on its key's shard. A Range queues on its low
+// key's shard, and the worker that pops it scans every shard in turn —
 // keys are hashed across them, so each holds an interleaved slice of the
-// interval — and done fires once, with the merged ascending result, after
-// the last shard leg completes. A non-zero TraceID makes the executing
-// worker record an op span under it (see /debug/trace).
+// interval — and calls done once, with the merged ascending result. A
+// non-zero TraceID makes the execution record an op span under it (see
+// /debug/trace).
 func (e *Engine) SubmitRequest(req Request, done func(Response)) error {
 	if !req.Op.valid() {
 		return fmt.Errorf("server: invalid op %d", req.Op)
 	}
-	if req.Op == OpRange {
-		return e.submitRange(req, done)
+	if err := e.admit(&req); err != nil {
+		return err
 	}
-	sh := e.shards[shardFor(req.Key, len(e.shards))]
-	if sh.shedding.Load() {
-		sh.shed.Add(1)
-		return ErrShedding
-	}
-	return sh.q.push(request{req: req, done: done})
+	return e.shards[shardFor(req.Key, len(e.shards))].q.push(request{req: req, done: done})
 }
 
 // DoContext runs one typed operation synchronously, bounded by ctx. A
@@ -576,105 +607,95 @@ func (e *Engine) DoContext(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
+// do admits and runs one request on the calling goroutine: a connection
+// reader's whole path through the engine. It fails with ErrClosed or
+// ErrShedding (see admit), never with ErrBusy: a reader that finds every
+// tid of a shard busy waits for one.
+func (e *Engine) do(req *Request) (Response, error) {
+	if err := e.admit(req); err != nil {
+		return Response{}, err
+	}
+	return e.run(req)
+}
+
+// admit is the check every request passes before it runs or queues:
+// ErrClosed once Close has begun, ErrShedding while the request's shard —
+// for a range, any shard, since a scan pins every shard's oldest epoch for
+// its duration — is above its hard watermark. A range that run answers
+// without scanning (UNSUPPORTED, BAD_REQUEST) is not shed.
+func (e *Engine) admit(req *Request) error {
+	if e.closing.Load() {
+		return ErrClosed
+	}
+	shards := e.shards
+	if req.Op != OpRange {
+		i := shardFor(req.Key, len(e.shards))
+		shards = e.shards[i : i+1]
+	} else if e.rangeStatus(req) != StatusOK {
+		return nil
+	}
+	for _, sh := range shards {
+		if sh.shedding.Load() {
+			sh.shed.Add(1)
+			return ErrShedding
+		}
+	}
+	return nil
+}
+
+// run is the one execution body, whoever calls it — a connection reader,
+// a SubmitRequest worker: a point request runs under one tid borrowed from
+// its key's shard, a range under each shard's in turn (runRange). A panic
+// is recovered per execution: the request is answered INTERNAL, one death
+// is counted, and the tid stays in service. run fails only with ErrClosed,
+// once Close has closed the tids.
+func (e *Engine) run(req *Request) (resp Response, err error) {
+	if req.Op == OpRange {
+		return e.runRange(req)
+	}
+	sh := e.shards[shardFor(req.Key, len(e.shards))]
+	t := sh.borrow()
+	if t == nil {
+		return Response{}, ErrClosed
+	}
+	defer t.mu.Unlock()
+	defer e.recoverAs(sh, t.tid, &resp)
+	return e.execPoint(sh, t.tid, req), nil
+}
+
 // maxSpillCap bounds the batch buffer a worker keeps between queue pops.
 // Without it one backlog burst pins a backlog-peak-sized backing array per
 // worker for the engine's lifetime; oversized buffers are dropped and the
 // next pop starts from a fresh, demand-sized allocation.
 const maxSpillCap = 256
 
-// worker is one executor: it owns scheme tid `tid` of sh's scheme for the
-// engine's whole life, and is — with its siblings, the stallers and the
-// inline tid's borrowers — the only goroutine that ever calls into sh.m. It
-// drains the shard queue in batches until the queue is closed and empty.
-func (e *Engine) worker(sh *shard, tid int) {
+// worker is one of a shard's WorkersPerShard executors of SubmitRequest's
+// queue: it pops the whole backlog at a time and runs each request through
+// run, borrowing tids per request like a connection reader does, until the
+// queue is closed and empty.
+func (e *Engine) worker(sh *shard) {
 	defer e.wg.Done()
 	var spill []request
-	lastDrain := sh.drainGen.Load()
 	for {
 		batch, ok := sh.q.popAll(spill)
 		if !ok {
 			return
 		}
-		if g := sh.drainGen.Load(); g != lastDrain {
-			lastDrain = g
-			sh.inst.Scheme().Drain(tid)
-		}
-		for cur := 0; cur < len(batch); {
-			cur = e.runBatch(sh, tid, batch, cur)
+		for i := range batch {
+			r := &batch[i]
+			// run cannot fail here: Close closes the tids only after every
+			// worker has exited.
+			resp, _ := e.run(&r.req)
+			r.done(resp)
+			*r = request{} // release the done closure promptly
 		}
 		spill = trimSpill(batch)
 	}
 }
 
-// runBatch executes batch[from:] under tid and returns how far it got: to
-// the end, or past the one request whose execution panicked. That request
-// is answered StatusInternal (a range leg fails its whole range) and
-// counted as one death; the worker and its tid stay in service.
-func (e *Engine) runBatch(sh *shard, tid int, batch []request, from int) (next int) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.recovered(sh, tid, p)
-			if r := &batch[next]; r.rng != nil {
-				r.rng.finish(e, sh, nil, Response{Status: StatusInternal})
-			} else if r.done != nil {
-				r.done(Response{Status: StatusInternal})
-			}
-			batch[next] = request{}
-			next++
-		}
-	}()
-	for next = from; next < len(batch); next++ {
-		r := &batch[next]
-		switch {
-		case r.req.Op == opCtlDrain:
-			// A wake-up only: the drainGen check at the batch's top drained.
-		case r.rng != nil:
-			e.execRange(sh, tid, r)
-			sh.ops.Add(1)
-		default:
-			r.done(e.execPoint(sh, tid, &r.req))
-		}
-		batch[next] = request{} // release the done closure promptly
-	}
-	return next
-}
-
-// execInline runs a point request (PING, GET, PUT, DEL) on the calling
-// goroutine under its shard's inline tid, and reports whether it did. It
-// declines when the shard is shedding, another goroutine holds the tid, or
-// Close has begun; the caller then submits the request, so the queue path
-// gives the shedding and shutdown answers.
-//
-// A panic in the execution is recovered here: the request is answered
-// StatusInternal, counted as one death, and the tid stays in service.
-func (e *Engine) execInline(req *Request) (resp Response, ok bool) {
-	if req.Op < OpPing || req.Op > OpDel {
-		return Response{}, false
-	}
-	sh := e.shards[shardFor(req.Key, len(e.shards))]
-	in := &sh.inline
-	if sh.shedding.Load() || !in.mu.TryLock() {
-		return Response{}, false
-	}
-	defer in.mu.Unlock()
-	if in.closed {
-		return Response{}, false
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			e.recovered(sh, in.tid, p)
-			resp = Response{Status: StatusInternal}
-		}
-	}()
-	ok = true
-	resp = e.execPoint(sh, in.tid, req)
-	in.ops.Add(1)
-	return resp, ok
-}
-
-// execPoint is the one execution body of a point request, whichever
-// goroutine runs it: exec under tid, then the shard's op count, the op's
-// latency sample and, for a traced request, its span in tid's ring.
+// execPoint runs a point request under the borrowed tid: exec, then the
+// shard's op count, the op's latency sample and, for a traced request, its
+// span in tid's ring.
 func (e *Engine) execPoint(sh *shard, tid int, req *Request) Response {
 	li := latIndex(req.Op)
 	var t0 uint64
@@ -758,22 +779,30 @@ func (e *Engine) exec(sh *shard, tid int, req *Request) Response {
 // expDeadline converts a TTL into an absolute UnixNano deadline.
 func expDeadline(ttl time.Duration) int64 { return time.Now().Add(ttl).UnixNano() }
 
-// Close drains the engine: new Submits fail with ErrClosed, every already
-// accepted request is executed and completed, the remediator, stallers and
-// workers exit, and each shard's retire lists are scanned one last time at
-// quiescence. It is idempotent and safe to call concurrently with
-// SubmitRequest.
+// Close drains the engine: new requests and Submits fail with ErrClosed,
+// every already accepted submission is executed and completed, the
+// workers, the remediator and the stallers exit, and each shard's retire
+// lists are scanned one last time at quiescence. It is idempotent and safe
+// to call concurrently with SubmitRequest and with connection readers.
 func (e *Engine) Close() {
 	// sync.Once blocks concurrent callers until the drain completes, so
 	// every Close returns only once the engine is fully quiescent.
 	e.closeOnce.Do(func() {
-		// Readers stop borrowing inline tids first (Lock waits out a current
-		// borrower): from here a point request takes the queue path, and
-		// SubmitRequest answers it ErrClosed once the queues close below.
+		e.closing.Store(true)
 		for _, sh := range e.shards {
-			sh.inline.mu.Lock()
-			sh.inline.closed = true
-			sh.inline.mu.Unlock()
+			sh.q.close()
+		}
+		e.wg.Wait()
+		// A reader admitted before the flag may still be on its way to a
+		// tid: closing each under its lock waits out a current borrower and
+		// turns every later one away, so the final scans below run alone.
+		for _, sh := range e.shards {
+			for i := range sh.tids {
+				t := &sh.tids[i]
+				t.mu.Lock()
+				t.closed = true
+				t.mu.Unlock()
+			}
 		}
 		close(e.remedyStop)
 		<-e.remedyDone
@@ -783,10 +812,6 @@ func (e *Engine) Close() {
 			e.stallWG.Wait()
 		}
 		for _, sh := range e.shards {
-			sh.q.close()
-		}
-		e.wg.Wait()
-		for _, sh := range e.shards {
 			core.DrainAll(sh.inst.Scheme(), e.tids)
 		}
 	})
@@ -794,9 +819,8 @@ func (e *Engine) Close() {
 
 // ShardStats is one shard's metrics snapshot.
 type ShardStats struct {
-	Ops         uint64 // operations completed
-	Inline      uint64 // of Ops, point requests run on a connection reader under the inline tid
-	QueueDepth  int    // current backlog
+	Ops         uint64 // operations completed (a range counts once per shard leg)
+	QueueDepth  int    // current SubmitRequest backlog
 	Unreclaimed int    // retired-but-unreclaimed blocks (Fig. 9's metric)
 	Epoch       uint64 // the shard scheme's current epoch
 	EpochLag    uint64 // epoch - oldest reserved lower endpoint, 0 when idle
@@ -809,10 +833,10 @@ type ShardStats struct {
 
 	// Degradation policy: quarantine and admission-control activity.
 	Quarantines   uint64 // staller reservations cleared after a park past QuarantineAfter
-	Shed          uint64 // Submits refused while above the hard watermark
+	Shed          uint64 // requests refused while above the hard watermark
 	ShedEpisodes  uint64 // times shedding switched on
 	PoolExhausted uint64 // Puts answered StatusBusy on pool exhaustion
-	Deaths        uint64 // execution panics recovered on a worker, a reader or the remediator
+	Deaths        uint64 // execution panics recovered on a reader, a worker or the remediator
 	Shedding      bool   // currently above the hard watermark
 
 	// Range and TTL activity.
@@ -829,11 +853,8 @@ type ShardStats struct {
 func (e *Engine) Stats() []ShardStats {
 	out := make([]ShardStats, len(e.shards))
 	for i, sh := range e.shards {
-		// Inline before Ops: a request counts in ops first, so Inline <= Ops.
-		inline := sh.inline.ops.Load()
 		st := ShardStats{
 			Ops:           sh.ops.Load(),
-			Inline:        inline,
 			QueueDepth:    sh.q.depth(),
 			Unreclaimed:   core.TotalUnreclaimed(sh.inst.Scheme(), e.tids),
 			Live:          sh.inst.PoolStats().Live(),
@@ -843,7 +864,7 @@ func (e *Engine) Stats() []ShardStats {
 			PoolExhausted: sh.poolExhausted.Load(),
 			Deaths:        sh.deaths.Load(),
 			Shedding:      sh.shedding.Load(),
-			RangeOps:      sh.rangeOps.Load(),
+			RangeOps:      sh.rangeLegs.Load(),
 			ActiveScans:   sh.activeScans.Load(),
 			UnderScanHW:   sh.underScanHW.Load(),
 			Expired:       sh.expired.Load(),

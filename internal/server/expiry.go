@@ -11,8 +11,9 @@ import (
 // and a sequence number. The wheel answers "which keys lapsed since the
 // last look?" in time proportional to the ticks crossed plus the entries
 // due — the remediator polls it every RemedyInterval and removes the due
-// batch itself under the shard's inline tid, so the removals (and their
-// retirements) happen under an owned tid like all structure work.
+// batch itself under the shard's tid 0, borrowed with Lock, so the removals
+// (and their retirements) happen under a locked tid like all structure
+// work.
 //
 // Consistency model, deliberately weak and cheap: the table is the truth
 // and wheel entries are hints. Arming bumps the sequence number, so a

@@ -24,8 +24,8 @@ const (
 var latNames = [latKinds]string{"get", "put", "del", "range"}
 
 // latIndex maps a wire op to its latency slot (-1 for ops not measured).
-// OpRange is absent deliberately: its legs are timed in execRange, not by
-// the worker's generic path.
+// OpRange is absent deliberately: its legs are timed in rangeLeg, not by
+// the point path.
 func latIndex(op Op) int {
 	switch op {
 	case OpGet:
@@ -39,7 +39,7 @@ func latIndex(op Op) int {
 }
 
 // EngineObs is the engine-wide observability state: one flight-recorder ring
-// per worker (plus a system ring the watchdog writes stall events to), a
+// per scheme tid (plus a system ring the watchdog writes stall events to), a
 // per-shard retire→free age histogram, engine-wide scan and latency
 // histograms, and the stall watchdog. Every engine builds one; the
 // remediator ticks its watchdog.
@@ -123,9 +123,8 @@ func (eo *EngineObs) quarantineEvent(shard, tid int, epoch uint64) {
 }
 
 // opEvent records a traced request's execution into the executing tid's
-// own ring (single-writer: a worker's tid is its own, and the inline tid's
-// ring is written only under its lock), joining the wire trace ID to the
-// shard's reclamation timeline.
+// own ring (single-writer: a borrowed tid's ring is written only under its
+// lock), joining the wire trace ID to the shard's reclamation timeline.
 func (eo *EngineObs) opEvent(shard, tid int, trace, durNs uint64) {
 	eo.rec.Record(shard*eo.tidsPerShard+tid, obs.KindOp, tid, durNs, trace)
 }

@@ -33,11 +33,7 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 	for i, s := range stats {
 		p.Uint("ibr_ops_total", shardLabel[i], s.Ops)
 	}
-	p.Header("ibr_ops_inline_total", "counter", "Of ibr_ops_total, point requests run on a connection reader under the shard's inline tid instead of a shard worker.")
-	for i, s := range stats {
-		p.Uint("ibr_ops_inline_total", shardLabel[i], s.Inline)
-	}
-	p.Header("ibr_queue_depth", "gauge", "Requests queued per shard.")
+	p.Header("ibr_queue_depth", "gauge", "SubmitRequest submissions queued per shard.")
 	for i, s := range stats {
 		p.Int("ibr_queue_depth", shardLabel[i], int64(s.QueueDepth))
 	}
@@ -82,7 +78,7 @@ func (e *Engine) WriteMetrics(w io.Writer, srv *Server) error {
 	for i, s := range stats {
 		p.Uint("ibr_tid_quarantines_total", shardLabel[i], s.Quarantines)
 	}
-	p.Header("ibr_submits_shed_total", "counter", "Submits refused with ErrShedding per shard (unreclaimed backlog above the hard watermark).")
+	p.Header("ibr_submits_shed_total", "counter", "Requests refused with ErrShedding (wire BUSY) per shard (unreclaimed backlog above the hard watermark).")
 	for i, s := range stats {
 		p.Uint("ibr_submits_shed_total", shardLabel[i], s.Shed)
 	}

@@ -6,14 +6,14 @@
 // The architecturally new piece is the tid ownership: every reclamation
 // scheme in internal/core assumes a small fixed thread-id space with one
 // goroutine per tid, while a network server faces an unbounded set of
-// connection goroutines. The engine closes that gap by giving each shard a
-// private pool of worker goroutines that each hold one scheme tid for the
-// engine's whole life, plus one inline tid that no goroutine owns. A
-// connection reader runs a point request (PING, GET, PUT, DEL) itself when
-// it wins that tid's TryLock, and holds it across that one execution only;
-// ranges, Engine.SubmitRequest callers and requests that find the tid busy
-// go onto per-shard MPSC queues, and the workers execute them in batches
-// (see DESIGN.md §"Serving layer").
+// connection goroutines. The engine closes that gap by lending tids: each
+// shard has a fixed set of scheme tids, each behind its own mutex, and the
+// goroutine holding a tid's lock is its only user. A connection reader
+// runs every request itself — a point request under one tid of its key's
+// shard, a RANGE under each shard's in turn — and releases the tid before
+// it sends the response. Engine.SubmitRequest callers go onto per-shard
+// queues whose workers borrow tids the same way; only the injected
+// stallers keep fixed tids (see DESIGN.md §"Serving layer").
 package server
 
 import (
@@ -77,7 +77,8 @@ const (
 	StatusNotFound
 	// StatusExists: Put on a present key (nothing changed).
 	StatusExists
-	// StatusBusy: the shard queue was full; retry later.
+	// StatusBusy: the shard is overloaded (shedding above its hard
+	// watermark, or out of node-pool slots); retry later.
 	StatusBusy
 	// StatusShutdown: the server is draining and accepts no new work.
 	StatusShutdown

@@ -408,8 +408,8 @@ func expectStream(data []byte) (frames []wireKey, rejected int, broken bool) {
 }
 
 // FuzzServeStream feeds arbitrary byte streams through Server.handle, the
-// whole connection path: framing, parsing, admission, the shard workers and
-// the coalescing writer, on one engine shared across inputs. Every complete
+// whole connection path: framing, parsing, admission, execution under
+// borrowed tids and the coalescing writer, on one engine shared across inputs. Every complete
 // frame before the first framing violation must get exactly one response
 // in its own dialect (matched by id as a multiset), a violation must drop
 // the connection and count it once, each rejected frame must be counted,

@@ -2,16 +2,15 @@ package server
 
 import "sync"
 
-// reqQueue is the per-shard MPSC request queue: many connection goroutines
+// reqQueue is the per-shard MPSC queue behind SubmitRequest: many callers
 // push, the shard's few workers pop. Pops take the entire backlog in
-// one swap (natural batching — a worker that wakes up amortizes the lock
-// and scheme cadence over every request that arrived while it slept), and
+// one swap (natural batching — a worker that wakes up amortizes the queue
+// lock over every request that arrived while it slept), and
 // the two backing slices are recycled between the queue and the workers so
 // a steady-state shard allocates nothing per request.
 //
 // The queue is bounded: push fails with errBusy at max entries, turning
-// overload into StatusBusy backpressure at the protocol layer instead of
-// unbounded buffering. After close, push fails with errClosed but pops
+// overload into ErrBusy backpressure instead of unbounded buffering. After close, push fails with errClosed but pops
 // continue until the backlog is empty — that drain-to-empty guarantee is
 // what makes graceful shutdown lose no accepted operation.
 type reqQueue struct {
@@ -30,7 +29,7 @@ func newReqQueue(max int) *reqQueue {
 
 // push enqueues r. It returns errClosed after close and errBusy when the
 // queue is at capacity; in both cases r was not accepted and r.done will
-// never be called by a worker.
+// never be called.
 func (q *reqQueue) push(r request) error {
 	q.mu.Lock()
 	if q.closed {
@@ -45,21 +44,6 @@ func (q *reqQueue) push(r request) error {
 	q.mu.Unlock()
 	q.notEmpty.Signal()
 	return nil
-}
-
-// pushControl enqueues an engine-internal control request, bypassing the
-// capacity bound: remediation must be admittable precisely when the queue
-// is saturated. After close it drops r: the workers' last pops and Close's
-// final scans make a wake-up pointless.
-func (q *reqQueue) pushControl(r request) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.buf = append(q.buf, r)
-	q.mu.Unlock()
-	q.notEmpty.Signal()
 }
 
 // popAll blocks until the queue is non-empty or closed, then returns the

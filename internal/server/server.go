@@ -14,11 +14,10 @@ import (
 // ServerConfig tunes the network front end.
 type ServerConfig struct {
 	// MaxInflight caps the number of pipelined requests a single
-	// connection may have outstanding (default 128). The cap is what makes
-	// completion delivery non-blocking: the response channel has exactly
-	// MaxInflight slots, so neither a shard worker's done callback nor the
-	// reader's own send of an inline response can block on a slow or dead
-	// connection.
+	// connection may have read but not yet answered (default 128): the
+	// reader takes a slot before it runs a request and the writer frees it
+	// once the response is encoded, so a slow or dead peer stops the
+	// reader instead of buffering without bound.
 	MaxInflight int
 	// IdleTimeout closes a connection that sends nothing for this long
 	// (default 5m): the read deadline is re-armed to now+IdleTimeout
@@ -178,9 +177,9 @@ type wireResp struct {
 // meanwhile before writing. "In flight" is, on the client, the reply slots
 // in use beyond the requests in this batch and, on the server, requests
 // read whose responses are not encoded yet. Without the yield, the
-// write goes out before the other callers (or shard workers) woken by the
-// same burst have queued their frames, so most writes carried one or two:
-// Go's runnext hand-off runs the server's parked writer as soon as the
+// write goes out before the other callers (or, on the server, the reader's
+// next requests) have queued their frames, so most writes carried one or
+// two: Go's runnext hand-off runs the server's parked writer as soon as the
 // goroutine that woke it blocks, and the client's writer is a caller that
 // is already running. The in-flight gate keeps a lone request on the
 // immediate path: yielding with nothing else to write only wakes an idle P.
@@ -193,21 +192,19 @@ const writeBatchBytes = 16 * 1024
 const writeBufCap = 64 * 1024
 
 // handle runs one connection: a reader loop (this goroutine) that parses
-// frames and either runs a point request itself under its shard's inline
-// tid or submits it, and a writer goroutine that encodes completed
-// responses in batches. The in-flight semaphore bounds the gap between
-// them; outstanding tracks submitted requests whose responses are not sent
-// yet, so shutdown can wait for the tail.
+// frames and runs each request itself through Engine.do, and a writer
+// goroutine that encodes the responses in batches. The in-flight semaphore
+// bounds the gap between them. The reader queues a response only after
+// its request has run, so once it stops reading every response is queued.
 func (s *Server) handle(c net.Conn) {
 	defer s.connWG.Done()
 	defer s.track(c, false)
 
 	var (
-		inflight    = make(chan struct{}, s.cfg.MaxInflight) // semaphore
-		resps       = make(chan wireResp, s.cfg.MaxInflight)
-		outstanding sync.WaitGroup
-		dead        atomic.Bool // writer hit a write error
-		writerDone  = make(chan struct{})
+		inflight   = make(chan struct{}, s.cfg.MaxInflight) // semaphore
+		resps      = make(chan wireResp, s.cfg.MaxInflight)
+		dead       atomic.Bool // writer hit a write error
+		writerDone = make(chan struct{})
 	)
 
 	go func() { // writer
@@ -218,8 +215,8 @@ func (s *Server) handle(c net.Conn) {
 			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if !dead.Load() {
 				if _, err := c.Write(buf); err != nil {
-					// Keep draining so done callbacks and the reader's
-					// semaphore never wedge on a dead peer.
+					// Keep draining so the reader's semaphore never
+					// wedges on a dead peer.
 					dead.Store(true)
 					c.SetReadDeadline(time.Now())
 				} else {
@@ -311,9 +308,8 @@ func (s *Server) handle(c net.Conn) {
 			s.protoDropped.Add(1)
 			break
 		}
-		// Reserve a semaphore slot before executing or submitting: at most
-		// MaxInflight responses can ever be queued, so a send on resps
-		// never blocks this reader or a worker.
+		// Reserve a semaphore slot before executing: at most MaxInflight
+		// responses can ever be queued, so a send on resps never blocks.
 		inflight <- struct{}{}
 		// A v1 frame only speaks the pre-range op set: its 13-byte response
 		// cannot carry pairs, so a v1-framed RANGE is a bad request — the
@@ -323,29 +319,21 @@ func (s *Server) handle(c net.Conn) {
 			s.protoRejected.Add(1)
 			continue
 		}
-		// A point request runs here, on the reader, when its shard's inline
-		// tid is free; execInline releases the tid before the send.
-		if r, ok := s.eng.execInline(&req); ok {
-			resps <- wireResp{id: id, legacy: legacy, r: r}
-			continue
-		}
-		outstanding.Add(1)
-		done := func(r Response) {
-			resps <- wireResp{id: id, legacy: legacy, r: r}
-			outstanding.Done()
-		}
-		if err := s.eng.SubmitRequest(req, done); err != nil {
-			// ErrBusy (queue full) and ErrShedding (unreclaimed backlog
-			// above the hard watermark) are both transient overload: the
-			// client sees StatusBusy and retries with backoff.
+		// The request runs here, on the reader, under tids borrowed from
+		// its shards; do releases them before the send.
+		r, err := s.eng.do(&req)
+		if err != nil {
+			// ErrShedding (unreclaimed backlog above the hard watermark) is
+			// transient overload: the client sees StatusBusy and retries
+			// with backoff.
 			st := StatusBusy
 			if errors.Is(err, ErrClosed) {
 				st = StatusShutdown
 			}
-			done(Response{Status: st})
+			r = Response{Status: st}
 		}
+		resps <- wireResp{id: id, legacy: legacy, r: r}
 	}
-	outstanding.Wait() // every submitted request has enqueued its response
 	close(resps)
 	<-writerDone // responses flushed (or the conn is dead)
 	c.Close()

@@ -66,16 +66,33 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerLinearizable records a concurrent GET/PUT/DEL history through
-// real connections and checks it with internal/lincheck: the tid-ownership
+// TestServerLinearizable records concurrent histories through real
+// connections and checks them with internal/lincheck: the tid-borrowing
 // layer must not reorder, lose, or double-apply operations even though
-// requests from different connections interleave, on the same keys, in the
-// shard queues and on the readers that run them under the inline tids. A
-// helper holds each shard's inline tid in turn, so both paths carry load.
+// requests from different connections interleave, on the same keys, on
+// the readers that run them under whichever tid they borrow. A helper
+// holds each shard's tid 0 in turn, so requests also land on the other
+// tids and on waits for a busy one. The hashmap leg mixes GET/PUT/DEL; the
+// skiplist leg adds RANGE over the same small key space.
+//
+// A RANGE's legs run one shard after another, so a scan is not one atomic
+// cut: each key is observed at some instant inside the scan's window, on
+// its own shard's leg. That is exactly what lincheck.RecordRange checks —
+// every returned key was present and every covered key the scan did not
+// return was absent at some point during the call. The scans are
+// unlimited, so truncation cannot hide a key.
 func TestServerLinearizable(t *testing.T) {
+	t.Run("hashmap", func(t *testing.T) { checkLinearizable(t, "hashmap", 0) })
+	t.Run("skiplist-range", func(t *testing.T) { checkLinearizable(t, "skiplist", 6) })
+}
+
+// checkLinearizable drives 4 clients of 120 ops each against structure and
+// checks the history. One op in rangeEvery (0: none) is a RANGE of up to
+// 12 keys.
+func checkLinearizable(t *testing.T, structure string, rangeEvery int) {
 	ctx := context.Background()
 	addr, srv := startTestServer(t,
-		EngineConfig{Shards: 4, WorkersPerShard: 2, EpochFreq: 16, EmptyFreq: 8},
+		EngineConfig{Structure: structure, Shards: 4, WorkersPerShard: 2, EpochFreq: 16, EmptyFreq: 8},
 		ServerConfig{})
 	eng := srv.Engine()
 
@@ -85,10 +102,10 @@ func TestServerLinearizable(t *testing.T) {
 	go func() {
 		defer close(helperDone)
 		for i := 0; ; i++ {
-			in := &eng.shards[i%len(eng.shards)].inline
-			in.mu.Lock()
+			bt := &eng.shards[i%len(eng.shards)].tids[0]
+			bt.mu.Lock()
 			time.Sleep(100 * time.Microsecond)
-			in.mu.Unlock()
+			bt.mu.Unlock()
 			select {
 			case <-stop:
 				return
@@ -100,10 +117,14 @@ func TestServerLinearizable(t *testing.T) {
 	const (
 		clients  = 4
 		opsEach  = 120
-		keySpace = 48 // ~10 events/key expected; far under lincheck's 64 cap
+		keySpace = 48 // ~10 point events/key expected; far under lincheck's 64 cap
+		span     = 12 // a RANGE covers up to span keys: ~12 more events/key at 1 in 6
 	)
 	rec := lincheck.NewRecorder(clients)
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		ranges atomic.Uint64
+	)
 	for c := 0; c < clients; c++ {
 		cl, err := Dial(addr)
 		if err != nil {
@@ -116,6 +137,29 @@ func TestServerLinearizable(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tid) + 1))
 			for i := 0; i < opsEach; i++ {
 				key := rng.Uint64() % keySpace
+				if rangeEvery > 0 && rng.Intn(rangeEvery) == 0 {
+					hi := min(key+uint64(rng.Intn(span)), keySpace-1)
+					invoke := rec.Begin()
+					resp, err := cl.Range(ctx, key, hi, 0)
+					if err != nil || resp.Status != StatusOK {
+						t.Errorf("tid %d: Range [%d,%d] = %v, %v", tid, key, hi, resp, err)
+						return
+					}
+					got := make([]uint64, len(resp.Pairs))
+					for j, p := range resp.Pairs {
+						got[j] = p.Key
+					}
+					covered := make([]uint64, 0, hi-key+1)
+					for k := key; k <= hi; k++ {
+						covered = append(covered, k)
+					}
+					if err := rec.RecordRange(tid, key, hi, got, covered, invoke); err != nil {
+						t.Errorf("tid %d: %v", tid, err)
+						return
+					}
+					ranges.Add(1)
+					continue
+				}
 				var (
 					kind lincheck.Kind
 					op   Op
@@ -159,14 +203,11 @@ func TestServerLinearizable(t *testing.T) {
 	if rep.EventsChecked == 0 {
 		t.Fatal("lincheck verified no events")
 	}
-	st := eng.Stats()
-	inline := sum(st, func(s ShardStats) uint64 { return s.Inline })
-	queued := sum(st, func(s ShardStats) uint64 { return s.Ops }) - inline
-	if inline == 0 || queued == 0 {
-		t.Fatalf("%d requests ran inline and %d queued: the history does not cover both paths", inline, queued)
+	if rangeEvery > 0 && ranges.Load() == 0 {
+		t.Fatal("no RANGE in the history")
 	}
-	t.Logf("lincheck: %d keys, %d events checked, %d inconclusive; %d requests inline, %d queued",
-		rep.Keys, rep.EventsChecked, rep.Inconclusive, inline, queued)
+	t.Logf("lincheck: %d keys, %d events checked, %d inconclusive, %d ranges",
+		rep.Keys, rep.EventsChecked, rep.Inconclusive, ranges.Load())
 }
 
 // TestServerGracefulShutdown races in-flight traffic against Shutdown and

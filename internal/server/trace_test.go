@@ -116,8 +116,8 @@ func TestTraceHandlerConcurrentScrape(t *testing.T) {
 }
 
 // TestTraceIDWireRoundTrip drives a trace ID through the whole stack:
-// client context → request frame → server parse → shard worker → flight
-// recorder op event.
+// client context → request frame → server parse → execution on the
+// connection reader under a borrowed tid → flight recorder op event.
 func TestTraceIDWireRoundTrip(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{
 		Shards: 1, WorkersPerShard: 1,

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,22 +42,33 @@ func dialCounting(tb testing.TB, addr string) (*Client, *countingConn) {
 // getLoop runs callers closed-loop goroutines on cl until n GETs have been
 // issued in total, and returns the first error.
 func getLoop(cl *Client, callers int, n int64) error {
+	return callLoop([]*Client{cl}, callers, n, func(i int64) Request {
+		return Request{Op: OpGet, Key: uint64(i)}
+	})
+}
+
+// callLoop runs callers closed-loop goroutines on each of cls until
+// requests mk(1)..mk(n) have been issued in total, and returns the first
+// error.
+func callLoop(cls []*Client, callers int, n int64, mk func(i int64) Request) error {
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
 		firstErr atomic.Value
 	)
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1); i <= n; i = next.Add(1) {
-				if _, err := cl.Get(context.Background(), uint64(i)); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
+	for _, cl := range cls {
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1); i <= n; i = next.Add(1) {
+					if _, err := cl.DoContext(context.Background(), mk(i)); err != nil {
+						firstErr.CompareAndSwap(nil, err)
+						return
+					}
 				}
-			}
-		}()
+			}()
+		}
 	}
 	wg.Wait()
 	if err, _ := firstErr.Load().(error); err != nil {
@@ -67,9 +77,8 @@ func getLoop(cl *Client, callers int, n int64) error {
 	return nil
 }
 
-// loopbackEngine is ibrd's default shard layout (8 shards × 2 workers): a
-// connection's requests spread over many shards, so a worker's completion
-// batch rarely fills a server write by itself.
+// loopbackEngine is ibrd's default shard layout (8 shards, 3 borrowed tids
+// each): a connection's requests spread over many shards.
 var loopbackEngine = EngineConfig{Shards: 8, WorkersPerShard: 2}
 
 // TestWireCoalescesPipelinedCalls pins write coalescing on both ends of a
@@ -114,22 +123,63 @@ func TestWireCoalescesPipelinedCalls(t *testing.T) {
 }
 
 // BenchmarkServeLoopback prices the served path without the engine's
-// observability: Client ↔ Server over 127.0.0.1, GETs on loopbackEngine's
-// hashmap, with 1 and 16 closed-loop callers on one connection.
+// observability: Client ↔ Server over 127.0.0.1 on loopbackEngine's shard
+// layout. callers=1 and callers=16 are closed-loop GETs on one connection;
+// conns=32 spreads 2 GET callers over each of 32 connections, one reader
+// each; range-mix is 16 callers on a prefilled skiplist where 1 request in
+// 16 is a 1024-key RANGE, whose legs its reader runs shard by shard.
 // client_writes/op and server_writes/op are the socket writes each request
 // costs on either end (1 with no coalescing); allocs/op counts both ends.
 func BenchmarkServeLoopback(b *testing.B) {
-	for _, callers := range []int{1, 16} {
-		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
-			addr, srv := startTestServer(b, loopbackEngine, ServerConfig{})
-			cl, cc := dialCounting(b, addr)
+	get := func(i int64) Request { return Request{Op: OpGet, Key: uint64(i)} }
+	const keys = 1 << 14
+	rangeMix := func(i int64) Request {
+		k := uint64(i*7919) % keys
+		if i%16 == 0 {
+			return Request{Op: OpRange, Key: k, KeyHi: k + 1023}
+		}
+		return Request{Op: OpGet, Key: k}
+	}
+	for _, c := range []struct {
+		name           string
+		structure      string
+		conns, callers int
+		mk             func(int64) Request
+	}{
+		{"callers=1", "hashmap", 1, 1, get},
+		{"callers=16", "hashmap", 1, 16, get},
+		{"conns=32", "hashmap", 32, 2, get},
+		{"range-mix", "skiplist", 1, 16, rangeMix},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := loopbackEngine
+			cfg.Structure = c.structure
+			addr, srv := startTestServer(b, cfg, ServerConfig{})
+			if c.structure == "skiplist" {
+				for k := uint64(0); k < keys; k++ {
+					if _, err := srv.Engine().DoContext(context.Background(), Request{Op: OpPut, Key: k, Val: k}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			cls := make([]*Client, c.conns)
+			var ccs []*countingConn
+			for i := range cls {
+				var cc *countingConn
+				cls[i], cc = dialCounting(b, addr)
+				ccs = append(ccs, cc)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := getLoop(cl, callers, int64(b.N)); err != nil {
+			if err := callLoop(cls, c.callers, int64(b.N), c.mk); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(cc.writes.Load())/float64(b.N), "client_writes/op")
+			var writes uint64
+			for _, cc := range ccs {
+				writes += cc.writes.Load()
+			}
+			b.ReportMetric(float64(writes)/float64(b.N), "client_writes/op")
 			b.ReportMetric(float64(srv.ResponseWrites())/float64(b.N), "server_writes/op")
 		})
 	}

@@ -13,9 +13,9 @@ import (
 // applications embed the KV service without importing internal packages.
 // cmd/ibrd and cmd/ibrload are thin wrappers over exactly this surface.
 
-// Engine is the sharded KV engine (see internal/server): workers on fixed
-// tids over per-shard IBR structures, with stall quarantine and watermark
-// admission control built in.
+// Engine is the sharded KV engine (see internal/server): per-shard IBR
+// structures whose few scheme tids callers borrow under a lock per request,
+// with stall quarantine and watermark admission control built in.
 type Engine = server.Engine
 
 // EngineConfig sizes an Engine; the zero value of every field selects a
