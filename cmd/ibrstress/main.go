@@ -70,14 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	pairs := [][2]string{{*structure, *scheme}}
 	if *all {
-		pairs = nil
-		for _, st := range ds.MapStructures() {
-			for _, sc := range core.Names() {
-				if ds.SchemeSupports(sc, st) {
-					pairs = append(pairs, [2]string{st, sc})
-				}
-			}
-		}
+		pairs = allPairs()
 	}
 
 	failed := 0
@@ -95,6 +88,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
+
+// allPairs lists every (structure, scheme) pair -all soaks: each map
+// structure under each scheme that can run it.
+func allPairs() (pairs [][2]string) {
+	for _, st := range ds.MapStructures() {
+		for _, sc := range core.Names() {
+			if ds.SchemeSupports(sc, st) {
+				pairs = append(pairs, [2]string{st, sc})
+			}
+		}
+	}
+	return pairs
+}
+
+// keyBase is the first key of worker tid's private range; the shared hot
+// keys sit below every worker's range.
+func keyBase(tid int) uint64 { return uint64(tid+1) * 1_000_000 }
 
 func stress(stdout io.Writer, structure, scheme string, threads int, seconds float64, keysEach, shared uint64, seed int64) error {
 	m, err := ds.NewMap(structure, ds.Config{
@@ -146,7 +156,7 @@ func stress(stdout io.Writer, structure, scheme string, threads int, seconds flo
 			defer wg.Done()
 			model := map[uint64]uint64{}
 			models[tid] = model
-			base := uint64(tid+1) * 1_000_000
+			base := keyBase(tid)
 			rng := rand.New(rand.NewSource(seed + int64(tid)))
 			for !stop.Load() {
 				if rng.Intn(8) == 0 && shared > 0 {
@@ -211,6 +221,19 @@ func stress(stdout io.Writer, structure, scheme string, threads int, seconds flo
 	}
 
 	// Quiescent validation: models vs content, structure invariants, leaks.
+	// A Remove that marked a node but lost its unlink CAS leaves the node
+	// linked until a traversal passes it, so first Get every key the run
+	// touched: each structure's find snips its marked stragglers (the skip
+	// list's Sweep also clears the ghost routers no Get crosses), and
+	// DrainAll then frees what they retired before the exact leak count.
+	for tid := 0; tid < threads; tid++ {
+		for k := keyBase(tid); k < keyBase(tid)+keysEach; k++ {
+			m.Get(0, k)
+		}
+	}
+	for k := uint64(0); k < shared; k++ {
+		m.Get(0, k)
+	}
 	if sl, ok := m.(*ds.SkipList); ok {
 		sl.Sweep(0)
 	}

@@ -25,8 +25,12 @@ import (
 // Retirement must wait until the *last* incoming link is gone, and a
 // lagging insert can legally link an upper level after the node is already
 // marked — so each node carries a link count: +1 when a level is linked,
-// −1 when a level is snipped, and whoever moves it to zero owns the (now
-// fully detached) node's retirement. This closes the classic skip-list
+// −1 when a level is snipped, plus one reference the inserter holds from
+// before its level-0 publish until its upper levels are linked. Whoever
+// moves the count to zero owns the (now fully detached) node's
+// retirement. Only the inserter adds links, and only while it holds the
+// node, so the count reaches zero exactly once, never while the inserter
+// still touches the node — which closes the classic skip-list
 // insert/delete race in which a slow inserter re-links a node that a
 // simple "level-0 snipper retires" rule has already handed to the
 // allocator.
@@ -43,7 +47,7 @@ const MaxLevel = 16
 type slNode struct {
 	key, val uint64
 	topLevel uint32
-	links    atomic.Int32 // levels currently linked (+pending link attempts)
+	links    atomic.Int32 // levels linked + pending link attempts + the inserter's hold
 	next     [MaxLevel]core.Ptr
 }
 
@@ -88,68 +92,84 @@ func (sl *SkipList) randomLevel(tid int) int {
 	return bits.TrailingZeros64(v) + 1
 }
 
-// linksRetired is the sentinel installed (by CAS) when a node's link count
-// first reaches zero: it makes the zero-crossing unique, so a lagging
-// insert's Inc/Dec rollback can never trigger a second retirement, and it
-// lets such an insert detect — before linking — that the node is already
-// dead (Add(1) on the sentinel stays hugely negative).
-const linksRetired = -(1 << 20)
-
-// unlink records that one incoming link to h was removed; whoever wins the
-// unique zero-crossing CAS retires the node.
+// unlink drops one reference to h; whoever drops the last retires the node.
 func unlink(g *guard.Guard[slNode], h mem.Handle) {
-	n := g.Deref(h)
-	if n.links.Add(-1) == 0 && n.links.CompareAndSwap(0, linksRetired) {
+	if g.Deref(h).links.Add(-1) == 0 {
 		g.Retire(h)
 	}
 }
 
-// find locates key's window at every level, snipping marked nodes as it
-// descends. preds[L] is the Ptr cell whose level-L target is succs[L];
-// found reports whether succs[0] holds key.
-func (sl *SkipList) find(g *guard.Guard[slNode], key uint64, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int) bool {
-	return sl.findRestart(g, key, preds, succs, fails, true)
+// step is how Range and Sweep cross a level; find runs the same loop
+// inline. curr is the word just read out of predPtr. step snips out of
+// predPtr the run of nodes marked at level, then returns the first
+// unmarked node (Nil at the level's end), its body and its word at level.
+// ok is false if predPtr's own word is marked or a snip's CAS fails; the
+// caller must then follow nothing it read at this level. Interval schemes
+// need that rule where EBR does not (DESIGN.md §1b (iv)): a marked word is
+// frozen, and its target may have been born after this thread's upper
+// endpoint and freed already, while an unmarked word's target — or a
+// snipped node's successor, once the snip's CAS has won — is still linked
+// when read, so the read covers it.
+func step(g *guard.Guard[slNode], level int, predPtr *core.Ptr, curr mem.Handle) (h mem.Handle, n *slNode, succ mem.Handle, ok bool) {
+	if curr.Mark0() {
+		return mem.Nil, nil, mem.Nil, false
+	}
+	for !curr.IsNil() {
+		n = g.Deref(curr)
+		succ = g.Load(1, &n.next[level])
+		if !succ.Mark0() {
+			return curr, n, succ, true
+		}
+		next := succ.ClearMarks()
+		if !g.CompareAndSwap(predPtr, curr, next) {
+			return mem.Nil, nil, mem.Nil, false
+		}
+		unlink(g, curr)
+		curr = next
+	}
+	return mem.Nil, nil, mem.Nil, true
 }
 
-// findRestart is find with the §4.3.1 reservation renewal made optional:
-// callers that hold references across the call (Insert's upper-level
-// linking keeps its just-published node) MUST pass allowRestart=false —
-// Restart would renew the reservation and let a concurrent removal
-// retire-and-recycle the held node under them, whose stale writes would
-// then corrupt the slot's next occupant.
-func (sl *SkipList) findRestart(g *guard.Guard[slNode], key uint64, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int, allowRestart bool) bool {
+// find locates key's window at every level, snipping marked nodes as it
+// descends. preds[L] is the Ptr cell whose level-L target is succs[L];
+// found reports whether succs[0] holds key. It restarts from the head on
+// any failed step, renewing the reservation (§4.3.1) after
+// restartThreshold failures: a caller may hold across it only nodes that
+// cannot be retired meanwhile (Insert's own node, under its hold).
+func (sl *SkipList) find(g *guard.Guard[slNode], key uint64, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int) bool {
 retry:
-	if allowRestart && *fails >= restartThreshold {
+	if *fails >= restartThreshold {
 		*fails = 0
 		g.Restart()
 	}
 	pred := &sl.head
 	for level := MaxLevel - 1; level >= 0; level-- {
+		// step's loop, kept inline on the hot path (a call per node cost
+		// lib-scan-stall throughput): a marked word where we stand fails,
+		// marked nodes are snipped, and the walk stops at the first key >= key.
 		predPtr := &pred.next[level]
-		curr := g.Load(0, predPtr).ClearMarks()
-		for {
-			if curr.IsNil() {
-				break
-			}
-			currNode := g.Deref(curr)
-			succ := g.Load(1, &currNode.next[level])
+		curr := g.Load(0, predPtr)
+		if curr.Mark0() {
+			*fails++
+			goto retry
+		}
+		for !curr.IsNil() {
+			n := g.Deref(curr)
+			succ := g.Load(1, &n.next[level])
 			if succ.Mark0() {
-				// curr is logically deleted at this level: snip it.
-				if !g.CompareAndSwap(predPtr, curr, succ.ClearMarks()) {
+				next := succ.ClearMarks()
+				if !g.CompareAndSwap(predPtr, curr, next) {
 					*fails++
 					goto retry
 				}
 				unlink(g, curr)
-				curr = succ.ClearMarks()
+				curr = next
 				continue
 			}
-			if currNode.key < key {
-				pred = currNode
-				predPtr = &currNode.next[level]
-				curr = succ.ClearMarks()
-				continue
+			if n.key >= key {
+				break
 			}
-			break
+			pred, predPtr, curr = n, &n.next[level], succ
 		}
 		preds[level] = predPtr
 		succs[level] = curr
@@ -183,7 +203,6 @@ func (sl *SkipList) Insert(tid int, key, val uint64) (ok bool) {
 				}
 				n := g.Deref(node)
 				n.key, n.val, n.topLevel = key, val, uint32(top)
-				n.links.Store(0)
 				for l := 0; l < MaxLevel; l++ {
 					g.Publish(&n.next[l], mem.Nil)
 				}
@@ -193,19 +212,17 @@ func (sl *SkipList) Insert(tid int, key, val uint64) (ok bool) {
 			for l := 0; l < top; l++ {
 				g.Publish(&n.next[l], succs[l])
 			}
-			n.links.Store(1) // the level-0 link we are about to make
+			// The level-0 link we are about to make, and our own hold: our
+			// reservation need not cover a node born after its upper
+			// endpoint, so once published the node stays alive only because
+			// no removal can retire it before we let go.
+			n.links.Store(2)
 			if !g.CompareAndSwap(preds[0], succs[0], node) {
 				fails++
 				continue
 			}
-			// Cover our own node with our reservation before touching it
-			// again: interval schemes raise `upper` only on reads, and the
-			// published node can already be under concurrent removal.
-			// Re-reading the cell we just CASed raises upper past the node's
-			// birth (the CAS raised the cell's born tag), so no scan can free
-			// the node while the linking phase still holds it.
-			g.Load(0, preds[0])
 			sl.linkUpper(g, key, node, top, &preds, &succs, &fails)
+			unlink(g, node) // let go of our hold
 			ok = true
 			return
 		}
@@ -214,10 +231,9 @@ func (sl *SkipList) Insert(tid int, key, val uint64) (ok bool) {
 }
 
 // linkUpper links node's levels 1..top-1 after a successful level-0
-// publish. Every attempt pre-increments the link count (so a concurrent
-// full removal cannot retire the node under a link that is about to land)
-// and rolls it back on failure; a rollback that hits zero means we were
-// the last link holder and we retire.
+// publish, under the inserter's hold. Every attempt adds the level's link
+// before its CAS (a removal may snip the level the moment it lands) and
+// takes it back if the CAS fails.
 func (sl *SkipList) linkUpper(g *guard.Guard[slNode], key uint64, node mem.Handle, top int, preds *[MaxLevel]*core.Ptr, succs *[MaxLevel]mem.Handle, fails *int) {
 	n := g.Deref(node)
 	for l := 1; l < top; l++ {
@@ -227,36 +243,19 @@ func (sl *SkipList) linkUpper(g *guard.Guard[slNode], key uint64, node mem.Handl
 				return // a deleter owns the remaining levels
 			}
 			// Keep our forward pointer current with the window.
-			if !cur.SameAddr(succs[l]) {
-				if !g.CompareAndSwap(&n.next[l], cur, succs[l]) {
-					continue // marked or raced: re-examine
-				}
+			if !cur.SameAddr(succs[l]) && !g.CompareAndSwap(&n.next[l], cur, succs[l]) {
+				continue // marked or raced: re-examine
 			}
-			if n.links.Add(1) <= 0 {
-				// The node was fully removed and retired while we prepared:
-				// undo the probe and abandon linking (linking a retired
-				// node would resurrect it into the structure).
-				n.links.Add(-1)
-				return
-			}
+			n.links.Add(1)
 			if g.CompareAndSwap(preds[l], succs[l], node) {
 				break // linked at level l
 			}
-			if n.links.Add(-1) == 0 {
-				if n.links.CompareAndSwap(0, linksRetired) {
-					g.Retire(node) // removal completed under us
-				}
-				return
-			}
+			n.links.Add(-1)
 			*fails++
-			// Window moved: recompute it (without Restart — we hold node).
-			// If our node is gone from level 0 (removed, possibly replaced
-			// by a same-key successor), stop.
-			if !sl.findRestart(g, key, preds, succs, fails, false) || !succs[0].SameAddr(node) {
+			// Window moved: recompute it. If our node is gone from level 0
+			// (removed, possibly replaced by a same-key successor), stop.
+			if !sl.find(g, key, preds, succs, fails) || !succs[0].SameAddr(node) {
 				return
-			}
-			if succs[l].SameAddr(node) {
-				break // already linked at this level (defensive)
 			}
 		}
 	}
@@ -318,53 +317,32 @@ func (sl *SkipList) Get(tid int, key uint64) (val uint64, found bool) {
 }
 
 // Range calls fn in ascending key order for every pair with from <= key <=
-// to. It descends the index levels (as Get does) to reach from's level-0
-// predecessor, then walks the level-0 chain from there — so a small
-// interval costs O(log n + results), not O(total keys), and the
-// reservation the scan holds is no longer than the scan itself. The whole
-// thing runs under one StartOp/EndOp bracket. Unlike find, the descent is
-// read-only: it steps over marked nodes instead of snipping them (a scan
-// should not CAS), which is safe for the same reason the level-0 walk is —
-// Harris-style removal leaves a removed node's next pointers intact, so a
-// frozen chain converges back into the live list and the reservation keeps
-// every node on it from being recycled under us. Like the list's Range it
+// to. It descends with find to the first key at or above the resume cursor
+// and walks level 0 from there with find's step, snipping the removed
+// nodes it meets — so a small interval costs O(log n + results), the whole
+// scan is one StartOp/EndOp bracket, and a ghost router cannot stall it.
+// A failed step descends again from the cursor. Like the list's Range it
 // is weakly consistent: logically deleted nodes are skipped, and the
-// resume cursor guarantees no key is ever emitted twice.
+// cursor guarantees no key is ever emitted twice.
 func (sl *SkipList) Range(tid int, from, to uint64, fn func(key, val uint64) bool) {
 	sl.w.Do(tid, func(g *guard.Guard[slNode]) {
-		lo := from
-		pred := &sl.head
-		for level := MaxLevel - 1; level >= 1; level-- {
-			curr := g.Load(0, &pred.next[level]).ClearMarks()
-			for !curr.IsNil() {
-				n := g.Deref(curr)
-				if n.key >= from {
-					break
-				}
-				// Advancing through (possibly marked) nodes without snipping:
-				// keys are immutable while reserved, so the order holds even
-				// on a frozen chain.
-				pred = n
-				curr = g.Load(1, &n.next[level]).ClearMarks()
+		var preds [MaxLevel]*core.Ptr
+		var succs [MaxLevel]mem.Handle
+		lo, fails := from, 0
+	descend:
+		sl.find(g, lo, &preds, &succs, &fails)
+		predPtr, curr := preds[0], succs[0]
+		for {
+			h, n, succ, ok := step(g, 0, predPtr, curr)
+			if !ok {
+				fails++
+				goto descend
 			}
-		}
-		curr := g.Load(0, &pred.next[0]).ClearMarks()
-		for !curr.IsNil() {
-			n := g.Deref(curr)
-			next := g.Load(1, &n.next[0])
-			if !next.Mark0() { // skip logically deleted nodes
-				k := n.key
-				if k > to {
-					return
-				}
-				if k >= lo {
-					if !fn(k, n.val) {
-						return
-					}
-					lo = k + 1
-				}
+			if h.IsNil() || n.key > to || !fn(n.key, n.val) {
+				return
 			}
-			curr = next.ClearMarks()
+			lo = n.key + 1
+			predPtr, curr = &n.next[0], succ
 		}
 	})
 }
@@ -386,20 +364,16 @@ func (sl *SkipList) Sweep(tid int) {
 		for level := MaxLevel - 1; level >= 0; level-- {
 		restart:
 			predPtr := &sl.head.next[level]
-			curr := g.Load(0, predPtr).ClearMarks()
-			for !curr.IsNil() {
-				currNode := g.Deref(curr)
-				succ := g.Load(1, &currNode.next[level])
-				if succ.Mark0() {
-					if !g.CompareAndSwap(predPtr, curr, succ.ClearMarks()) {
-						goto restart
-					}
-					unlink(g, curr)
-					curr = succ.ClearMarks()
-					continue
+			curr := g.Load(0, predPtr)
+			for {
+				h, n, succ, ok := step(g, level, predPtr, curr)
+				if !ok {
+					goto restart
 				}
-				predPtr = &currNode.next[level]
-				curr = succ.ClearMarks()
+				if h.IsNil() {
+					break
+				}
+				predPtr, curr = &n.next[level], succ
 			}
 		}
 	})

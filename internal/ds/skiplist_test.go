@@ -1,9 +1,12 @@
 package ds
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ibr/internal/core"
 )
@@ -167,6 +170,124 @@ func TestSkipListSweepReleasesGhosts(t *testing.T) {
 	keys := sl.Keys()
 	if live := sl.PoolStats().Live(); live != uint64(len(keys)) {
 		t.Fatalf("live %d != keys %d after sweep (ghost routers leaked)", live, len(keys))
+	}
+	if err := sl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// churnSchemes are the schemes the churn tests run: every interval scheme
+// that can run the skip list, and EBR as the control.
+var churnSchemes = []string{"tagibr", "tagibr-wcas", "tagibr-tpa", "tagibr-faa", "2geibr", "ebr"}
+
+// TestSkipListChurn: four writers insert and remove keys 0..63 with an
+// epoch advance on every allocation and a scan on every retirement, so
+// nodes are born after a traversal's upper endpoint and freed within
+// microseconds. A traversal that follows a pointer out of a marked word,
+// or an inserter that touches its published node without holding it,
+// reads a freed slot (a panic under -tags ibrdebug, a poisoned value
+// otherwise).
+func TestSkipListChurn(t *testing.T) {
+	for _, scheme := range churnSchemes {
+		t.Run(scheme, func(t *testing.T) { churnSkipList(t, scheme, false) })
+	}
+}
+
+// TestSkipListRangeChurn is TestSkipListChurn plus a fifth goroutine that
+// runs Range(0, 63) throughout; every pass must be strictly ascending and
+// carry each key's value 2k+1.
+func TestSkipListRangeChurn(t *testing.T) {
+	for _, scheme := range churnSchemes {
+		t.Run(scheme, func(t *testing.T) { churnSkipList(t, scheme, true) })
+	}
+}
+
+// churnSkipList runs the churn tests' workload for 2 s (0.2 s under
+// -short), then checks at quiescence that every key left maps to 2k+1 and
+// that, after Sweep and DrainAll, exactly the remaining keys' nodes are
+// live.
+func churnSkipList(t *testing.T, scheme string, scan bool) {
+	const writers, keys = 4, 64
+	threads := writers
+	if scan {
+		threads++
+	}
+	cfg := testConfig(scheme, threads)
+	cfg.Core.EpochFreq, cfg.Core.EmptyFreq = 1, 1
+	sl, err := NewSkipList(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := 2 * time.Second
+	if testing.Short() {
+		d = 200 * time.Millisecond
+	}
+	var (
+		stop  atomic.Bool
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	fail := func(err error) {
+		once.Do(func() { first = err })
+		stop.Store(true)
+	}
+	for tid := 0; tid < writers; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(tid) + 1))
+			for !stop.Load() {
+				k := uint64(rng.Intn(keys))
+				switch r := rng.Intn(8); {
+				case r < 3:
+					sl.Insert(tid, k, 2*k+1)
+				case r < 6:
+					sl.Remove(tid, k)
+				default:
+					if v, ok := sl.Get(tid, k); ok && v != 2*k+1 {
+						fail(fmt.Errorf("Get(%d) = %d, want %d", k, v, 2*k+1))
+					}
+				}
+			}
+		}(tid)
+	}
+	if scan {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				next := uint64(0)
+				sl.Range(writers, 0, keys-1, func(k, v uint64) bool {
+					if k < next || k >= keys || v != 2*k+1 {
+						fail(fmt.Errorf("Range(0, %d) gave %d→%d; want keys ascending from %d, values 2k+1", keys-1, k, v, next))
+						return false
+					}
+					next = k + 1
+					return true
+				})
+			}
+		}()
+	}
+	deadline := time.Now().Add(d)
+	for !stop.Load() && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if first != nil {
+		t.Fatal(first)
+	}
+	sl.Sweep(0)
+	core.DrainAll(sl.Scheme(), threads)
+	left := sl.Keys()
+	for _, k := range left {
+		if v, ok := sl.Get(0, k); !ok || v != 2*k+1 {
+			t.Fatalf("key %d: Get = (%d, %v), want %d", k, v, ok, 2*k+1)
+		}
+	}
+	if live := sl.PoolStats().Live(); live != uint64(len(left)) {
+		t.Fatalf("%d live slots after Sweep and DrainAll, want %d (one per key)", live, len(left))
 	}
 	if err := sl.Validate(); err != nil {
 		t.Fatal(err)
