@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lintdebug test testdebug race stress bench benchscan figs plots examples serve loadtest obssmoke chaossmoke tracesmoke rangesmoke clean
+.PHONY: all build vet lint lintdebug test testdebug race stress bench benchscan figs examples serve loadtest obssmoke chaossmoke tracesmoke rangesmoke clean
 
 all: build vet lint test
 
@@ -50,8 +50,9 @@ stress:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Scan-efficiency snapshot: short write-heavy and read-heavy cells, one JSON
-# line each in BENCH_scan.json (ops/s + scan stats; see cmd/ibrbench -json).
+# Scan-efficiency snapshot: short write-heavy and read-heavy cells, one
+# record each in BENCH_scan.json (ops/s + scan stats; cmd/ibrbench -json
+# writes the harness.Record line that data/<fig>.jsonl holds too).
 # The fifth cell repeats the first with the observability hooks live, so the
 # recording overhead is priced in the same file it can be diffed from. The
 # last two cells are the post-paper engines (hyaline, debra) on the write
@@ -70,13 +71,11 @@ benchscan:
 	$(GO) run ./cmd/ibrbench -r hashmap -d tracker=debra -t 4 -m write -i 1 -json BENCH_scan.json
 	@cat BENCH_scan.json
 
-# Regenerate every figure's data (CSV + ASCII tables + stall curves)…
+# Regenerate every figure: one record per cell (data/<fig>.jsonl), its two
+# SVG charts, the stall curves, the ASCII tables (data/figs_tables.txt) and
+# the progress log (data/figs_log.txt).
 figs:
-	$(GO) run ./cmd/ibrfigs -fig all -i 0.5 -o data
-
-# …and render the SVG charts from it.
-plots:
-	$(GO) run ./cmd/ibrplot -i data -o data
+	$(GO) run ./cmd/ibrfigs -fig all -i 0.5 -o data > data/figs_tables.txt 2> data/figs_log.txt
 
 # Run the KV daemon in the foreground (Ctrl-C drains gracefully).
 serve:
@@ -98,8 +97,8 @@ examples:
 	$(GO) run ./examples/kvstore -ms 150
 
 # Removes only the ignored build outputs: bin/ (ibrlint, go build -o bin/)
-# and the benchmark's .bench_build/. The CSVs, SVGs and tables under data/
-# are committed results (figs_tables.txt and figs_log.txt have no target
-# that regenerates them), so clean leaves them alone.
+# and the benchmark's .bench_build/. The records, charts, tables and log
+# under data/ are committed results that make figs regenerates, so clean
+# leaves them alone.
 clean:
 	rm -rf bin .bench_build

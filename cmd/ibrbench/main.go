@@ -1,18 +1,16 @@
 // Command ibrbench runs one cell of the paper's microbenchmark, mirroring
 // the artifact's bin/main driver:
 //
-//	ibrbench -r hashmap -d tracker=tagibr -t 32 -i 10 -o out.csv
+//	ibrbench -r hashmap -d tracker=tagibr -t 32 -i 10 -json out.jsonl
 //
 // runs the hash map under TagIBR with 32 threads for 10 seconds and appends
-// a CSV row to out.csv.
+// the cell's harness.Record, one JSON line, to out.jsonl.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -37,8 +35,7 @@ func main() {
 		stalled   = flag.Int("stalled", 0, "stalled workers holding reservations")
 		stallMS   = flag.Int("stallms", 10, "stall duration per park (ms)")
 		seed      = flag.Int64("seed", 1, "workload RNG seed")
-		outPath   = flag.String("o", "", "append a CSV row to this file (header added if new)")
-		jsonPath  = flag.String("json", "", "append a machine-readable JSON line (ops/s + scan stats) to this file")
+		jsonPath  = flag.String("json", "", "append the cell's record (one JSON line: ops/s, scan stats, host) to this file")
 		verbose   = flag.Bool("v", false, "print the full result")
 		lat       = flag.Bool("lat", false, "measure per-operation latency quantiles")
 		obsOn     = flag.Bool("obs", false, "run with the observability hooks live (flight recorder + histograms)")
@@ -102,94 +99,22 @@ func main() {
 			fmt.Printf("  thread %2d: %d ops\n", tid, ops)
 		}
 	}
-	if *outPath != "" {
-		if err := appendCSV(*outPath, res); err != nil {
-			fmt.Fprintln(os.Stderr, "ibrbench:", err)
-			os.Exit(1)
-		}
-	}
 	if *jsonPath != "" {
-		if err := appendJSON(*jsonPath, res); err != nil {
+		if err := appendRecord(*jsonPath, harness.NewRecord("", res)); err != nil {
 			fmt.Fprintln(os.Stderr, "ibrbench:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// benchRecord is the BENCH_scan.json line format: one self-contained JSON
-// object per run, so CI and scripts can diff scan efficiency across commits
-// without parsing the human-oriented CSV.
-type benchRecord struct {
-	Structure        string  `json:"structure"`
-	Scheme           string  `json:"scheme"`
-	Threads          int     `json:"threads"`
-	Mode             string  `json:"mode"`
-	Seconds          float64 `json:"seconds"`
-	Ops              uint64  `json:"ops"`
-	Mops             float64 `json:"mops"`
-	AvgRetired       float64 `json:"avg_retired"`
-	Scans            uint64  `json:"scans"`
-	ScanExaminedMean float64 `json:"scan_examined_mean"`
-	ScanFreed        uint64  `json:"scan_freed"`
-	ExaminedPerFreed float64 `json:"examined_per_freed"`
-	BucketSkips      uint64  `json:"bucket_skips"`
-	BucketFrees      uint64  `json:"bucket_frees"`
-	Obs              bool    `json:"obs"`
-	// The host the cell ran on: its CPU count and the Go scheduler's
-	// parallelism, without which ops/s cannot be compared across runs.
-	Nproc      int `json:"nproc"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-func appendJSON(path string, res harness.Result) error {
-	rec := benchRecord{
-		Structure: res.Structure,
-		Scheme:    res.Scheme,
-		Threads:   res.Threads,
-		Mode:      res.Workload.String(),
-		// Measured wall time, NOT the requested -i interval: wg.Wait() lets
-		// in-flight ops finish after the stop flag, so ops/seconds must use
-		// the same clock Mops was computed with or the two silently disagree.
-		Seconds:          res.Elapsed.Seconds(),
-		Ops:              res.Ops,
-		Mops:             res.Mops,
-		AvgRetired:       res.AvgRetired,
-		Scans:            res.Scans,
-		ScanExaminedMean: res.ScanMeanLen,
-		ScanFreed:        res.ScanFreed,
-		BucketSkips:      res.ScanBucketSkips,
-		BucketFrees:      res.ScanBucketFrees,
-		Obs:              res.Obs != nil,
-		Nproc:            runtime.NumCPU(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-	}
-	if res.ScanFreed > 0 {
-		rec.ExaminedPerFreed = float64(res.ScanExamined) / float64(res.ScanFreed)
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
+func appendRecord(path string, rec harness.Record) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	_, err = f.Write(append(line, '\n'))
-	return err
-}
-
-func appendCSV(path string, res harness.Result) error {
-	_, statErr := os.Stat(path)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := harness.WriteRecord(f, rec); err != nil {
+		f.Close()
 		return err
 	}
-	defer f.Close()
-	if os.IsNotExist(statErr) {
-		if err := harness.WriteCSVHeader(f); err != nil {
-			return err
-		}
-	}
-	return harness.WriteCSVRow(f, "manual", res)
+	return f.Close()
 }

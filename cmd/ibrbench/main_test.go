@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"os"
 	"slices"
 	"testing"
+
+	"ibr/internal/harness"
 )
 
 // TestBenchScanShape gates the committed scan-efficiency snapshot that
@@ -14,30 +14,28 @@ import (
 // complete and self-consistent, and TagIBR-WCAS's bucketed scans not
 // regressed to full-list scans.
 func TestBenchScanShape(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_scan.json")
+	f, err := os.Open("../../BENCH_scan.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(data, []byte("\n")); n != 7 {
-		t.Fatalf("BENCH_scan.json has %d lines, want 7", n)
+	defer f.Close()
+	recs, err := harness.ReadRecords(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	required := []string{"structure", "scheme", "threads", "mode", "seconds", "ops",
-		"mops", "avg_retired", "scans", "scan_examined_mean", "scan_freed",
-		"examined_per_freed", "bucket_skips", "bucket_frees", "obs", "nproc", "gomaxprocs"}
-	var recs []benchRecord
-	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var keys map[string]any
-		var rec benchRecord
-		if err := json.Unmarshal(line, &keys); err != nil {
-			t.Fatal(err)
+	if len(recs) != 7 {
+		t.Fatalf("BENCH_scan.json has %d records, want 7", len(recs))
+	}
+	for _, rec := range recs {
+		if rec.Structure == "" || rec.Mode == "" || rec.Threads <= 0 || rec.Nproc <= 0 || rec.GOMAXPROCS <= 0 {
+			t.Errorf("%s/%s: incomplete record %+v", rec.Scheme, rec.Mode, rec)
 		}
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
+		if rec.ScanCounts == nil {
+			t.Fatalf("%s/%s: no scan counts", rec.Scheme, rec.Mode)
 		}
-		for _, k := range required {
-			if _, ok := keys[k]; !ok {
-				t.Errorf("%s/%s: missing field %q", rec.Scheme, rec.Mode, k)
-			}
+		// Every cell retires, so a zero here is a field the line lacks.
+		if rec.AvgRetired <= 0 || rec.Scans == 0 || rec.ScanFreed == 0 || rec.ScanExaminedMean <= 0 || rec.ExaminedPerFreed <= 0 {
+			t.Errorf("%s/%s: missing retirement or scan fields: %+v", rec.Scheme, rec.Mode, *rec.ScanCounts)
 		}
 		if rec.Ops == 0 {
 			t.Errorf("%s/%s: benchmark performed no operations", rec.Scheme, rec.Mode)
@@ -47,7 +45,6 @@ func TestBenchScanShape(t *testing.T) {
 		if derived := float64(rec.Ops) / rec.Seconds / 1e6; math.Abs(derived-rec.Mops) > 0.01*rec.Mops {
 			t.Errorf("%s/%s: ops/seconds = %.3f Mops but mops = %.3f", rec.Scheme, rec.Mode, derived, rec.Mops)
 		}
-		recs = append(recs, rec)
 	}
 	var schemes []string
 	var obs []bool

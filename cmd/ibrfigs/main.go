@@ -1,18 +1,23 @@
 // Command ibrfigs regenerates the paper's evaluation figures (see DESIGN.md
 // §4 for the experiment index): it sweeps every (scheme × thread-count)
-// cell of one or all experiments, writes the raw measurements as CSV, and
-// prints ASCII series tables for both metrics (throughput for Fig. 8, the
-// average retired-but-unreclaimed block count for Figs. 9/10).
+// cell of one or all experiments, writes each cell's harness.Record to
+// <dir>/<experiment>.jsonl, and draws each figure twice, as
+// <experiment>-mops.svg and -space.svg (throughput for Fig. 8, the average
+// retired-but-unreclaimed block count for Figs. 9/10) and as ASCII tables
+// on stdout.
 //
 //	ibrfigs -fig all -i 0.25 -o data
 //	ibrfigs -fig 8c -threads 1,4,16,64
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -26,7 +31,7 @@ func main() {
 		fig      = flag.String("fig", "all", `experiment id ("8a".."8d", "10", "k", "stall", "stallcurve") or "all"`)
 		interval = flag.Float64("i", 0.25, "seconds per benchmark cell")
 		threads  = flag.String("threads", "", "comma-separated thread counts overriding the default sweep")
-		outDir   = flag.String("o", "data", "directory for CSV output")
+		outDir   = flag.String("o", "data", "directory for the records and charts")
 		quiet    = flag.Bool("q", false, "suppress the ASCII tables")
 	)
 	flag.Parse()
@@ -70,92 +75,98 @@ func main() {
 		exps = []harness.Experiment{e}
 	}
 
+	tables := io.Writer(os.Stdout)
+	if *quiet {
+		tables = io.Discard
+	}
 	for _, e := range exps {
-		if err := runExperiment(e, time.Duration(*interval*float64(time.Second)), override, *outDir, *quiet); err != nil {
+		if err := runExperiment(e, time.Duration(*interval*float64(time.Second)), override, *outDir, tables); err != nil {
 			fmt.Fprintln(os.Stderr, "ibrfigs:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-func runExperiment(e harness.Experiment, d time.Duration, override []int, outDir string, quiet bool) error {
+// runExperiment measures every cell of e into <outDir>/<id>.jsonl, then
+// draws both of its charts as SVGs beside it and as tables to tables.
+func runExperiment(e harness.Experiment, d time.Duration, override []int, outDir string, tables io.Writer) error {
 	cells := e.Cells(d, override)
 	fmt.Fprintf(os.Stderr, "== %s: %s (%d cells, %.2gs each)\n", e.ID, e.Title, len(cells), d.Seconds())
 
-	path := filepath.Join(outDir, e.ID+".csv")
+	path := filepath.Join(outDir, e.ID+".jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := harness.WriteCSVHeader(f); err != nil {
-		return err
-	}
-
-	var results []harness.Result
+	var recs []harness.Record
 	for i, cfg := range cells {
 		res, err := harness.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("cell %d (%s/%s t=%d): %w", i, cfg.Structure, cfg.Scheme, cfg.Threads, err)
 		}
-		results = append(results, res)
-		if err := harness.WriteCSVRow(f, e.ID, res); err != nil {
+		rec := harness.NewRecord(e.ID, res)
+		if err := harness.WriteRecord(f, rec); err != nil {
 			return err
 		}
+		recs = append(recs, rec)
 		fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-12s t=%-3d k=%-3d %10.4f Mops  %10.1f retired\n",
 			i+1, len(cells), cfg.Scheme, cfg.Threads, cfg.EmptyFreq, res.Mops, res.AvgRetired)
 	}
-
-	if !quiet {
-		if e.ID == "ksweep" {
-			printKSweep(results)
-		} else {
-			harness.Series(os.Stdout, e.Title, "mops", results)
-			fmt.Println()
-			harness.Series(os.Stdout, e.Title, "space", results)
-			fmt.Println()
-		}
-	}
 	fmt.Fprintf(os.Stderr, "   wrote %s\n", path)
-	return nil
+
+	for _, m := range metrics {
+		c := buildFigure(e, m, recs)
+		svg := filepath.Join(outDir, e.ID+"-"+m.name+".svg")
+		if err := os.WriteFile(svg, []byte(c.SVG()), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "   wrote %s\n", svg)
+		if err := c.Table(tables); err != nil {
+			return err
+		}
+		fmt.Fprintln(tables)
+	}
+	return f.Close()
 }
 
-// printKSweep renders the empty-frequency ablation: rows are k values,
-// column pairs are (Mops, retired) per scheme.
-func printKSweep(results []harness.Result) {
-	fmt.Println("# §5 tuning sweep: retire-scan frequency k (expect flat Mops, ~linear space)")
-	schemes := []string{}
-	seen := map[string]bool{}
-	ks := []int{}
-	seenK := map[int]bool{}
-	for _, r := range results {
-		if !seen[r.Scheme] {
-			seen[r.Scheme] = true
-			schemes = append(schemes, r.Scheme)
-		}
-		if !seenK[r.EmptyFreq] {
-			seenK[r.EmptyFreq] = true
-			ks = append(ks, r.EmptyFreq)
+// metric is one of the two quantities every experiment is drawn for.
+type metric struct {
+	name, title, yLabel string
+	logY                bool // space series span orders of magnitude
+	value               func(harness.Record) float64
+}
+
+var metrics = []metric{
+	{"mops", "throughput", "M ops/s", false, func(r harness.Record) float64 { return r.Mops }},
+	{"space", "retired-but-unreclaimed blocks", "avg retired blocks", true, func(r harness.Record) float64 { return r.AvgRetired }},
+}
+
+// buildFigure draws one metric of an experiment's records: one series per
+// scheme, in the order the schemes first appear, over the thread count, or
+// over the empty frequency k when the experiment sweeps it.
+func buildFigure(e harness.Experiment, m metric, recs []harness.Record) *plot.Chart {
+	c := &plot.Chart{Title: e.ID + " — " + m.title, XLabel: "threads", YLabel: m.yLabel, LogY: m.logY}
+	x := func(r harness.Record) float64 { return float64(r.Threads) }
+	if len(e.EmptyFreqs) > 0 {
+		c.XLabel = "empty frequency k"
+		x = func(r harness.Record) float64 { return float64(r.EmptyFreq) }
+	}
+	index := map[string]int{} // scheme → its series
+	for _, r := range recs {
+		if _, ok := index[r.Scheme]; !ok {
+			index[r.Scheme] = len(c.Series)
+			c.Series = append(c.Series, plot.Series{Name: r.Scheme})
 		}
 	}
-	fmt.Printf("%-6s", "k")
-	for _, s := range schemes {
-		fmt.Printf("%14s", s+" Mops")
-		fmt.Printf("%14s", s+" space")
+	recs = slices.Clone(recs)
+	slices.SortStableFunc(recs, func(a, b harness.Record) int { return cmp.Compare(x(a), x(b)) })
+	for _, r := range recs {
+		s := &c.Series[index[r.Scheme]]
+		s.X = append(s.X, x(r))
+		s.Y = append(s.Y, m.value(r))
 	}
-	fmt.Println()
-	for _, k := range ks {
-		fmt.Printf("%-6d", k)
-		for _, s := range schemes {
-			for _, r := range results {
-				if r.EmptyFreq == k && r.Scheme == s {
-					fmt.Printf("%14.4f%14.1f", r.Mops, r.AvgRetired)
-				}
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Println()
+	return c
 }
 
 // runStallCurve records the space-vs-time series for each scheme with one

@@ -1,9 +1,10 @@
 // Command ibrtop is a terminal dashboard over a running ibrd: it polls the
 // daemon's Prometheus /metrics endpoint and renders per-shard serving and
-// reclamation state — ops/s (from counter deltas), queue depth,
-// retired-but-unreclaimed blocks, epoch and epoch lag — plus engine-wide
-// op latency quantiles, retire→free age quantiles, and the stall
-// watchdog's alerts.
+// reclamation state — ops/s (from counter deltas), retired-but-unreclaimed
+// blocks, epoch and epoch lag — plus engine-wide op latency quantiles,
+// retire→free age quantiles, and the stall watchdog's alerts. (There is no
+// queue column: a daemon runs every request on its connection reader, so
+// ibr_queue_depth moves only for in-process SubmitRequest callers.)
 //
 //	ibrtop -addr http://127.0.0.1:4101 -i 1s
 //
@@ -75,9 +76,9 @@ func render(w io.Writer, cur, prev obs.MetricSet, dt time.Duration, hasPrev bool
 	fmt.Fprintln(w)
 
 	shards := cur.ShardIDs("ibr_ops_total")
-	fmt.Fprintf(w, "\n%5s %10s %7s %12s %10s %6s %10s\n",
-		"shard", "ops/s", "queue", "unreclaimed", "epoch", "lag", "live")
-	var totOps, totRate, totQueue, totUnreclaimed float64
+	fmt.Fprintf(w, "\n%5s %10s %12s %10s %6s %10s\n",
+		"shard", "ops/s", "unreclaimed", "epoch", "lag", "live")
+	var totOps, totRate, totUnreclaimed float64
 	for _, s := range shards {
 		sl := map[string]string{"shard": s}
 		ops := cur.Value("ibr_ops_total", sl)
@@ -85,15 +86,14 @@ func render(w io.Writer, cur, prev obs.MetricSet, dt time.Duration, hasPrev bool
 		if hasPrev && dt > 0 {
 			rate = (ops - prev.Value("ibr_ops_total", sl)) / dt.Seconds()
 		}
-		queue := cur.Value("ibr_queue_depth", sl)
 		unrec := cur.Value("ibr_unreclaimed", sl)
-		totOps, totRate, totQueue, totUnreclaimed = totOps+ops, totRate+rate, totQueue+queue, totUnreclaimed+unrec
-		fmt.Fprintf(w, "%5s %10.0f %7.0f %12.0f %10.0f %6.0f %10.0f\n",
-			s, rate, queue, unrec,
+		totOps, totRate, totUnreclaimed = totOps+ops, totRate+rate, totUnreclaimed+unrec
+		fmt.Fprintf(w, "%5s %10.0f %12.0f %10.0f %6.0f %10.0f\n",
+			s, rate, unrec,
 			cur.Value("ibr_epoch", sl), cur.Value("ibr_epoch_lag", sl),
 			cur.Value("ibr_live_blocks", sl))
 	}
-	fmt.Fprintf(w, "%5s %10.0f %7.0f %12.0f   (%.0f ops total)\n", "Σ", totRate, totQueue, totUnreclaimed, totOps)
+	fmt.Fprintf(w, "%5s %10.0f %12.0f   (%.0f ops total)\n", "Σ", totRate, totUnreclaimed, totOps)
 
 	if len(cur["ibr_op_latency_ns_bucket"]) > 0 {
 		fmt.Fprintf(w, "\n%-18s %10s %10s %10s %12s\n", "latency", "p50", "p99", "count", "")

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -205,45 +208,54 @@ func TestCellsExpansion(t *testing.T) {
 	}
 }
 
-func TestCSVOutput(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteCSVHeader(&sb); err != nil {
+func TestRecordRoundTrip(t *testing.T) {
+	r := quick(t, Config{Structure: "hashmap", Scheme: "tagibr", Threads: 1, EmptyFreq: 5})
+	rec := NewRecord("fig8b", r)
+	if rec.Ops == 0 || rec.Seconds <= 0 || rec.Nproc <= 0 || rec.GOMAXPROCS <= 0 || rec.Scans == 0 {
+		t.Fatalf("incomplete record %+v", rec)
+	}
+	if derived := float64(rec.Ops) / rec.Seconds / 1e6; math.Abs(derived-rec.Mops) > 1e-9*rec.Mops {
+		t.Fatalf("ops/seconds = %v Mops, mops = %v", derived, rec.Mops)
+	}
+	// A record without scan counts (converted from a run that did not count
+	// them) writes none of their fields.
+	bare := rec
+	bare.Experiment, bare.ScanCounts = "", nil
+	var buf bytes.Buffer
+	for _, x := range []Record{rec, bare} {
+		if err := WriteRecord(&buf, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], `{"experiment":"fig8b","structure":"hashmap","scheme":"tagibr","threads":1,"stalled":0,"emptyfreq":5,"mode":"write",`) {
+		t.Fatalf("lines:\n%s", buf.String())
+	}
+	if strings.Contains(lines[1], "experiment") || strings.Contains(lines[1], "scan") {
+		t.Fatalf("bare record wrote absent fields: %s", lines[1])
+	}
+	got, err := ReadRecords(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := quick(t, Config{Structure: "hashmap", Scheme: "tagibr", Threads: 1})
-	if err := WriteCSVRow(&sb, "fig8b", r); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	if got, want := len(strings.Split(lines[1], ",")), len(strings.Split(CSVHeader, ",")); got != want {
-		t.Fatalf("row has %d fields, header %d", got, want)
-	}
-	if !strings.HasPrefix(lines[1], "fig8b,hashmap,write,tagibr,1,") {
-		t.Fatalf("unexpected row prefix: %s", lines[1])
+	if len(got) != 2 || !reflect.DeepEqual(got[0], rec) || !reflect.DeepEqual(got[1], bare) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, []Record{rec, bare})
 	}
 }
 
-func TestSeriesTable(t *testing.T) {
-	var rs []Result
-	for _, th := range []int{1, 2} {
-		for _, s := range []string{"ebr", "tagibr"} {
-			r := quick(t, Config{Structure: "hashmap", Scheme: s, Threads: th,
-				Duration: 5 * time.Millisecond})
-			rs = append(rs, r)
+func TestReadRecordsErrors(t *testing.T) {
+	for _, in := range []string{
+		`{"scheme":"ebr","threads":"four"}`,
+		`{"scheme":"ebr","duration_ms":400}`,
+		`{"scheme":"ebr"`,
+	} {
+		if recs, err := ReadRecords(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadRecords(%s) = %+v, want an error", in, recs)
 		}
 	}
-	var sb strings.Builder
-	Series(&sb, "test", "mops", rs)
-	out := sb.String()
-	for _, want := range []string{"ebr", "tagibr", "scheme\\thr"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("series table missing %q:\n%s", want, out)
-		}
+	if recs, err := ReadRecords(strings.NewReader("")); err != nil || len(recs) != 0 {
+		t.Fatalf("empty input: %v, %v", recs, err)
 	}
-	Series(&sb, "test", "space", rs)
 }
 
 func TestXrandDistinctStreams(t *testing.T) {

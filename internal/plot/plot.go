@@ -1,14 +1,17 @@
-// Package plot renders simple SVG line charts with the Go standard library
-// only. It stands in for the R script the paper's artifact uses to draw
-// Figs. 8–10: one chart per figure, one series per reclamation scheme,
-// thread count on the x axis.
+// Package plot renders line charts, as SVG or as an ASCII table, with the
+// Go standard library only. It stands in for the R script the paper's
+// artifact uses to draw Figs. 8–10: one chart per figure, one series per
+// reclamation scheme, thread count on the x axis.
 package plot
 
 import (
 	"fmt"
+	"io"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Series is one line on a chart.
@@ -120,19 +123,8 @@ func (c *Chart) SVG() string {
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="end">%s</text>`+"\n",
 			marginL-6, py+4, fmtNum(label))
 	}
-	// X ticks at the observed thread counts (dedup across series).
-	seen := map[float64]bool{}
-	var xs []float64
-	for _, s := range c.Series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	sort.Float64s(xs)
-	for _, x := range xs {
+	// X ticks at the observed thread counts.
+	for _, x := range c.xValues() {
 		px := xPix(x)
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#333"/>`+"\n",
 			px, float64(marginT)+plotH, px, float64(marginT)+plotH+4)
@@ -175,6 +167,39 @@ func (c *Chart) SVG() string {
 	}
 	b.WriteString("</svg>\n")
 	return b.String()
+}
+
+// Table writes the chart as an ASCII table: one row per series, one
+// column per x value, "-" where a series has no point at that x.
+func (c *Chart) Table(w io.Writer) error {
+	xs := c.xValues()
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(tw, "# %s (%s)\n%s\t", c.Title, c.YLabel, c.XLabel)
+	for _, x := range xs {
+		fmt.Fprintf(tw, "%s\t", fmtNum(x))
+	}
+	for _, s := range c.Series {
+		fmt.Fprintf(tw, "\n%s\t", s.Name)
+		for _, x := range xs {
+			cell := "-"
+			if i := slices.Index(s.X, x); i >= 0 {
+				cell = strconv.FormatFloat(s.Y[i], 'f', 4, 64)
+			}
+			fmt.Fprintf(tw, "%s\t", cell)
+		}
+	}
+	fmt.Fprintln(tw)
+	return tw.Flush()
+}
+
+// xValues returns the distinct x values of every series, ascending.
+func (c *Chart) xValues() []float64 {
+	var xs []float64
+	for _, s := range c.Series {
+		xs = append(xs, s.X...)
+	}
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 func writeMarker(b *strings.Builder, kind string, x, y float64, color string) {

@@ -103,62 +103,20 @@ func TestFmtNum(t *testing.T) {
 	}
 }
 
-func TestReadHarnessCSV(t *testing.T) {
-	csvData := `experiment,structure,workload,scheme,threads,stalled,emptyfreq,duration_ms,ops,mops,avg_retired,allocs,frees,live
-fig8b,hashmap,write,ebr,1,0,0,250,1000,7.4,104.5,5000,4000,1000
-fig8b,hashmap,write,ebr,4,0,0,250,900,2.7,25502.2,5000,4000,1000
-fig8b,hashmap,write,tagibr,1,0,0,250,950,6.7,73.4,5000,4000,1000
-`
-	rows, err := ReadHarnessCSV(strings.NewReader(csvData))
-	if err != nil {
+func TestChartTable(t *testing.T) {
+	c := sampleChart()
+	c.Series = append(c.Series, Series{Name: "hp", X: []float64{4, 1}, Y: []float64{5.5, 1234567.25}})
+	var sb strings.Builder
+	if err := c.Table(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	if rows[1].Scheme != "ebr" || rows[1].Threads != 4 || rows[1].Space != 25502.2 {
-		t.Fatalf("row 1 = %+v", rows[1])
-	}
-	c := BuildFigure("fig8b", "mops", rows)
-	if len(c.Series) != 2 {
-		t.Fatalf("%d series, want 2 (ebr, tagibr)", len(c.Series))
-	}
-	if c.LogY {
-		t.Fatal("throughput chart must be linear")
-	}
-	cs := BuildFigure("fig8b", "space", rows)
-	if !cs.LogY {
-		t.Fatal("space chart must be log")
-	}
-	if cs.Series[0].Y[1] != 25502.2 {
-		t.Fatalf("space series = %+v", cs.Series[0])
-	}
-}
-
-func TestReadHarnessCSVErrors(t *testing.T) {
-	if _, err := ReadHarnessCSV(strings.NewReader("a,b\n")); err == nil {
-		t.Fatal("missing columns accepted")
-	}
-	if _, err := ReadHarnessCSV(strings.NewReader("")); err == nil {
-		t.Fatal("empty file accepted")
-	}
-	bad := "experiment,structure,workload,scheme,threads,stalled,emptyfreq,duration_ms,ops,mops,avg_retired,allocs,frees,live\nx,h,w,ebr,NOPE,0,0,1,1,1,1,1,1,1\n"
-	if _, err := ReadHarnessCSV(strings.NewReader(bad)); err == nil {
-		t.Fatal("malformed row accepted")
-	}
-}
-
-func TestBuildFigureKsweepAxis(t *testing.T) {
-	rows := []Row{
-		{Scheme: "ebr", Threads: 4, Mops: 1, Space: 10, Empty: 30},
-		{Scheme: "ebr", Threads: 4, Mops: 2, Space: 20, Empty: 1},
-	}
-	c := BuildFigure("ksweep", "mops", rows)
-	if c.XLabel != "empty frequency k" {
-		t.Fatalf("xlabel = %q", c.XLabel)
-	}
-	// Sorted by emptyfreq: 1 before 30.
-	if c.Series[0].X[0] != 1 || c.Series[0].X[1] != 30 {
-		t.Fatalf("ksweep x = %v", c.Series[0].X)
+	want := `# fig8b — throughput (M ops/s)
+  threads             1       2       4
+      ebr        7.4000  2.7000  2.7000
+   tagibr        6.7000  2.6000  2.2000
+       hp  1234567.2500       -  5.5000
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("table:\n%s\nwant:\n%s", got, want)
 	}
 }
