@@ -30,7 +30,7 @@ func main() {
 		keyRange  = flag.Uint64("range", 65536, "key range")
 		prefill   = flag.Float64("prefill", 0.75, "prefilled fraction of the key range")
 		epochf    = flag.Int("epochf", 150, "epoch advance frequency (per-thread allocations)")
-		emptyf    = flag.Int("emptyf", 30, "retire-list scan frequency (retirements)")
+		emptyf    = flag.Int("emptyf", core.DefaultEmptyFreq, "retire-list scan frequency (retirements)")
 		buckets   = flag.Int("buckets", ds.DefaultBuckets, "hash map buckets")
 		stalled   = flag.Int("stalled", 0, "stalled workers holding reservations")
 		stallMS   = flag.Int("stallms", 10, "stall duration per park (ms)")

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		inflight  = fs.Int("inflight", 128, "max pipelined requests per connection")
 		idle      = fs.Duration("idle", 5*time.Minute, "per-connection idle timeout")
 		epochf    = fs.Int("epochf", 150, "epoch advance frequency (per-worker allocations)")
-		emptyf    = fs.Int("emptyf", 30, "retire-list scan frequency (retirements)")
+		emptyf    = fs.Int("emptyf", core.DefaultEmptyFreq, "retire-list scan frequency (retirements)")
 		buckets   = fs.Int("buckets", 0, "hash map buckets per shard (0 = default)")
 		poolSlots = fs.Uint64("poolslots", 0, "node pool capacity per shard (0 = default)")
 

@@ -176,13 +176,14 @@ type Options struct {
 	// thread (paper §5 uses n×k total with k=150, i.e. each thread
 	// advances every 150 of its own allocations). Default 150.
 	EpochFreq int
-	// EmptyFreq: the base scan cadence (paper §5: k=30). Default 30. The
-	// scanning schemes drain adaptively: a thread scans when its unreclaimed
-	// count reaches a watermark that starts EmptyFreq above the last scan's
-	// residue and backs off (doubling, capped at 32×EmptyFreq) while scans
-	// are futile — so a backlog pinned by a stalled reservation is not
-	// rescanned every EmptyFreq retirements. Hyaline seals batches on the
-	// fixed EmptyFreq cadence (its handoff has no yield signal to adapt to).
+	// EmptyFreq: the base scan cadence (paper §5: k=30). Default
+	// DefaultEmptyFreq. The scanning schemes drain adaptively: a thread
+	// scans when its unreclaimed count reaches a watermark that starts
+	// EmptyFreq above the last scan's residue and backs off (doubling,
+	// capped at 32×EmptyFreq) while scans are futile — so a backlog pinned
+	// by a stalled reservation is not rescanned every EmptyFreq
+	// retirements. Hyaline seals batches on the fixed EmptyFreq cadence
+	// (its handoff has no yield signal to adapt to).
 	EmptyFreq int
 	// BucketShift sets the birth-epoch width of a retire-list bucket to
 	// 2^BucketShift epochs. 0 selects the default (5, i.e. 32 epochs);
@@ -199,6 +200,12 @@ type Options struct {
 	Obs *obs.SchemeObs
 }
 
+// DefaultEmptyFreq is the base scan cadence, in retirements, that a zero
+// Options.EmptyFreq selects: the paper's k (§5). The harness and the
+// commands take their defaults from it, so a cell run at the default
+// records this value, never 0.
+const DefaultEmptyFreq = 30
+
 func (o Options) withDefaults() Options {
 	if o.Threads <= 0 {
 		panic("core: Options.Threads must be positive")
@@ -207,7 +214,7 @@ func (o Options) withDefaults() Options {
 		o.EpochFreq = 150
 	}
 	if o.EmptyFreq <= 0 {
-		o.EmptyFreq = 30
+		o.EmptyFreq = DefaultEmptyFreq
 	}
 	if o.Slots <= 0 {
 		o.Slots = 8

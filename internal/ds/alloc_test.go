@@ -36,6 +36,17 @@ func TestFacadeOpsDoNotAllocate(t *testing.T) {
 					m.Insert(0, 129, 1)
 					m.Remove(0, 129)
 				})
+				// A range leg hands Range a callback built once, as the
+				// engine's pooled scratch does, so the scan itself must
+				// not allocate.
+				if r, ok := m.(Ranger); ok {
+					seen := 0
+					visit := func(k, v uint64) bool { seen++; return true }
+					check(t, "Range", func() { r.Range(0, 64, 191, visit) })
+					if seen == 0 {
+						t.Error("Range visited no keys")
+					}
+				}
 			})
 		}
 		t.Run("stack/"+scheme, func(t *testing.T) {

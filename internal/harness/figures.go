@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"time"
+
+	"ibr/internal/core"
 )
 
 // Experiment is one of the paper's evaluation artifacts: a sweep of
@@ -125,6 +127,7 @@ func (e Experiment) Cells(duration time.Duration, threadsOverride []int) []Confi
 				Workload:  e.Workload,
 				KeyRange:  e.KeyRange,
 				Stalled:   e.Stalled,
+				EmptyFreq: core.DefaultEmptyFreq,
 			}
 			if len(e.EmptyFreqs) == 0 {
 				out = append(out, base)

@@ -45,7 +45,7 @@ type Config struct {
 	KeyRange  uint64  // keys drawn uniformly from [0, KeyRange); default 65536
 	Prefill   float64 // fraction of the key range inserted before timing; default 0.75
 	EpochFreq int     // per-thread allocations per epoch bump; default 150
-	EmptyFreq int     // retirements per retire-list scan; default 30 (paper's k)
+	EmptyFreq int     // retirements per retire-list scan; default core.DefaultEmptyFreq
 	PoolSlots uint64  // node pool capacity; default mem.DefaultMaxSlots
 	Buckets   int     // hash map buckets; default ds.DefaultBuckets
 	Seed      int64   // RNG seed; default 1
@@ -100,6 +100,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.StallFor == 0 {
 		c.StallFor = time.Millisecond
+	}
+	if c.EmptyFreq == 0 {
+		c.EmptyFreq = core.DefaultEmptyFreq
 	}
 	return c, nil
 }

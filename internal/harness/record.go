@@ -17,8 +17,8 @@ type Record struct {
 	Scheme     string `json:"scheme"`
 	Threads    int    `json:"threads"`
 	Stalled    int    `json:"stalled"`
-	EmptyFreq  int    `json:"emptyfreq"` // 0: the scheme's default
-	Mode       string `json:"mode"`      // the Workload: "write" or "read"
+	EmptyFreq  int    `json:"emptyfreq"`
+	Mode       string `json:"mode"` // the Workload: "write" or "read"
 	// Seconds is the measured wall time Mops was computed with, not the
 	// requested interval: in-flight ops finish after the stop flag, so
 	// ops/seconds must use Mops's clock or the two silently disagree.

@@ -355,23 +355,30 @@ func (c *Client) doOnce(ctx context.Context, req Request) (Response, error) {
 	}
 
 	var r result
-	select {
-	case r = <-ch:
-	case <-ctx.Done():
-		// The request is queued or on the wire and its response WILL
-		// arrive carrying this id, so the slot must stay reserved until
-		// then: readLoop frees it on arrival. If readLoop (or fail) has
-		// answered already, the result is in ch or about to be; take it,
-		// so the slot is freed with an empty channel and the call reports
-		// its outcome.
-		c.mu.Lock()
-		if c.slots[i].state == slotWaiting {
-			c.slots[i].state = slotAbandoned
-			c.mu.Unlock()
-			return Response{}, ctx.Err()
-		}
-		c.mu.Unlock()
+	// A context that can never end (Background, TODO and their value
+	// children) has a nil Done: receive directly rather than pay for a
+	// select on every call.
+	if done := ctx.Done(); done == nil {
 		r = <-ch
+	} else {
+		select {
+		case r = <-ch:
+		case <-done:
+			// The request is queued or on the wire and its response WILL
+			// arrive carrying this id, so the slot must stay reserved
+			// until then: readLoop frees it on arrival. If readLoop (or
+			// fail) has answered already, the result is in ch or about to
+			// be; take it, so the slot is freed with an empty channel and
+			// the call reports its outcome.
+			c.mu.Lock()
+			if c.slots[i].state == slotWaiting {
+				c.slots[i].state = slotAbandoned
+				c.mu.Unlock()
+				return Response{}, ctx.Err()
+			}
+			c.mu.Unlock()
+			r = <-ch
+		}
 	}
 	c.mu.Lock()
 	c.release(i)

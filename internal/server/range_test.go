@@ -3,7 +3,11 @@ package server
 import (
 	"bufio"
 	"context"
+	"fmt"
+	"math/rand"
 	"net"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,14 +44,8 @@ func TestEngineRangeAllSchemes(t *testing.T) {
 			if err != nil || r.Status != StatusOK {
 				t.Fatalf("Range = %v/%v", r.Status, err)
 			}
-			if len(r.Pairs) != 200 {
-				t.Fatalf("Range [100,299] returned %d pairs, want 200", len(r.Pairs))
-			}
-			for i, p := range r.Pairs {
-				want := uint64(100 + i)
-				if p.Key != want || p.Val != want*3 {
-					t.Fatalf("pair %d = (%d,%d), want (%d,%d)", i, p.Key, p.Val, want, want*3)
-				}
+			if err := checkRange(r.Pairs, 100, 299); err != nil {
+				t.Fatal(err)
 			}
 			// Limited scan: exactly Limit pairs, still the smallest keys first.
 			r, err = eng.DoContext(ctx, Request{Op: OpRange, Key: 100, KeyHi: 299, Limit: 25})
@@ -78,6 +76,176 @@ func TestEngineRangeAllSchemes(t *testing.T) {
 				t.Fatalf("range legs = %d, want %d", legs, 3*4)
 			}
 		})
+	}
+}
+
+// TestMergeRuns checks the legs' merge against a sort of the same pairs.
+// Keys are dealt at random over the runs, as shardFor deals them over
+// shards, and each run ascends, as a leg's does. Every leg collects at most
+// limit pairs, so the first limit keys of the whole set must come out, in
+// order, in an exact-size slice. One scratch serves every case in turn, so
+// each case also starts from the previous one's leftovers.
+func TestMergeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := getRangeScratch()
+	defer s.release()
+	for _, c := range []struct {
+		name       string
+		runs, keys int
+	}{
+		{"no pairs", 8, 0},
+		{"one pair", 8, 1},
+		{"empty runs among full ones", 8, 5},
+		{"single run", 1, 300},
+		{"eight runs", 8, 330},
+		{"more runs than shards", 40, 700},
+		{"eight runs again", 8, 64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			all := make([]Pair, c.keys)
+			runs := make([][]Pair, c.runs)
+			for i, k := range rng.Perm(4 * c.keys)[:c.keys] {
+				all[i] = Pair{Key: uint64(k), Val: rng.Uint64()}
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
+			for _, p := range all {
+				r := rng.Intn(c.runs)
+				runs[r] = append(runs[r], p)
+			}
+			for _, limit := range []int{1, c.keys / 2, c.keys - 1, c.keys, c.keys + 1, maxRangeLimit} {
+				if limit < 1 {
+					continue
+				}
+				s.pairs, s.ends = s.pairs[:0], s.ends[:0]
+				for _, run := range runs {
+					s.legEnd = len(s.pairs) + limit
+					for _, p := range run {
+						if !s.collect(p.Key, p.Val) {
+							break
+						}
+					}
+					s.ends = append(s.ends, len(s.pairs))
+				}
+				got := s.merge(limit)
+				want := all[:min(limit, len(all))]
+				if len(got) != len(want) || cap(got) != len(want) {
+					t.Fatalf("limit %d: len %d cap %d, want both %d", limit, len(got), cap(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("limit %d: pair %d = %v, want %v", limit, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// rangeEngine is an engine on an 8-shard skiplist holding keys [0, keys),
+// key k with value 3k.
+func rangeEngine(t *testing.T, keys uint64) *Engine {
+	t.Helper()
+	eng, err := NewEngine(EngineConfig{Structure: "skiplist", Shards: 8, WorkersPerShard: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	for k := uint64(0); k < keys; k++ {
+		if r, err := eng.do(&Request{Op: OpPut, Key: k, Val: 3 * k}); err != nil || r.Status != StatusOK {
+			t.Fatalf("Put(%d) = %v/%v", k, r.Status, err)
+		}
+	}
+	return eng
+}
+
+// checkRange returns an error unless pairs is exactly [lo, hi] of a
+// structure that holds every key k in it with value 3k.
+func checkRange(pairs []Pair, lo, hi uint64) error {
+	if uint64(len(pairs)) != hi-lo+1 {
+		return fmt.Errorf("[%d,%d]: %d pairs, want %d", lo, hi, len(pairs), hi-lo+1)
+	}
+	for i, p := range pairs {
+		if k := lo + uint64(i); p.Key != k || p.Val != 3*k {
+			return fmt.Errorf("[%d,%d]: pair %d = (%d,%d), want (%d,%d)", lo, hi, i, p.Key, p.Val, k, 3*k)
+		}
+	}
+	return nil
+}
+
+// TestRangeResultOwnsItsPairs: a range's result must not alias the pooled
+// scratch its legs collected into, because the connection's writer may
+// still be encoding one response while the reader's next RANGE reuses the
+// scratch. A kept result must survive later ranges over other intervals
+// unchanged: first on one goroutine, where the pool hands the same scratch
+// back, then on two readers at once, where the race detector sees any
+// scratch that two results share.
+func TestRangeResultOwnsItsPairs(t *testing.T) {
+	eng := rangeEngine(t, 2048)
+	a, err := eng.do(&Request{Op: OpRange, Key: 0, KeyHi: 255})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := uint64(256); lo < 2048; lo += 256 {
+		if _, err := eng.do(&Request{Op: OpRange, Key: lo, KeyHi: lo + 255}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkRange(a.Pairs, 0, 255); err != nil {
+		t.Fatalf("kept result changed by later ranges: %v", err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for r := uint64(0); r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var prev []Pair
+			var prevLo uint64
+			for i := uint64(0); i < 200; i++ {
+				lo := (r*1024 + i*61) % 1792
+				resp, err := eng.do(&Request{Op: OpRange, Key: lo, KeyHi: lo + 255})
+				if err == nil && prev != nil {
+					err = checkRange(prev, prevLo, prevLo+255)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				prev, prevLo = resp.Pairs, lo
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("kept result changed by the next range: %v", err)
+	}
+}
+
+// TestRangeAllocatesOnlyItsResult pins a range's cost model at the engine:
+// the legs collect into a pooled scratch through a callback bound once, so
+// one 1024-key range over an 8-shard skiplist makes one Go allocation, its
+// result.
+func TestRangeAllocatesOnlyItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	eng := rangeEngine(t, 4096)
+	req := Request{Op: OpRange, Key: 1024, KeyHi: 2047}
+	var err error
+	run := func() {
+		var r Response
+		if r, err = eng.do(&req); err == nil {
+			err = checkRange(r.Pairs, 1024, 2047)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n > 1 {
+		t.Errorf("a 1024-key range: %v allocs, want at most 1 (its result)", n)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
