@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lintdebug test testdebug race stress bench benchscan figs examples serve loadtest obssmoke chaossmoke tracesmoke rangesmoke clean
+.PHONY: all build vet lint lintdebug test testdebug race stress bench benchscan figs serve loadtest obssmoke chaossmoke tracesmoke rangesmoke clean
 
 all: build vet lint test
 
@@ -88,13 +88,6 @@ serve:
 # `make test` runs them all.
 loadtest obssmoke chaossmoke tracesmoke rangesmoke:
 	$(GO) test -count=1 -v -run 'TestDaemon/$@' ./cmd/ibrd
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/pstack
-	$(GO) run ./examples/pipeline
-	$(GO) run ./examples/stallrobust
-	$(GO) run ./examples/kvstore -ms 150
 
 # Removes only the ignored build outputs: bin/ (ibrlint, go build -o bin/)
 # and the benchmark's .bench_build/. The records, charts, tables and log

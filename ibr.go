@@ -7,9 +7,10 @@
 // substrate: nodes live in slab pools with explicit alloc/free and are
 // addressed by 64-bit handles, so safe memory reclamation is a real problem
 // with observable failure modes (see DESIGN.md). The reclamation schemes —
-// NoMM, EBR, hazard pointers, hazard eras, POIBR, TagIBR (CAS/FAA/WCAS/TPA)
-// and 2GEIBR — all implement the paper's Fig. 1 API and are interchangeable
-// under every structure, subject to the paper's restrictions.
+// NoMM, EBR, hazard pointers, hazard eras, POIBR, TagIBR (CAS/FAA/WCAS/TPA),
+// 2GEIBR and the post-paper Hyaline and DEBRA — all implement the paper's
+// Fig. 1 API and are interchangeable under every structure, subject to the
+// paper's restrictions.
 //
 // Quick start:
 //
@@ -17,8 +18,8 @@
 //	if err != nil { ... }
 //	m.Insert(tid, key, value) // tid ∈ [0, Threads), one goroutine per tid
 //
-// See examples/ for complete programs and cmd/ibrfigs for the benchmark
-// suite that regenerates the paper's figures.
+// The package's Example functions are complete programs with pinned output;
+// cmd/ibrfigs is the benchmark suite that regenerates the paper's figures.
 package ibr
 
 import (
@@ -44,9 +45,10 @@ type Stack = ds.Stack
 type Queue = ds.Queue
 
 // Concrete Map implementations, exposed so callers can reach the
-// structure-specific extras beyond the Map interface: List.Range and
-// Bonsai.Range (range scans; Bonsai's runs over one immutable snapshot),
-// Bonsai.Validate, SkipList.Validate and SkipList.Sweep.
+// structure-specific extras beyond the Map interface: List.Range,
+// SkipList.Range and Bonsai.Range (range scans; Bonsai's runs over one
+// immutable snapshot), Bonsai.Validate, SkipList.Validate and
+// SkipList.Sweep.
 type (
 	// List is the Harris–Michael ordered list.
 	List = ds.List
@@ -160,7 +162,7 @@ func Drain(x Instrumented, threads int) { core.DrainAll(x.Scheme(), threads) }
 
 // Schemes lists the reclamation scheme names, in the paper's order:
 // none (leak), ebr, hp, he, poibr, tagibr, tagibr-faa, tagibr-wcas,
-// tagibr-tpa, 2geibr.
+// tagibr-tpa, 2geibr, then the post-paper hyaline and debra.
 func Schemes() []string { return core.Names() }
 
 // Structures lists the data structure names.

@@ -137,10 +137,3 @@ func (t *Table) Intersects(birth, retire uint64) bool {
 	}
 	return false
 }
-
-// CoversEra reports whether any single reserved epoch value (an entry in a
-// flat era array, as hazard eras uses) lies within [birth, retire]. It is a
-// helper for tests; the HE scheme keeps its own era slots.
-func CoversEra(era, birth, retire uint64) bool {
-	return era != None && birth <= era && era <= retire
-}

@@ -139,18 +139,6 @@ func TestIntersectsMatchesBruteForce_Quick(t *testing.T) {
 	}
 }
 
-func TestCoversEra(t *testing.T) {
-	if CoversEra(None, 0, None) {
-		t.Fatal("None must never cover")
-	}
-	if !CoversEra(5, 5, 5) {
-		t.Fatal("era equal to both endpoints must cover")
-	}
-	if CoversEra(4, 5, 9) || CoversEra(10, 5, 9) {
-		t.Fatal("era outside interval covered")
-	}
-}
-
 // TestReservationPadding pins the anti-false-sharing layout: consecutive
 // reservations must not share a 64-byte line for their hot fields.
 func TestReservationPadding(t *testing.T) {

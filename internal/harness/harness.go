@@ -37,7 +37,7 @@ func (w Workload) String() string {
 
 // Config describes one benchmark cell (one point on a paper figure).
 type Config struct {
-	Structure string        // ds registry name: list, hashmap, nmtree, bonsai
+	Structure string        // ds map registry name: list, hashmap, nmtree, bonsai, skiplist
 	Scheme    string        // core registry name: none, ebr, hp, ...
 	Threads   int           // worker count (may exceed GOMAXPROCS: oversubscription)
 	Duration  time.Duration // fixed run time
@@ -76,6 +76,9 @@ type Config struct {
 func (c Config) withDefaults() (Config, error) {
 	if c.Structure == "" || c.Scheme == "" {
 		return c, fmt.Errorf("harness: Structure and Scheme are required")
+	}
+	if !ds.IsMapStructure(c.Structure) {
+		return c, fmt.Errorf("harness: %q is not a map structure", c.Structure)
 	}
 	if !ds.SchemeSupports(c.Scheme, c.Structure) {
 		return c, fmt.Errorf("harness: scheme %q cannot run structure %q", c.Scheme, c.Structure)

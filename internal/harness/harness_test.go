@@ -66,9 +66,23 @@ func TestRunRejectsUnsupportedPairs(t *testing.T) {
 		{Structure: "bonsai", Scheme: "he", Threads: 1},
 		{Structure: "", Scheme: "ebr"},
 		{Structure: "hashmap", Scheme: ""},
+		{Structure: "stack", Scheme: "tagibr"},  // SchemeSupports allows it; no Map
+		{Structure: "hashmap", Scheme: "bogus"}, // fails in the constructor
 	} {
 		if _, err := Run(c); err == nil {
 			t.Errorf("Run(%+v) should have failed", c)
+		}
+		// RunSpaceSeries returns the same error; it must not wait for a
+		// structure that was never built.
+		errc := make(chan error, 1)
+		go func() { _, err := RunSpaceSeries(c, time.Millisecond); errc <- err }()
+		select {
+		case err := <-errc:
+			if err == nil {
+				t.Errorf("RunSpaceSeries(%+v) should have failed", c)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("RunSpaceSeries(%+v) still blocked after 5s", c)
 		}
 	}
 }

@@ -43,7 +43,6 @@ func RunSpaceSeries(cfg Config, sampleEvery time.Duration) (SpaceSeries, error) 
 
 	// Reuse Run's machinery by sampling from a sibling goroutine: Run owns
 	// the workload; we poll the scheme through the structure it exposes.
-	// To coordinate, we inline a reduced copy of Run's setup.
 	var res Result
 	done := make(chan error, 1)
 	ready := make(chan ds.Instrumented, 1)
@@ -52,7 +51,14 @@ func RunSpaceSeries(cfg Config, sampleEvery time.Duration) (SpaceSeries, error) 
 		res, err = runWithHook(cfg, func(inst ds.Instrumented) { ready <- inst })
 		done <- err
 	}()
-	inst := <-ready
+	// Run fails before onReady when the structure cannot be built, so wait
+	// for its result as well as for the structure.
+	var inst ds.Instrumented
+	select {
+	case inst = <-ready:
+	case err := <-done:
+		return out, err
+	}
 	scheme := inst.Scheme()
 	start := time.Now()
 	ticker := time.NewTicker(sampleEvery)

@@ -10,8 +10,10 @@ import (
 
 // This file is the public face of the serving layer: the sharded engine,
 // the TCP server, and the pipelined context-aware client, re-exported so
-// applications embed the KV service without importing internal packages.
-// cmd/ibrd and cmd/ibrload are thin wrappers over exactly this surface.
+// applications embed the KV service without importing internal packages
+// (ExampleDialServer serves and queries an engine through it alone). The
+// commands do not use it: cmd/ibrd and cmd/ibrload import internal/server,
+// and ibrload also internal/harness's load loop.
 
 // Engine is the sharded KV engine (see internal/server): per-shard IBR
 // structures whose few scheme tids callers borrow under a lock per request,
