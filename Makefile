@@ -10,8 +10,11 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# The standard analyzers over both builds: lintdebug's -vettool replaces
+# them, so this is the only vet of the ibrdebug-only files.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags ibrdebug ./...
 
 # ibrlint: the go/analysis suite enforcing the IBR reservation protocol
 # (the guard-facade boundary outside core/mem/guard, atomic/plain access

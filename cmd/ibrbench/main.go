@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -20,38 +22,47 @@ import (
 	"ibr/internal/obs"
 )
 
-func main() {
-	var (
-		structure = flag.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
-		tracker   = flag.String("d", "tracker=ebr", "memory manager, artifact-style: tracker=<name>; names: "+strings.Join(core.Schemes(), ", "))
-		threads   = flag.Int("t", 4, "worker thread count")
-		seconds   = flag.Float64("i", 1.0, "interval: run time in seconds")
-		mode      = flag.String("m", "write", "workload mode: write (50/50 ins/rem) or read (90% reads)")
-		keyRange  = flag.Uint64("range", 65536, "key range")
-		prefill   = flag.Float64("prefill", 0.75, "prefilled fraction of the key range")
-		epochf    = flag.Int("epochf", 150, "epoch advance frequency (per-thread allocations)")
-		emptyf    = flag.Int("emptyf", core.DefaultEmptyFreq, "retire-list scan frequency (retirements)")
-		buckets   = flag.Int("buckets", ds.DefaultBuckets, "hash map buckets")
-		stalled   = flag.Int("stalled", 0, "stalled workers holding reservations")
-		stallMS   = flag.Int("stallms", 10, "stall duration per park (ms)")
-		seed      = flag.Int64("seed", 1, "workload RNG seed")
-		jsonPath  = flag.String("json", "", "append the cell's record (one JSON line: ops/s, scan stats, host) to this file")
-		verbose   = flag.Bool("v", false, "print the full result")
-		lat       = flag.Bool("lat", false, "measure per-operation latency quantiles")
-		obsOn     = flag.Bool("obs", false, "run with the observability hooks live (flight recorder + histograms)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	scheme := strings.TrimPrefix(*tracker, "tracker=")
-	if !ds.IsMapStructure(*structure) {
-		fmt.Fprintf(os.Stderr, "ibrbench: unknown structure %q; valid: %s\n",
-			*structure, strings.Join(ds.MapStructures(), ", "))
-		os.Exit(2)
+// run is the command: it parses args, runs the cell and returns the exit
+// code — 2 for a usage error (an unknown structure or scheme, or a pair
+// the scheme cannot run), 1 if the run or the record write failed, else 0.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ibrbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		structure = fs.String("r", "hashmap", "rideable: "+strings.Join(ds.MapStructures(), ", "))
+		tracker   = fs.String("d", "tracker=ebr", "memory manager, artifact-style: tracker=<name>; names: "+strings.Join(core.Schemes(), ", "))
+		threads   = fs.Int("t", 4, "worker thread count")
+		seconds   = fs.Float64("i", 1.0, "interval: run time in seconds")
+		mode      = fs.String("m", "write", "workload mode: write (50/50 ins/rem) or read (90% reads)")
+		keyRange  = fs.Uint64("range", 65536, "key range")
+		prefill   = fs.Float64("prefill", 0.75, "prefilled fraction of the key range")
+		epochf    = fs.Int("epochf", 150, "epoch advance frequency (per-thread allocations)")
+		emptyf    = fs.Int("emptyf", core.DefaultEmptyFreq, "retire-list scan frequency (retirements)")
+		buckets   = fs.Int("buckets", ds.DefaultBuckets, "hash map buckets")
+		stalled   = fs.Int("stalled", 0, "stalled workers holding reservations")
+		stallMS   = fs.Int("stallms", 10, "stall duration per park (ms)")
+		seed      = fs.Int64("seed", 1, "workload RNG seed")
+		jsonPath  = fs.String("json", "", "append the cell's record (one JSON line: ops/s, scan stats, host) to this file")
+		verbose   = fs.Bool("v", false, "print the full result")
+		lat       = fs.Bool("lat", false, "measure per-operation latency quantiles")
+		obsOn     = fs.Bool("obs", false, "run with the observability hooks live (flight recorder + histograms)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if !core.IsScheme(scheme) {
-		fmt.Fprintf(os.Stderr, "ibrbench: unknown scheme %q; valid: %s\n",
-			scheme, strings.Join(core.Schemes(), ", "))
-		os.Exit(2)
+	scheme := strings.TrimPrefix(*tracker, "tracker=")
+	if err := ds.CheckMap(*structure, scheme); err != nil {
+		fmt.Fprintf(stderr, "ibrbench: %v\n", err)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ibrbench:", err)
+		return 1
 	}
 	wl := harness.WriteDominated
 	if *mode == "read" {
@@ -78,33 +89,32 @@ func main() {
 	}
 	res, err := harness.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibrbench:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
-	fmt.Printf("%s/%s t=%d %s: %.4f Mops/s, avg retired %.1f blocks\n",
+	fmt.Fprintf(stdout, "%s/%s t=%d %s: %.4f Mops/s, avg retired %.1f blocks\n",
 		res.Structure, res.Scheme, res.Threads, res.Workload, res.Mops, res.AvgRetired)
 	if l := res.Latency; l != nil {
-		fmt.Printf("  latency: n=%d p50~%v p99~%v p999~%v\n", l.Count,
+		fmt.Fprintf(stdout, "  latency: n=%d p50~%v p99~%v p999~%v\n", l.Count,
 			time.Duration(l.Quantile(0.50)), time.Duration(l.Quantile(0.99)), time.Duration(l.Quantile(0.999)))
 	}
 	if *verbose {
-		fmt.Printf("  ops=%d allocs=%d frees=%d live=%d\n", res.Ops, res.Allocs, res.Frees, res.Live)
-		fmt.Printf("  ins %d/%d, rem %d/%d, get %d/%d (ok/fail)\n",
+		fmt.Fprintf(stdout, "  ops=%d allocs=%d frees=%d live=%d\n", res.Ops, res.Allocs, res.Frees, res.Live)
+		fmt.Fprintf(stdout, "  ins %d/%d, rem %d/%d, get %d/%d (ok/fail)\n",
 			res.InsertOK, res.InsertFail, res.RemoveOK, res.RemoveFail, res.GetHit, res.GetMiss)
 		if res.Scans > 0 {
-			fmt.Printf("  scans=%d mean-list=%.0f freed=%d\n", res.Scans, res.ScanMeanLen, res.ScanFreed)
+			fmt.Fprintf(stdout, "  scans=%d mean-list=%.0f freed=%d\n", res.Scans, res.ScanMeanLen, res.ScanFreed)
 		}
 		for tid, ops := range res.PerThreadOps {
-			fmt.Printf("  thread %2d: %d ops\n", tid, ops)
+			fmt.Fprintf(stdout, "  thread %2d: %d ops\n", tid, ops)
 		}
 	}
 	if *jsonPath != "" {
 		if err := appendRecord(*jsonPath, harness.NewRecord("", res)); err != nil {
-			fmt.Fprintln(os.Stderr, "ibrbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
+	return 0
 }
 
 func appendRecord(path string, rec harness.Record) error {

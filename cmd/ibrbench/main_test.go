@@ -1,13 +1,39 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
+	"ibr/internal/ds"
 	"ibr/internal/harness"
 )
+
+// TestRunUsage: an unknown structure or scheme, or a pair the scheme cannot
+// run, exits 2 with ds.CheckMap's message before running anything; -h
+// exits 0; a short run of a supported pair exits 0 with its result line.
+func TestRunUsage(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+		msg  string
+	}{
+		{[]string{"-bogus"}, 2, "flag provided but not defined"},
+		{[]string{"-r", "nope"}, 2, ds.CheckMap("nope", "ebr").Error()},
+		{[]string{"-d", "tracker=nope"}, 2, ds.CheckMap("hashmap", "nope").Error()},
+		{[]string{"-r", "bonsai", "-d", "tracker=hp"}, 2, `scheme "hp" cannot run structure "bonsai"`},
+		{[]string{"-h"}, 0, "Usage of ibrbench"},
+		{[]string{"-d", "tracker=ebr", "-t", "1", "-i", "0.02", "-range", "256"}, 0, "hashmap/ebr t=1 write"},
+	} {
+		var out bytes.Buffer
+		if rc := run(tc.args, &out, &out); rc != tc.want || !strings.Contains(out.String(), tc.msg) {
+			t.Errorf("run(%q) = %d, want %d with %q; output:\n%s", tc.args, rc, tc.want, tc.msg, out.String())
+		}
+	}
+}
 
 // TestBenchScanShape gates the committed scan-efficiency snapshot that
 // make benchscan writes: seven cells in the recipe's order, every record

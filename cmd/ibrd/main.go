@@ -99,14 +99,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ibrd: "+format+"\n", a...)
 		return 2
 	}
-	switch {
-	case !ds.IsMapStructure(*structure):
-		return usage("unknown structure %q; valid: %s", *structure, strings.Join(ds.MapStructures(), ", "))
-	case !core.IsScheme(*scheme):
-		return usage("unknown scheme %q; valid: %s", *scheme, strings.Join(core.Schemes(), ", "))
-	case !ds.SchemeSupports(*scheme, *structure):
-		return usage("scheme %q cannot run structure %q", *scheme, *structure)
-	case *softWater <= 0 || *softWater >= *hardWater || *hardWater > 1:
+	if err := ds.CheckMap(*structure, *scheme); err != nil {
+		return usage("%v", err)
+	}
+	if *softWater <= 0 || *softWater >= *hardWater || *hardWater > 1 {
 		return usage("watermarks must satisfy 0 < soft < hard <= 1, got soft=%v hard=%v", *softWater, *hardWater)
 	}
 

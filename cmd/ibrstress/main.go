@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,18 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	usage := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "ibrstress: "+format+"\n", a...)
-		return 2
-	}
 	if !*all {
-		switch {
-		case !ds.IsMapStructure(*structure):
-			return usage("unknown structure %q; valid: %s", *structure, strings.Join(ds.MapStructures(), ", "))
-		case !core.IsScheme(*scheme):
-			return usage("unknown scheme %q; valid: %s", *scheme, strings.Join(core.Schemes(), ", "))
-		case !ds.SchemeSupports(*scheme, *structure):
-			return usage("scheme %q cannot run structure %q", *scheme, *structure)
+		if err := ds.CheckMap(*structure, *scheme); err != nil {
+			fmt.Fprintf(stderr, "ibrstress: %v\n", err)
+			return 2
 		}
 	}
 

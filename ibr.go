@@ -131,7 +131,7 @@ func (c Config) dsConfig() ds.Config {
 // NewMap builds a key-value structure: "list" (Harris–Michael ordered
 // list), "hashmap" (Michael's hash map), "nmtree" (Natarajan–Mittal BST),
 // "bonsai" (persistent weight-balanced tree), or "skiplist" (lock-free
-// skip list).
+// skip list). It refuses a pair Supports refuses.
 func NewMap(structure string, cfg Config) (Map, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -168,8 +168,11 @@ func Schemes() []string { return core.Names() }
 // Structures lists the data structure names.
 func Structures() []string { return ds.Structures() }
 
-// Supports reports whether a scheme can legally run a structure (POIBR
-// needs a persistent structure; HP/HE cannot run the Bonsai tree).
+// Supports reports whether a scheme can legally run a structure: POIBR
+// needs a persistent structure (the Bonsai tree or the stack), and HP/HE
+// cannot run the Bonsai tree or the skip list, which hold more references
+// than their fixed slots. An unknown scheme or structure answers false.
+// NewMap, NewStack and NewQueue refuse exactly the pairs it refuses.
 func Supports(scheme, structure string) bool { return ds.SchemeSupports(scheme, structure) }
 
 // BenchConfig configures one microbenchmark cell; see the harness package.

@@ -1,9 +1,13 @@
 package ibr
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ibr/internal/ds"
 )
 
 func TestFacadeNewMapAllStructures(t *testing.T) {
@@ -46,6 +50,50 @@ func TestFacadeSupportsMatrix(t *testing.T) {
 	}
 	if Supports("hp", "skiplist") {
 		t.Fatal("HP must not run the skip list")
+	}
+}
+
+// TestFacadeRefusesUnsupportedPairs walks every structure and scheme, plus
+// an unknown name on each side: NewMap, NewStack and NewQueue succeed
+// exactly when Supports does, and refuse with the ds constructors' message
+// (an unknown scheme with Validate's, which names it).
+func TestFacadeRefusesUnsupportedPairs(t *testing.T) {
+	if Supports("bogus", "hashmap") || Supports("ebr", "bogus") {
+		t.Error("Supports answers true for an unknown name")
+	}
+	if _, err := NewMap("bonsai", Config{Scheme: "hp", Threads: 4}); err == nil {
+		t.Error(`NewMap("bonsai") under hp succeeded`)
+	}
+	if _, err := NewQueue(Config{Scheme: "poibr", Threads: 2}); err == nil {
+		t.Error("NewQueue under poibr succeeded")
+	}
+	for _, structure := range append(Structures(), "bogus") {
+		for _, scheme := range append(Schemes(), "bogus") {
+			cfg := Config{Scheme: scheme, Threads: 1}
+			var err, want error
+			switch structure {
+			case "stack":
+				_, err = NewStack(cfg)
+				_, want = ds.NewStack(cfg.dsConfig())
+			case "msqueue":
+				_, err = NewQueue(cfg)
+				_, want = ds.NewQueue(cfg.dsConfig())
+			default:
+				_, err = NewMap(structure, cfg)
+				want = ds.CheckMap(structure, scheme)
+			}
+			what := fmt.Sprintf("%s under %s", structure, scheme)
+			switch {
+			case Supports(scheme, structure) != (err == nil):
+				t.Errorf("%s: %v, but Supports = %v", what, err, Supports(scheme, structure))
+			case scheme == "bogus":
+				if !strings.Contains(err.Error(), `unknown scheme "bogus"`) {
+					t.Errorf("%s: %q does not name the scheme", what, err)
+				}
+			case err != nil && (want == nil || err.Error() != want.Error()):
+				t.Errorf("%s: %q, want %v", what, err, want)
+			}
+		}
 	}
 }
 

@@ -185,10 +185,6 @@ type Options struct {
 	// retirements. Hyaline seals batches on the fixed EmptyFreq cadence
 	// (its handoff has no yield signal to adapt to).
 	EmptyFreq int
-	// BucketShift sets the birth-epoch width of a retire-list bucket to
-	// 2^BucketShift epochs. 0 selects the default (5, i.e. 32 epochs);
-	// negative values select one epoch per bucket (tests).
-	BucketShift int
 	// Slots is the number of protection slots per thread for HP/HE.
 	// Default 8 (enough for every structure here except the Bonsai tree,
 	// which pointer-based schemes cannot run; see §5 of the paper).
@@ -276,37 +272,29 @@ type threadState struct {
 // reservation table, per-thread retire lists, and the alloc/retire cadence
 // of Figs. 2, 4 and 5.
 type base struct {
-	name        string
-	mem         Memory
-	clock       *epoch.Clock
-	res         *epoch.Table
-	opts        Options
-	obs         *obs.SchemeObs // nil when observability is off (hooks nil-check)
-	bucketShift uint           // log2 epochs per retire bucket
-	adaptive    bool           // watermark-driven drains (off: fixed EmptyFreq cadence)
-	pressure    *atomic.Bool   // serving layer's soft-watermark drain-pressure flag
-	ts          []threadState
+	name     string
+	mem      Memory
+	clock    *epoch.Clock
+	res      *epoch.Table
+	opts     Options
+	obs      *obs.SchemeObs // nil when observability is off (hooks nil-check)
+	adaptive bool           // watermark-driven drains (off: fixed EmptyFreq cadence)
+	pressure *atomic.Bool   // serving layer's soft-watermark drain-pressure flag
+	ts       []threadState
 }
 
 func newBase(name string, m Memory, o Options) base {
 	o = o.withDefaults()
-	shift := uint(defaultBucketShift)
-	if o.BucketShift > 0 {
-		shift = uint(o.BucketShift)
-	} else if o.BucketShift < 0 {
-		shift = 0
-	}
 	b := base{
-		name:        name,
-		mem:         m,
-		clock:       epoch.NewClock(),
-		res:         epoch.NewTable(o.Threads),
-		opts:        o,
-		obs:         o.Obs,
-		bucketShift: shift,
-		adaptive:    true,
-		pressure:    new(atomic.Bool),
-		ts:          make([]threadState, o.Threads),
+		name:     name,
+		mem:      m,
+		clock:    epoch.NewClock(),
+		res:      epoch.NewTable(o.Threads),
+		opts:     o,
+		obs:      o.Obs,
+		adaptive: true,
+		pressure: new(atomic.Bool),
+		ts:       make([]threadState, o.Threads),
 	}
 	for i := range b.ts {
 		b.ts[i].drainAt = o.EmptyFreq
@@ -559,7 +547,7 @@ func (b *base) retire(tid int, h mem.Handle, drain func(int)) {
 	e := b.clock.Now()
 	b.mem.SetRetireEpoch(h, e)
 	b.mem.MarkRetired(h)
-	ts.store.add(h, b.mem.Birth(h), e, b.bucketShift)
+	ts.store.add(h, b.mem.Birth(h), e, defaultBucketShift)
 	ts.unreclaimed.Store(int64(ts.store.count))
 	b.obs.Retire(tid, e, ts.store.count)
 	if b.obs.Enabled() {

@@ -36,7 +36,7 @@ import (
 // 2^5 = 32 epochs. At the paper's EpochFreq=150 cadence a bucket then spans
 // ~4800 allocations per advancing thread — big enough that corner tests
 // amortize, small enough that a reservation window only straddles a few
-// buckets. Options.BucketShift overrides it (tests use extreme values).
+// buckets.
 const defaultBucketShift = 5
 
 // Compaction gates: a bucket's arrays are reallocated to the live size when

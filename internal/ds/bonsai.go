@@ -22,7 +22,7 @@ import (
 // Balancing follows Adams' weight-balanced algorithm with the proven
 // integer parameters ⟨Δ=3, Γ=2⟩ over weights w(t) = size(t)+1.
 type Bonsai struct {
-	w    *guard.Guarded[bonsaiNode]
+	base[bonsaiNode]
 	root core.Ptr
 	ops  []*bonsaiOp
 }
@@ -47,16 +47,11 @@ const (
 
 // NewBonsai builds a Bonsai tree running under cfg.Scheme.
 func NewBonsai(cfg Config) (*Bonsai, error) {
-	popt := mem.Options[bonsaiNode]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
-	if cfg.Poison {
-		popt.Poison = bonsaiPoison
-	}
-	pool := mem.New[bonsaiNode](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	b, err := newBase("bonsai", cfg, bonsaiPoison)
 	if err != nil {
 		return nil, err
 	}
-	t := &Bonsai{w: guard.New(s, pool), ops: make([]*bonsaiOp, cfg.Core.Threads)}
+	t := &Bonsai{base: b, ops: make([]*bonsaiOp, cfg.Core.Threads)}
 	for i := range t.ops {
 		t.ops[i] = &bonsaiOp{}
 	}
@@ -268,9 +263,6 @@ func (op *bonsaiOp) extractMin(h mem.Handle) (key, val uint64, rest mem.Handle) 
 	return mk, mv, op.balance(k, v, l2, r)
 }
 
-// Name returns "bonsai".
-func (t *Bonsai) Name() string { return "bonsai" }
-
 // update runs one copy-and-publish round trip per attempt until the root
 // CAS lands (or the operation is a no-op).
 func (t *Bonsai) update(tid int, build func(op *bonsaiOp, root mem.Handle) (mem.Handle, bool)) (ok bool) {
@@ -402,12 +394,6 @@ func (t *Bonsai) Validate() (err error) {
 	})
 	return err
 }
-
-// Scheme exposes the reclamation scheme.
-func (t *Bonsai) Scheme() core.Scheme { return t.w.Scheme() }
-
-// PoolStats exposes allocator counters.
-func (t *Bonsai) PoolStats() mem.Stats { return t.w.Pool().Stats() }
 
 // Range calls fn in ascending key order for every pair with from <= key <=
 // to, over one immutable snapshot of the tree: the traversal observes a

@@ -10,17 +10,22 @@
 // wraps pool and core.Scheme in an internal/guard Guarded[T], and runs each
 // operation inside Guarded.Do, touching handles only through the Guard it
 // passes (quiescence-only walks like Keys and Len open a tid-0 bracket
-// too). So each can be run under any reclamation scheme (subject to the
-// paper's restrictions: POIBR requires a persistent structure; HP/HE cannot
-// run the Bonsai tree, whose rebalancing needs an unbounded number of
-// protections). ibrlint's derefguard rejects any raw Scheme or Pool.Get
-// call here.
+// too). ibrlint's derefguard rejects any raw Scheme or Pool.Get call here.
+//
+// The registry is the one place where a structure meets its scheme: a row
+// per structure with the two properties the paper's rule reads (POIBR
+// needs a persistent structure, HP and HE bounded references). Every
+// constructor builds through newBase, which refuses the pairs
+// SchemeSupports refuses and answers Name, Scheme and PoolStats.
 package ds
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"ibr/internal/core"
+	"ibr/internal/guard"
 	"ibr/internal/mem"
 )
 
@@ -94,62 +99,146 @@ type Config struct {
 // DefaultBuckets is the hash map bucket count used by the benchmarks.
 const DefaultBuckets = 1 << 14
 
+// entry is one row of the registry.
+type entry struct {
+	name        string
+	newMap      func(Config) (Map, error) // nil for the stack and the queue
+	persistent  bool                      // nodes below the root never change (§3.1)
+	boundedRefs bool                      // an operation holds a few references at once
+}
+
+// registry lists the structures in the order of the paper's figures, then
+// the extension structures. It is filled in init because the constructors
+// it names check their pair against it.
+var registry []entry
+
+func init() {
+	registry = []entry{
+		{"list", func(c Config) (Map, error) { return NewList(c) }, false, true},
+		{"hashmap", func(c Config) (Map, error) { return NewHashMap(c) }, false, true},
+		{"nmtree", func(c Config) (Map, error) { return NewNMTree(c) }, false, true},
+		{"bonsai", func(c Config) (Map, error) { return NewBonsai(c) }, true, false},
+		{"skiplist", func(c Config) (Map, error) { return NewSkipList(c) }, false, false},
+		{"stack", nil, true, true},
+		{"msqueue", nil, false, true},
+	}
+}
+
+// lookup returns name's registry row, or nil.
+func lookup(name string) *entry {
+	for i := range registry {
+		if registry[i].name == name {
+			return &registry[i]
+		}
+	}
+	return nil
+}
+
 // Structures lists the registry names in the order of the paper's figures,
 // then the extension structures.
 func Structures() []string {
-	return []string{"list", "hashmap", "nmtree", "bonsai", "skiplist", "stack", "msqueue"}
+	out := make([]string, len(registry))
+	for i, r := range registry {
+		out[i] = r.name
+	}
+	return out
 }
 
 // MapStructures returns the registry names that implement Map (valid -r
 // values for the benchmark and server commands), sorted lexically.
 func MapStructures() []string {
-	return []string{"bonsai", "hashmap", "list", "nmtree", "skiplist"}
-}
-
-// IsMapStructure reports whether name names a Map structure.
-func IsMapStructure(name string) bool {
-	for _, n := range MapStructures() {
-		if n == name {
-			return true
+	var out []string
+	for _, r := range registry {
+		if r.newMap != nil {
+			out = append(out, r.name)
 		}
 	}
-	return false
+	sort.Strings(out)
+	return out
 }
 
 // NewMap builds a key-value structure by name. "stack" and "msqueue" are
-// not Maps; use NewStack / NewQueue for those.
+// not Maps; use NewStack / NewQueue for those. It refuses what CheckMap
+// refuses, with CheckMap's error.
 func NewMap(structure string, cfg Config) (Map, error) {
-	switch structure {
-	case "list":
-		return NewList(cfg)
-	case "hashmap":
-		return NewHashMap(cfg)
-	case "nmtree":
-		return NewNMTree(cfg)
-	case "bonsai":
-		return NewBonsai(cfg)
-	case "skiplist":
-		return NewSkipList(cfg)
+	if err := CheckMap(structure, cfg.Scheme); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("ds: unknown map structure %q", structure)
+	return lookup(structure).newMap(cfg)
 }
 
 // SchemeSupports reports whether a scheme can legally run a structure:
-// POIBR requires a persistent structure (bonsai, stack); structures whose
-// operations hold an unbounded or large number of simultaneous references
-// (the Bonsai tree's rotations, the skip list's pred/succ arrays) rule out
-// the fixed-slot pointer-based schemes (the paper omits HP and HE from
-// Fig. 8d for exactly this reason).
+// POIBR requires a persistent structure, and HP and HE, whose protection
+// slots are fixed, bounded references (the paper omits them from Fig. 8d).
+// Every other scheme protects whole operations and runs any structure. An
+// unknown name on either side answers false; aliases resolve as in
+// core.IsScheme.
 func SchemeSupports(scheme, structure string) bool {
-	persistent := structure == "bonsai" || structure == "stack"
+	r := lookup(structure)
+	if r == nil || !core.IsScheme(scheme) {
+		return false
+	}
 	switch scheme {
 	case "poibr":
-		return persistent
+		return r.persistent
 	case "hp", "he":
-		return structure != "bonsai" && structure != "skiplist"
+		return r.boundedRefs
 	}
-	// Everything else — the epoch/interval family plus the post-paper
-	// hyaline and debra engines — protects whole operations rather than
-	// individual pointers, so any structure is legal.
 	return true
 }
+
+// CheckMap returns nil if a Map of structure can run under scheme, and
+// otherwise the commands' usage error: an unknown structure or scheme,
+// naming the valid ones, or a pair SchemeSupports refuses.
+func CheckMap(structure, scheme string) error {
+	if r := lookup(structure); r == nil || r.newMap == nil {
+		return fmt.Errorf("unknown structure %q; valid: %s", structure, strings.Join(MapStructures(), ", "))
+	}
+	return checkPair(structure, scheme)
+}
+
+// checkPair is CheckMap for any registered structure, Maps or not.
+func checkPair(structure, scheme string) error {
+	switch {
+	case !core.IsScheme(scheme):
+		return fmt.Errorf("unknown scheme %q; valid: %s", scheme, strings.Join(core.Schemes(), ", "))
+	case !SchemeSupports(scheme, structure):
+		return fmt.Errorf("scheme %q cannot run structure %q", scheme, structure)
+	}
+	return nil
+}
+
+// base is what every structure embeds: the facade over its pool and scheme,
+// and its registry name.
+type base[T any] struct {
+	w    *guard.Guarded[T]
+	name string
+}
+
+// newBase is the one constructor helper: it refuses a pair checkPair
+// refuses, then builds the node pool (poisoned when freed if cfg.Poison),
+// the scheme over it and the facade over both.
+func newBase[T any](name string, cfg Config, poison func(*T)) (base[T], error) {
+	if err := checkPair(name, cfg.Scheme); err != nil {
+		return base[T]{}, err
+	}
+	popt := mem.Options[T]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
+	if cfg.Poison {
+		popt.Poison = poison
+	}
+	pool := mem.New[T](popt)
+	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	if err != nil {
+		return base[T]{}, err
+	}
+	return base[T]{w: guard.New(s, pool), name: name}, nil
+}
+
+// Name returns the structure's registry name, e.g. "list".
+func (b *base[T]) Name() string { return b.name }
+
+// Scheme exposes the reclamation scheme.
+func (b *base[T]) Scheme() core.Scheme { return b.w.Scheme() }
+
+// PoolStats exposes allocator counters.
+func (b *base[T]) PoolStats() mem.Stats { return b.w.Pool().Stats() }

@@ -79,6 +79,62 @@ func TestSchemeSupports(t *testing.T) {
 	}
 }
 
+// TestConstructorsCheckPairs walks every registered structure and scheme,
+// plus an unknown name on each side. Each structure's constructor, and
+// NewMap for the maps, must succeed exactly when SchemeSupports does, and
+// every refusal must be the pair check's message.
+func TestConstructorsCheckPairs(t *testing.T) {
+	ctors := map[string]func(Config) (Instrumented, error){
+		"list":     func(c Config) (Instrumented, error) { return NewList(c) },
+		"hashmap":  func(c Config) (Instrumented, error) { return NewHashMap(c) },
+		"nmtree":   func(c Config) (Instrumented, error) { return NewNMTree(c) },
+		"bonsai":   func(c Config) (Instrumented, error) { return NewBonsai(c) },
+		"skiplist": func(c Config) (Instrumented, error) { return NewSkipList(c) },
+		"stack":    func(c Config) (Instrumented, error) { return NewStack(c) },
+		"msqueue":  func(c Config) (Instrumented, error) { return NewQueue(c) },
+	}
+	if len(ctors) != len(Structures()) {
+		t.Fatalf("test knows %d constructors, the registry %d structures", len(ctors), len(Structures()))
+	}
+	check := func(what string, supported bool, err, want error) {
+		t.Helper()
+		switch {
+		case supported && err != nil:
+			t.Errorf("%s: %v, want success", what, err)
+		case !supported && err == nil:
+			t.Errorf("%s succeeded, want a refusal", what)
+		case !supported && (want == nil || err.Error() != want.Error()):
+			t.Errorf("%s: %q, want the check's %v", what, err, want)
+		}
+	}
+	refused := 0
+	for _, structure := range append(Structures(), "bogus") {
+		for _, scheme := range append(core.Names(), "bogus") {
+			supported := SchemeSupports(scheme, structure)
+			if !supported {
+				refused++
+			}
+			cfg := testConfig(scheme, 1)
+			if ctor, ok := ctors[structure]; ok {
+				_, err := ctor(cfg)
+				check(fmt.Sprintf("%s under %s", structure, scheme), supported, err, checkPair(structure, scheme))
+			}
+			if r := lookup(structure); r == nil || r.newMap != nil {
+				m, err := NewMap(structure, cfg)
+				check(fmt.Sprintf("NewMap(%q) under %s", structure, scheme), supported, err, CheckMap(structure, scheme))
+				if err == nil && m.Name() != structure {
+					t.Errorf("NewMap(%q).Name() = %q", structure, m.Name())
+				}
+			}
+		}
+	}
+	// bonsai, skiplist × hp, he; every structure but bonsai and stack ×
+	// poibr; bogus × every scheme; every structure × bogus.
+	if want := 4 + 5 + len(core.Names()) + len(Structures()) + 1; refused != want {
+		t.Errorf("SchemeSupports refused %d pairs, want %d", refused, want)
+	}
+}
+
 // TestMapSequentialModel drives each structure (under EBR) against a Go map
 // with a long random op sequence.
 func TestMapSequentialModel(t *testing.T) {

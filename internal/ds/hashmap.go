@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"ibr/internal/core"
-	"ibr/internal/guard"
-	"ibr/internal/mem"
 )
 
 // HashMap is Michael's lock-free hash map (§5 of the paper): a fixed array
@@ -15,7 +13,7 @@ import (
 // paper's high-throughput, short-traversal workload — the opposite extreme
 // from the single list.
 type HashMap struct {
-	lc      listCore
+	listCore
 	buckets []core.Ptr
 	shift   uint
 }
@@ -33,19 +31,14 @@ func NewHashMap(cfg Config) (*HashMap, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("ds: invalid bucket count %d", cfg.Buckets)
 	}
-	popt := mem.Options[listNode]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
-	if cfg.Poison {
-		popt.Poison = listPoison
-	}
-	pool := mem.New[listNode](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	b, err := newBase("hashmap", cfg, listPoison)
 	if err != nil {
 		return nil, err
 	}
 	return &HashMap{
-		lc:      listCore{w: guard.New(s, pool)},
-		buckets: make([]core.Ptr, n),
-		shift:   uint(64 - bits.Len(uint(n-1))),
+		listCore: listCore{b},
+		buckets:  make([]core.Ptr, n),
+		shift:    uint(64 - bits.Len(uint(n-1))),
 	}, nil
 }
 
@@ -55,22 +48,19 @@ func (m *HashMap) bucket(key uint64) *core.Ptr {
 	return &m.buckets[(key*0x9E3779B97F4A7C15)>>m.shift]
 }
 
-// Name returns "hashmap".
-func (m *HashMap) Name() string { return "hashmap" }
-
 // Insert adds key→val; false if present.
 func (m *HashMap) Insert(tid int, key, val uint64) bool {
-	return m.lc.insert(tid, m.bucket(key), key, val)
+	return m.insert(tid, m.bucket(key), key, val)
 }
 
 // Remove deletes key; false if absent.
 func (m *HashMap) Remove(tid int, key uint64) bool {
-	return m.lc.remove(tid, m.bucket(key), key)
+	return m.remove(tid, m.bucket(key), key)
 }
 
 // Get returns the value bound to key.
 func (m *HashMap) Get(tid int, key uint64) (uint64, bool) {
-	return m.lc.get(tid, m.bucket(key), key)
+	return m.get(tid, m.bucket(key), key)
 }
 
 // Fill bulk-loads pairs (single-threaded).
@@ -88,7 +78,7 @@ func (m *HashMap) Fill(pairs []KV) {
 				dedup = append(dedup, kv)
 			}
 		}
-		m.lc.fill(b, dedup)
+		m.fill(b, dedup)
 	}
 }
 
@@ -96,14 +86,8 @@ func (m *HashMap) Fill(pairs []KV) {
 func (m *HashMap) Keys() []uint64 {
 	var out []uint64
 	for i := range m.buckets {
-		out = m.lc.keys(&m.buckets[i], out)
+		out = m.keys(&m.buckets[i], out)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Scheme exposes the reclamation scheme.
-func (m *HashMap) Scheme() core.Scheme { return m.lc.w.Scheme() }
-
-// PoolStats exposes allocator counters.
-func (m *HashMap) PoolStats() mem.Stats { return m.lc.w.Pool().Stats() }

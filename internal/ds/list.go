@@ -35,7 +35,7 @@ func listPoison(n *listNode) { n.key = ^uint64(0); n.val = ^uint64(0) }
 // curr, slot 2 guards next; slots rotate as the traversal advances. Every
 // other scheme ignores the slot numbers.
 type listCore struct {
-	w *guard.Guarded[listNode]
+	base[listNode]
 }
 
 // Protection slot roles for the list traversal.
@@ -227,35 +227,27 @@ func (lc *listCore) keys(head *core.Ptr, out []uint64) []uint64 {
 // and Michael"): the paper's pointer-chasing-heavy workload, where TagIBR's
 // cheap reads shine against hazard pointers.
 type List struct {
-	lc   listCore
+	listCore
 	head core.Ptr
 }
 
 // NewList builds a list running under cfg.Scheme.
 func NewList(cfg Config) (*List, error) {
-	popt := mem.Options[listNode]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
-	if cfg.Poison {
-		popt.Poison = listPoison
-	}
-	pool := mem.New[listNode](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	b, err := newBase("list", cfg, listPoison)
 	if err != nil {
 		return nil, err
 	}
-	return &List{lc: listCore{w: guard.New(s, pool)}}, nil
+	return &List{listCore: listCore{b}}, nil
 }
 
-// Name returns "list".
-func (l *List) Name() string { return "list" }
-
 // Insert adds key→val; false if present.
-func (l *List) Insert(tid int, key, val uint64) bool { return l.lc.insert(tid, &l.head, key, val) }
+func (l *List) Insert(tid int, key, val uint64) bool { return l.insert(tid, &l.head, key, val) }
 
 // Remove deletes key; false if absent.
-func (l *List) Remove(tid int, key uint64) bool { return l.lc.remove(tid, &l.head, key) }
+func (l *List) Remove(tid int, key uint64) bool { return l.remove(tid, &l.head, key) }
 
 // Get returns the value bound to key.
-func (l *List) Get(tid int, key uint64) (uint64, bool) { return l.lc.get(tid, &l.head, key) }
+func (l *List) Get(tid int, key uint64) (uint64, bool) { return l.get(tid, &l.head, key) }
 
 // Fill bulk-loads pairs (single-threaded).
 func (l *List) Fill(pairs []KV) {
@@ -267,17 +259,11 @@ func (l *List) Fill(pairs []KV) {
 			dedup = append(dedup, kv)
 		}
 	}
-	l.lc.fill(&l.head, dedup)
+	l.fill(&l.head, dedup)
 }
 
 // Keys returns the ascending key set (quiescence only).
-func (l *List) Keys() []uint64 { return l.lc.keys(&l.head, nil) }
-
-// Scheme exposes the reclamation scheme.
-func (l *List) Scheme() core.Scheme { return l.lc.w.Scheme() }
-
-// PoolStats exposes allocator counters.
-func (l *List) PoolStats() mem.Stats { return l.lc.w.Pool().Stats() }
+func (l *List) Keys() []uint64 { return l.keys(&l.head, nil) }
 
 // Range calls fn in ascending key order for every pair with from <= key <=
 // to. Unlike the Bonsai tree's snapshot Range, a mutable list offers only
@@ -287,7 +273,7 @@ func (l *List) PoolStats() mem.Stats { return l.lc.w.Pool().Stats() }
 // scheme. Like find, it unlinks and retires the logically deleted nodes it
 // meets. fn returning false stops the scan.
 func (l *List) Range(tid int, from, to uint64, fn func(key, val uint64) bool) {
-	l.lc.w.Do(tid, func(g *guard.Guard[listNode]) {
+	l.w.Do(tid, func(g *guard.Guard[listNode]) {
 		lo := from // resume cursor: never re-emit a key after a restart
 		pp, cc, nn := slotPrev, slotCurr, slotNext
 		prev := &l.head

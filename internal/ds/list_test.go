@@ -64,9 +64,9 @@ func TestListLogicalDeletionVisible(t *testing.T) {
 	l.Insert(0, 3, 30)
 	// Mark node 2 by hand: logical deletion without physical unlink.
 	h2 := l.head.Raw().ClearMarks()
-	n1 := l.lc.w.Pool().Get(h2)
+	n1 := l.w.Pool().Get(h2)
 	h2 = n1.next.Raw().ClearMarks()
-	n2 := l.lc.w.Pool().Get(h2)
+	n2 := l.w.Pool().Get(h2)
 	if n2.key != 2 {
 		t.Fatalf("walked to key %d, want 2", n2.key)
 	}
@@ -93,16 +93,16 @@ func TestListHelperRetiresExactlyOnce(t *testing.T) {
 	l.Insert(0, 3, 0)
 	// Mark key 2 by hand (logical delete), then let a traversal help.
 	h1 := l.head.Raw().ClearMarks()
-	h2 := l.lc.w.Pool().Get(h1).next.Raw().ClearMarks()
-	l.lc.w.Pool().Get(h2).next.FetchOrMarks(mem.Mark0Bit)
+	h2 := l.w.Pool().Get(h1).next.Raw().ClearMarks()
+	l.w.Pool().Get(h2).next.FetchOrMarks(mem.Mark0Bit)
 	if _, ok := l.Get(1, 3); !ok {
 		t.Fatal("Get(3) failed")
 	}
-	if l.lc.w.Pool().State(h2) == mem.StateLive {
+	if l.w.Pool().State(h2) == mem.StateLive {
 		t.Fatal("helped node was not retired by the traversal")
 	}
 	core.DrainAll(l.Scheme(), 2)
-	if l.lc.w.Pool().State(h2) != mem.StateFree {
+	if l.w.Pool().State(h2) != mem.StateFree {
 		t.Fatal("helped node not reclaimed at quiescence")
 	}
 }
@@ -117,8 +117,8 @@ func TestListRangeUnlinksMarkedNode(t *testing.T) {
 		l.Insert(0, k, k)
 	}
 	h1 := l.head.Raw().ClearMarks()
-	h2 := l.lc.w.Pool().Get(h1).next.Raw().ClearMarks()
-	l.lc.w.Pool().Get(h2).next.FetchOrMarks(mem.Mark0Bit)
+	h2 := l.w.Pool().Get(h1).next.Raw().ClearMarks()
+	l.w.Pool().Get(h2).next.FetchOrMarks(mem.Mark0Bit)
 	done := make(chan []uint64, 1)
 	go func() {
 		var got []uint64
@@ -136,7 +136,7 @@ func TestListRangeUnlinksMarkedNode(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Range did not finish past a marked node")
 	}
-	if l.lc.w.Pool().State(h2) == mem.StateLive {
+	if l.w.Pool().State(h2) == mem.StateLive {
 		t.Fatal("Range stepped over the marked node without retiring it")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Not persistent (the tail node's next field mutates), so POIBR does not
 // apply.
 type Queue struct {
-	w    *guard.Guarded[queueNode]
+	base[queueNode]
 	head core.Ptr // dummy node
 	tail core.Ptr
 }
@@ -25,16 +25,11 @@ type queueNode struct {
 
 // NewQueue builds a Michael–Scott queue running under cfg.Scheme.
 func NewQueue(cfg Config) (*Queue, error) {
-	popt := mem.Options[queueNode]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
-	if cfg.Poison {
-		popt.Poison = func(n *queueNode) { n.val = ^uint64(0) }
-	}
-	pool := mem.New[queueNode](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	b, err := newBase("msqueue", cfg, func(n *queueNode) { n.val = ^uint64(0) })
 	if err != nil {
 		return nil, err
 	}
-	q := &Queue{w: guard.New(s, pool)}
+	q := &Queue{base: b}
 	// Bracket the dummy-node setup like any operation: construction is
 	// single-threaded, but a uniform reservation discipline is what ibrlint
 	// can check.
@@ -48,9 +43,6 @@ func NewQueue(cfg Config) (*Queue, error) {
 	})
 	return q, nil
 }
-
-// Name returns "msqueue".
-func (q *Queue) Name() string { return "msqueue" }
 
 // Enqueue appends val. It returns false only on pool exhaustion.
 func (q *Queue) Enqueue(tid int, val uint64) (ok bool) {
@@ -123,9 +115,3 @@ func (q *Queue) Len() (n int) {
 	})
 	return n
 }
-
-// Scheme exposes the reclamation scheme.
-func (q *Queue) Scheme() core.Scheme { return q.w.Scheme() }
-
-// PoolStats exposes allocator counters.
-func (q *Queue) PoolStats() mem.Stats { return q.w.Pool().Stats() }

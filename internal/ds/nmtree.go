@@ -22,7 +22,7 @@ import (
 // every edge inside it is tagged or flagged, so no other CAS can succeed
 // there (the winner has exclusive custody).
 type NMTree struct {
-	w *guard.Guarded[nmNode]
+	base[nmNode]
 	// Sentinel internals R (key infinity2) and S (key infinity1); fixed,
 	// never retired. All application keys are < infinity1, so every seek
 	// descends R -> S -> S.left subtree.
@@ -59,16 +59,11 @@ const (
 
 // NewNMTree builds a Natarajan–Mittal tree running under cfg.Scheme.
 func NewNMTree(cfg Config) (*NMTree, error) {
-	popt := mem.Options[nmNode]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
-	if cfg.Poison {
-		popt.Poison = nmPoison
-	}
-	pool := mem.New[nmNode](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	b, err := newBase("nmtree", cfg, nmPoison)
 	if err != nil {
 		return nil, err
 	}
-	t := &NMTree{w: guard.New(s, pool)}
+	t := &NMTree{base: b}
 
 	// Initial shape (single-threaded): R(inf2){S, leaf(inf2)},
 	// S(inf1){leaf(inf1), leaf(inf2)}. Bracketed like any operation so the
@@ -230,9 +225,6 @@ func (t *NMTree) retireFragment(g *guard.Guard[nmNode], key uint64, sr nmSeek, v
 	}
 }
 
-// Name returns "nmtree".
-func (t *NMTree) Name() string { return "nmtree" }
-
 // Get returns the value bound to key.
 func (t *NMTree) Get(tid int, key uint64) (val uint64, found bool) {
 	checkKey(key)
@@ -389,12 +381,6 @@ func (t *NMTree) Keys() (out []uint64) {
 	})
 	return out
 }
-
-// Scheme exposes the reclamation scheme.
-func (t *NMTree) Scheme() core.Scheme { return t.w.Scheme() }
-
-// PoolStats exposes allocator counters.
-func (t *NMTree) PoolStats() mem.Stats { return t.w.Pool().Stats() }
 
 func checkKey(key uint64) {
 	if key >= KeyLimit {

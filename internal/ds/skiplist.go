@@ -35,7 +35,7 @@ import (
 // simple "level-0 snipper retires" rule has already handed to the
 // allocator.
 type SkipList struct {
-	w    *guard.Guarded[slNode]
+	base[slNode]
 	head slNode // sentinel tower; its Ptr cells are the roots
 	rnd  []slRand
 }
@@ -70,16 +70,11 @@ func (r *slRand) next() uint64 {
 
 // NewSkipList builds a skip list running under cfg.Scheme.
 func NewSkipList(cfg Config) (*SkipList, error) {
-	popt := mem.Options[slNode]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
-	if cfg.Poison {
-		popt.Poison = slPoison
-	}
-	pool := mem.New[slNode](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	b, err := newBase("skiplist", cfg, slPoison)
 	if err != nil {
 		return nil, err
 	}
-	sl := &SkipList{w: guard.New(s, pool), rnd: make([]slRand, cfg.Core.Threads)}
+	sl := &SkipList{base: b, rnd: make([]slRand, cfg.Core.Threads)}
 	for i := range sl.rnd {
 		sl.rnd[i].s = uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	}
@@ -176,9 +171,6 @@ retry:
 	}
 	return !succs[0].IsNil() && g.Deref(succs[0]).key == key
 }
-
-// Name returns "skiplist".
-func (sl *SkipList) Name() string { return "skiplist" }
 
 // Insert adds key→val; false if present.
 func (sl *SkipList) Insert(tid int, key, val uint64) (ok bool) {
@@ -425,9 +417,3 @@ func (sl *SkipList) Validate() (err error) {
 	})
 	return err
 }
-
-// Scheme exposes the reclamation scheme.
-func (sl *SkipList) Scheme() core.Scheme { return sl.w.Scheme() }
-
-// PoolStats exposes allocator counters.
-func (sl *SkipList) PoolStats() mem.Stats { return sl.w.Pool().Stats() }

@@ -3,7 +3,6 @@ package ds
 import (
 	"ibr/internal/core"
 	"ibr/internal/guard"
-	"ibr/internal/mem"
 )
 
 // Stack is the Treiber lock-free stack (Treiber 1986), cited in §3.1 of the
@@ -11,7 +10,7 @@ import (
 // immutable, and the only mutable pointer is the top-of-stack — so POIBR's
 // root-snapshot reservation protects everything a pop can touch.
 type Stack struct {
-	w   *guard.Guarded[stackNode]
+	base[stackNode]
 	top core.Ptr
 }
 
@@ -22,20 +21,12 @@ type stackNode struct {
 
 // NewStack builds a Treiber stack running under cfg.Scheme.
 func NewStack(cfg Config) (*Stack, error) {
-	popt := mem.Options[stackNode]{Threads: cfg.Core.Threads, MaxSlots: cfg.PoolSlots}
-	if cfg.Poison {
-		popt.Poison = func(n *stackNode) { n.val = ^uint64(0) }
-	}
-	pool := mem.New[stackNode](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	b, err := newBase("stack", cfg, func(n *stackNode) { n.val = ^uint64(0) })
 	if err != nil {
 		return nil, err
 	}
-	return &Stack{w: guard.New(s, pool)}, nil
+	return &Stack{base: b}, nil
 }
-
-// Name returns "stack".
-func (st *Stack) Name() string { return "stack" }
 
 // Push adds val to the top. It returns false only on pool exhaustion.
 func (st *Stack) Push(tid int, val uint64) (ok bool) {
@@ -98,9 +89,3 @@ func (st *Stack) Len() (n int) {
 	})
 	return n
 }
-
-// Scheme exposes the reclamation scheme.
-func (st *Stack) Scheme() core.Scheme { return st.w.Scheme() }
-
-// PoolStats exposes allocator counters.
-func (st *Stack) PoolStats() mem.Stats { return st.w.Pool().Stats() }

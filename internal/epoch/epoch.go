@@ -119,21 +119,3 @@ func (t *Table) MinLowerSlot() (int, uint64) {
 	}
 	return slot, min
 }
-
-// Intersects reports whether any published reservation interval intersects
-// the block lifetime [birth, retire] — the conflict test of Fig. 5 line 26:
-// protected iff birth ≤ res.upper && retire ≥ res.lower.
-func (t *Table) Intersects(birth, retire uint64) bool {
-	for i := range t.res {
-		r := &t.res[i]
-		lo := r.lower.Load()
-		hi := r.upper.Load()
-		if lo == None && hi == None {
-			continue
-		}
-		if birth <= hi && retire >= lo {
-			return true
-		}
-	}
-	return false
-}

@@ -3,7 +3,6 @@ package epoch
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 	"unsafe"
 )
 
@@ -76,66 +75,6 @@ func TestMinLower(t *testing.T) {
 	tb.At(0).Clear()
 	if tb.MinLower() != 7 {
 		t.Fatalf("MinLower = %d, want 7", tb.MinLower())
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	tb := NewTable(2)
-	tb.At(0).Set(10, 20)
-	cases := []struct {
-		birth, retire uint64
-		want          bool
-	}{
-		{1, 5, false},   // ends before interval
-		{1, 10, true},   // touches lower endpoint
-		{15, 16, true},  // inside
-		{5, 25, true},   // spans
-		{20, 30, true},  // touches upper endpoint
-		{21, 30, false}, // starts after interval
-	}
-	for _, c := range cases {
-		if got := tb.Intersects(c.birth, c.retire); got != c.want {
-			t.Errorf("Intersects(%d,%d) = %v, want %v", c.birth, c.retire, got, c.want)
-		}
-	}
-}
-
-func TestIntersectsIgnoresIdle(t *testing.T) {
-	tb := NewTable(8) // all idle
-	if tb.Intersects(0, None-1) {
-		t.Fatal("idle table protected a block")
-	}
-}
-
-// TestIntersectsMatchesBruteForce cross-checks the production intersection
-// predicate against the obvious quadratic definition on random tables.
-func TestIntersectsMatchesBruteForce_Quick(t *testing.T) {
-	f := func(los, his [4]uint16, birth16, len16 uint16) bool {
-		tb := NewTable(4)
-		type iv struct{ lo, hi uint64 }
-		var ivs []iv
-		for i := 0; i < 4; i++ {
-			lo, hi := uint64(los[i]), uint64(his[i])
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if i%2 == 0 { // leave half idle sometimes
-				tb.At(i).Set(lo, hi)
-				ivs = append(ivs, iv{lo, hi})
-			}
-		}
-		birth := uint64(birth16)
-		retire := birth + uint64(len16)
-		want := false
-		for _, v := range ivs {
-			if birth <= v.hi && retire >= v.lo {
-				want = true
-			}
-		}
-		return tb.Intersects(birth, retire) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
-		t.Fatal(err)
 	}
 }
 

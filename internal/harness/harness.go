@@ -73,16 +73,9 @@ type Config struct {
 	onReady func(ds.Instrumented)
 }
 
+// withDefaults fills the zero fields. Structure and Scheme are left to
+// ds.NewMap, which refuses what ds.CheckMap refuses.
 func (c Config) withDefaults() (Config, error) {
-	if c.Structure == "" || c.Scheme == "" {
-		return c, fmt.Errorf("harness: Structure and Scheme are required")
-	}
-	if !ds.IsMapStructure(c.Structure) {
-		return c, fmt.Errorf("harness: %q is not a map structure", c.Structure)
-	}
-	if !ds.SchemeSupports(c.Scheme, c.Structure) {
-		return c, fmt.Errorf("harness: scheme %q cannot run structure %q", c.Scheme, c.Structure)
-	}
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ibr/internal/ds"
 	"ibr/internal/obs"
 )
 
@@ -45,11 +46,11 @@ func TestRunBasics(t *testing.T) {
 func TestRunAllStructuresAllSchemes(t *testing.T) {
 	for _, structure := range []string{"list", "hashmap", "nmtree", "bonsai"} {
 		for _, scheme := range []string{"none", "ebr", "hp", "he", "poibr", "tagibr", "tagibr-faa", "tagibr-wcas", "2geibr"} {
-			cfg := Config{Structure: structure, Scheme: scheme, Threads: 2,
-				Duration: 15 * time.Millisecond, KeyRange: 256}
-			if _, err := cfg.withDefaults(); err != nil {
+			if !ds.SchemeSupports(scheme, structure) {
 				continue // unsupported combination: validated separately
 			}
+			cfg := Config{Structure: structure, Scheme: scheme, Threads: 2,
+				Duration: 15 * time.Millisecond, KeyRange: 256}
 			t.Run(structure+"/"+scheme, func(t *testing.T) {
 				if r := quick(t, cfg); r.Ops == 0 {
 					t.Fatal("no operations completed")
@@ -172,7 +173,7 @@ func TestExperimentsIndex(t *testing.T) {
 			t.Errorf("experiment %s has empty sweep", e.ID)
 		}
 		for _, s := range e.Schemes {
-			if !dsSupports(s, e.Structure) {
+			if !ds.SchemeSupports(s, e.Structure) {
 				t.Errorf("experiment %s lists unsupported scheme %s", e.ID, s)
 			}
 		}
@@ -182,12 +183,6 @@ func TestExperimentsIndex(t *testing.T) {
 			t.Errorf("missing experiment %s", want)
 		}
 	}
-}
-
-func dsSupports(scheme, structure string) bool {
-	cfg := Config{Structure: structure, Scheme: scheme, Threads: 1}
-	_, err := cfg.withDefaults()
-	return err == nil
 }
 
 func TestExperimentAliases(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 // lower endpoints (NoEpoch for idle slots) to buf and returns it. Both are
 // called from Tick only.
 type Source struct {
-	Label  string
 	Epoch  func() uint64
 	Lowers func(buf []uint64) []uint64
 }

@@ -13,7 +13,6 @@ type fakeSource struct {
 
 func (f *fakeSource) source() Source {
 	return Source{
-		Label:  "fake",
 		Epoch:  func() uint64 { return f.epoch },
 		Lowers: func(buf []uint64) []uint64 { return append(buf, f.lowers...) },
 	}

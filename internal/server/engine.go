@@ -58,9 +58,9 @@ type EngineConfig struct {
 	// requests themselves and never queue.
 	QueueDepth int
 
-	// EpochFreq, EmptyFreq, Slots tune each shard's scheme (see
-	// core.Options); zero selects the paper's defaults.
-	EpochFreq, EmptyFreq, Slots int
+	// EpochFreq, EmptyFreq tune each shard's scheme (see core.Options);
+	// zero selects the paper's defaults.
+	EpochFreq, EmptyFreq int
 	// PoolSlots caps each shard's node pool (0 = mem.DefaultMaxSlots).
 	PoolSlots uint64
 	// Buckets sets the hash map bucket count per shard (0 = default).
@@ -290,9 +290,6 @@ type Engine struct {
 // them; connection readers need none of them. Close stops them.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if !ds.SchemeSupports(cfg.Scheme, cfg.Structure) {
-		return nil, fmt.Errorf("server: scheme %q cannot run structure %q", cfg.Scheme, cfg.Structure)
-	}
 	if cfg.SoftWatermark <= 0 || cfg.SoftWatermark >= cfg.HardWatermark || cfg.HardWatermark > 1 {
 		return nil, fmt.Errorf("server: watermarks must satisfy 0 < soft < hard <= 1, got soft=%v hard=%v",
 			cfg.SoftWatermark, cfg.HardWatermark)
@@ -310,7 +307,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 				Threads:   e.tids,
 				EpochFreq: cfg.EpochFreq,
 				EmptyFreq: cfg.EmptyFreq,
-				Slots:     cfg.Slots,
 				Obs:       e.obs.scheme[i],
 			},
 			PoolSlots: cfg.PoolSlots,

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"time"
 
 	"ibr/internal/obs"
@@ -101,7 +100,6 @@ func (eo *EngineObs) attachWatchdog(e *Engine, threshold time.Duration) {
 		s := sh.inst.Scheme()
 		table := s.Reservations()
 		sources[i] = obs.Source{
-			Label: "shard" + strconv.Itoa(i),
 			Epoch: s.Clock().Now,
 			Lowers: func(buf []uint64) []uint64 {
 				for slot := 0; slot < table.Len(); slot++ {

@@ -26,8 +26,6 @@ type ServerConfig struct {
 	// the shutdown poll interval bound: a draining server is never stuck
 	// behind a silent peer.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response batch write (default 30s).
-	WriteTimeout time.Duration
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -36,9 +34,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -191,6 +186,9 @@ const writeBatchBytes = 16 * 1024
 // does not pin the peak for the connection's lifetime.
 const writeBufCap = 64 * 1024
 
+// writeTimeout bounds each response batch write.
+const writeTimeout = 30 * time.Second
+
 // handle runs one connection: a reader loop (this goroutine) that parses
 // frames and runs each request itself through Engine.do, and a writer
 // goroutine that encodes the responses in batches. The in-flight semaphore
@@ -212,7 +210,7 @@ func (s *Server) handle(c net.Conn) {
 		buf := make([]byte, 0, writeBatchBytes)
 		n := uint64(0) // responses in buf
 		flush := func() {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			c.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if !dead.Load() {
 				if _, err := c.Write(buf); err != nil {
 					// Keep draining so the reader's semaphore never
