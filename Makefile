@@ -16,11 +16,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags ibrdebug ./...
 
-# ibrlint: the go/analysis suite enforcing the IBR reservation protocol
-# (the guard-facade boundary outside core/mem/guard, atomic/plain access
-# discipline, handle lifecycle typestate, directive hygiene). See DESIGN.md
-# §5b and cmd/ibrlint. The binary is a real file target: it rebuilds only when
-# its sources change, so repeated `make lint` runs ride go vet's cache.
+# ibrlint: the go/analysis suite enforcing the IBR reservation protocol's
+# boundary (derefguard: the guard facade outside core/mem/guard) and
+# directive hygiene (ibrdirective). What happens inside the facade is
+# checked by running it (testdebug). See DESIGN.md §5b and cmd/ibrlint.
+# The binary is a real file target: it rebuilds only when its sources
+# change, so repeated `make lint` runs ride go vet's cache.
 LINT_SRCS := go.mod $(shell find cmd/ibrlint internal/analysis vendor/golang.org/x/tools -name '*.go' -not -path '*/testdata/*')
 
 bin/ibrlint: $(LINT_SRCS)

@@ -15,18 +15,14 @@
 //	             or header write, so every access is bracketed by
 //	             Guarded.Do, nothing is freed unretired, and every block is
 //	             allocated birth-stamped
-//	atomicmix    a word accessed through sync/atomic is never accessed
-//	             plainly elsewhere
-//	lifecycle    handle typestate: no use, retire, free, or publish of a
-//	             handle after it was retired on some path; no protected-read
-//	             handle exposed to a visitor callback from an exported scan
-//	             (range visitors receive values, not handles). Flows through
-//	             struct fields and across function boundaries (facts)
 //	ibrdirective //ibrlint:ignore directives carry a reason and actually
 //	             suppress something (stale ignores are flagged)
 //
-// The facade's own implementation, inside the boundary, is checked at
-// runtime: guard's TestGuardDoBracket and core's TestBirthEpochStamped.
+// What happens inside the facade is checked by running it: the ibrdebug
+// build's freed-slot panic under internal/ds's traversal adversary
+// (TestAdversary), the soak and the race detector for the structures, and
+// guard's TestGuardDoBracket and core's TestBirthEpochStamped for the
+// facade's own implementation (DESIGN.md §5b).
 //
 // False positives are suppressed with `//ibrlint:ignore <reason>` on the
 // flagged line, the line above it, or the doc comment of the enclosing
@@ -37,17 +33,10 @@ package main
 import (
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"ibr/internal/analysis/atomicmix"
 	"ibr/internal/analysis/derefguard"
 	"ibr/internal/analysis/ibrdirective"
-	"ibr/internal/analysis/lifecycle"
 )
 
 func main() {
-	unitchecker.Main(
-		derefguard.Analyzer,
-		atomicmix.Analyzer,
-		lifecycle.Analyzer,
-		ibrdirective.Analyzer,
-	)
+	unitchecker.Main(derefguard.Analyzer, ibrdirective.Analyzer)
 }

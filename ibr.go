@@ -24,7 +24,6 @@ package ibr
 
 import (
 	"fmt"
-	"strings"
 
 	"ibr/internal/core"
 	"ibr/internal/ds"
@@ -97,8 +96,10 @@ type Config struct {
 // call it, so callers only need it to fail fast (e.g. flag parsing) before
 // building anything.
 func (c Config) Validate() error {
-	if c.Scheme != "" && !core.IsScheme(c.Scheme) {
-		return fmt.Errorf("ibr: unknown scheme %q; valid: %s", c.Scheme, strings.Join(Schemes(), ", "))
+	if c.Scheme != "" {
+		if err := ds.CheckScheme(c.Scheme); err != nil {
+			return err
+		}
 	}
 	if c.Threads <= 0 {
 		return fmt.Errorf("ibr: Threads must be positive, got %d", c.Threads)

@@ -2,7 +2,6 @@ package ibr
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,7 +55,7 @@ func TestFacadeSupportsMatrix(t *testing.T) {
 // TestFacadeRefusesUnsupportedPairs walks every structure and scheme, plus
 // an unknown name on each side: NewMap, NewStack and NewQueue succeed
 // exactly when Supports does, and refuse with the ds constructors' message
-// (an unknown scheme with Validate's, which names it).
+// (an unknown scheme with ds.CheckScheme's, which Validate returns).
 func TestFacadeRefusesUnsupportedPairs(t *testing.T) {
 	if Supports("bogus", "hashmap") || Supports("ebr", "bogus") {
 		t.Error("Supports answers true for an unknown name")
@@ -87,8 +86,8 @@ func TestFacadeRefusesUnsupportedPairs(t *testing.T) {
 			case Supports(scheme, structure) != (err == nil):
 				t.Errorf("%s: %v, but Supports = %v", what, err, Supports(scheme, structure))
 			case scheme == "bogus":
-				if !strings.Contains(err.Error(), `unknown scheme "bogus"`) {
-					t.Errorf("%s: %q does not name the scheme", what, err)
+				if want := ds.CheckScheme(scheme); err.Error() != want.Error() {
+					t.Errorf("%s: %q, want %v", what, err, want)
 				}
 			case err != nil && (want == nil || err.Error() != want.Error()):
 				t.Errorf("%s: %q, want %v", what, err, want)

@@ -13,14 +13,10 @@
 // is allowed: `// want-1 "..."` anchors to the previous line.
 //
 // Stub packages under testdata/src reuse the real import-path suffixes
-// (stub/internal/core, stub/internal/mem, stub/internal/guard, sync/atomic),
-// which is all the analyzers key on — see ibrlint.PkgIs.
-//
-// Each analyzer runs over every package the golden package (transitively)
-// imports, in dependency order, before the golden package itself, against a
-// real in-memory fact store — so fact-producing analyzers (lifecycle) see
-// their cross-package summaries exactly as they would under the unitchecker
-// driver. Only the golden package's diagnostics are matched.
+// (stub/internal/core, stub/internal/mem, stub/internal/guard), which is
+// all the analyzers key on — see ibrlint.PkgIs. No analyzer in the suite
+// exports facts, so each runs over the golden package alone; its imports
+// are only typechecked.
 package checktest
 
 import (
@@ -31,7 +27,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -48,8 +43,9 @@ const srcRoot = "../testdata/src"
 // Run loads the package at pkgPath (relative to testdata/src), runs every
 // analyzer in analyzers over it, and matches diagnostics against the
 // package's want comments. Analyzers that share golden files (derefguard and
-// ibrdirective over the escape-hatch package) are passed together so every
-// expectation in the file set is owned by some analyzer in the run.
+// ibrdirective over the escape-hatch package) are passed together, in
+// dependency order, so every expectation in the file set is owned by some
+// analyzer in the run.
 func Run(t *testing.T, pkgPath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	l := &loader{fset: token.NewFileSet(), root: srcRoot, pkgs: make(map[string]*pkgInfo)}
@@ -57,147 +53,65 @@ func Run(t *testing.T, pkgPath string, analyzers ...*analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("load %s: %v", pkgPath, err)
 	}
-
-	h := &harness{
-		l:        l,
-		facts:    make(map[factKey]analysis.Fact),
-		pkgFacts: make(map[pkgFactKey]analysis.Fact),
-		results:  make(map[resKey]any),
-	}
+	h := &harness{fset: l.fset, pi: pi, results: make(map[*analysis.Analyzer]any), collected: make(map[*analysis.Analyzer]bool)}
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
-		// Dependency packages first (in load order, which is import-closed),
-		// so object facts are in the store before the golden package runs.
-		for _, dep := range l.order {
-			if dep == pkgPath {
-				continue
-			}
-			if err := h.exec(a, l.pkgs[dep], nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := h.exec(a, pi, &diags); err != nil {
+		if err := h.exec(a, &diags); err != nil {
 			t.Fatal(err)
 		}
 	}
-
 	match(t, l.fset, pi, diags)
 }
 
-type resKey struct {
-	a   *analysis.Analyzer
-	pkg *types.Package
-}
-
-type factKey struct {
-	obj types.Object
-	t   reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
-	t   reflect.Type
-}
-
 type harness struct {
-	l         *loader
-	facts     map[factKey]analysis.Fact
-	pkgFacts  map[pkgFactKey]analysis.Fact
-	results   map[resKey]any
-	collected map[resKey]bool
+	fset      *token.FileSet
+	pi        *pkgInfo
+	results   map[*analysis.Analyzer]any
+	collected map[*analysis.Analyzer]bool
 }
 
-// exec runs a (and its transitive Requires) over one package. Diagnostics
-// are appended to diags when non-nil, else dropped.
-func (h *harness) exec(a *analysis.Analyzer, pi *pkgInfo, diags *[]analysis.Diagnostic) error {
-	key := resKey{a, pi.pkg}
-	if _, done := h.results[key]; done {
-		// Already ran (possibly collecting): nothing more to do.
-		if diags == nil || h.collected[key] {
-			return nil
+// exec runs a (and its transitive Requires) over the golden package.
+// Diagnostics are appended to diags when non-nil, else dropped.
+func (h *harness) exec(a *analysis.Analyzer, diags *[]analysis.Diagnostic) error {
+	if _, done := h.results[a]; done {
+		if diags != nil && !h.collected[a] {
+			// It ran earlier as a dependency and its diagnostics were
+			// dropped: the caller listed analyzers out of dependency order.
+			return fmt.Errorf("%s: ran as a dependency before collection was requested", a.Name)
 		}
-		// Ran earlier as a dependency without collection; diagnostics for
-		// this package were dropped. Re-running would double-report facts,
-		// so callers always collect the golden package last — this branch
-		// exists only to fail loudly if that invariant breaks.
-		return fmt.Errorf("%s: ran over %s before collection was requested", a.Name, pi.pkg.Path())
+		return nil
 	}
 	for _, req := range a.Requires {
-		if err := h.exec(req, pi, nil); err != nil {
+		if err := h.exec(req, nil); err != nil {
 			return err
 		}
 	}
 	resultOf := make(map[*analysis.Analyzer]any)
 	for _, req := range a.Requires {
-		resultOf[req] = h.results[resKey{req, pi.pkg}]
+		resultOf[req] = h.results[req]
 	}
-	pass := h.newPass(a, pi, resultOf, func(d analysis.Diagnostic) {
-		if diags != nil {
-			*diags = append(*diags, d)
-		}
-	})
-	res, err := a.Run(pass)
-	if err != nil {
-		return fmt.Errorf("%s over %s: %v", a.Name, pi.pkg.Path(), err)
-	}
-	h.results[key] = res
-	if h.collected == nil {
-		h.collected = make(map[resKey]bool)
-	}
-	h.collected[key] = diags != nil
-	return nil
-}
-
-// newPass assembles an analysis.Pass by hand, with fact functions backed by
-// the harness's in-memory store.
-func (h *harness) newPass(a *analysis.Analyzer, pi *pkgInfo, resultOf map[*analysis.Analyzer]any, report func(analysis.Diagnostic)) *analysis.Pass {
-	return &analysis.Pass{
+	pass := &analysis.Pass{
 		Analyzer:   a,
-		Fset:       h.l.fset,
-		Files:      pi.files,
-		Pkg:        pi.pkg,
-		TypesInfo:  pi.info,
+		Fset:       h.fset,
+		Files:      h.pi.files,
+		Pkg:        h.pi.pkg,
+		TypesInfo:  h.pi.info,
 		TypesSizes: types.SizesFor("gc", "amd64"),
 		ResultOf:   resultOf,
-		Report:     report,
-		ReadFile:   os.ReadFile,
-		ImportObjectFact: func(obj types.Object, fact analysis.Fact) bool {
-			f, ok := h.facts[factKey{obj, reflect.TypeOf(fact)}]
-			if !ok {
-				return false
+		Report: func(d analysis.Diagnostic) {
+			if diags != nil {
+				*diags = append(*diags, d)
 			}
-			reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
 		},
-		ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
-			h.facts[factKey{obj, reflect.TypeOf(fact)}] = fact
-		},
-		ImportPackageFact: func(pkg *types.Package, fact analysis.Fact) bool {
-			f, ok := h.pkgFacts[pkgFactKey{pkg, reflect.TypeOf(fact)}]
-			if !ok {
-				return false
-			}
-			reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		},
-		ExportPackageFact: func(fact analysis.Fact) {
-			h.pkgFacts[pkgFactKey{pi.pkg, reflect.TypeOf(fact)}] = fact
-		},
-		AllObjectFacts: func() []analysis.ObjectFact {
-			var out []analysis.ObjectFact
-			for k, f := range h.facts {
-				out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-			}
-			return out
-		},
-		AllPackageFacts: func() []analysis.PackageFact {
-			var out []analysis.PackageFact
-			for k, f := range h.pkgFacts {
-				out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-			}
-			return out
-		},
+		ReadFile: os.ReadFile,
 	}
+	res, err := a.Run(pass)
+	if err != nil {
+		return fmt.Errorf("%s over %s: %v", a.Name, h.pi.pkg.Path(), err)
+	}
+	h.results[a] = res
+	h.collected[a] = diags != nil
+	return nil
 }
 
 // --- package loading -------------------------------------------------------
@@ -210,14 +124,11 @@ type pkgInfo struct {
 
 // loader parses and typechecks testdata packages, resolving imports to
 // sibling directories under root. It doubles as the types.Importer, so stub
-// packages can import each other (ds stubs import stub/internal/core). The
-// order slice records completion order: a package's imports always precede
-// it.
+// packages can import each other (ds stubs import stub/internal/core).
 type loader struct {
-	fset  *token.FileSet
-	root  string
-	pkgs  map[string]*pkgInfo
-	order []string
+	fset *token.FileSet
+	root string
+	pkgs map[string]*pkgInfo
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
@@ -274,7 +185,6 @@ func (l *loader) load(path string) (*pkgInfo, error) {
 	}
 	pi := &pkgInfo{pkg: pkg, files: files, info: info}
 	l.pkgs[path] = pi
-	l.order = append(l.order, path)
 	return pi, nil
 }
 

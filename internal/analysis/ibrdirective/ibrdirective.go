@@ -18,22 +18,15 @@ import (
 
 	"golang.org/x/tools/go/analysis"
 
-	"ibr/internal/analysis/atomicmix"
 	"ibr/internal/analysis/derefguard"
 	"ibr/internal/analysis/ibrlint"
-	"ibr/internal/analysis/lifecycle"
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name: "ibrdirective",
-	Doc:  "validate //ibrlint: directives (ignore requires a reason; stale ignores are flagged)",
-	Requires: []*analysis.Analyzer{
-		ibrlint.Directives,
-		derefguard.Analyzer,
-		atomicmix.Analyzer,
-		lifecycle.Analyzer,
-	},
-	Run: run,
+	Name:     "ibrdirective",
+	Doc:      "validate //ibrlint: directives (ignore requires a reason; stale ignores are flagged)",
+	Requires: []*analysis.Analyzer{ibrlint.Directives, derefguard.Analyzer},
+	Run:      run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -197,12 +197,22 @@ func CheckMap(structure, scheme string) error {
 	return checkPair(structure, scheme)
 }
 
+// CheckScheme returns nil if scheme names a registered scheme (aliases
+// included), and otherwise the one unknown-scheme error every caller
+// returns: the name and the valid ones, sorted.
+func CheckScheme(scheme string) error {
+	if !core.IsScheme(scheme) {
+		return fmt.Errorf("unknown scheme %q; valid: %s", scheme, strings.Join(core.Schemes(), ", "))
+	}
+	return nil
+}
+
 // checkPair is CheckMap for any registered structure, Maps or not.
 func checkPair(structure, scheme string) error {
-	switch {
-	case !core.IsScheme(scheme):
-		return fmt.Errorf("unknown scheme %q; valid: %s", scheme, strings.Join(core.Schemes(), ", "))
-	case !SchemeSupports(scheme, structure):
+	if err := CheckScheme(scheme); err != nil {
+		return err
+	}
+	if !SchemeSupports(scheme, structure) {
 		return fmt.Errorf("scheme %q cannot run structure %q", scheme, structure)
 	}
 	return nil
@@ -214,6 +224,10 @@ type base[T any] struct {
 	w    *guard.Guarded[T]
 	name string
 }
+
+// newScheme builds a structure's scheme. It is core.New; tests wrap the
+// scheme it returns to schedule an adversary inside an operation.
+var newScheme = core.New
 
 // newBase is the one constructor helper: it refuses a pair checkPair
 // refuses, then builds the node pool (poisoned when freed if cfg.Poison),
@@ -227,7 +241,7 @@ func newBase[T any](name string, cfg Config, poison func(*T)) (base[T], error) {
 		popt.Poison = poison
 	}
 	pool := mem.New[T](popt)
-	s, err := core.New(cfg.Scheme, pool, cfg.Core)
+	s, err := newScheme(cfg.Scheme, pool, cfg.Core)
 	if err != nil {
 		return base[T]{}, err
 	}

@@ -28,8 +28,7 @@ func listPoison(n *listNode) { n.key = ^uint64(0); n.val = ^uint64(0) }
 //
 // All protocol traffic goes through the guard facade: each public operation
 // opens a reservation bracket with w.Do, and the Guard it receives is the
-// only handle touch point inside — which is exactly the shape the lifecycle
-// analyzer trusts.
+// only handle touch point inside.
 //
 // Protection-slot discipline (HP/HE): slot 0 guards prev, slot 1 guards
 // curr, slot 2 guards next; slots rotate as the traversal advances. Every

@@ -251,10 +251,9 @@ func (t *NMTree) Insert(tid int, key, val uint64) (ok bool) {
 			leafNode := g.Deref(sr.leaf)
 			if leafNode.key == key {
 				if !newLeaf.IsNil() {
-					// A failed attempt linked the leaf into an internal node it
-					// then discarded. No other thread can hold it, but it was
-					// stored into a node, so take the conservative path: retire.
-					g.Retire(newLeaf)
+					// Only the internal nodes of failed attempts, each
+					// discarded unpublished, ever pointed at the leaf.
+					g.Discard(newLeaf)
 				}
 				return
 			}
@@ -272,7 +271,7 @@ func (t *NMTree) Insert(tid int, key, val uint64) (ok bool) {
 			// {new leaf, old leaf} in key order.
 			newInt := g.Alloc()
 			if newInt.IsNil() {
-				g.Retire(newLeaf) // allocator exhausted; retired as above
+				g.Discard(newLeaf) // allocator exhausted
 				return
 			}
 			in := g.Deref(newInt)

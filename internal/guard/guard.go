@@ -5,14 +5,15 @@
 // dereferences, publishes, and retires all go through it, so the bracket
 // and the per-call protocol discipline cannot drift apart.
 //
-// The division of labor with the ibrlint suite: derefguard keeps every
-// package outside internal/core, internal/mem and this one on the facade,
-// and the lifecycle analyzer treats these methods as trusted protocol
-// events (a Guard.Load is a protected read, a Guard.Retire is a retire,
-// ...). The facade's own implementation is checked at runtime instead:
-// TestGuardDoBracket proves Do withdraws its reservation on every exit,
-// and core's TestBirthEpochStamped proves the Scheme.Alloc that Alloc
-// delegates to stamps the birth epoch.
+// The division of labor with the checks: ibrlint's derefguard keeps every
+// package outside internal/core, internal/mem and this one on the facade.
+// How a structure uses these methods is checked by running it: internal/ds's
+// traversal adversary puts another thread's removals and a scan at every
+// point of an operation where its protection can shrink, and the ibrdebug
+// build turns a read of a freed slot into a panic. The facade's own
+// implementation is checked at runtime too: TestGuardDoBracket proves Do
+// withdraws its reservation on every exit, and core's TestBirthEpochStamped
+// proves the Scheme.Alloc that Alloc delegates to stamps the birth epoch.
 //
 // Do allocates nothing: each tid owns one preallocated Guard, and Do hands
 // out a pointer to it. A tid is used by one goroutine at a time, so its
@@ -130,8 +131,9 @@ func (g *Guard[T]) Alloc() mem.Handle {
 
 // Discard returns a never-published block straight to the allocator — the
 // failed-insert path, where no CAS ever linked the node so no other thread
-// can hold it. Publishing a handle and then Discarding it is a protocol
-// violation (the lifecycle analyzer flags it at the call site).
+// can hold it. Discarding a published block frees it under every reader
+// that still holds it; the ibrdebug build panics at such a reader's next
+// Deref.
 func (g *Guard[T]) Discard(h mem.Handle) {
 	g.check()
 	g.pool.Free(g.tid, h)
