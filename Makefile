@@ -3,37 +3,20 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lintdebug test testdebug race stress bench benchscan figs serve loadtest obssmoke chaossmoke tracesmoke rangesmoke clean
+.PHONY: all build vet test testdebug race stress bench benchscan figs serve loadtest obssmoke chaossmoke tracesmoke rangesmoke clean
 
-all: build vet lint test
+all: build vet test
 
 build:
 	$(GO) build ./...
 
-# The standard analyzers over both builds: lintdebug's -vettool replaces
-# them, so this is the only vet of the ibrdebug-only files.
+# The standard analyzers over both builds, so the ibrdebug-only files
+# (pool assertions, guard liveness checks) are vetted too. The reservation
+# protocol's boundary is a test, internal/guard's TestProtocolBoundary
+# (DESIGN.md §5b), so `make test` checks it.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags ibrdebug ./...
-
-# ibrlint: the go/analysis suite enforcing the IBR reservation protocol's
-# boundary (derefguard: the guard facade outside core/mem/guard) and
-# directive hygiene (ibrdirective). What happens inside the facade is
-# checked by running it (testdebug). See DESIGN.md §5b and cmd/ibrlint.
-# The binary is a real file target: it rebuilds only when its sources
-# change, so repeated `make lint` runs ride go vet's cache.
-LINT_SRCS := go.mod $(shell find cmd/ibrlint internal/analysis vendor/golang.org/x/tools -name '*.go' -not -path '*/testdata/*')
-
-bin/ibrlint: $(LINT_SRCS)
-	$(GO) build -o $@ ./cmd/ibrlint
-
-lint: bin/ibrlint
-	$(GO) vet -vettool=$(CURDIR)/bin/ibrlint ./...
-
-# The same suite over the ibrdebug build: the debug-only files (pool
-# assertions, guard liveness checks) get linted too.
-lintdebug: bin/ibrlint
-	$(GO) vet -tags ibrdebug -vettool=$(CURDIR)/bin/ibrlint ./...
 
 test:
 	$(GO) test ./...
@@ -93,8 +76,8 @@ serve:
 loadtest obssmoke chaossmoke tracesmoke rangesmoke:
 	$(GO) test -count=1 -v -run 'TestDaemon/$@' ./cmd/ibrd
 
-# Removes only the ignored build outputs: bin/ (ibrlint, go build -o bin/)
-# and the benchmark's .bench_build/. The records, charts, tables and log
+# Removes only the ignored build outputs: bin/ (go build -o bin/) and the
+# benchmark's .bench_build/. The records, charts, tables and log
 # under data/ are committed results that make figs regenerates, so clean
 # leaves them alone.
 clean:

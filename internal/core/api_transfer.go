@@ -8,11 +8,11 @@ package core
 // reservation, which is sound only when that tid's holder is proven to hold
 // no node references and to stay off the scheme until the clear is done
 // (an injected staller, parked, with its slot mutex held by the clearing
-// goroutine). ibrlint's derefguard analyzer flags every call outside
-// internal/core, internal/mem and internal/guard, and the guard facade has
-// no cross-tid call, so each use site must carry an //ibrlint:ignore
-// directive stating that evidence — see DESIGN.md §7 for the safety
-// argument.
+// goroutine). The protocol boundary test (internal/guard's
+// TestProtocolBoundary) fails on every call outside internal/core,
+// internal/mem and internal/guard, and the guard facade has no cross-tid
+// call, so each use site is allowed there by function name, with that
+// evidence as the reason — see DESIGN.md §7 for the safety argument.
 
 // TransferSlot is a no-op for schemes without per-slot protection (all
 // epoch- and interval-based schemes); HP and HE override it.

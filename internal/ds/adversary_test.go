@@ -178,6 +178,9 @@ func advRun(structure, scheme string, op advOp, at int, half bool) (points int, 
 		Core:    core.Options{Threads: advThreads, EpochFreq: 1},
 		Buckets: 1, // the hash map's keys share one chain, as the list's do
 		Poison:  true,
+		// A run's nodes fit many times over; the pool's one slab stops at
+		// the cap, so building a map per run stays cheap.
+		PoolSlots: 1 << 12,
 	}
 	m, err := NewMap(structure, cfg)
 	newScheme = prev

@@ -10,7 +10,8 @@
 // wraps pool and core.Scheme in an internal/guard Guarded[T], and runs each
 // operation inside Guarded.Do, touching handles only through the Guard it
 // passes (quiescence-only walks like Keys and Len open a tid-0 bracket
-// too). ibrlint's derefguard rejects any raw Scheme or Pool.Get call here.
+// too). internal/guard's TestProtocolBoundary fails on any raw Scheme or
+// Pool protocol call here.
 //
 // The registry is the one place where a structure meets its scheme: a row
 // per structure with the two properties the paper's rule reads (POIBR

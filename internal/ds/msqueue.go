@@ -31,8 +31,8 @@ func NewQueue(cfg Config) (*Queue, error) {
 	}
 	q := &Queue{base: b}
 	// Bracket the dummy-node setup like any operation: construction is
-	// single-threaded, but a uniform reservation discipline is what ibrlint
-	// can check.
+	// single-threaded, but a uniform reservation discipline is what the
+	// protocol boundary test can check.
 	q.w.Do(0, func(g *guard.Guard[queueNode]) {
 		dummy := g.Alloc()
 		n := g.Deref(dummy)

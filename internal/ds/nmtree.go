@@ -67,7 +67,8 @@ func NewNMTree(cfg Config) (*NMTree, error) {
 
 	// Initial shape (single-threaded): R(inf2){S, leaf(inf2)},
 	// S(inf1){leaf(inf1), leaf(inf2)}. Bracketed like any operation so the
-	// setup follows the same reservation discipline ibrlint checks.
+	// setup follows the same reservation discipline the protocol boundary
+	// test checks.
 	t.w.Do(0, func(g *guard.Guard[nmNode]) {
 		node := func(key uint64, isLeaf uint32, l, r mem.Handle) mem.Handle {
 			h := g.Alloc()

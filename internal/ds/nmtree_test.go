@@ -47,6 +47,48 @@ func TestNMTreeInitialShape(t *testing.T) {
 	}
 }
 
+// TestNMTreeInsertAllocatorExhausted: an Insert whose new leaf takes the
+// pool's last slot cannot allocate the internal node that would route to
+// it, so it discards the leaf and fails. The pool's live count is what it
+// was before the Insert, and TakeAllocFailed tells this failure from a
+// present key. Once a Remove's nodes are reclaimed, an Insert fits again.
+func TestNMTreeInsertAllocatorExhausted(t *testing.T) {
+	const inserts = 10
+	cfg := testConfig("ebr", 1)
+	cfg.PoolSlots = 5 + 2*inserts + 1 // the sentinels, two nodes an Insert, one spare
+	tr, err := NewNMTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, live := uint64(0), uint64(0)
+	for {
+		live = tr.PoolStats().Live()
+		if !tr.Insert(0, key, key) {
+			break
+		}
+		key++
+	}
+	if key != inserts {
+		t.Fatalf("%d Inserts succeeded, want %d", key, inserts)
+	}
+	if !tr.Scheme().TakeAllocFailed(0) {
+		t.Error("the failed Insert did not report an allocation failure")
+	}
+	if got := tr.PoolStats().Live(); got != live {
+		t.Errorf("live slots %d after the failed Insert, want %d: its leaf was not discarded", got, live)
+	}
+	if !tr.Remove(0, 0) {
+		t.Fatal("Remove(0) failed")
+	}
+	tr.Scheme().Drain(0)
+	if got := tr.PoolStats().Live(); got != live-2 {
+		t.Errorf("live slots %d after the Remove's nodes were reclaimed, want %d", got, live-2)
+	}
+	if !tr.Insert(0, key, key) {
+		t.Error("Insert failed with the Remove's nodes reclaimed")
+	}
+}
+
 // TestNMTreeExternalProperty: every application key must live in a leaf,
 // and internal nodes must route correctly (left < key <= right).
 func TestNMTreeExternalProperty(t *testing.T) {

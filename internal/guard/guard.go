@@ -5,9 +5,10 @@
 // dereferences, publishes, and retires all go through it, so the bracket
 // and the per-call protocol discipline cannot drift apart.
 //
-// The division of labor with the checks: ibrlint's derefguard keeps every
-// package outside internal/core, internal/mem and this one on the facade.
-// How a structure uses these methods is checked by running it: internal/ds's
+// The division of labor with the checks: TestProtocolBoundary
+// (boundary_test.go) keeps every package outside internal/core,
+// internal/mem and this one, and the benchmark module, on the facade. How a
+// structure uses these methods is checked by running it: internal/ds's
 // traversal adversary puts another thread's removals and a scan at every
 // point of an operation where its protection can shrink, and the ibrdebug
 // build turns a read of a freed slot into a panic. The facade's own

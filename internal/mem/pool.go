@@ -12,7 +12,8 @@ const (
 	slabShift = 16
 	// SlabSize is the number of slots per slab. Slabs are allocated lazily
 	// as the pool grows and are never released, which is what makes the
-	// allocator type-preserving.
+	// allocator type-preserving. The last slab stops at the pool's cap, so
+	// a pool capped below SlabSize carves exactly its cap.
 	SlabSize = 1 << slabShift
 	slabMask = SlabSize - 1
 
@@ -245,9 +246,10 @@ func (p *Pool[T]) ensureSlab(gid uint64) {
 	defer p.growMu.Unlock()
 	cur := *p.slabs.Load()
 	for idx >= len(cur) {
+		n := min(SlabSize, p.maxSlots-uint64(len(cur))<<slabShift)
 		grown := make([]*slab[T], len(cur)+1)
 		copy(grown, cur)
-		grown[len(cur)] = &slab[T]{slots: make([]slot[T], SlabSize)}
+		grown[len(cur)] = &slab[T]{slots: make([]slot[T], n)}
 		p.slabs.Store(&grown)
 		cur = grown
 	}

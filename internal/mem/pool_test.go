@@ -138,27 +138,35 @@ func TestBirthRetireEpochs(t *testing.T) {
 	}
 }
 
+// TestExhaustion: a pool serves exactly its cap, then (Nil, false). Its
+// last slab stops at the cap, so a pool capped below SlabSize carves a
+// slab of exactly its cap.
 func TestExhaustion(t *testing.T) {
-	const cap = 200
-	p := newTestPool(t, 1, cap)
-	var hs []Handle
-	for {
-		h, ok := p.Alloc(0)
-		if !ok {
-			break
+	for _, c := range []struct{ cap, lastSlab uint64 }{{1000, 1000}, {SlabSize + 10, 10}} {
+		p := newTestPool(t, 1, c.cap)
+		var hs []Handle
+		for {
+			h, ok := p.Alloc(0)
+			if !ok {
+				break
+			}
+			hs = append(hs, h)
 		}
-		hs = append(hs, h)
-	}
-	if len(hs) != cap {
-		t.Fatalf("allocated %d slots from a %d-slot pool", len(hs), cap)
-	}
-	if _, ok := p.Alloc(0); ok {
-		t.Fatal("alloc succeeded past capacity")
-	}
-	// Freeing makes slots available again.
-	p.Free(0, hs[0])
-	if _, ok := p.Alloc(0); !ok {
-		t.Fatal("alloc failed after a free")
+		if uint64(len(hs)) != c.cap {
+			t.Fatalf("allocated %d slots from a %d-slot pool", len(hs), c.cap)
+		}
+		if h, ok := p.Alloc(0); ok || h != Nil {
+			t.Fatalf("Alloc past the cap = (%v, %v), want (Nil, false)", h, ok)
+		}
+		slabs := *p.slabs.Load()
+		if got := uint64(len(slabs[len(slabs)-1].slots)); got != c.lastSlab {
+			t.Errorf("cap %d: last slab holds %d slots, want %d", c.cap, got, c.lastSlab)
+		}
+		// Freeing makes slots available again.
+		p.Free(0, hs[0])
+		if _, ok := p.Alloc(0); !ok {
+			t.Fatal("alloc failed after a free")
+		}
 	}
 }
 

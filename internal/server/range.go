@@ -81,8 +81,9 @@ func (e *Engine) rangeLeg(sh *shard, t *tidSlot, req *Request, s *rangeScratch, 
 	defer sh.activeScans.Add(-1)
 	t0 := obs.Now()
 	// The visitor receives values, not handles, so nothing escapes the
-	// bracket: ds.Ranger's callback takes (key, val uint64), and derefguard
-	// keeps this package off raw Pool.Get, the only other way to a node.
+	// bracket: ds.Ranger's callback takes (key, val uint64), and the
+	// protocol boundary test keeps this package off raw Pool.Get, the only
+	// other way to a node.
 	s.legEnd = len(s.pairs) + limit
 	sh.m.(ds.Ranger).Range(t.tid, req.Key, req.KeyHi, s.collect)
 	s.ends = append(s.ends, len(s.pairs))
