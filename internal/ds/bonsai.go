@@ -334,8 +334,10 @@ func (t *Bonsai) Get(tid int, key uint64) (val uint64, found bool) {
 	return val, found
 }
 
-// Fill bulk-loads pairs (single-threaded) through the normal insert path.
+// Fill loads pairs into the empty tree through the normal insert path, in
+// the order given.
 func (t *Bonsai) Fill(pairs []KV) {
+	t.refuseNonEmpty(t.root.Raw().IsNil())
 	for _, kv := range pairs {
 		t.Insert(0, kv.Key, kv.Val)
 	}

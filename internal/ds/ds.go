@@ -22,6 +22,8 @@ package ds
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,8 +46,13 @@ type Map interface {
 	Remove(tid int, key uint64) bool
 	// Get returns the value bound to key.
 	Get(tid int, key uint64) (uint64, bool)
-	// Fill bulk-loads key→val pairs before concurrent use (single-threaded;
-	// the benchmark's prefill). Keys need not be sorted or unique.
+	// Fill loads key→val pairs into an empty map before concurrent use
+	// (single-threaded; the benchmark's prefill) and panics on a map that
+	// is not empty. Keys need not be sorted or unique: the first pair given
+	// for a key wins, as successive Inserts would have it. The sorted
+	// structures (list, hash map chains, skip list) sort the pairs once and
+	// link them bottom-up; the trees Insert them in the order given, since
+	// an ascending load would degenerate the unbalanced NM tree.
 	Fill(pairs []KV)
 	// Keys returns the current key set in ascending order. It must only be
 	// called at quiescence (no concurrent operations); tests use it to
@@ -76,6 +83,65 @@ type KV struct{ Key, Val uint64 }
 // KeyLimit is the exclusive upper bound on application keys; values at or
 // above it are reserved for internal sentinels.
 const KeyLimit = uint64(1) << 62
+
+// radixBits is sortedUnique's digit width: the benchmark's 2^18 keys sort
+// in two passes and any key below KeyLimit in at most six, each pass over
+// a 2,048-entry count table that stays in L1.
+const radixBits = 11
+
+// sortedUnique returns pairs sorted by key, keeping the first pair given
+// for each key, in a new slice. It is a stable LSD radix sort over the
+// keys' significant bits, so equal keys keep their input order and the
+// first of each run is the one kept. Every key goes through checkKey.
+func sortedUnique(pairs []KV) []KV {
+	var all uint64
+	for _, kv := range pairs {
+		checkKey(kv.Key)
+		all |= kv.Key
+	}
+	src, dst := slices.Clone(pairs), make([]KV, len(pairs))
+	for shift := 0; shift < bits.Len64(all); shift += radixBits {
+		var ends [1 << radixBits]int
+		deal(dst, src, ends[:], 1, uint(shift))
+		src, dst = dst, src
+	}
+	out := src[:0]
+	for _, kv := range src {
+		if len(out) == 0 || kv.Key != out[len(out)-1].Key {
+			out = append(out, kv)
+		}
+	}
+	return out
+}
+
+// deal is one stable counting pass: it copies src into dst grouped by the
+// digit key*mul>>shift, taken mod len(ends), a power of two: digits
+// ascending, each digit's pairs in src's order. ends must be zeroed; deal
+// leaves ends[d] where digit d's run in dst ends.
+func deal(dst, src []KV, ends []int, mul uint64, shift uint) {
+	mask := uint64(len(ends) - 1)
+	for _, kv := range src {
+		ends[kv.Key*mul>>shift&mask]++
+	}
+	at := 0
+	for d, n := range ends {
+		ends[d], at = at, at+n
+	}
+	for _, kv := range src {
+		d := kv.Key * mul >> shift & mask
+		dst[ends[d]] = kv
+		ends[d]++
+	}
+}
+
+// refuseNonEmpty panics, naming the structure, unless Fill found its map
+// empty: a bulk load overwrites the roots it links from, so nodes already
+// linked there would be lost unretired.
+func (b *base[T]) refuseNonEmpty(empty bool) {
+	if !empty {
+		panic("ds: Fill of a non-empty " + b.name)
+	}
+}
 
 // Instrumented exposes the plumbing beneath a Map for benchmarks and tests.
 type Instrumented interface {

@@ -259,20 +259,33 @@ func TestFillThenOperate(t *testing.T) {
 	}
 }
 
+// TestFillDuplicatesAndUnsorted: Fill keeps the first pair given for each
+// key, as successive Inserts do. The second input repeats each key eight
+// times in one hash chain, past the 12 pairs below which sort.Slice's
+// insertion sort happens to be stable.
 func TestFillDuplicatesAndUnsorted(t *testing.T) {
+	var cycled []KV // key k%8 with value k: key j's first pair has value j
+	for k := uint64(0); k < 64; k++ {
+		cycled = append(cycled, KV{k % 8, k})
+	}
+	cases := []struct {
+		pairs []KV
+		want  map[uint64]uint64
+	}{
+		{[]KV{{5, 1}, {1, 2}, {5, 3}, {3, 4}, {1, 5}}, map[uint64]uint64{1: 2, 3: 4, 5: 1}},
+		{cycled, map[uint64]uint64{0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7}},
+	}
 	for _, structure := range mapStructures {
 		t.Run(structure, func(t *testing.T) {
-			m := newTestMap(t, structure, "ebr", 1)
-			m.Fill([]KV{{5, 1}, {1, 2}, {5, 3}, {3, 4}, {1, 5}})
-			got := m.Keys()
-			want := []uint64{1, 3, 5}
-			if len(got) != len(want) {
-				t.Fatalf("Keys() = %v, want %v", got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("Keys() = %v, want %v", got, want)
+			for _, c := range cases {
+				cfg := testConfig("ebr", 1)
+				cfg.Buckets = 1 // the hash map's keys share one chain, as the list's do
+				m, err := NewMap(structure, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				m.Fill(c.pairs)
+				checkKeysMatchModel(t, m, c.want)
 			}
 		})
 	}
@@ -488,16 +501,21 @@ func TestNMTreeSentinelsUntouchable(t *testing.T) {
 }
 
 func TestKeyLimitEnforced(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: oversized key did not panic", what)
+			}
+		}()
+		f()
+	}
 	for _, structure := range []string{"nmtree", "bonsai", "skiplist"} {
 		m := newTestMap(t, structure, "ebr", 1)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: oversized key did not panic", structure)
-				}
-			}()
-			m.Insert(0, KeyLimit, 1)
-		}()
+		mustPanic(structure+" Insert", func() { m.Insert(0, KeyLimit, 1) })
+	}
+	for _, structure := range mapStructures {
+		m := newTestMap(t, structure, "ebr", 1)
+		mustPanic(structure+" Fill", func() { m.Fill([]KV{{1, 1}, {KeyLimit, 1}}) })
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ibr/internal/core"
+	"ibr/internal/guard"
 )
 
 // HashMap is Michael's lock-free hash map (§5 of the paper): a fixed array
@@ -42,10 +43,14 @@ func NewHashMap(cfg Config) (*HashMap, error) {
 	}, nil
 }
 
+// fibonacci is 2^64 over the golden ratio: the multiplier of the buckets'
+// hash, which Fill's deal applies too.
+const fibonacci = 0x9E3779B97F4A7C15
+
 // bucket hashes key to its bucket head with a Fibonacci multiplicative
 // hash, which spreads the benchmark's small dense key range well.
 func (m *HashMap) bucket(key uint64) *core.Ptr {
-	return &m.buckets[(key*0x9E3779B97F4A7C15)>>m.shift]
+	return &m.buckets[(key*fibonacci)>>m.shift]
 }
 
 // Insert adds key→val; false if present.
@@ -63,23 +68,23 @@ func (m *HashMap) Get(tid int, key uint64) (uint64, bool) {
 	return m.get(tid, m.bucket(key), key)
 }
 
-// Fill bulk-loads pairs (single-threaded).
+// Fill loads pairs into the empty map: it sorts them once, deals the sorted
+// run to the buckets in one stable counting pass, so every bucket's share
+// stays sorted, and links each share as its chain.
 func (m *HashMap) Fill(pairs []KV) {
-	perBucket := make(map[*core.Ptr][]KV)
-	for _, kv := range pairs {
-		b := m.bucket(kv.Key)
-		perBucket[b] = append(perBucket[b], kv)
+	for i := range m.buckets {
+		m.refuseNonEmpty(m.buckets[i].Raw().IsNil())
 	}
-	for b, kvs := range perBucket {
-		sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
-		dedup := kvs[:0]
-		for i, kv := range kvs {
-			if i == 0 || kv.Key != kvs[i-1].Key {
-				dedup = append(dedup, kv)
-			}
+	sorted := sortedUnique(pairs)
+	dealt, ends := make([]KV, len(sorted)), make([]int, len(m.buckets))
+	deal(dealt, sorted, ends, fibonacci, m.shift)
+	m.w.Do(0, func(g *guard.Guard[listNode]) {
+		start := 0
+		for i, end := range ends {
+			m.fill(g, &m.buckets[i], dealt[start:end])
+			start = end
 		}
-		m.fill(b, dedup)
-	}
+	})
 }
 
 // Keys returns the ascending key set (quiescence only).

@@ -1,8 +1,6 @@
 package ds
 
 import (
-	"sort"
-
 	"ibr/internal/core"
 	"ibr/internal/guard"
 	"ibr/internal/mem"
@@ -187,24 +185,22 @@ func (lc *listCore) get(tid int, head *core.Ptr, key uint64) (val uint64, found 
 	return val, found
 }
 
-// fill bulk-loads sorted unique pairs into an empty chain at head,
-// single-threaded. Links are written through the scheme so TagIBR tags and
-// WCAS packed epochs are consistent.
-func (lc *listCore) fill(head *core.Ptr, pairs []KV) {
-	lc.w.Do(0, func(g *guard.Guard[listNode]) {
-		prev := head
-		for _, kv := range pairs {
-			h := g.Alloc()
-			if h.IsNil() {
-				panic("ds: pool exhausted during Fill")
-			}
-			n := g.Deref(h)
-			n.key, n.val = kv.Key, kv.Val
-			g.Publish(&n.next, mem.Nil)
-			g.Publish(prev, h)
-			prev = &n.next
+// fill links sorted unique pairs into the empty chain at head, inside the
+// caller's bracket, writing each link once. Links are written through the
+// scheme so TagIBR tags and WCAS packed epochs are consistent.
+func (lc *listCore) fill(g *guard.Guard[listNode], head *core.Ptr, pairs []KV) {
+	prev := head
+	for _, kv := range pairs {
+		h := g.Alloc()
+		if h.IsNil() {
+			panic("ds: pool exhausted during Fill")
 		}
-	})
+		n := g.Deref(h)
+		n.key, n.val = kv.Key, kv.Val
+		g.Publish(prev, h)
+		prev = &n.next
+	}
+	g.Publish(prev, mem.Nil)
 }
 
 // keys walks the chain at quiescence, returning unmarked keys in order.
@@ -248,17 +244,11 @@ func (l *List) Remove(tid int, key uint64) bool { return l.remove(tid, &l.head, 
 // Get returns the value bound to key.
 func (l *List) Get(tid int, key uint64) (uint64, bool) { return l.get(tid, &l.head, key) }
 
-// Fill bulk-loads pairs (single-threaded).
+// Fill loads pairs into the empty list in one pass over their sorted run.
 func (l *List) Fill(pairs []KV) {
-	sorted := append([]KV(nil), pairs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	dedup := sorted[:0]
-	for i, kv := range sorted {
-		if i == 0 || kv.Key != sorted[i-1].Key {
-			dedup = append(dedup, kv)
-		}
-	}
-	l.fill(&l.head, dedup)
+	l.refuseNonEmpty(l.head.Raw().IsNil())
+	sorted := sortedUnique(pairs)
+	l.w.Do(0, func(g *guard.Guard[listNode]) { l.fill(g, &l.head, sorted) })
 }
 
 // Keys returns the ascending key set (quiescence only).

@@ -351,8 +351,10 @@ func (t *NMTree) Remove(tid int, key uint64) (ok bool) {
 	return ok
 }
 
-// Fill bulk-loads pairs (single-threaded) through the normal insert path.
+// Fill loads pairs into the empty tree through the normal insert path, in
+// the order given: an ascending load would degenerate it into a path.
 func (t *NMTree) Fill(pairs []KV) {
+	t.refuseNonEmpty(len(t.Keys()) == 0)
 	for _, kv := range pairs {
 		t.Insert(0, kv.Key, kv.Val)
 	}

@@ -195,12 +195,12 @@ func (sl *SkipList) Insert(tid int, key, val uint64) (ok bool) {
 				}
 				n := g.Deref(node)
 				n.key, n.val, n.topLevel = key, val, uint32(top)
-				for l := 0; l < MaxLevel; l++ {
-					g.Publish(&n.next[l], mem.Nil)
-				}
 			}
 			n := g.Deref(node)
 			// Point the private tower at the window, then publish level 0.
+			// Levels at and above top stay unwritten: a traversal reaches a
+			// node at level L only through a level-L link, and removals and
+			// linkUpper stop at topLevel.
 			for l := 0; l < top; l++ {
 				g.Publish(&n.next[l], succs[l])
 			}
@@ -339,11 +339,41 @@ func (sl *SkipList) Range(tid int, from, to uint64, fn func(key, val uint64) boo
 	})
 }
 
-// Fill bulk-loads pairs (single-threaded) through the insert path.
+// Fill loads pairs into the empty skip list bottom-up, in one bracket: it
+// walks their sorted run once, gives each node its tower height, and links
+// the node into each of its levels' tail cells, starting at the head's. Each
+// tail cell is written once, with the next node at its level or, after the
+// last, with Nil, so there is no find, no CAS and no retry. A node's link
+// count starts at its height, one per level linked, as Insert's would be
+// once its hold is let go.
 func (sl *SkipList) Fill(pairs []KV) {
-	for _, kv := range pairs {
-		sl.Insert(0, kv.Key, kv.Val)
+	for l := range sl.head.next {
+		sl.refuseNonEmpty(sl.head.next[l].Raw().IsNil())
 	}
+	sorted := sortedUnique(pairs)
+	sl.w.Do(0, func(g *guard.Guard[slNode]) {
+		var tails [MaxLevel]*core.Ptr
+		for l := range tails {
+			tails[l] = &sl.head.next[l]
+		}
+		for _, kv := range sorted {
+			h := g.Alloc()
+			if h.IsNil() {
+				panic("ds: pool exhausted during Fill")
+			}
+			top := sl.randomLevel(0)
+			n := g.Deref(h)
+			n.key, n.val, n.topLevel = kv.Key, kv.Val, uint32(top)
+			n.links.Store(int32(top))
+			for l := 0; l < top; l++ {
+				g.Publish(tails[l], h)
+				tails[l] = &n.next[l]
+			}
+		}
+		for _, t := range tails {
+			g.Publish(t, mem.Nil)
+		}
+	})
 }
 
 // Sweep walks every level and snips out all marked entries, releasing

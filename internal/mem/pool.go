@@ -9,11 +9,15 @@ import (
 )
 
 const (
-	slabShift = 16
+	slabShift = 12
 	// SlabSize is the number of slots per slab. Slabs are allocated lazily
 	// as the pool grows and are never released, which is what makes the
 	// allocator type-preserving. The last slab stops at the pool's cap, so
-	// a pool capped below SlabSize carves exactly its cap.
+	// a pool capped below SlabSize carves exactly its cap. 4,096 slots (1.3
+	// MB of 312-byte skip-list slots) keep a pool's growth in step with its
+	// use: a new pool clears at most one such slab on its first Alloc, the
+	// shards of a sharded engine carve only what their keys need, and a
+	// full default pool's slab table still has only 1,024 entries.
 	SlabSize = 1 << slabShift
 	slabMask = SlabSize - 1
 
