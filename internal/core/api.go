@@ -26,7 +26,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -309,8 +311,8 @@ func (b *base) Unreserve(tid, idx int)  {}
 func (b *base) checkTid(tid int)        { _ = &b.ts[tid] }
 
 // StartOp posts the current epoch as both endpoints of tid's reservation:
-// start_op of Figs. 2, 4, 5 and 6 (EBR, POIBR, TagIBR, 2GEIBR). HP, HE,
-// NoMM, Hyaline and DEBRA override it.
+// start_op of Figs. 4, 5 and 6 (POIBR, TagIBR, 2GEIBR). EBR, DEBRA, HP, HE,
+// NoMM and Hyaline override it.
 func (b *base) StartOp(tid int) {
 	e := b.clock.Now()
 	b.res.At(tid).Set(e, e)
@@ -321,8 +323,8 @@ func (b *base) EndOp(tid int) { b.res.At(tid).Clear() }
 
 // RestartOp renews the reservation with a fresh start epoch — the §4.3.1
 // remedy that bounds what a starving thread can reserve. Go embedding does
-// not dispatch: this calls base.StartOp, never the embedding scheme's, so a
-// scheme that overrides StartOp must override RestartOp too (DEBRA does).
+// not dispatch: this calls base.StartOp, never the embedding scheme's, so
+// EBR and DEBRA, which override StartOp, override RestartOp too.
 func (b *base) RestartOp(tid int) { b.StartOp(tid) }
 
 // Write is Fig. 1's default, uninstrumented store, plus the traced-span
@@ -371,10 +373,10 @@ func (b *base) Clock() *epoch.Clock { return b.clock }
 // is the mean number of blocks *examined* per scan: the per-retirement
 // overhead that lands on the critical path when no spare cores absorb it
 // (see EXPERIMENTS.md on the single-CPU throughput inversion). With the
-// summarized scans this can be far below the retire-list length — runs of
-// still-protected blocks are skipped wholesale and EBR's scan stops at the
-// first unreclaimable block — which is exactly the improvement the counters
-// exist to surface. Callers should read it at quiescence.
+// summarized scans this can be far below the retire-list length — freeable
+// prefixes and runs of still-protected blocks are decided wholesale — which
+// is exactly the improvement the counters exist to surface. Callers should
+// read it at quiescence.
 type ScanStats struct {
 	Scans   uint64 // empty() executions
 	Scanned uint64 // retired blocks examined (conflict tests actually run)
@@ -388,9 +390,8 @@ type ScanStats struct {
 	BucketFrees uint64
 }
 
-// MeanListLen returns the average number of blocks examined per scan.
-// (The name predates the summarized scans, under which examined ≤ list
-// length; it is kept for CSV/JSON column stability.)
+// MeanListLen returns the average number of blocks examined per scan, at
+// most the mean retire-list length.
 func (s ScanStats) MeanListLen() float64 {
 	if s.Scans == 0 {
 		return 0
@@ -497,9 +498,9 @@ func (b *base) allocEpochs(tid int, drain func(int)) mem.Handle {
 }
 
 // allocPlain allocates without epoch stamping (EBR, DEBRA, Hyaline, HP,
-// NoMM). These schemes never read birth epochs, so stamping would be dead
-// work; DEBRA and Hyaline stamp only retire epochs, in retire.
-// TestBirthEpochStamped pins which schemes stamp.
+// NoMM). No decision of theirs reads a birth epoch (an open-ended EBR
+// reservation conflicts whatever the birth), so they stamp only retire
+// epochs, in retire. TestBirthEpochStamped pins which schemes stamp.
 func (b *base) allocPlain(tid int, drain func(int)) mem.Handle {
 	ts := &b.ts[tid]
 	ts.allocFailed = false
@@ -591,9 +592,8 @@ func (b *base) shouldDrain(ts *threadState) bool {
 // scan walks tid's retire store, freeing every block for which canFree
 // returns true; it is the skeleton of the pointer-based empty() (HP, whose
 // hazard test is per-address and gains nothing from epoch corners). The
-// epoch and interval schemes use the cheaper scanRetiredBefore /
-// scanSummarized below. Freed blocks are returned to the allocator in one
-// batch at the end of the walk.
+// epoch and interval schemes use the cheaper scanSummarized below. Freed
+// blocks are returned to the allocator in one batch at the end of the walk.
 func (b *base) scan(tid int, canFree func(retiredBlock) bool) {
 	ts := &b.ts[tid]
 	t0 := b.obs.ScanStart()
@@ -705,74 +705,6 @@ func (b *base) finishScan(tid int, free []mem.Handle, whole [][]mem.Handle, exam
 	}
 }
 
-// scanRetiredBefore is EBR's empty(): free every block retired strictly
-// before maxSafe. Within each bucket the retire epochs are sorted (the
-// global clock is monotone), so the freeable blocks form a prefix of the
-// live window — the scan frees that prefix and stops at the first kept
-// block instead of re-walking the backlog, so a scan's cost stays
-// O(freed + buckets) no matter how large a stalled reservation has let the
-// store grow. (EBR and DEBRA stamp no births, so their store degenerates to
-// the single birth-0 bucket and the cost is the flat list's O(freed+1).) A
-// fully-freed bucket hands its whole handle array to the allocator; a
-// partially-freed one advances its live window and compacts when the dead
-// prefix has grown past the compaction gates.
-func (b *base) scanRetiredBefore(tid int, maxSafe uint64) {
-	ts := &b.ts[tid]
-	t0 := b.obs.ScanStart()
-	ts.scans.Add(1)
-	st := &ts.store
-	free := ts.freeScratch[:0]
-	var whole [][]mem.Handle
-	var examined, bFrees uint64
-	tSweep := b.obs.PhaseStart()
-	out := st.buckets[:0]
-	for bi := range st.buckets {
-		bk := &st.buckets[bi]
-		s0, e := bk.start, len(bk.retires)
-		i := s0
-		for i < e && bk.retires[i] < maxSafe {
-			i++
-		}
-		examined += uint64(i - s0)
-		if i < e {
-			examined++ // the first kept block was examined too
-		}
-		if i == e {
-			whole = append(whole, bk.handles[s0:e])
-			st.count -= e - s0
-			bFrees++
-			st.recycle(bk)
-			continue
-		}
-		if i > s0 {
-			free = append(free, bk.handles[s0:i]...)
-			st.count -= i - s0
-			bk.start = i
-			bk.maybeCompact()
-		}
-		out = append(out, *bk)
-	}
-	st.buckets = out
-	st.hint = 0
-	b.obs.PhaseEnd(obs.PhaseResidualSweep, tSweep)
-	ts.scanned.Add(examined)
-	ts.bucketFrees.Add(bFrees)
-	if b.obs.Enabled() {
-		// EBR-style blame: the kept suffix is pinned by exactly the
-		// reservation holding the minimum lower endpoint (maxSafe's argmin) —
-		// one charge for the whole backlog, the suffix is never walked.
-		blame := b.blameScratch(tid)
-		if st.count > 0 {
-			if w, lo := b.res.MinLowerSlot(); lo != epoch.None {
-				charge(blame, w, uint64(st.count))
-			}
-		}
-		b.obs.PinBlame(tid, blame)
-	}
-	ts.freeScratch = free
-	b.finishScan(tid, free, whole, examined, t0)
-}
-
 // interval is one reserved epoch range [lo, hi]. The conflict test of
 // Fig. 5 line 26: a block is protected iff some interval satisfies
 // birth <= hi && retire >= lo. The snapshot is taken once per scan; each
@@ -840,7 +772,7 @@ type resSummary struct {
 // place).
 func (s *resSummary) build(ivs []interval) {
 	s.ivs = ivs
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
 	s.prefHi = s.prefHi[:0]
 	s.prefIdx = s.prefIdx[:0]
 	maxHi := uint64(0)
@@ -932,9 +864,9 @@ func charge(blame []uint64, w int, n uint64) {
 	}
 }
 
-// scanSummarized is the interval schemes' and HE's empty(): one summary per
-// scan, then a sweep over the bucketed store that decides as much as it can
-// wholesale before touching blocks.
+// scanSummarized is the epoch and interval schemes' and HE's empty(): one
+// summary per scan, then a sweep over the bucketed store that decides as
+// much as it can wholesale before touching blocks.
 //
 // The whole-bucket (and whole-store) decisions rest on the conflict test's
 // monotonicity in the block's lifetime corner: conflicts(birth, retire) can
@@ -1154,8 +1086,8 @@ func (b *base) publishSpan(tid int, h mem.Handle) {
 	}
 }
 
-// scanIntervals is the shared empty() of POIBR, TagIBR and 2GEIBR: digest
-// the reservation table once, then scan against the summary.
+// scanIntervals is the shared empty() of EBR, DEBRA, POIBR, TagIBR and
+// 2GEIBR: digest the reservation table once, then scan against the summary.
 func (b *base) scanIntervals(tid int) {
 	b.scanSummarized(tid, b.summarize(tid))
 }

@@ -11,12 +11,14 @@ import (
 // and checks the blame attribution names the right culprit: blocks born
 // before a parked reservation and retired after it conflict with exactly
 // that reservation, so every kept block must be charged to the staller's
-// tid — on the interval schemes via the conflict-witness search, and on EBR
-// via the oldest-reservation argmin.
+// tid via the conflict-witness search. Under EBR a second, younger reader
+// is active too: its open-ended reservation also covers every kept block,
+// and the witness must still be the oldest reservation, the staller's.
 func TestPinnedBlameNamesStaller(t *testing.T) {
 	const (
 		threads = 3
 		staller = 2
+		younger = 1
 		blocks  = 64
 	)
 	for _, scheme := range []string{"tagibr", "ebr"} {
@@ -41,6 +43,10 @@ func TestPinnedBlameNamesStaller(t *testing.T) {
 				handles = append(handles, h)
 			}
 			s.StartOp(staller) // parks a reservation at the current epoch
+			if scheme == "ebr" {
+				s.Clock().Advance()
+				s.StartOp(younger)
+			}
 			for _, h := range handles {
 				s.Retire(0, h)
 			}
@@ -59,6 +65,13 @@ func TestPinnedBlameNamesStaller(t *testing.T) {
 			}
 			if top[0].Blocks == 0 {
 				t.Fatalf("staller blamed for zero blocks: %+v", top)
+			}
+			if scheme == "ebr" {
+				if len(top) != 1 || top[0].Blocks != uint64(s.Unreclaimed(0)) {
+					t.Fatalf("%d blocks kept, want every one charged to the staller tid %d; full table %+v",
+						s.Unreclaimed(0), staller, top)
+				}
+				s.EndOp(younger)
 			}
 
 			// Culprit leaves: the next scan finds no conflicts, frees, and

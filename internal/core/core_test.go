@@ -617,10 +617,11 @@ func Test2GEReadRaisesUpperToCurrentEpoch(t *testing.T) {
 // under a scheme that overrides it — compiles cleanly; this table is the
 // check.
 type fig1Default struct {
-	// reserves: StartOp publishes a reservation-table entry (base's epoch
-	// reservation, or DEBRA's override of it). HP, HE, NoMM and Hyaline
-	// override StartOp with their own protection and leave the table idle.
-	reserves bool
+	// reserves: what StartOp and RestartOp publish in the reservation
+	// table: nothing (HP, HE, NoMM and Hyaline protect by their own means
+	// and leave the table idle), base's [e, e], or EBR's and DEBRA's
+	// open-ended [e, None].
+	reserves reserveForm
 	// write is what Write and CompareAndSwap store: the bare handle (base's
 	// uninstrumented default), or TagIBR's protected_write — born_before
 	// raised alongside (tagibr, tagibr-faa) or the birth epoch packed into
@@ -629,6 +630,27 @@ type fig1Default struct {
 	// stamps: the scheme reads birth epochs, so Alloc must stamp them
 	// (allocEpochs). EBR, DEBRA, Hyaline, HP and NoMM allocate plain.
 	stamps bool
+}
+
+type reserveForm int
+
+const (
+	reserveNone reserveForm = iota
+	reservePoint
+	reserveOpen
+)
+
+// published classifies the interval r holds.
+func published(r *epoch.Reservation) reserveForm {
+	switch lo, hi := r.Lower(), r.Upper(); {
+	case lo == epoch.None:
+		return reserveNone
+	case hi == epoch.None:
+		return reserveOpen
+	case hi == lo:
+		return reservePoint
+	}
+	return -1
 }
 
 type writeForm int
@@ -640,25 +662,25 @@ const (
 )
 
 var fig1Defaults = map[string]fig1Default{
-	"none":        {false, writeBare, false},
-	"ebr":         {true, writeBare, false},
-	"hp":          {false, writeBare, false},
-	"he":          {false, writeBare, true},
-	"poibr":       {true, writeBare, true},
-	"tagibr":      {true, writeBorn, true},
-	"tagibr-faa":  {true, writeBorn, true},
-	"tagibr-wcas": {true, writePacked, true},
-	"tagibr-tpa":  {true, writeBare, true},
-	"2geibr":      {true, writeBare, true},
-	"hyaline":     {false, writeBare, false},
-	"debra":       {true, writeBare, false},
+	"none":        {reserveNone, writeBare, false},
+	"ebr":         {reserveOpen, writeBare, false},
+	"hp":          {reserveNone, writeBare, false},
+	"he":          {reserveNone, writeBare, true},
+	"poibr":       {reservePoint, writeBare, true},
+	"tagibr":      {reservePoint, writeBorn, true},
+	"tagibr-faa":  {reservePoint, writeBorn, true},
+	"tagibr-wcas": {reservePoint, writePacked, true},
+	"tagibr-tpa":  {reservePoint, writeBare, true},
+	"2geibr":      {reservePoint, writeBare, true},
+	"hyaline":     {reserveNone, writeBare, false},
+	"debra":       {reserveOpen, writeBare, false},
 }
 
 // reserving lists the schemes whose StartOp publishes a table entry.
 func reserving() []string {
 	var out []string
 	for _, n := range Names() {
-		if fig1Defaults[n].reserves {
+		if fig1Defaults[n].reserves != reserveNone {
 			out = append(out, n)
 		}
 	}
@@ -666,7 +688,7 @@ func reserving() []string {
 }
 
 // TestFig1DefaultsPerScheme pins which schemes override which Fig. 1
-// defaults: whether StartOp publishes a reservation, and what Write and
+// defaults: what StartOp and RestartOp publish, and what Write and
 // CompareAndSwap store. TestBirthEpochStamped checks the stamps column.
 func TestFig1DefaultsPerScheme(t *testing.T) {
 	for _, name := range Names() {
@@ -678,8 +700,13 @@ func TestFig1DefaultsPerScheme(t *testing.T) {
 			r := newRig(t, name, 1)
 			s := r.scheme
 			s.StartOp(0)
-			if got := s.Reservations().At(0).Lower() != epoch.None; got != want.reserves {
-				t.Errorf("StartOp published a reservation = %v, want %v", got, want.reserves)
+			if got := published(s.Reservations().At(0)); got != want.reserves {
+				t.Errorf("StartOp published form %d, want %d", got, want.reserves)
+			}
+			s.Clock().Advance()
+			s.RestartOp(0)
+			if got := published(s.Reservations().At(0)); got != want.reserves {
+				t.Errorf("RestartOp published form %d, want %d", got, want.reserves)
 			}
 			s.EndOp(0)
 

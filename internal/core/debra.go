@@ -32,10 +32,11 @@ import "sync/atomic"
 // Limbo bags: DEBRA segregates retired nodes into per-epoch bags and frees
 // whole bags once their epoch is safely behind every reservation. Here the
 // single retire list ordered by retire epoch IS that rotation — each run of
-// equal retire epochs is one bag, rotation is the epoch advance inside the
-// shared retire helper, and the prefix scan (free everything retired before
-// the minimum reservation) frees exactly the sequence of expired bags
-// without examining the live ones.
+// equal retire epochs is one bag, and rotation is the epoch advance inside
+// the shared retire helper. Against EBR's open-ended reservations the
+// interval scan frees everything retired before the oldest one with one
+// binary search, which is exactly the sequence of expired bags, and keeps
+// the live ones in one jump without examining them.
 //
 // The data path is EBR's by embedding: Alloc, Retire, Read, ReadRoot,
 // Drain and Robust are promoted from it unchanged.
@@ -75,7 +76,7 @@ func NewDEBRA(m Memory, o Options) *DEBRA {
 }
 
 // StartOp is EBR's reservation post with the neutralize-check in front:
-// consume a pending neutralization before publishing the new epoch. A
+// consume a pending neutralization before publishing [now, ∞). A
 // neutralized thread therefore restarts cleanly — its old reservation is
 // already cleared, any pointers it read under it are dead to it, and the
 // fresh epoch protects everything the restarted operation will read.
@@ -83,12 +84,12 @@ func (s *DEBRA) StartOp(tid int) {
 	if s.neut[tid].v.Swap(false) {
 		s.observed.Add(1)
 	}
-	s.base.StartOp(tid)
+	s.EBR.StartOp(tid)
 }
 
 // RestartOp renews the reservation and, like StartOp, consumes a pending
 // neutralization — a restart is an operation boundary. The override must
-// stay: base.RestartOp calls base.StartOp and would skip the check.
+// stay: the promoted EBR.RestartOp would call EBR.StartOp, skipping it.
 func (s *DEBRA) RestartOp(tid int) { s.StartOp(tid) }
 
 // Neutralized reports whether tid has a delivered-but-unconsumed

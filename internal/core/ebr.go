@@ -1,6 +1,7 @@
 package core
 
 import (
+	"ibr/internal/epoch"
 	"ibr/internal/mem"
 )
 
@@ -10,7 +11,10 @@ import (
 // usability baseline IBR matches — but it is not robust: one stalled thread
 // pins every block retired at or after its start epoch, without bound.
 //
-// StartOp/EndOp/RestartOp (Fig. 2 lines 21–23) and the uninstrumented
+// That reservation is the interval [e, ∞): it conflicts with every block
+// retired at or after e, whatever the block's birth. So Fig. 2's empty() is
+// Fig. 5's conflict test applied to it, and EBR reclaims through the same
+// interval scan as the IBR family. EndOp and the uninstrumented
 // Write/CompareAndSwap are base's defaults.
 type EBR struct {
 	base
@@ -20,6 +24,14 @@ type EBR struct {
 func NewEBR(m Memory, o Options) *EBR {
 	return &EBR{base: newBase("ebr", m, o)}
 }
+
+// StartOp reserves [now, ∞) (Fig. 2 line 21): the epoch the operation
+// started in, with no upper bound.
+func (s *EBR) StartOp(tid int) { s.res.At(tid).Set(s.clock.Now(), epoch.None) }
+
+// RestartOp renews the reservation. Embedded methods do not dispatch, so
+// base.RestartOp would publish base's [e, e]; EBR needs its own.
+func (s *EBR) RestartOp(tid int) { s.StartOp(tid) }
 
 // Alloc allocates a block. Fig. 2's EBR advances the epoch in retire, not
 // alloc, and keeps no birth epochs; Alloc is therefore uninstrumented.
@@ -40,13 +52,10 @@ func (s *EBR) Read(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
 func (s *EBR) ReadRoot(tid, idx int, p *Ptr) mem.Handle { return p.Raw() }
 
 // Drain runs Fig. 2's empty(): free every block retired strictly before
-// the earliest reserved epoch. The freeable blocks form a prefix of the
-// retire list (it is appended in retire-epoch order), so the scan stops at
-// the first still-reserved block instead of re-walking the backlog; when no
-// thread is in an operation (MinLower == None) everything is freed.
-func (s *EBR) Drain(tid int) {
-	s.scanRetiredBefore(tid, s.res.MinLower())
-}
+// the earliest reserved epoch. Against open-ended reservations the
+// summarized scan frees that prefix with one binary search and keeps the
+// rest in one protected-window jump, charged to the oldest reservation.
+func (s *EBR) Drain(tid int) { s.scanIntervals(tid) }
 
 // Robust is false: this is the defining weakness of EBR (§1, §2.2).
 func (s *EBR) Robust() bool { return false }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"ibr/internal/mem"
@@ -101,7 +101,7 @@ func (s *HP) Drain(tid int) {
 			}
 		}
 	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
+	slices.Sort(snap)
 	ts.scratch = snap
 	s.scan(tid, func(rb retiredBlock) bool {
 		return !sortedContains(snap, uint64(rb.h.Addr()))

@@ -88,9 +88,11 @@ func quietScheme(t *testing.T, name string, threads int) (*mem.Pool[tnode], Sche
 // lifetimes under randomly pinned reservations, predict each block's fate
 // with the naive conflict sweep, then Drain once and check the scan kept
 // exactly the predicted survivors — i.e. the summary fast path, the
-// protected-window run-skip, and the merge pointer change nothing.
+// protected-window run-skip, and the merge pointer change nothing. EBR and
+// DEBRA reserve [lo, ∞), so their reservations are drawn open-ended.
 func TestScanSummarizedMatchesNaiveFullScan(t *testing.T) {
-	for _, name := range []string{"poibr", "tagibr", "tagibr-faa", "tagibr-wcas", "tagibr-tpa", "2geibr"} {
+	for _, name := range []string{"ebr", "debra", "poibr", "tagibr", "tagibr-faa", "tagibr-wcas", "tagibr-tpa", "2geibr"} {
+		open := name == "ebr" || name == "debra"
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				pool, s := quietScheme(t, name, 4)
@@ -106,6 +108,9 @@ func TestScanSummarizedMatchesNaiveFullScan(t *testing.T) {
 					}
 					lo := 1 + rng.Uint64()%200
 					hi := lo + rng.Uint64()%100
+					if open {
+						hi = epoch.None
+					}
 					s.Reservations().At(tid).Set(lo, hi)
 					ivs = append(ivs, interval{lo, hi, 0})
 				}
@@ -163,8 +168,7 @@ func TestScanSummarizedMatchesNaiveFullScan(t *testing.T) {
 // TestScanExaminedDropsWhenPinned is the regression test for the scan cost
 // itself: with one stalled reader pinning every retired block, repeated
 // scans over the ever-growing backlog must examine O(1) blocks each (the
-// store-level keep-all corner test for the interval schemes,
-// stop-at-first-kept for EBR) — not re-walk the whole list. Before the
+// store-level keep-all corner test) — not re-walk the whole list. Before the
 // summarized scans the mean examined per scan grew linearly with the
 // backlog. Scans are driven explicitly every 4 retirements: the adaptive
 // drain would (correctly) stop scheduling futile scans on its own, and this

@@ -78,9 +78,26 @@ func (a *adversary) Retire(tid int, h mem.Handle) {
 	}
 }
 
-// advMu serializes the runs' swaps of newScheme; the runs themselves go in
+// advMu serializes every swap of newScheme; the runs themselves go in
 // parallel.
 var advMu sync.Mutex
+
+// newWrappedMap builds structure through NewMap with its scheme wrapped by
+// wrap, swapping newScheme under advMu for the duration of the build.
+func newWrappedMap(structure string, cfg Config, wrap func(core.Scheme) core.Scheme) (Map, error) {
+	advMu.Lock()
+	defer advMu.Unlock()
+	prev := newScheme
+	defer func() { newScheme = prev }()
+	newScheme = func(name string, m core.Memory, o core.Options) (core.Scheme, error) {
+		s, err := prev(name, m, o)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(s), nil
+	}
+	return NewMap(structure, cfg)
+}
 
 // advKeys is the map every run starts from, in ascending order; advVal is
 // each key's value.
@@ -162,17 +179,6 @@ var advOps = []advOp{
 // as the ibrdebug build's on a read of a freed slot, is returned as the
 // error.
 func advRun(structure, scheme string, op advOp, at int, half bool) (points int, err error) {
-	var adv *adversary
-	advMu.Lock()
-	prev := newScheme
-	newScheme = func(name string, m core.Memory, o core.Options) (core.Scheme, error) {
-		s, err := prev(name, m, o)
-		if err != nil {
-			return nil, err
-		}
-		adv = &adversary{Scheme: s, at: at}
-		return adv, nil
-	}
 	cfg := Config{
 		Scheme:  scheme,
 		Core:    core.Options{Threads: advThreads, EpochFreq: 1},
@@ -182,9 +188,11 @@ func advRun(structure, scheme string, op advOp, at int, half bool) (points int, 
 		// the cap, so building a map per run stays cheap.
 		PoolSlots: 1 << 12,
 	}
-	m, err := NewMap(structure, cfg)
-	newScheme = prev
-	advMu.Unlock()
+	var adv *adversary
+	m, err := newWrappedMap(structure, cfg, func(s core.Scheme) core.Scheme {
+		adv = &adversary{Scheme: s, at: at}
+		return adv
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -509,12 +509,11 @@ func TestKeyLimitEnforced(t *testing.T) {
 		}()
 		f()
 	}
-	for _, structure := range []string{"nmtree", "bonsai", "skiplist"} {
-		m := newTestMap(t, structure, "ebr", 1)
-		mustPanic(structure+" Insert", func() { m.Insert(0, KeyLimit, 1) })
-	}
 	for _, structure := range mapStructures {
 		m := newTestMap(t, structure, "ebr", 1)
+		mustPanic(structure+" Insert", func() { m.Insert(0, KeyLimit, 1) })
+		mustPanic(structure+" Remove", func() { m.Remove(0, KeyLimit) })
+		mustPanic(structure+" Get", func() { m.Get(0, KeyLimit) })
 		mustPanic(structure+" Fill", func() { m.Fill([]KV{{1, 1}, {KeyLimit, 1}}) })
 	}
 }

@@ -105,6 +105,7 @@ retry:
 
 // insert adds key→val into the list at head.
 func (lc *listCore) insert(tid int, head *core.Ptr, key, val uint64) bool {
+	checkKey(key)
 	var ok bool
 	lc.w.Do(tid, func(g *guard.Guard[listNode]) {
 		node := mem.Nil
@@ -139,6 +140,7 @@ func (lc *listCore) insert(tid int, head *core.Ptr, key, val uint64) bool {
 
 // remove deletes key from the list at head.
 func (lc *listCore) remove(tid int, head *core.Ptr, key uint64) bool {
+	checkKey(key)
 	var ok bool
 	lc.w.Do(tid, func(g *guard.Guard[listNode]) {
 		fails := 0
@@ -159,10 +161,14 @@ func (lc *listCore) remove(tid int, head *core.Ptr, key uint64) bool {
 				fails++
 				continue
 			}
-			// Physical unlink; on failure a later find will clean up (and
-			// that find's thread will retire the node).
+			// Physical unlink. If the CAS loses, run find, as Michael's
+			// Delete does: it returns only once curr is unlinked, by it or
+			// by another tid, and the unlinker retires curr. Left linked,
+			// curr would wait for a later traversal that may never come.
 			if g.CompareAndSwap(r.prev, r.curr, next.ClearMarks()) {
 				g.Retire(r.curr)
+			} else {
+				lc.find(g, head, key, &fails)
 			}
 			ok = true
 			return
@@ -174,6 +180,7 @@ func (lc *listCore) remove(tid int, head *core.Ptr, key uint64) bool {
 // get looks key up in the list at head. It reuses find, so it helps unlink
 // marked nodes like the artifact's Michael-list contains.
 func (lc *listCore) get(tid int, head *core.Ptr, key uint64) (val uint64, found bool) {
+	checkKey(key)
 	lc.w.Do(tid, func(g *guard.Guard[listNode]) {
 		fails := 0
 		r := lc.find(g, head, key, &fails)

@@ -107,10 +107,72 @@ func TestListHelperRetiresExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestListRangeUnlinksMarkedNode: a remover whose unlink CAS failed leaves
-// a marked node for a later traversal to clean up. With no other traffic,
-// Range must be that traversal: it unlinks and retires the node and
-// finishes, rather than restarting at the marked word forever.
+// casBurst wraps a structure's scheme (installed through newScheme) and,
+// while armed, runs burst on tid 0's goroutine right before tid 0's second
+// CompareAndSwap: in a list Remove, after the logical delete and before the
+// unlink.
+type casBurst struct {
+	core.Scheme
+	armed bool
+	cas   int
+	burst func()
+}
+
+func (c *casBurst) CompareAndSwap(tid int, p *core.Ptr, old, new mem.Handle) bool {
+	if c.armed && tid == 0 {
+		if c.cas++; c.cas == 2 {
+			c.burst()
+		}
+	}
+	return c.Scheme.CompareAndSwap(tid, p, old, new)
+}
+
+// TestRemoveUnlinksWhenItsCASLoses: tid 0 marks key 20; before its unlink
+// CAS, tid 1 removes key 10, which changes the word that CAS expects. The
+// Remove must still leave its node off the list before returning, or the
+// node stays linked and unretired until some later traversal of the chain,
+// and a quiescent drain cannot free it.
+func TestRemoveUnlinksWhenItsCASLoses(t *testing.T) {
+	for _, structure := range []string{"list", "hashmap"} {
+		t.Run(structure, func(t *testing.T) {
+			var c *casBurst
+			cfg := testConfig("ebr", 2)
+			cfg.Buckets = 1 // the hash map's keys share one chain, as the list's do
+			m, err := newWrappedMap(structure, cfg, func(s core.Scheme) core.Scheme {
+				c = &casBurst{Scheme: s}
+				return c
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Fill([]KV{{10, 10}, {20, 20}, {30, 30}})
+			c.burst = func() {
+				if !m.Remove(1, 10) {
+					t.Error("Remove(10) = false, want true")
+				}
+			}
+			c.armed = true
+			if !m.Remove(0, 20) {
+				t.Fatal("Remove(20) = false, want true")
+			}
+			c.armed = false
+			if c.cas < 2 {
+				t.Fatalf("Remove(20) made %d CAS calls, so the burst never ran", c.cas)
+			}
+			core.DrainAll(c, 2)
+			keys := m.Keys()
+			if live := m.(Instrumented).PoolStats().Live(); live != uint64(len(keys)) {
+				t.Fatalf("%d live slots after DrainAll, want one per key of %v", live, keys)
+			}
+		})
+	}
+}
+
+// TestListRangeUnlinksMarkedNode: a remover stalled between its logical
+// delete and its unlink leaves a marked node for a traversal to clean up.
+// With no other traffic, Range must be that traversal: it unlinks and
+// retires the node and finishes, rather than restarting at the marked word
+// forever.
 func TestListRangeUnlinksMarkedNode(t *testing.T) {
 	l := newTestList(t, "ebr", 1)
 	for k := uint64(1); k <= 3; k++ {

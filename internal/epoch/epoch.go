@@ -43,8 +43,9 @@ func (c *Clock) Now() uint64 { return c.e.Load() }
 func (c *Clock) Advance() uint64 { return c.e.Add(1) }
 
 // Reservation is one thread's published protection: a closed interval
-// [Lower, Upper] of epochs. Schemes that reserve a single epoch (EBR,
-// POIBR) keep Lower == Upper. An idle thread publishes [None, None].
+// [Lower, Upper] of epochs. POIBR reserves a single epoch, Lower == Upper;
+// EBR and DEBRA publish [e, None], every epoch from e on. An idle thread
+// publishes [None, None].
 type Reservation struct {
 	_     [64]byte
 	lower atomic.Uint64
@@ -104,18 +105,4 @@ func (t *Table) MinLower() uint64 {
 		}
 	}
 	return min
-}
-
-// MinLowerSlot is MinLower returning the argmin too: the slot index holding
-// the smallest reserved lower endpoint and that endpoint (slot 0 and None
-// when every entry is idle). An EBR-style scan's unfree prefix is pinned by
-// exactly this reservation, so the slot is the scan's blame witness.
-func (t *Table) MinLowerSlot() (int, uint64) {
-	slot, min := 0, None
-	for i := range t.res {
-		if lo := t.res[i].lower.Load(); lo < min {
-			min, slot = lo, i
-		}
-	}
-	return slot, min
 }
